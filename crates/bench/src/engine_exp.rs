@@ -1,14 +1,13 @@
-//! Engine-throughput experiment: the sequential (inline) event engine vs the
-//! sharded engine across worker counts, on one workload.
+//! Engine-throughput experiment: the event engine with accounting applied
+//! inline vs on accounting shards across worker counts, on one workload.
 //!
 //! The workload is the multi-tenant sweep's hardest cell scaled up: eight
 //! tenants — seven steady Poisson streams plus the MMPP bursty antagonist —
 //! co-running on the queue-pair-starved 4-SSD Optane array under shared
-//! queue pairs. Open-loop tenants pre-schedule their whole arrival streams,
-//! which is exactly where the engines differ mechanically: the inline engine
-//! heap-loads every future arrival up front, while the sharded spine feeds
-//! arrivals from a time-sorted cursor and keeps its heap sized by in-flight
-//! work only (see DESIGN.md, "Parallel engine").
+//! queue pairs. Both modes run the same cursor-fed timing spine (arrivals
+//! pulled lazily, heap sized by in-flight work only); they differ in where
+//! the spine's accounting records are applied (see DESIGN.md, "Parallel
+//! engine").
 //!
 //! Every sweep point first asserts its `MultiTenantReport` is bit-identical
 //! to the inline run's — a throughput number from a wrong simulation is

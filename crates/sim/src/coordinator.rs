@@ -19,16 +19,17 @@
 
 use std::sync::mpsc;
 
-use bam_obs::{merge_indexed_spans, BlameRow, SpanEvent, SpanRecorder, WindowedSeries};
+use bam_obs::{
+    merge_indexed_spans, BlameRow, LatencyHisto, SpanEvent, SpanRecorder, WindowedSeries,
+};
 
 use crate::clock::SimTime;
-use crate::engine::{
-    drive_events_cursor, AdmissionState, EngineOutput, IssueState, RequestDesc, SimConfig,
-};
+use crate::engine::{drive_events, AdmissionState, EngineOutput, SimConfig, Stream};
 use crate::pipeline::PipelineParams;
 use crate::shard::{
     merge_tenants, occupancy_stats, Accounting, ObsPlan, OccupancyMeter, Rec, ShardMap, SpanOut,
 };
+use crate::tenant::ArrivalMerge;
 
 /// Records a shard batch may accumulate before it is flushed regardless of
 /// virtual time.
@@ -47,50 +48,63 @@ fn lookahead_epsilon(p: &PipelineParams) -> u64 {
     (p.qp_forward_ns + p.ctrl_fetch_ns + p.completion_ns).max(1) * 64
 }
 
+/// The spine's end of one shard: the batch being filled, the channel it is
+/// flushed into, and the channel the worker hands applied (emptied) batches
+/// back through. A shard therefore cycles a fixed set of at most
+/// `CHANNEL_DEPTH + 2` [`BATCH_RECORDS`]-sized buffers — one filling, up to
+/// `CHANNEL_DEPTH` queued, one being applied — instead of allocating one per
+/// flush.
+struct ShardLink {
+    filling: Vec<Rec>,
+    batches: mpsc::SyncSender<Vec<Rec>>,
+    spares: mpsc::Receiver<Vec<Rec>>,
+}
+
+impl ShardLink {
+    /// Sends the filling batch (if non-empty) and starts a recycled one.
+    fn flush(&mut self) {
+        if self.filling.is_empty() {
+            return;
+        }
+        let spare = self
+            .spares
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(BATCH_RECORDS));
+        let batch = std::mem::replace(&mut self.filling, spare);
+        self.batches.send(batch).expect("shard worker exited early");
+    }
+}
+
 /// Runs the spine with `min(workers, num_ssds)` accounting shards and merges
 /// their results into the same [`EngineOutput`] the inline engine produces.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_sharded_core(
     config: &SimConfig,
-    requests: &[RequestDesc],
-    tenant_of: &[u32],
-    qp_of: &[u32],
-    arrivals: &[(SimTime, u32)],
-    issue: &mut [IssueState],
+    streams: &mut [Stream<'_>],
+    arrivals: &mut ArrivalMerge,
     admission: &mut AdmissionState,
     recorder: Option<&SpanRecorder>,
     workers: usize,
     plan: &ObsPlan<'_>,
 ) -> EngineOutput {
-    let map = ShardMap::new(workers, config.num_ssds, config.queue_pairs_per_ssd);
+    let mut map = ShardMap::new(workers, config.num_ssds, config.queue_pairs_per_ssd);
     let shards = map.shards;
     let total_qps = config.total_queue_pairs();
     let traced = recorder.is_some();
-
-    // Dense per-shard slots: request i is its shard's local_of[i]-th request,
-    // so shard arrays cost memory proportional to the shard's share.
-    let mut local_of = vec![0u32; requests.len()];
-    let mut slots = vec![0u32; shards];
-    for (i, &qp) in qp_of.iter().enumerate() {
-        let s = map.of_qp(qp);
-        local_of[i] = slots[s];
-        slots[s] += 1;
-    }
-
     let epsilon = lookahead_epsilon(&config.pipeline);
 
     let (spine, mut accts) = std::thread::scope(|scope| {
-        let mut txs = Vec::with_capacity(shards);
+        let mut links = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
-        for &shard_slots in &slots {
-            let (tx, rx) = mpsc::sync_channel::<Vec<Rec>>(CHANNEL_DEPTH);
-            txs.push(tx);
-            let acct = Accounting::new(
-                requests,
-                tenant_of,
-                qp_of,
-                Some(&local_of),
-                shard_slots as usize,
+        for _ in 0..shards {
+            let (batches, inbox) = mpsc::sync_channel::<Vec<Rec>>(CHANNEL_DEPTH);
+            let (outbox, spares) = mpsc::channel::<Vec<Rec>>();
+            links.push(ShardLink {
+                filling: Vec::with_capacity(BATCH_RECORDS),
+                batches,
+                spares,
+            });
+            let mut acct = Accounting::new(
+                0,
                 total_qps,
                 plan,
                 if traced {
@@ -100,54 +114,33 @@ pub(crate) fn run_sharded_core(
                 },
             );
             handles.push(scope.spawn(move || {
-                let mut acct = acct;
-                for batch in rx {
-                    for rec in batch {
+                for mut batch in inbox {
+                    for rec in batch.drain(..) {
                         acct.apply(rec);
                     }
+                    // The spine drops its receiver once the run is over;
+                    // the last few buffers are then simply freed.
+                    let _ = outbox.send(batch);
                 }
                 acct
             }));
         }
 
-        let mut buffers: Vec<Vec<Rec>> = (0..shards)
-            .map(|_| Vec::with_capacity(BATCH_RECORDS))
-            .collect();
         let mut next_flush = SimTime::ZERO;
-        let spine = drive_events_cursor(
-            config,
-            requests,
-            tenant_of,
-            qp_of,
-            arrivals,
-            issue,
-            admission,
-            &mut |rec| {
-                let at = rec.at();
-                let s = map.route(&rec, qp_of);
-                buffers[s].push(rec);
-                if buffers[s].len() >= BATCH_RECORDS {
-                    let batch =
-                        std::mem::replace(&mut buffers[s], Vec::with_capacity(BATCH_RECORDS));
-                    txs[s].send(batch).expect("shard worker exited early");
-                }
-                if at >= next_flush {
-                    next_flush = at + epsilon;
-                    for (buf, tx) in buffers.iter_mut().zip(&txs) {
-                        if !buf.is_empty() {
-                            tx.send(std::mem::take(buf))
-                                .expect("shard worker exited early");
-                        }
-                    }
-                }
-            },
-        );
-        for (buf, tx) in buffers.into_iter().zip(&txs) {
-            if !buf.is_empty() {
-                tx.send(buf).expect("shard worker exited early");
+        let spine = drive_events(config, streams, arrivals, admission, &mut |rec| {
+            let at = rec.at();
+            let link = &mut links[map.route(&rec)];
+            link.filling.push(rec);
+            if link.filling.len() >= BATCH_RECORDS {
+                link.flush();
             }
-        }
-        drop(txs);
+            if at >= next_flush {
+                next_flush = at + epsilon;
+                links.iter_mut().for_each(ShardLink::flush);
+            }
+        });
+        links.iter_mut().for_each(ShardLink::flush);
+        drop(links);
         let accts: Vec<Accounting> = handles
             .into_iter()
             .map(|h| h.join().expect("shard worker panicked"))
@@ -162,11 +155,19 @@ pub(crate) fn run_sharded_core(
         .collect();
     let (occupancy_mean, occupancy_max) = occupancy_stats(&meters, spine.end);
 
-    let mut read_latencies = Vec::new();
-    let mut write_latencies = Vec::new();
+    // Histograms merge exactly; the exact-sample vectors concatenate in
+    // shard order (the report builder sorts them). The first shard's vector
+    // is grown in place to the exact total and each other part is freed as
+    // soon as it is copied, so at most one part is live beside the whole.
+    let mut read_latency = LatencyHisto::new();
+    let mut write_latency = LatencyHisto::new();
+    let total: usize = accts.iter().map(|a| a.latencies.len()).sum();
+    let mut latencies = std::mem::take(&mut accts[0].latencies);
+    latencies.reserve_exact(total - latencies.len());
     for acct in &mut accts {
-        read_latencies.append(&mut acct.read_latencies);
-        write_latencies.append(&mut acct.write_latencies);
+        read_latency.merge(&acct.read_latency);
+        write_latency.merge(&acct.write_latency);
+        latencies.extend_from_slice(&std::mem::take(&mut acct.latencies));
     }
 
     // Replay the merged span stream into the caller's recorder in global
@@ -197,10 +198,12 @@ pub(crate) fn run_sharded_core(
         depth: spine.depth,
         events: spine.events,
         peak_queued: spine.peak_queued,
+        peak_slots: spine.peak_slots,
         occupancy_mean,
         occupancy_max,
-        read_latencies,
-        write_latencies,
+        latencies,
+        read_latency,
+        write_latency,
         tenants,
         series,
         blame_rows,

@@ -172,68 +172,151 @@ impl Mmpp2 {
     /// Panics unless both rates are non-negative (at least one positive) and
     /// both mean dwells are positive.
     pub fn arrival_times(&self, n: u64, rng: &mut StdRng) -> (Vec<u64>, MmppDwellStats) {
+        let mut path = MmppPath::new(*self, rng);
+        let arrivals = (0..n).map(|_| path.next_arrival_ns(rng)).collect();
+        (arrivals, path.stats)
+    }
+}
+
+/// One MMPP sample path, generated an arrival at a time: the modulating
+/// chain's state plus the running clock. The caller owns the RNG, so the
+/// draw order is exactly that of a loop over [`MmppPath::next_arrival_ns`].
+#[derive(Debug, Clone)]
+pub(crate) struct MmppPath {
+    params: Mmpp2,
+    burst: bool,
+    t_ns: f64,
+    dwell_start: f64,
+    switch_at: f64,
+    /// Latest arrival handed out (rounding can produce equal neighbours but
+    /// never out-of-order ones; the running max enforces monotonicity anyway
+    /// so downstream code may rely on it).
+    last_ns: u64,
+    stats: MmppDwellStats,
+}
+
+impl MmppPath {
+    /// A path starting in the calm state at time zero (draws the first
+    /// calm dwell).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the conditions of [`Mmpp2::arrival_times`].
+    pub(crate) fn new(params: Mmpp2, rng: &mut StdRng) -> Self {
         assert!(
-            self.calm_rate_per_s >= 0.0
-                && self.burst_rate_per_s >= 0.0
-                && (self.calm_rate_per_s > 0.0 || self.burst_rate_per_s > 0.0),
+            params.calm_rate_per_s >= 0.0
+                && params.burst_rate_per_s >= 0.0
+                && (params.calm_rate_per_s > 0.0 || params.burst_rate_per_s > 0.0),
             "MMPP needs a positive arrival rate in at least one state"
         );
         assert!(
-            self.mean_calm_s > 0.0 && self.mean_burst_s > 0.0,
+            params.mean_calm_s > 0.0 && params.mean_burst_s > 0.0,
             "MMPP dwell means must be positive"
         );
-        let mut arrivals = Vec::with_capacity(n as usize);
-        let mut stats = MmppDwellStats::default();
-        let mut burst = false;
-        let mut t_ns = 0.0f64;
-        let mut dwell_start = 0.0f64;
-        let mut switch_at = exp_gap_ns(1.0 / self.mean_calm_s, rng);
-        while (arrivals.len() as u64) < n {
-            let rate = if burst {
-                self.burst_rate_per_s
+        Self {
+            params,
+            burst: false,
+            t_ns: 0.0,
+            dwell_start: 0.0,
+            switch_at: exp_gap_ns(1.0 / params.mean_calm_s, rng),
+            last_ns: 0,
+            stats: MmppDwellStats::default(),
+        }
+    }
+
+    /// The path's next arrival instant in nanoseconds (never below the
+    /// previous one).
+    pub(crate) fn next_arrival_ns(&mut self, rng: &mut StdRng) -> u64 {
+        loop {
+            let rate = if self.burst {
+                self.params.burst_rate_per_s
             } else {
-                self.calm_rate_per_s
+                self.params.calm_rate_per_s
             };
             let next_arrival = if rate > 0.0 {
-                t_ns + exp_gap_ns(rate, rng)
+                self.t_ns + exp_gap_ns(rate, rng)
             } else {
                 f64::INFINITY
             };
-            if next_arrival < switch_at {
-                t_ns = next_arrival;
-                arrivals.push(next_arrival.round() as u64);
+            if next_arrival < self.switch_at {
+                self.t_ns = next_arrival;
+                self.last_ns = self.last_ns.max(next_arrival.round() as u64);
+                return self.last_ns;
+            }
+            // The chain switches state before the candidate arrival; the
+            // candidate is discarded (memorylessness makes a fresh draw at
+            // the new rate equivalent).
+            let dwell = ((self.switch_at - self.dwell_start).round().max(0.0)) as u128;
+            if self.burst {
+                self.stats.burst_ns += dwell;
+                self.stats.burst_visits += 1;
             } else {
-                // The chain switches state before the candidate arrival; the
-                // candidate is discarded (memorylessness makes a fresh draw
-                // at the new rate equivalent).
-                let dwell = ((switch_at - dwell_start).round().max(0.0)) as u128;
-                if burst {
-                    stats.burst_ns += dwell;
-                    stats.burst_visits += 1;
-                } else {
-                    stats.calm_ns += dwell;
-                    stats.calm_visits += 1;
-                }
-                t_ns = switch_at;
-                dwell_start = switch_at;
-                burst = !burst;
-                let mean = if burst {
-                    self.mean_burst_s
-                } else {
-                    self.mean_calm_s
-                };
-                switch_at = t_ns + exp_gap_ns(1.0 / mean, rng);
+                self.stats.calm_ns += dwell;
+                self.stats.calm_visits += 1;
             }
+            self.t_ns = self.switch_at;
+            self.dwell_start = self.switch_at;
+            self.burst = !self.burst;
+            let mean = if self.burst {
+                self.params.mean_burst_s
+            } else {
+                self.params.mean_calm_s
+            };
+            self.switch_at = self.t_ns + exp_gap_ns(1.0 / mean, rng);
         }
-        // Rounding can produce equal neighbours but never out-of-order ones;
-        // enforce monotonicity anyway so downstream code may rely on it.
-        for i in 1..arrivals.len() {
-            if arrivals[i] < arrivals[i - 1] {
-                arrivals[i] = arrivals[i - 1];
-            }
-        }
-        (arrivals, stats)
     }
+}
+
+/// The eager MMPP generator [`MmppPath`] replaced, kept verbatim as the
+/// oracle the lazy path (and `tenant::eager_generate`) is checked against.
+#[cfg(test)]
+pub(crate) fn eager_arrival_times(
+    m: &Mmpp2,
+    n: u64,
+    rng: &mut StdRng,
+) -> (Vec<u64>, MmppDwellStats) {
+    let mut arrivals = Vec::with_capacity(n as usize);
+    let mut stats = MmppDwellStats::default();
+    let mut burst = false;
+    let mut t_ns = 0.0f64;
+    let mut dwell_start = 0.0f64;
+    let mut switch_at = exp_gap_ns(1.0 / m.mean_calm_s, rng);
+    while (arrivals.len() as u64) < n {
+        let rate = if burst {
+            m.burst_rate_per_s
+        } else {
+            m.calm_rate_per_s
+        };
+        let next_arrival = if rate > 0.0 {
+            t_ns + exp_gap_ns(rate, rng)
+        } else {
+            f64::INFINITY
+        };
+        if next_arrival < switch_at {
+            t_ns = next_arrival;
+            arrivals.push(next_arrival.round() as u64);
+        } else {
+            let dwell = ((switch_at - dwell_start).round().max(0.0)) as u128;
+            if burst {
+                stats.burst_ns += dwell;
+                stats.burst_visits += 1;
+            } else {
+                stats.calm_ns += dwell;
+                stats.calm_visits += 1;
+            }
+            t_ns = switch_at;
+            dwell_start = switch_at;
+            burst = !burst;
+            let mean = if burst { m.mean_burst_s } else { m.mean_calm_s };
+            switch_at = t_ns + exp_gap_ns(1.0 / mean, rng);
+        }
+    }
+    for i in 1..arrivals.len() {
+        if arrivals[i] < arrivals[i - 1] {
+            arrivals[i] = arrivals[i - 1];
+        }
+    }
+    (arrivals, stats)
 }
 
 #[cfg(test)]
@@ -310,6 +393,25 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(a.len(), 5_000);
+    }
+
+    #[test]
+    fn lazy_mmpp_path_matches_the_eager_generator() {
+        let m = Mmpp2 {
+            calm_rate_per_s: 50.0e3,
+            burst_rate_per_s: 1.6e6,
+            mean_calm_s: 4.0e-3,
+            mean_burst_s: 1.0e-3,
+        };
+        let silent_calm = Mmpp2 {
+            calm_rate_per_s: 0.0,
+            ..m
+        };
+        for (seed, params, n) in [(9, m, 20_000), (10, silent_calm, 5_000), (11, m, 0)] {
+            let lazy = params.arrival_times(n, &mut StdRng::seed_from_u64(seed));
+            let eager = eager_arrival_times(&params, n, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(lazy, eager, "seed {seed}");
+        }
     }
 
     #[test]

@@ -10,19 +10,23 @@
 //! Runs are deterministic: the event heap breaks ties by insertion order and
 //! all randomness comes from one seeded SplitMix64 generator.
 //!
-//! Two engines share one timing spine (`drive_events`): the inline engine
-//! ([`run`]) applies accounting in the event loop, and the sharded engine
-//! ([`run_sharded`]) streams accounting records to per-SSD worker shards
-//! (the private `shard` and `coordinator` modules) whose merged results
-//! are bit-identical at any worker count.
+//! One timing spine (`drive_events`) serves every entry point. It pulls
+//! arrivals lazily from the per-stream generators ([`crate::tenant`]) and
+//! keys all per-request state by a recycled in-flight slot, so everything
+//! the engine owns per request is proportional to the requests *in flight*,
+//! never to the run length; the footprint bound is asserted at the end of
+//! every run. What differs between `workers <= 1` and `workers > 1` is only
+//! where the spine's accounting records are applied: inline in the event
+//! loop, or on per-SSD worker shards (the private `shard` and `coordinator`
+//! modules) whose merged results are bit-identical at any worker count.
 
 use std::collections::VecDeque;
 
-use bam_obs::{SpanRecorder, Stage, StageBreakdown};
+use bam_obs::{
+    evaluate_slo, LatencyHisto, SloSpec, SpanRecorder, Stage, StageBreakdown, WindowedSeries,
+};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use bam_obs::{evaluate_slo, BlameRow, WindowedSeries};
+use rand::{Rng, SeedableRng};
 
 use crate::clock::SimTime;
 use crate::coordinator;
@@ -30,10 +34,11 @@ use crate::dist::LatencyDist;
 use crate::event::{Event, EventQueue};
 use crate::pipeline::{fair_shares, PipelineParams, QueuePairPolicy};
 use crate::report::{
-    build_run_telemetry, DepthTimeline, MultiTenantReport, RunTelemetry, SimReport, TenantSummary,
+    build_run_telemetry, DepthTimeline, LatencySummary, MultiTenantReport, RunTelemetry, SimReport,
+    TenantSummary,
 };
-use crate::shard::{occupancy_stats, Accounting, ObsPlan, Rec, SpanOut, TenantAcc};
-use crate::tenant::{ArrivalProcess, Superposition, TenantClass, TenantSpec};
+use crate::shard::{occupancy_stats, Accounting, ObsPlan, Rec, RequestInfo, SpanOut, TenantAcc};
+use crate::tenant::{ArrivalMerge, ArrivalProcess, ArrivalTimes, TenantClass, TenantSpec};
 
 /// What run-level telemetry the engines collect.
 ///
@@ -167,7 +172,8 @@ impl SimConfig {
     }
 }
 
-/// A FIFO service center with `capacity` parallel servers.
+/// A FIFO service center with `capacity` parallel servers. Waiters are
+/// in-flight slots.
 #[derive(Debug)]
 struct Center {
     busy: u32,
@@ -184,14 +190,14 @@ impl Center {
         }
     }
 
-    /// Admits `req`: returns `true` if a server was free (caller schedules
+    /// Admits `slot`: returns `true` if a server was free (caller schedules
     /// the departure), otherwise queues it.
-    fn admit(&mut self, req: u32) -> bool {
+    fn admit(&mut self, slot: u32) -> bool {
         if self.busy < self.capacity {
             self.busy += 1;
             true
         } else {
-            self.waiting.push_back(req);
+            self.waiting.push_back(slot);
             false
         }
     }
@@ -212,29 +218,227 @@ impl Center {
     }
 }
 
-/// Spine-side issue state of one tenant: which requests exist and how
-/// closed-loop completions refill them. Accounting state lives in
-/// [`TenantAcc`].
-pub(crate) struct IssueState {
-    /// First global request index of the tenant's contiguous block.
-    pub(crate) base: u64,
-    /// Requests in the block.
-    pub(crate) count: u64,
-    /// Requests whose arrivals have been scheduled so far.
-    pub(crate) issued: u64,
-    /// `Some(in_flight)` for closed-loop tenants: completions refill.
-    pub(crate) refill: Option<u32>,
+/// `k mod m` as a `u32` (lossless: the remainder is below `m`).
+fn rem_u32(k: u64, m: u32) -> u32 {
+    (k % u64::from(m)) as u32
 }
 
-impl IssueState {
-    pub(crate) fn new(base: u64, count: u64, issued: u64, refill: Option<u32>) -> Self {
+/// The legacy spread of a stream's `k`-th request over the whole array, as
+/// `(device, local queue)`: devices first, local queues second.
+fn spread(config: &SimConfig, k: u64) -> (u32, u32) {
+    (
+        rem_u32(k, config.num_ssds),
+        rem_u32(k / u64::from(config.num_ssds), config.queue_pairs_per_ssd),
+    )
+}
+
+/// Where a stream's requests are routed, as a closed form of the stream's
+/// own arrival counter.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Route {
+    /// [`spread`] over the whole array ([`QueuePairPolicy::Shared`]).
+    Spread,
+    /// Round-robin within the stream's partition of the global queue-pair
+    /// space ([`QueuePairPolicy::WeightedFair`]).
+    Partition { base: u32, share: u32 },
+}
+
+/// What a stream's `k`-th request looks like.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Shape<'a> {
+    /// The caller's own descriptors (the single-stream entry points):
+    /// explicit device/queue overrides win, everything else spreads.
+    Explicit(&'a [RequestDesc]),
+    /// `writes` Bresenham-interleaved writes among the stream's requests,
+    /// all of `bytes` (the pipeline's access size), routed by `route`.
+    Mixed {
+        writes: u64,
+        bytes: u64,
+        route: Route,
+    },
+}
+
+/// Thinned member attribution of a class stream: each arrival draws its
+/// synthetic member from the class's dedicated thinning RNG, in arrival
+/// order — the sequence [`TenantClass::member_of`] lists.
+#[derive(Debug)]
+pub(crate) struct Thinning {
+    rng: StdRng,
+    members: u32,
+    /// Account each member as its own tenant (`tenant + member`): the
+    /// member-oracle granularity.
+    per_member_tenants: bool,
+}
+
+/// Spine-side state of one engine-level stream (an explicit tenant, a
+/// merged class, or the single legacy workload): which requests exist, how
+/// closed-loop completions refill them, and the closed forms every
+/// per-request fact is derived from when the request arrives. Accounting
+/// state lives in [`TenantAcc`].
+#[derive(Debug)]
+pub(crate) struct Stream<'a> {
+    /// Global index of the stream's first request (its block is
+    /// contiguous).
+    base: u64,
+    /// Requests in the block.
+    count: u64,
+    /// Requests whose first offer has been scheduled so far: everything
+    /// pre-scheduled, plus closed-loop refills.
+    issued: u64,
+    /// Requests first-offered so far — the stream's own arrival counter.
+    arrived: u64,
+    /// Closed-loop stream: completions launch the next request.
+    refill: bool,
+    shape: Shape<'a>,
+    /// Accounting tenant of the stream's requests.
+    tenant: u32,
+    thinning: Option<Thinning>,
+}
+
+impl<'a> Stream<'a> {
+    pub(crate) fn new(
+        base: u64,
+        count: u64,
+        arrival: ArrivalProcess,
+        shape: Shape<'a>,
+        tenant: u32,
+    ) -> Self {
         Self {
             base,
             count,
-            issued,
-            refill,
+            issued: arrival.prescheduled(count),
+            arrived: 0,
+            refill: matches!(arrival, ArrivalProcess::ClosedLoop { .. }),
+            shape,
+            tenant,
+            thinning: None,
         }
     }
+
+    /// The stream of `spec` (an explicit tenant, or a class's merged spec):
+    /// its block starts at `base`, its writes are Bresenham-interleaved at
+    /// the pipeline's access size, and `route` places them.
+    fn of_tenant(
+        config: &SimConfig,
+        spec: &TenantSpec,
+        base: u64,
+        route: Route,
+        tenant: u32,
+    ) -> Stream<'static> {
+        let shape = Shape::Mixed {
+            writes: spec.writes.min(spec.requests),
+            bytes: config.pipeline.access_bytes,
+            route,
+        };
+        Stream::new(base, spec.requests, spec.arrival, shape, tenant)
+    }
+
+    /// Draws each arrival's member from `class`'s thinning stream.
+    fn thinned(mut self, class: &TenantClass, run_seed: u64, per_member_tenants: bool) -> Self {
+        self.thinning = Some(Thinning {
+            rng: class.thinning_rng(run_seed),
+            members: class.members,
+            per_member_tenants,
+        });
+        self
+    }
+
+    /// The static facts of the stream's next request, advancing its arrival
+    /// counter.
+    fn next_request(&mut self, config: &SimConfig) -> RequestInfo {
+        let k = self.arrived;
+        self.arrived += 1;
+        let (write, bytes, qp) = match self.shape {
+            Shape::Explicit(requests) => {
+                let index = usize::try_from(k).expect("explicit requests are indexable");
+                let desc = &requests[index];
+                let (device, local) = spread(config, k);
+                let device = desc.device.map_or(device, |d| d % config.num_ssds);
+                let local = desc.queue.map_or(local, |q| q % config.queue_pairs_per_ssd);
+                (
+                    desc.write,
+                    desc.bytes,
+                    device * config.queue_pairs_per_ssd + local,
+                )
+            }
+            Shape::Mixed {
+                writes,
+                bytes,
+                route,
+            } => {
+                let qp = match route {
+                    Route::Spread => {
+                        let (device, local) = spread(config, k);
+                        device * config.queue_pairs_per_ssd + local
+                    }
+                    Route::Partition { base, share } => base + rem_u32(k, share),
+                };
+                (is_mixed_write(k, self.count, writes), bytes, qp)
+            }
+        };
+        let mut tenant = self.tenant;
+        let member = self.thinning.as_mut().map_or(0, |t| {
+            let member = t.rng.gen_range(0..t.members);
+            if t.per_member_tenants {
+                tenant += member;
+            }
+            member
+        });
+        RequestInfo {
+            req: self.base + k,
+            bytes,
+            qp,
+            tenant,
+            member,
+            write,
+        }
+    }
+}
+
+/// Queue-pair shares and partition bases of `weights` under `policy`.
+fn queue_pair_shares(
+    config: &SimConfig,
+    policy: QueuePairPolicy,
+    weights: &[u32],
+) -> (Vec<u32>, Vec<Route>) {
+    let total_qps = config.total_queue_pairs();
+    match policy {
+        QueuePairPolicy::Shared => (
+            vec![total_qps; weights.len()],
+            vec![Route::Spread; weights.len()],
+        ),
+        QueuePairPolicy::WeightedFair => {
+            let shares = fair_shares(total_qps, weights);
+            let routes = shares
+                .iter()
+                .scan(0u32, |base, &share| {
+                    let route = Route::Partition { base: *base, share };
+                    *base += share;
+                    Some(route)
+                })
+                .collect();
+            (shares, routes)
+        }
+    }
+}
+
+/// First global request index of each block of `counts` requests.
+///
+/// # Panics
+///
+/// Panics if the run's total overflows a `u64` — request indices are 64-bit
+/// end to end, so any smaller run is addressable.
+fn block_bases(counts: impl Iterator<Item = u64>) -> Vec<u64> {
+    let mut total = 0u64;
+    counts
+        .map(|count| {
+            let base = total;
+            total = total
+                .checked_add(count)
+                .unwrap_or_else(|| panic!("run of {base} + {count} requests overflows u64"));
+            base
+        })
+        .collect()
 }
 
 /// `ln(100)`: the p99-to-mean ratio of an exponential sojourn tail
@@ -336,111 +540,149 @@ impl AdmissionCtl {
     }
 }
 
-/// Per-run admission state: one optional controller per engine tenant plus
-/// each request's deferral count. [`AdmissionState::none`] (every
+/// Per-run admission state: one optional controller per stream (a request's
+/// deferral count lives in its slot). [`AdmissionState::none`] (every
 /// non-class entry point) is a zero-cost pass-through — the spine's event
 /// schedule is byte-identical to the pre-admission engine's.
 pub(crate) struct AdmissionState {
     ctls: Vec<Option<AdmissionCtl>>,
-    /// Deferrals each request has absorbed so far (empty when no controller
-    /// is armed).
-    defers: Vec<u32>,
 }
 
 impl AdmissionState {
     /// No admission control anywhere: every offer admits immediately.
     pub(crate) fn none() -> Self {
-        Self {
-            ctls: Vec::new(),
-            defers: Vec::new(),
-        }
+        Self { ctls: Vec::new() }
     }
 
-    pub(crate) fn new(ctls: Vec<Option<AdmissionCtl>>, num_requests: usize) -> Self {
-        let armed = ctls.iter().any(Option::is_some);
-        Self {
-            ctls,
-            defers: if armed {
-                vec![0; num_requests]
-            } else {
-                Vec::new()
-            },
-        }
+    pub(crate) fn new(ctls: Vec<Option<AdmissionCtl>>) -> Self {
+        Self { ctls }
     }
 
-    /// Deferrals request `req` has absorbed so far.
-    fn defer_count(&self, req: u32) -> u32 {
-        self.defers.get(req as usize).copied().unwrap_or(0)
-    }
-
-    /// Runs tenant `tenant`'s controller (if armed) on an offer of `req`.
-    fn offer(&mut self, tenant: usize, req: u32, now: SimTime) -> Admission {
-        let Some(ctl) = self.ctls.get_mut(tenant).and_then(Option::as_mut) else {
+    /// Runs `stream`'s controller (if armed) on an offer of a request that
+    /// has absorbed `defers` deferrals so far, counting a new one.
+    fn offer(&mut self, stream: u32, defers: &mut u32, now: SimTime) -> Admission {
+        let Some(ctl) = self.ctls.get_mut(stream as usize).and_then(Option::as_mut) else {
             return Admission::Admit;
         };
-        let decision = ctl.decide(now, self.defers[req as usize]);
+        let decision = ctl.decide(now, *defers);
         if let Admission::Defer { .. } = decision {
-            self.defers[req as usize] += 1;
+            *defers += 1;
         }
         decision
     }
 
-    /// Releases one in-flight slot of `tenant`'s controller on completion.
-    fn complete(&mut self, tenant: usize) {
-        if let Some(ctl) = self.ctls.get_mut(tenant).and_then(Option::as_mut) {
+    /// Releases one in-flight unit of `stream`'s controller on completion.
+    fn complete(&mut self, stream: u32) {
+        if let Some(ctl) = self.ctls.get_mut(stream as usize).and_then(Option::as_mut) {
             ctl.in_flight -= 1;
         }
     }
 }
 
-/// Worst-case simultaneously pending events, reserved up front so the heap
-/// never reallocates mid-run: every not-yet-popped pre-scheduled arrival,
-/// at most one in-service event per in-flight request, and up to two pending
-/// events per queue pair (`QpForwarded` + `QpRecovered` are scheduled
-/// together).
-pub(crate) fn heap_reservation(
-    pending_arrivals: usize,
-    num_requests: usize,
-    total_qps: u32,
-) -> usize {
-    pending_arrivals + num_requests + 2 * total_qps as usize + 16
+/// Spine-side state of one in-flight request: everything a later event needs,
+/// fixed when the request arrives (except the media sample and the deferral
+/// count, which accrue).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// The request's stream (refill and admission bookkeeping).
+    stream: u32,
+    /// Global queue pair.
+    qp: u32,
+    /// Payload bytes (link occupancy scales with this).
+    bytes: u64,
+    /// Media service time, drawn when the channel is seized; the departure
+    /// event reports it as the stage's service share (every other stage's
+    /// service is a pipeline constant).
+    media_service: u64,
+    /// Deferrals absorbed so far.
+    defers: u32,
+    write: bool,
+}
+
+/// The recycled in-flight slots: a request takes one at its first offer and
+/// frees it at `Complete` / `Reject`, so the table's size is the peak
+/// in-flight population however long the run. Freed slots are reused
+/// last-freed-first.
+#[derive(Debug, Default)]
+struct SlotTable {
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+}
+
+impl SlotTable {
+    fn take(&mut self, slot: Slot) -> u32 {
+        if let Some(id) = self.free.pop() {
+            self.slots[id as usize] = slot;
+            id
+        } else {
+            let id = u32::try_from(self.slots.len())
+                .unwrap_or_else(|_| panic!("more than {} requests in flight", u32::MAX));
+            self.slots.push(slot);
+            id
+        }
+    }
+
+    fn release(&mut self, id: u32) {
+        self.free.push(id);
+    }
+
+    /// Most slots ever simultaneously live: slots are only minted when none
+    /// is free, so this is the table's length.
+    fn peak_live(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+impl std::ops::Index<u32> for SlotTable {
+    type Output = Slot;
+
+    fn index(&self, id: u32) -> &Slot {
+        &self.slots[id as usize]
+    }
+}
+
+impl std::ops::IndexMut<u32> for SlotTable {
+    fn index_mut(&mut self, id: u32) -> &mut Slot {
+        &mut self.slots[id as usize]
+    }
 }
 
 /// What the timing spine hands back to its wrappers.
 pub(crate) struct SpineOutcome {
     pub(crate) end: SimTime,
     pub(crate) depth: DepthTimeline,
-    /// Events processed (identical for the inline and sharded engines).
+    /// Events processed (identical at any worker count).
     pub(crate) events: u64,
     /// Most events ever simultaneously pending in the heap.
     pub(crate) peak_queued: usize,
+    /// Most in-flight slots ever simultaneously live.
+    pub(crate) peak_slots: usize,
 }
 
-/// The timing spine: drives `requests` (routed by `qp_of`, attributed by
-/// `tenant_of`) from the pre-scheduled `arrivals` through the five-stage
-/// pipeline, refilling closed-loop tenants on completion, and emits every
-/// accounting fact as a [`Rec`] through `sink` in global `(time, seq)`
-/// order.
+/// Slack in the footprint bound, beyond one pending event per live slot and
+/// two per queue pair.
+const HEAP_SLACK: usize = 16;
+
+/// The timing spine: drives every request of `streams` from its lazily
+/// merged `arrivals` through the five-stage pipeline, refilling closed-loop
+/// streams on completion, and emits every accounting fact as a [`Rec`]
+/// through `sink` in global `(time, seq)` order.
 ///
-/// With `CURSOR` false the pre-scheduled arrivals are heap-loaded up front
-/// (the inline engine's historical behavior). With `CURSOR` true they are
-/// fed from the already-time-sorted slice instead, keeping the heap sized by
-/// in-flight work rather than total run length; a pending arrival fires
-/// before any heap event at the same instant, which is exactly the heap
-/// order (pre-scheduled arrivals always carry lower insertion sequences than
-/// runtime events), so both modes process the identical event sequence.
-#[allow(clippy::too_many_arguments)]
-fn drive_events<const CURSOR: bool>(
+/// Pre-scheduled arrivals are pulled from `arrivals` one at a time; a pending
+/// arrival fires before any heap event at the same instant (the order a heap
+/// pre-loaded with every arrival would produce, since those would carry the
+/// lowest insertion sequences). Per-request state lives in a recycled
+/// [`SlotTable`] slot from first offer to `Complete` / `Reject`, so the
+/// spine's footprint is bounded by the in-flight population — asserted
+/// before returning.
+pub(crate) fn drive_events(
     config: &SimConfig,
-    requests: &[RequestDesc],
-    tenant_of: &[u32],
-    qp_of: &[u32],
-    arrivals: &[(SimTime, u32)],
-    issue: &mut [IssueState],
+    streams: &mut [Stream<'_>],
+    arrivals: &mut ArrivalMerge,
     admission: &mut AdmissionState,
     sink: &mut impl FnMut(Rec),
 ) -> SpineOutcome {
-    let n = requests.len() as u64;
+    let n: u64 = streams.iter().map(|s| s.count).sum();
     let total_qps = config.total_queue_pairs();
     let p = &config.pipeline;
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -452,48 +694,39 @@ fn drive_events<const CURSOR: bool>(
     let mut ssd_links: Vec<Center> = (0..config.num_ssds).map(|_| Center::new(1)).collect();
     let mut gpu_link = Center::new(1);
 
-    let device_of = |req: u32| qp_of[req as usize] / config.queue_pairs_per_ssd;
-    let ssd_link_ns =
-        |desc: &RequestDesc| (desc.bytes as f64 * p.ssd_link_ns_per_byte).round() as u64;
-    let gpu_link_ns =
-        |desc: &RequestDesc| (desc.bytes as f64 * p.gpu_link_ns_per_byte).round() as u64;
+    let device_of = |slot: &Slot| (slot.qp / config.queue_pairs_per_ssd) as usize;
+    let media_dist = |write: bool| {
+        if write {
+            &p.write_media
+        } else {
+            &p.read_media
+        }
+    };
+    let ssd_link_ns = |slot: &Slot| (slot.bytes as f64 * p.ssd_link_ns_per_byte).round() as u64;
+    let gpu_link_ns = |slot: &Slot| (slot.bytes as f64 * p.gpu_link_ns_per_byte).round() as u64;
 
-    // Media service times are drawn when the channel is seized; the stash
-    // lets the departure event report the drawn sample as the stage's
-    // service share (every other stage's service is a pipeline constant).
-    let mut media_service: Vec<u64> = vec![0; requests.len()];
-
+    let mut slots = SlotTable::default();
+    let mut events = EventQueue::default();
     let mut completed: u64 = 0;
     let mut rejected: u64 = 0;
-    let mut depth_timeline = DepthTimeline::default();
+    let mut depth_timeline = DepthTimeline::for_requests(n);
     let mut depth: u32 = 0;
     let mut now = SimTime::ZERO;
     let mut processed: u64 = 0;
     let mut rec_idx: u64 = 0;
-    let mut next_arrival = 0usize;
 
-    let mut events = EventQueue::with_capacity(heap_reservation(
-        if CURSOR { 0 } else { arrivals.len() },
-        requests.len(),
-        total_qps,
-    ));
-    if !CURSOR {
-        for &(at, req) in arrivals {
-            events.schedule(at, Event::Arrive { req });
-        }
-    }
-
-    // Closes one stage of `req` at the current instant (dwell measured from
-    // the request's previous boundary — the shard owns that state). The
-    // third operand is the stage's pure service time: the spine scheduled
-    // the departure, so it knows it exactly, and the shard splits the dwell
-    // into service vs wait without re-deriving any timing decision.
+    // Closes one stage of the request in `slot` at the current instant
+    // (dwell measured from the request's previous boundary — the shard owns
+    // that state). The third operand is the stage's pure service time: the
+    // spine scheduled the departure, so it knows it exactly, and the shard
+    // splits the dwell into service vs wait without re-deriving any timing
+    // decision.
     macro_rules! mark {
-        ($req:expr, $stage:expr, $service:expr) => {{
+        ($slot:expr, $stage:expr, $service:expr) => {{
             let idx = rec_idx;
             rec_idx += 1;
             sink(Rec::Stage {
-                req: $req,
+                slot: $slot,
                 stage: $stage,
                 at: now,
                 idx,
@@ -504,23 +737,71 @@ fn drive_events<const CURSOR: bool>(
     macro_rules! meter {
         ($qp:expr) => {
             sink(Rec::Meter {
-                qp: $qp as u32,
+                qp: $qp,
                 at: now,
-                occupancy: queue_pairs[$qp].occupancy(),
+                occupancy: queue_pairs[$qp as usize].occupancy(),
             })
         };
     }
+    // Offers `slot` to its queue pair; a winner rings the doorbell and starts
+    // the pair's serialization window.
+    macro_rules! enqueue {
+        ($slot:expr) => {{
+            let qp = slots[$slot].qp;
+            if queue_pairs[qp as usize].admit($slot) {
+                events.schedule(now + p.qp_forward_ns, Event::QpForwarded { slot: $slot });
+                events.schedule(now + p.qp_recovery_ns, Event::QpRecovered { qp });
+            }
+            meter!(qp);
+        }};
+    }
+    // Offers the request in `slot` to its stream's admission controller (a
+    // first offer or a re-offer after deferral).
+    macro_rules! offer {
+        ($slot:expr) => {{
+            let slot: u32 = $slot;
+            let state = &mut slots[slot];
+            let deferred_before = state.defers > 0;
+            match admission.offer(state.stream, &mut state.defers, now) {
+                Admission::Admit => {
+                    if deferred_before {
+                        // The whole dwell since first offer is admission
+                        // wait (zero service), so stage dwells still tile
+                        // the request's latency exactly.
+                        mark!(slot, Stage::Admission, 0);
+                    }
+                    depth += 1;
+                    depth_timeline.record(now, depth);
+                    // A write's journal record must be durable before the
+                    // request may ring its doorbell; when journalling is off
+                    // (`journal_flush_ns == 0`) no extra event exists and the
+                    // schedule is identical to the unjournalled engine.
+                    if state.write && p.journal_flush_ns > 0 {
+                        events.schedule(now + p.journal_flush_ns, Event::JournalFlushed { slot });
+                    } else {
+                        enqueue!(slot);
+                    }
+                }
+                Admission::Defer { until_ns } => {
+                    sink(Rec::Defer { slot, at: now });
+                    events.schedule(SimTime::from_ns(until_ns), Event::Reoffer { slot });
+                }
+                Admission::Reject => {
+                    sink(Rec::Reject { slot, at: now });
+                    slots.release(slot);
+                    rejected += 1;
+                }
+            }
+        }};
+    }
 
     loop {
-        let take_arrival = CURSOR
-            && next_arrival < arrivals.len()
-            && events
-                .peek_time()
-                .is_none_or(|t| arrivals[next_arrival].0 <= t);
+        let take_arrival = arrivals
+            .peek_time()
+            .is_some_and(|due| events.peek_time().is_none_or(|t| due <= t));
         let (at, event) = if take_arrival {
-            let (at, req) = arrivals[next_arrival];
-            next_arrival += 1;
-            (at, Event::Arrive { req })
+            let (at, stream) = arrivals.next().expect("peeked an arrival");
+            (at, Event::Issue { stream })
         } else if let Some(popped) = events.pop() {
             popped
         } else {
@@ -530,156 +811,106 @@ fn drive_events<const CURSOR: bool>(
         now = at;
         processed += 1;
         match event {
-            Event::Arrive { req } => {
-                // Latency is measured from the *first* offer: a deferred
+            Event::Issue { stream } => {
+                // Latency is measured from this first offer: a deferred
                 // request's re-offers don't re-arm its arrival record, so
                 // its admission wait counts against its latency.
-                let deferred_before = admission.defer_count(req);
-                if deferred_before == 0 {
-                    sink(Rec::Arrive { req, at: now });
-                }
-                match admission.offer(tenant_of[req as usize] as usize, req, now) {
-                    Admission::Admit => {
-                        if deferred_before > 0 {
-                            // The whole dwell since first offer is admission
-                            // wait (zero service), so stage dwells still tile
-                            // the request's latency exactly.
-                            mark!(req, Stage::Admission, 0);
-                        }
-                        depth += 1;
-                        depth_timeline.record(now, depth);
-                        // A write's journal record must be durable before the
-                        // request may ring its doorbell; when journalling is
-                        // off (`journal_flush_ns == 0`) no extra event exists
-                        // and the schedule is identical to the unjournalled
-                        // engine.
-                        if requests[req as usize].write && p.journal_flush_ns > 0 {
-                            events
-                                .schedule(now + p.journal_flush_ns, Event::JournalFlushed { req });
-                        } else {
-                            let qp = qp_of[req as usize] as usize;
-                            if queue_pairs[qp].admit(req) {
-                                events.schedule(now + p.qp_forward_ns, Event::QpForwarded { req });
-                                events.schedule(
-                                    now + p.qp_recovery_ns,
-                                    Event::QpRecovered { qp: qp as u32 },
-                                );
-                            }
-                            meter!(qp);
-                        }
-                    }
-                    Admission::Defer { until_ns } => {
-                        sink(Rec::Defer { req, at: now });
-                        events.schedule(SimTime::from_ns(until_ns), Event::Arrive { req });
-                    }
-                    Admission::Reject => {
-                        sink(Rec::Reject { req, at: now });
-                        rejected += 1;
-                    }
-                }
+                let info = streams[stream as usize].next_request(config);
+                let slot = slots.take(Slot {
+                    stream,
+                    qp: info.qp,
+                    bytes: info.bytes,
+                    media_service: 0,
+                    defers: 0,
+                    write: info.write,
+                });
+                sink(Rec::Arrive {
+                    slot,
+                    at: now,
+                    info,
+                });
+                offer!(slot);
             }
-            Event::JournalFlushed { req } => {
-                mark!(req, Stage::JournalFlush, p.journal_flush_ns);
-                let qp = qp_of[req as usize] as usize;
-                if queue_pairs[qp].admit(req) {
-                    events.schedule(now + p.qp_forward_ns, Event::QpForwarded { req });
-                    events.schedule(now + p.qp_recovery_ns, Event::QpRecovered { qp: qp as u32 });
-                }
-                meter!(qp);
+            Event::Reoffer { slot } => offer!(slot),
+            Event::JournalFlushed { slot } => {
+                mark!(slot, Stage::JournalFlush, p.journal_flush_ns);
+                enqueue!(slot);
             }
             Event::QpRecovered { qp } => {
-                let qp = qp as usize;
-                if let Some(next) = queue_pairs[qp].release() {
-                    events.schedule(now + p.qp_forward_ns, Event::QpForwarded { req: next });
-                    events.schedule(now + p.qp_recovery_ns, Event::QpRecovered { qp: qp as u32 });
+                if let Some(next) = queue_pairs[qp as usize].release() {
+                    events.schedule(now + p.qp_forward_ns, Event::QpForwarded { slot: next });
+                    events.schedule(now + p.qp_recovery_ns, Event::QpRecovered { qp });
                 }
                 meter!(qp);
             }
-            Event::QpForwarded { req } => {
-                mark!(req, Stage::QueuePair, p.qp_forward_ns);
-                events.schedule(now + p.ctrl_fetch_ns, Event::FetchDone { req });
+            Event::QpForwarded { slot } => {
+                mark!(slot, Stage::QueuePair, p.qp_forward_ns);
+                events.schedule(now + p.ctrl_fetch_ns, Event::FetchDone { slot });
             }
-            Event::FetchDone { req } => {
-                mark!(req, Stage::CtrlFetch, p.ctrl_fetch_ns);
-                let dev = device_of(req) as usize;
-                if media[dev].admit(req) {
-                    let desc = &requests[req as usize];
-                    let dist = if desc.write {
-                        &p.write_media
-                    } else {
-                        &p.read_media
-                    };
-                    let service = dist.sample(&mut rng);
-                    media_service[req as usize] = service;
-                    events.schedule(now + service, Event::MediaDone { req });
+            Event::FetchDone { slot } => {
+                mark!(slot, Stage::CtrlFetch, p.ctrl_fetch_ns);
+                let state = &mut slots[slot];
+                if media[device_of(state)].admit(slot) {
+                    state.media_service = media_dist(state.write).sample(&mut rng);
+                    events.schedule(now + state.media_service, Event::MediaDone { slot });
                 }
             }
-            Event::MediaDone { req } => {
-                mark!(req, Stage::Media, media_service[req as usize]);
-                let dev = device_of(req) as usize;
+            Event::MediaDone { slot } => {
+                let state = slots[slot];
+                mark!(slot, Stage::Media, state.media_service);
+                let dev = device_of(&state);
                 if let Some(next) = media[dev].release() {
-                    let desc = &requests[next as usize];
-                    let dist = if desc.write {
-                        &p.write_media
-                    } else {
-                        &p.read_media
-                    };
-                    let service = dist.sample(&mut rng);
-                    media_service[next as usize] = service;
-                    events.schedule(now + service, Event::MediaDone { req: next });
+                    let waiter = &mut slots[next];
+                    waiter.media_service = media_dist(waiter.write).sample(&mut rng);
+                    events.schedule(now + waiter.media_service, Event::MediaDone { slot: next });
                 }
-                if ssd_links[dev].admit(req) {
-                    events.schedule(
-                        now + ssd_link_ns(&requests[req as usize]),
-                        Event::SsdLinkDone { req },
-                    );
+                if ssd_links[dev].admit(slot) {
+                    events.schedule(now + ssd_link_ns(&state), Event::SsdLinkDone { slot });
                 }
             }
-            Event::SsdLinkDone { req } => {
-                mark!(req, Stage::SsdLink, ssd_link_ns(&requests[req as usize]));
-                let dev = device_of(req) as usize;
-                if let Some(next) = ssd_links[dev].release() {
+            Event::SsdLinkDone { slot } => {
+                let state = slots[slot];
+                mark!(slot, Stage::SsdLink, ssd_link_ns(&state));
+                if let Some(next) = ssd_links[device_of(&state)].release() {
                     events.schedule(
-                        now + ssd_link_ns(&requests[next as usize]),
-                        Event::SsdLinkDone { req: next },
+                        now + ssd_link_ns(&slots[next]),
+                        Event::SsdLinkDone { slot: next },
                     );
                 }
-                if gpu_link.admit(req) {
-                    events.schedule(
-                        now + gpu_link_ns(&requests[req as usize]),
-                        Event::GpuLinkDone { req },
-                    );
+                if gpu_link.admit(slot) {
+                    events.schedule(now + gpu_link_ns(&state), Event::GpuLinkDone { slot });
                 }
             }
-            Event::GpuLinkDone { req } => {
-                mark!(req, Stage::GpuLink, gpu_link_ns(&requests[req as usize]));
+            Event::GpuLinkDone { slot } => {
+                mark!(slot, Stage::GpuLink, gpu_link_ns(&slots[slot]));
                 if let Some(next) = gpu_link.release() {
                     events.schedule(
-                        now + gpu_link_ns(&requests[next as usize]),
-                        Event::GpuLinkDone { req: next },
+                        now + gpu_link_ns(&slots[next]),
+                        Event::GpuLinkDone { slot: next },
                     );
                 }
-                events.schedule(now + p.completion_ns, Event::Complete { req });
+                events.schedule(now + p.completion_ns, Event::Complete { slot });
             }
-            Event::Complete { req } => {
+            Event::Complete { slot } => {
                 let idx = rec_idx;
                 rec_idx += 1;
                 sink(Rec::Complete {
-                    req,
+                    slot,
                     at: now,
                     idx,
                     service_ns: p.completion_ns,
                 });
+                let stream = slots[slot].stream;
+                slots.release(slot);
                 completed += 1;
                 depth -= 1;
                 depth_timeline.record(now, depth);
-                admission.complete(tenant_of[req as usize] as usize);
-                // Closed-loop tenants launch their next request immediately.
-                let t = &mut issue[tenant_of[req as usize] as usize];
-                if t.refill.is_some() && t.issued < t.count {
-                    let next = (t.base + t.issued) as u32;
-                    t.issued += 1;
-                    events.schedule(now, Event::Arrive { req: next });
+                admission.complete(stream);
+                // Closed-loop streams launch their next request immediately.
+                let s = &mut streams[stream as usize];
+                if s.refill && s.issued < s.count {
+                    s.issued += 1;
+                    events.schedule(now, Event::Issue { stream });
                 }
             }
         }
@@ -691,13 +922,18 @@ fn drive_events<const CURSOR: bool>(
         }
     }
 
-    // Regression guard for the heap reservation: `with_capacity` must cover
-    // the run's true peak, or mid-run reallocation silently returns.
+    // The footprint bound: at most one pending event per live slot (its next
+    // stage boundary or re-offer; a pending closed-loop refill stands in for
+    // the slot its completion just freed) and a `QpForwarded` +
+    // `QpRecovered` pair per queue pair. A structure that grows with run
+    // length instead of in-flight work trips this.
+    let peak_slots = slots.peak_live();
     assert!(
-        events.peak_len() <= events.reserved(),
-        "event heap outgrew its reservation: peak {} > reserved {}",
+        events.peak_len() <= peak_slots + 2 * total_qps as usize + HEAP_SLACK,
+        "event heap outgrew the in-flight bound: peak {} events vs {} slots, {} queue pairs",
         events.peak_len(),
-        events.reserved()
+        peak_slots,
+        total_qps
     );
 
     SpineOutcome {
@@ -705,60 +941,71 @@ fn drive_events<const CURSOR: bool>(
         depth: depth_timeline,
         events: processed,
         peak_queued: events.peak_len(),
+        peak_slots,
     }
 }
 
-/// Which engine executes a run.
+/// Where a run's accounting records are applied.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EngineMode {
-    /// The historical single-threaded engine: accounting applied inline in
-    /// the event loop, arrivals heap-loaded up front.
+    /// In the event loop, on the spine's own thread (`workers <= 1`).
     Inline,
-    /// The sharded engine: the timing spine streams records to
-    /// `min(workers, num_ssds)` accounting shards (see
-    /// [`crate::coordinator`]).
+    /// On `min(workers, num_ssds)` accounting shards the spine streams
+    /// records to (see [`crate::coordinator`]).
     Sharded(usize),
 }
 
-/// What either engine hands back to the report builders.
+impl EngineMode {
+    /// Dispatch by worker count: `workers <= 1` accounts inline, anything
+    /// larger on shards.
+    fn for_workers(workers: usize) -> Self {
+        if workers <= 1 {
+            EngineMode::Inline
+        } else {
+            EngineMode::Sharded(workers)
+        }
+    }
+}
+
+/// What a run hands back to the report builders, identical in either mode.
 pub(crate) struct EngineOutput {
     pub(crate) end: SimTime,
     pub(crate) depth: DepthTimeline,
     pub(crate) events: u64,
     /// Most events ever simultaneously pending in the spine's heap. Not part
-    /// of any report — the cursor-fed sharded spine keeps a much smaller
-    /// heap than the heap-fed inline engine on the same workload. Read only
-    /// by the reservation regression tests.
+    /// of any report; read only by the footprint-bound tests.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) peak_queued: usize,
+    /// Most in-flight slots ever simultaneously live (see `peak_queued`).
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) peak_slots: usize,
     pub(crate) occupancy_mean: f64,
     pub(crate) occupancy_max: u64,
-    /// Completed-read latencies (completion order for the inline engine,
-    /// shard-concatenated for the sharded one — consumers are
-    /// order-independent).
-    pub(crate) read_latencies: Vec<u64>,
-    /// Completed-write latencies. Includes the journal-flush stage when
-    /// enabled — latency is measured from arrival.
-    pub(crate) write_latencies: Vec<u64>,
+    /// Every completed request's latency (completion order inline,
+    /// shard-concatenated on shards — the report builder sorts): the one
+    /// exact-sample vector, behind `SimReport::sorted_latencies_ns`.
+    pub(crate) latencies: Vec<u64>,
+    /// Latency histogram over completed reads.
+    pub(crate) read_latency: LatencyHisto,
+    /// Latency histogram over completed writes. Includes the journal-flush
+    /// stage when enabled — latency is measured from arrival.
+    pub(crate) write_latency: LatencyHisto,
     /// Per-tenant accounting, in tenant declaration order.
     pub(crate) tenants: Vec<TenantAcc>,
     /// Run-level windowed telemetry (empty when the plan disabled it).
     pub(crate) series: WindowedSeries,
     /// Per-request blame rows (empty when the plan disabled blame;
-    /// shard-concatenated for the sharded engine — the report builder sorts).
-    pub(crate) blame_rows: Vec<BlameRow>,
+    /// settlement order inline, shard-concatenated on shards — the report
+    /// builder sorts).
+    pub(crate) blame_rows: Vec<bam_obs::BlameRow>,
 }
 
-/// Runs the spine with inline accounting (the historical engine) or via the
+/// Runs the spine over `streams` with accounting applied inline or via the
 /// shard coordinator, returning identical output either way.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn execute(
     config: &SimConfig,
-    requests: &[RequestDesc],
-    tenant_of: &[u32],
-    qp_of: &[u32],
-    arrivals: &[(SimTime, u32)],
-    issue: &mut [IssueState],
+    streams: &mut [Stream<'_>],
+    arrivals: &mut ArrivalMerge,
     admission: &mut AdmissionState,
     recorder: Option<&SpanRecorder>,
     mode: EngineMode,
@@ -767,26 +1014,16 @@ pub(crate) fn execute(
     match mode {
         EngineMode::Inline => {
             let spans = recorder.map_or(SpanOut::None, SpanOut::Direct);
+            let requests: u64 = streams.iter().map(|s| s.count).sum();
             let mut acct = Accounting::new(
-                requests,
-                tenant_of,
-                qp_of,
-                None,
-                requests.len(),
+                usize::try_from(requests).expect("run fits in memory"),
                 config.total_queue_pairs(),
                 plan,
                 spans,
             );
-            let spine = drive_events::<false>(
-                config,
-                requests,
-                tenant_of,
-                qp_of,
-                arrivals,
-                issue,
-                admission,
-                &mut |rec| acct.apply(rec),
-            );
+            let spine = drive_events(config, streams, arrivals, admission, &mut |rec| {
+                acct.apply(rec)
+            });
             let (occupancy_mean, occupancy_max) = occupancy_stats(&acct.meters, spine.end);
             let blame_rows = acct.take_blame_rows();
             EngineOutput {
@@ -794,37 +1031,21 @@ pub(crate) fn execute(
                 depth: spine.depth,
                 events: spine.events,
                 peak_queued: spine.peak_queued,
+                peak_slots: spine.peak_slots,
                 occupancy_mean,
                 occupancy_max,
-                read_latencies: acct.read_latencies,
-                write_latencies: acct.write_latencies,
+                latencies: acct.latencies,
+                read_latency: acct.read_latency,
+                write_latency: acct.write_latency,
                 tenants: acct.tenants,
                 series: acct.series,
                 blame_rows,
             }
         }
         EngineMode::Sharded(workers) => coordinator::run_sharded_core(
-            config, requests, tenant_of, qp_of, arrivals, issue, admission, recorder, workers, plan,
+            config, streams, arrivals, admission, recorder, workers, plan,
         ),
     }
-}
-
-/// The cursor-fed spine entry point for the coordinator (monomorphized
-/// separately from the inline engine's heap-fed one).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_events_cursor(
-    config: &SimConfig,
-    requests: &[RequestDesc],
-    tenant_of: &[u32],
-    qp_of: &[u32],
-    arrivals: &[(SimTime, u32)],
-    issue: &mut [IssueState],
-    admission: &mut AdmissionState,
-    sink: &mut impl FnMut(Rec),
-) -> SpineOutcome {
-    drive_events::<true>(
-        config, requests, tenant_of, qp_of, arrivals, issue, admission, sink,
-    )
 }
 
 /// Runs `requests` through the pipeline under the given arrival process and
@@ -857,11 +1078,7 @@ pub fn run_observed(
     workers: usize,
     telemetry: TelemetrySpec,
 ) -> (SimReport, RunTelemetry) {
-    let mode = if workers <= 1 {
-        EngineMode::Inline
-    } else {
-        EngineMode::Sharded(workers)
-    };
+    let mode = EngineMode::for_workers(workers);
     run_with(config, workload, requests, None, mode, telemetry)
 }
 
@@ -964,45 +1181,29 @@ pub fn run_traced_with_workers(
     }
 }
 
-/// Legacy routing: explicit overrides win, everything else round-robins
-/// devices first and local queues second on the global request index.
-pub(crate) fn legacy_qp_of(config: &SimConfig, requests: &[RequestDesc]) -> Vec<u32> {
-    let mut qp_of: Vec<u32> = Vec::with_capacity(requests.len());
-    for (i, desc) in requests.iter().enumerate() {
-        let device = desc
-            .device
-            .map_or_else(|| (i as u32) % config.num_ssds, |d| d % config.num_ssds);
-        let local = desc.queue.map_or_else(
-            || ((i as u32) / config.num_ssds) % config.queue_pairs_per_ssd,
-            |q| q % config.queue_pairs_per_ssd,
-        );
-        qp_of.push(device * config.queue_pairs_per_ssd + local);
-    }
-    qp_of
-}
-
-/// The pre-scheduled arrival stream of a single-tenant workload over `n`
-/// requests (time-ascending by construction).
-pub(crate) fn workload_arrivals(workload: Workload, n: u64) -> Vec<(SimTime, u32)> {
-    match workload {
+/// A legacy single-stream workload as the spine sees it: the one stream over
+/// the caller's `requests` and its arrival generator. The legacy workloads
+/// are the single-stream cases of the tenant processes — same spacing
+/// formula, same time-zero initial window.
+fn single_stream<'a>(
+    config: &SimConfig,
+    workload: Workload,
+    requests: &'a [RequestDesc],
+) -> ([Stream<'a>; 1], ArrivalMerge) {
+    let n = requests.len() as u64;
+    let arrival = match workload {
         Workload::OpenLoop { rate_per_s } => {
             assert!(rate_per_s > 0.0, "open-loop rate must be positive");
-            (0..n)
-                .map(|i| {
-                    (
-                        SimTime::from_ns((i as f64 * 1e9 / rate_per_s).round() as u64),
-                        i as u32,
-                    )
-                })
-                .collect()
+            ArrivalProcess::FixedRate { rate_per_s }
         }
-        Workload::ClosedLoop { in_flight } => {
-            assert!(in_flight > 0, "closed loop needs at least one request");
-            (0..u64::from(in_flight).min(n))
-                .map(|i| (SimTime::ZERO, i as u32))
-                .collect()
-        }
-    }
+        Workload::ClosedLoop { in_flight } => ArrivalProcess::ClosedLoop { in_flight },
+    };
+    // Neither process draws from the generator's RNG.
+    let rng = StdRng::seed_from_u64(config.seed);
+    (
+        [Stream::new(0, n, arrival, Shape::Explicit(requests), 0)],
+        ArrivalMerge::new(vec![ArrivalTimes::new(arrival, n, rng)]),
+    )
 }
 
 fn run_with(
@@ -1018,49 +1219,81 @@ fn run_with(
         config.total_queue_pairs() > 0,
         "need at least one queue pair"
     );
-    let n = requests.len() as u64;
-    let qp_of = legacy_qp_of(config, requests);
-    let arrivals = workload_arrivals(workload, n);
-    let refill = match workload {
-        Workload::ClosedLoop { in_flight } => Some(in_flight),
-        Workload::OpenLoop { .. } => None,
-    };
-    let mut issue = [IssueState::new(0, n, arrivals.len() as u64, refill)];
-    let tenant_of = vec![0u32; requests.len()];
+    let (mut streams, mut arrivals) = single_stream(config, workload, requests);
     let plan = ObsPlan {
         telemetry,
         tenant_slo_windows: &[0],
-        member_of: None,
+        attribution: false,
     };
     let mut outcome = execute(
         config,
-        requests,
-        &tenant_of,
-        &qp_of,
-        &arrivals,
-        &mut issue,
+        &mut streams,
+        &mut arrivals,
         &mut AdmissionState::none(),
         recorder,
         mode,
         &plan,
     );
+    let run_telemetry = take_run_telemetry(&mut outcome, telemetry);
+    let acc = outcome.tenants.remove(0);
+    let report = build_report(outcome, acc.stages);
+    (report, run_telemetry)
+}
+
+/// Moves the run-level telemetry out of `outcome` and assembles it.
+fn take_run_telemetry(outcome: &mut EngineOutput, telemetry: TelemetrySpec) -> RunTelemetry {
     let series = std::mem::replace(&mut outcome.series, WindowedSeries::new(0));
     let blame_rows = std::mem::take(&mut outcome.blame_rows);
-    let run_telemetry =
-        build_run_telemetry(series, blame_rows, &outcome.depth, telemetry.blame_top_k);
-    let acc = outcome.tenants.remove(0);
-    let report = SimReport::build(
-        acc.latencies,
-        outcome.read_latencies,
-        outcome.write_latencies,
+    build_run_telemetry(series, blame_rows, &outcome.depth, telemetry.blame_top_k)
+}
+
+/// The run seen as one merged stream.
+fn build_report(outcome: EngineOutput, stages: StageBreakdown) -> SimReport {
+    SimReport::build(
+        outcome.latencies,
+        &outcome.read_latency,
+        &outcome.write_latency,
         outcome.depth,
         outcome.end,
         outcome.events,
         outcome.occupancy_mean,
         outcome.occupancy_max,
-        acc.stages,
-    );
-    (report, run_telemetry)
+        stages,
+    )
+}
+
+/// One summary row from a tenant's merged account (`admission` and
+/// `members` start empty; class runs fill them in).
+fn tenant_summary(
+    id: u32,
+    name: String,
+    weight: u32,
+    queue_pairs: u32,
+    slo: Option<&SloSpec>,
+    acc: TenantAcc,
+) -> TenantSummary {
+    let first_arrival = acc.first_arrival.unwrap_or(SimTime::ZERO);
+    let span_s = (acc.last_completion - first_arrival) as f64 / 1e9;
+    let completed = acc.latency.count();
+    TenantSummary {
+        id,
+        name,
+        weight,
+        queue_pairs,
+        latency: LatencySummary::from_histo(&acc.latency),
+        completed,
+        throughput_per_s: if span_s > 0.0 {
+            completed as f64 / span_s
+        } else {
+            0.0
+        },
+        first_arrival_s: first_arrival.as_secs_f64(),
+        last_completion_s: acc.last_completion.as_secs_f64(),
+        slo: slo.map(|spec| evaluate_slo(&acc.slo_series, spec)),
+        stages: acc.stages,
+        admission: None,
+        members: Vec::new(),
+    }
 }
 
 /// Runs the superposed workloads of `tenants` through the pipeline, with
@@ -1106,11 +1339,7 @@ pub fn run_tenants_observed(
     workers: usize,
     telemetry: TelemetrySpec,
 ) -> (MultiTenantReport, RunTelemetry) {
-    let mode = if workers <= 1 {
-        EngineMode::Inline
-    } else {
-        EngineMode::Sharded(workers)
-    };
+    let mode = EngineMode::for_workers(workers);
     run_tenants_with(config, tenants, policy, None, mode, telemetry)
 }
 
@@ -1211,58 +1440,20 @@ fn run_tenants_with(
             t.id
         );
     }
-    let total_qps = config.total_queue_pairs();
     let weights: Vec<u32> = tenants.iter().map(|t| t.weight).collect();
-    let shares: Vec<u32> = match policy {
-        QueuePairPolicy::Shared => vec![total_qps; tenants.len()],
-        QueuePairPolicy::WeightedFair => fair_shares(total_qps, &weights),
-    };
-    let mut share_base: Vec<u32> = Vec::with_capacity(tenants.len());
-    let mut acc = 0u32;
-    for &s in &shares {
-        share_base.push(acc);
-        acc += s;
-    }
+    let (shares, routes) = queue_pair_shares(config, policy, &weights);
 
-    // Flat request table: each tenant owns a contiguous block.
-    let mut bases: Vec<u64> = Vec::with_capacity(tenants.len());
-    let mut requests: Vec<RequestDesc> = Vec::new();
-    let mut tenant_of: Vec<u32> = Vec::new();
-    let mut qp_of: Vec<u32> = Vec::new();
-    for (ti, t) in tenants.iter().enumerate() {
-        bases.push(requests.len() as u64);
-        requests.extend(mixed_requests(config, t.requests, t.writes));
-        for k in 0..t.requests {
-            tenant_of.push(ti as u32);
-            let k = k as u32;
-            let qp = match policy {
-                // Devices first, local queues second — the legacy spread,
-                // but on the tenant's own arrival counter.
-                QueuePairPolicy::Shared => {
-                    let device = k % config.num_ssds;
-                    let local = (k / config.num_ssds) % config.queue_pairs_per_ssd;
-                    device * config.queue_pairs_per_ssd + local
-                }
-                // Round-robin within the tenant's partition of the global
-                // queue-pair space.
-                QueuePairPolicy::WeightedFair => share_base[ti] + (k % shares[ti]),
-            };
-            qp_of.push(qp);
-        }
-    }
-
-    let superposition = Superposition::generate(config.seed, tenants, &bases);
-    let mut issue: Vec<IssueState> = tenants
+    // Each tenant owns a contiguous block of global request indices; what a
+    // request looks like and where it routes is a closed form of the
+    // tenant's own arrival counter, evaluated when the request arrives.
+    let bases = block_bases(tenants.iter().map(|t| t.requests));
+    let mut streams: Vec<Stream> = tenants
         .iter()
-        .zip(&bases)
-        .map(|(t, &base)| {
-            let refill = match t.arrival {
-                ArrivalProcess::ClosedLoop { in_flight } => Some(in_flight),
-                _ => None,
-            };
-            IssueState::new(base, t.requests, t.arrival.prescheduled(t.requests), refill)
-        })
+        .zip(bases.iter().zip(&routes))
+        .enumerate()
+        .map(|(ti, (t, (&base, &route)))| Stream::of_tenant(config, t, base, route, ti as u32))
         .collect();
+    let mut arrivals = ArrivalMerge::of_tenants(config.seed, tenants);
 
     let slo_windows: Vec<u64> = tenants
         .iter()
@@ -1271,70 +1462,35 @@ fn run_tenants_with(
     let plan = ObsPlan {
         telemetry,
         tenant_slo_windows: &slo_windows,
-        member_of: None,
+        attribution: false,
     };
     let mut outcome = execute(
         config,
-        &requests,
-        &tenant_of,
-        &qp_of,
-        &superposition.arrivals,
-        &mut issue,
+        &mut streams,
+        &mut arrivals,
         &mut AdmissionState::none(),
         recorder,
         mode,
         &plan,
     );
-    let series = std::mem::replace(&mut outcome.series, WindowedSeries::new(0));
-    let blame_rows = std::mem::take(&mut outcome.blame_rows);
-    let run_telemetry =
-        build_run_telemetry(series, blame_rows, &outcome.depth, telemetry.blame_top_k);
+    let run_telemetry = take_run_telemetry(&mut outcome, telemetry);
 
-    let mut all_latencies: Vec<u64> = Vec::with_capacity(requests.len());
     let mut overall_stages = StageBreakdown::new();
     let mut summaries: Vec<TenantSummary> = Vec::with_capacity(tenants.len());
-    for ((t, acc), &share) in tenants.iter().zip(outcome.tenants).zip(&shares) {
-        all_latencies.extend_from_slice(&acc.latencies);
+    let accounts = std::mem::take(&mut outcome.tenants);
+    for ((t, acc), &share) in tenants.iter().zip(accounts).zip(&shares) {
         overall_stages.merge(&acc.stages);
-        let slo = t
-            .slo
-            .as_ref()
-            .map(|spec| evaluate_slo(&acc.slo_series, spec));
-        let histo = bam_obs::LatencyHisto::from_samples(acc.latencies);
-        let first_arrival = acc.first_arrival.unwrap_or(SimTime::ZERO);
-        let span_s = (acc.last_completion - first_arrival) as f64 / 1e9;
-        summaries.push(TenantSummary {
-            id: t.id,
-            name: t.name.clone(),
-            weight: t.weight,
-            queue_pairs: share,
-            latency: crate::report::LatencySummary::from_histo(&histo),
-            completed: histo.count(),
-            throughput_per_s: if span_s > 0.0 {
-                histo.count() as f64 / span_s
-            } else {
-                0.0
-            },
-            first_arrival_s: first_arrival.as_secs_f64(),
-            last_completion_s: acc.last_completion.as_secs_f64(),
-            stages: acc.stages,
-            slo,
-            admission: None,
-            members: Vec::new(),
-        });
+        summaries.push(tenant_summary(
+            t.id,
+            t.name.clone(),
+            t.weight,
+            share,
+            t.slo.as_ref(),
+            acc,
+        ));
     }
     let report = MultiTenantReport {
-        overall: SimReport::build(
-            all_latencies,
-            outcome.read_latencies,
-            outcome.write_latencies,
-            outcome.depth,
-            outcome.end,
-            outcome.events,
-            outcome.occupancy_mean,
-            outcome.occupancy_max,
-            overall_stages,
-        ),
+        overall: build_report(outcome, overall_stages),
         tenants: summaries,
     };
     (report, run_telemetry)
@@ -1374,7 +1530,7 @@ pub fn run_classes(
         config,
         classes,
         policy,
-        mode_for(workers),
+        EngineMode::for_workers(workers),
         TelemetrySpec::disabled(),
         ClassGranularity::Class { attribution: false },
     )
@@ -1394,7 +1550,7 @@ pub fn run_classes_observed(
         config,
         classes,
         policy,
-        mode_for(workers),
+        EngineMode::for_workers(workers),
         telemetry,
         ClassGranularity::Class { attribution: false },
     )
@@ -1415,7 +1571,7 @@ pub fn run_classes_attributed(
         config,
         classes,
         policy,
-        mode_for(workers),
+        EngineMode::for_workers(workers),
         TelemetrySpec::disabled(),
         ClassGranularity::Class { attribution: true },
     )
@@ -1446,19 +1602,11 @@ pub fn run_class_members(
         config,
         classes,
         policy,
-        mode_for(workers),
+        EngineMode::for_workers(workers),
         TelemetrySpec::disabled(),
         ClassGranularity::Member,
     )
     .0
-}
-
-fn mode_for(workers: usize) -> EngineMode {
-    if workers <= 1 {
-        EngineMode::Inline
-    } else {
-        EngineMode::Sharded(workers)
-    }
 }
 
 fn run_classes_core(
@@ -1503,70 +1651,48 @@ fn run_classes_core(
         }
     }
 
-    let total_qps = config.total_queue_pairs();
     let weights: Vec<u32> = classes.iter().map(|c| c.weight).collect();
-    let shares: Vec<u32> = match policy {
-        QueuePairPolicy::Shared => vec![total_qps; classes.len()],
-        QueuePairPolicy::WeightedFair => fair_shares(total_qps, &weights),
+    let (shares, routes) = queue_pair_shares(config, policy, &weights);
+    let bases = block_bases(classes.iter().map(|c| c.requests));
+
+    // One accounting tenant per class — or, for the member oracle, one per
+    // logical member in (class, member) order.
+    let per_member = matches!(granularity, ClassGranularity::Member);
+    let attribution = matches!(granularity, ClassGranularity::Class { attribution: true });
+    let specs: Vec<TenantSpec> = classes.iter().map(TenantClass::merged_spec).collect();
+    let mut accounts = 0u32;
+    // Routed exactly as a merged explicit tenant would be: the class's own
+    // arrival counter drives the round-robin, so the schedule is independent
+    // of accounting granularity.
+    let mut streams: Vec<Stream> = classes
+        .iter()
+        .zip(&specs)
+        .zip(bases.iter().zip(&routes))
+        .map(|((c, spec), (&base, &route))| {
+            let stream = Stream::of_tenant(config, spec, base, route, accounts);
+            accounts += if per_member { c.members } else { 1 };
+            if per_member || attribution {
+                stream.thinned(c, config.seed, per_member)
+            } else {
+                stream
+            }
+        })
+        .collect();
+    let mut arrivals = ArrivalMerge::of_tenants(config.seed, &specs);
+
+    let slo_windows: Vec<u64> = if per_member {
+        vec![0; accounts as usize]
+    } else {
+        classes
+            .iter()
+            .map(|c| c.slo.map_or(0, |s| s.window_ns))
+            .collect()
     };
-    let mut share_base: Vec<u32> = Vec::with_capacity(classes.len());
-    let mut acc = 0u32;
-    for &s in &shares {
-        share_base.push(acc);
-        acc += s;
-    }
-
-    // Flat request table, routed exactly as a merged explicit tenant would
-    // be: the class's own arrival counter drives the round-robin, so the
-    // schedule is independent of accounting granularity.
-    let mut bases: Vec<u64> = Vec::with_capacity(classes.len());
-    let mut requests: Vec<RequestDesc> = Vec::new();
-    let mut class_of: Vec<u32> = Vec::new();
-    let mut qp_of: Vec<u32> = Vec::new();
-    for (ci, c) in classes.iter().enumerate() {
-        bases.push(requests.len() as u64);
-        requests.extend(mixed_requests(config, c.requests, c.writes));
-        for k in 0..c.requests {
-            class_of.push(ci as u32);
-            let k = k as u32;
-            let qp = match policy {
-                QueuePairPolicy::Shared => {
-                    let device = k % config.num_ssds;
-                    let local = (k / config.num_ssds) % config.queue_pairs_per_ssd;
-                    device * config.queue_pairs_per_ssd + local
-                }
-                QueuePairPolicy::WeightedFair => share_base[ci] + (k % shares[ci]),
-            };
-            qp_of.push(qp);
-        }
-    }
-
-    let (superposition, member_of) = Superposition::generate_classes(config.seed, classes, &bases);
-
-    let mut issue: Vec<IssueState>;
-    let tenant_of: Vec<u32>;
-    let slo_windows: Vec<u64>;
-    let mut admission: AdmissionState;
-    let attribution = match granularity {
-        ClassGranularity::Class { attribution } => {
-            tenant_of = class_of;
-            issue = classes
-                .iter()
-                .zip(&bases)
-                .map(|(c, &base)| {
-                    let merged = c.merged_arrival();
-                    let refill = match merged {
-                        ArrivalProcess::ClosedLoop { in_flight } => Some(in_flight),
-                        _ => None,
-                    };
-                    IssueState::new(base, c.requests, merged.prescheduled(c.requests), refill)
-                })
-                .collect();
-            slo_windows = classes
-                .iter()
-                .map(|c| c.slo.map_or(0, |s| s.window_ns))
-                .collect();
-            let ctls: Vec<Option<AdmissionCtl>> = classes
+    let mut admission = if per_member {
+        AdmissionState::none()
+    } else {
+        AdmissionState::new(
+            classes
                 .iter()
                 .map(|c| {
                     c.admission.as_ref().map(|spec| {
@@ -1577,158 +1703,67 @@ fn run_classes_core(
                         )
                     })
                 })
-                .collect();
-            admission = AdmissionState::new(ctls, requests.len());
-            attribution
-        }
-        ClassGranularity::Member => {
-            // One accounting slot per logical member, in (class, member)
-            // order. Issue state is vestigial (open streams never refill).
-            let mut member_base: Vec<u32> = Vec::with_capacity(classes.len());
-            let mut acc = 0u32;
-            for c in classes {
-                member_base.push(acc);
-                acc += c.members;
-            }
-            tenant_of = class_of
-                .iter()
-                .zip(&member_of)
-                .map(|(&ci, &m)| member_base[ci as usize] + m)
-                .collect();
-            issue = (0..acc).map(|_| IssueState::new(0, 0, 0, None)).collect();
-            slo_windows = vec![0; acc as usize];
-            admission = AdmissionState::none();
-            false
-        }
+                .collect(),
+        )
     };
 
     let plan = ObsPlan {
         telemetry,
         tenant_slo_windows: &slo_windows,
-        member_of: attribution.then_some(member_of.as_slice()),
+        attribution,
     };
     let mut outcome = execute(
         config,
-        &requests,
-        &tenant_of,
-        &qp_of,
-        &superposition.arrivals,
-        &mut issue,
+        &mut streams,
+        &mut arrivals,
         &mut admission,
         None,
         mode,
         &plan,
     );
-    let series = std::mem::replace(&mut outcome.series, WindowedSeries::new(0));
-    let blame_rows = std::mem::take(&mut outcome.blame_rows);
-    let run_telemetry =
-        build_run_telemetry(series, blame_rows, &outcome.depth, telemetry.blame_top_k);
+    let run_telemetry = take_run_telemetry(&mut outcome, telemetry);
 
-    let mut all_latencies: Vec<u64> = Vec::with_capacity(requests.len());
     let mut overall_stages = StageBreakdown::new();
     let mut summaries: Vec<TenantSummary> = Vec::new();
-    match granularity {
-        ClassGranularity::Class { .. } => {
-            for (ci, ((c, acc), &share)) in
-                classes.iter().zip(outcome.tenants).zip(&shares).enumerate()
-            {
-                all_latencies.extend_from_slice(&acc.latencies);
+    let mut accounts = std::mem::take(&mut outcome.tenants).into_iter();
+    for (ci, (c, &share)) in classes.iter().zip(&shares).enumerate() {
+        if per_member {
+            for m in 0..c.members {
+                let acc = accounts.next().expect("one account per member");
                 overall_stages.merge(&acc.stages);
-                let slo = c
-                    .slo
-                    .as_ref()
-                    .map(|spec| evaluate_slo(&acc.slo_series, spec));
-                let admission_report = c.admission.map(|_| {
-                    let depth_limit = admission.ctls[ci]
-                        .as_ref()
-                        .map_or(0, AdmissionCtl::depth_limit);
-                    crate::report::AdmissionReport {
-                        offered: acc.offered,
-                        admitted: acc.offered - acc.rejected,
-                        deferrals: acc.deferrals,
-                        rejected: acc.rejected,
-                        depth_limit,
-                    }
-                });
-                let members: Vec<crate::report::MemberSummary> = acc
-                    .members
-                    .into_iter()
-                    .map(|(member, histo)| crate::report::MemberSummary {
-                        member,
-                        completed: histo.count(),
-                        latency: crate::report::LatencySummary::from_histo(&histo),
-                        histogram: histo,
-                    })
-                    .collect();
-                let histo = bam_obs::LatencyHisto::from_samples(acc.latencies);
-                let first_arrival = acc.first_arrival.unwrap_or(SimTime::ZERO);
-                let span_s = (acc.last_completion - first_arrival) as f64 / 1e9;
-                summaries.push(TenantSummary {
-                    id: c.id,
-                    name: c.name.clone(),
-                    weight: c.weight,
-                    queue_pairs: share,
-                    latency: crate::report::LatencySummary::from_histo(&histo),
-                    completed: histo.count(),
-                    throughput_per_s: if span_s > 0.0 {
-                        histo.count() as f64 / span_s
-                    } else {
-                        0.0
-                    },
-                    first_arrival_s: first_arrival.as_secs_f64(),
-                    last_completion_s: acc.last_completion.as_secs_f64(),
-                    stages: acc.stages,
-                    slo,
-                    admission: admission_report,
-                    members,
-                });
+                let name = format!("{}#{m}", c.name);
+                summaries.push(tenant_summary(m, name, c.weight, share, None, acc));
             }
+            continue;
         }
-        ClassGranularity::Member => {
-            let mut accs = outcome.tenants.into_iter();
-            for (c, &share) in classes.iter().zip(&shares) {
-                for m in 0..c.members {
-                    let acc = accs.next().expect("one account per member");
-                    all_latencies.extend_from_slice(&acc.latencies);
-                    overall_stages.merge(&acc.stages);
-                    let histo = bam_obs::LatencyHisto::from_samples(acc.latencies);
-                    let first_arrival = acc.first_arrival.unwrap_or(SimTime::ZERO);
-                    let span_s = (acc.last_completion - first_arrival) as f64 / 1e9;
-                    summaries.push(TenantSummary {
-                        id: m,
-                        name: format!("{}#{m}", c.name),
-                        weight: c.weight,
-                        queue_pairs: share,
-                        latency: crate::report::LatencySummary::from_histo(&histo),
-                        completed: histo.count(),
-                        throughput_per_s: if span_s > 0.0 {
-                            histo.count() as f64 / span_s
-                        } else {
-                            0.0
-                        },
-                        first_arrival_s: first_arrival.as_secs_f64(),
-                        last_completion_s: acc.last_completion.as_secs_f64(),
-                        stages: acc.stages,
-                        slo: None,
-                        admission: None,
-                        members: Vec::new(),
-                    });
-                }
-            }
-        }
+        let mut acc = accounts.next().expect("one account per class");
+        overall_stages.merge(&acc.stages);
+        let admission_report = c.admission.map(|_| crate::report::AdmissionReport {
+            offered: acc.offered,
+            admitted: acc.offered - acc.rejected,
+            deferrals: acc.deferrals,
+            rejected: acc.rejected,
+            depth_limit: admission.ctls[ci]
+                .as_ref()
+                .map_or(0, AdmissionCtl::depth_limit),
+        });
+        let members = std::mem::take(&mut acc.members)
+            .into_iter()
+            .map(|(member, histo)| crate::report::MemberSummary {
+                member,
+                completed: histo.count(),
+                latency: LatencySummary::from_histo(&histo),
+                histogram: histo,
+            })
+            .collect();
+        summaries.push(TenantSummary {
+            admission: admission_report,
+            members,
+            ..tenant_summary(c.id, c.name.clone(), c.weight, share, c.slo.as_ref(), acc)
+        });
     }
     let report = MultiTenantReport {
-        overall: SimReport::build(
-            all_latencies,
-            outcome.read_latencies,
-            outcome.write_latencies,
-            outcome.depth,
-            outcome.end,
-            outcome.events,
-            outcome.occupancy_mean,
-            outcome.occupancy_max,
-            overall_stages,
-        ),
+        overall: build_report(outcome, overall_stages),
         tenants: summaries,
     };
     (report, run_telemetry)
@@ -1740,14 +1775,19 @@ pub fn uniform_reads(config: &SimConfig, n: u64) -> Vec<RequestDesc> {
     vec![RequestDesc::read(config.pipeline.access_bytes); n as usize]
 }
 
+/// Whether request `i` of `n` is one of its `writes` evenly interleaved
+/// writes (deterministic Bresenham spread; `writes <= n`).
+fn is_mixed_write(i: u64, n: u64, writes: u64) -> bool {
+    (i + 1) * writes / n != i * writes / n
+}
+
 /// Convenience: `n` round-robin requests of which an evenly interleaved
 /// `writes` are writes (deterministic Bresenham spread).
 pub fn mixed_requests(config: &SimConfig, n: u64, writes: u64) -> Vec<RequestDesc> {
     let writes = writes.min(n);
     (0..n)
         .map(|i| {
-            let is_write = (i + 1) * writes / n != i * writes / n;
-            if is_write {
+            if is_mixed_write(i, n, writes) {
                 RequestDesc::write(config.pipeline.access_bytes)
             } else {
                 RequestDesc::read(config.pipeline.access_bytes)
@@ -2124,95 +2164,190 @@ mod tests {
         assert_eq!(ratio, 1.0);
     }
 
-    /// Drives `execute` directly so tests can read spine internals
-    /// (peak heap occupancy) that reports deliberately omit.
+    /// Drives `execute` directly so tests can read spine internals (peak
+    /// slot and heap occupancy) that reports deliberately omit.
     fn probe(
         cfg: &SimConfig,
         workload: Workload,
         requests: &[RequestDesc],
+        recorder: Option<&SpanRecorder>,
         mode: EngineMode,
     ) -> EngineOutput {
-        let qp_of = legacy_qp_of(cfg, requests);
-        let arrivals = workload_arrivals(workload, requests.len() as u64);
-        let refill = match workload {
-            Workload::ClosedLoop { in_flight } => Some(in_flight),
-            Workload::OpenLoop { .. } => None,
-        };
-        let mut issue = [IssueState::new(
-            0,
-            requests.len() as u64,
-            arrivals.len() as u64,
-            refill,
-        )];
+        let (mut streams, mut arrivals) = single_stream(cfg, workload, requests);
         execute(
             cfg,
-            requests,
-            &vec![0; requests.len()],
-            &qp_of,
-            &arrivals,
-            &mut issue,
+            &mut streams,
+            &mut arrivals,
             &mut AdmissionState::none(),
-            None,
+            recorder,
             mode,
             &ObsPlan {
                 telemetry: TelemetrySpec::disabled(),
                 tenant_slo_windows: &[0],
-                member_of: None,
+                attribution: false,
             },
         )
     }
 
-    #[test]
-    fn heap_reservation_covers_the_peak() {
-        // Regression for the historical `with_capacity(arrivals.len())`
-        // under-reservation: each request schedules ~6 runtime events beyond
-        // its arrival, so the old reservation reallocated several times per
-        // run. The engine now asserts peak ≤ reserved internally; this test
-        // additionally pins the arithmetic at both workload shapes.
-        let cfg = optane_config(4, 2, 4096, 51);
-        let reqs = uniform_reads(&cfg, 20_000);
-        for workload in [
-            Workload::OpenLoop { rate_per_s: 6.0e6 },
-            Workload::ClosedLoop { in_flight: 2048 },
-        ] {
-            let out = probe(&cfg, workload, &reqs, EngineMode::Inline);
-            assert!(out.peak_queued > 0);
-            let arrivals = match workload {
-                Workload::OpenLoop { .. } => reqs.len(),
-                Workload::ClosedLoop { in_flight } => in_flight as usize,
-            };
-            assert!(
-                out.peak_queued <= heap_reservation(arrivals, reqs.len(), cfg.total_queue_pairs()),
-                "peak {} vs reservation",
-                out.peak_queued
-            );
-            // The old reservation really was too small for this workload.
-            assert!(
-                out.peak_queued > arrivals.min(2048),
-                "peak {} should exceed the historical arrivals-only reservation",
-                out.peak_queued
-            );
-        }
+    /// The heap half of the footprint bound (`drive_events` asserts the same
+    /// inequality at the end of every run).
+    fn assert_heap_bound(out: &EngineOutput, cfg: &SimConfig) {
+        assert!(out.peak_queued > 0);
+        assert!(
+            out.peak_queued <= out.peak_slots + 2 * cfg.total_queue_pairs() as usize + HEAP_SLACK,
+            "peak {} events vs {} slots",
+            out.peak_queued,
+            out.peak_slots
+        );
     }
 
     #[test]
-    fn cursor_fed_spine_keeps_the_heap_small() {
-        // The sharded spine feeds pre-scheduled arrivals from a sorted
-        // cursor instead of heap-loading them: on an open-loop run the heap
-        // holds only in-flight work, far below the inline engine's
-        // arrivals-dominated peak — while producing the identical report.
+    fn footprint_is_bounded_by_in_flight_work_not_run_length() {
+        // A deterministic pipeline under a sub-capacity fixed-rate stream
+        // settles into a periodic schedule, so the in-flight population — and
+        // with it every structure the spine owns — peaks at the same value
+        // however long the run.
         let cfg = optane_config(4, 4, 4096, 52);
-        let reqs = uniform_reads(&cfg, 20_000);
-        let open = Workload::OpenLoop { rate_per_s: 5.0e6 };
-        let inline = probe(&cfg, open, &reqs, EngineMode::Inline);
-        let sharded = probe(&cfg, open, &reqs, EngineMode::Sharded(2));
-        assert_eq!(inline.events, sharded.events);
-        assert!(
-            sharded.peak_queued * 4 < inline.peak_queued,
-            "cursor peak {} vs heap-fed peak {}",
-            sharded.peak_queued,
-            inline.peak_queued
+        let cfg = SimConfig {
+            pipeline: cfg.pipeline.deterministic(),
+            ..cfg
+        };
+        let open = Workload::OpenLoop { rate_per_s: 1.0e6 };
+        for mode in [EngineMode::Inline, EngineMode::Sharded(2)] {
+            let short = probe(&cfg, open, &uniform_reads(&cfg, 20_000), None, mode);
+            let long = probe(&cfg, open, &uniform_reads(&cfg, 80_000), None, mode);
+            for out in [&short, &long] {
+                // No controller: a request holds a slot exactly while it is
+                // in the depth timeline.
+                assert_eq!(out.peak_slots, out.depth.max_depth() as usize);
+                assert_heap_bound(out, &cfg);
+            }
+            assert!(short.peak_slots < 100, "sub-capacity: {}", short.peak_slots);
+            assert_eq!(short.peak_slots, long.peak_slots, "{mode:?}");
+            assert_eq!(short.peak_queued, long.peak_queued, "{mode:?}");
+        }
+        // A closed loop holds exactly its window.
+        let closed = Workload::ClosedLoop { in_flight: 2048 };
+        let out = probe(
+            &cfg,
+            closed,
+            &uniform_reads(&cfg, 20_000),
+            None,
+            EngineMode::Inline,
         );
+        assert_eq!(out.peak_slots, 2048);
+        assert_eq!(out.depth.max_depth(), 2048);
+        assert_heap_bound(&out, &cfg);
+    }
+
+    #[test]
+    fn deferred_requests_hold_slots_beyond_the_depth_timeline() {
+        // With a controller armed, a deferred request owns a slot but is not
+        // yet in the depth timeline: peak slots = peak depth plus requests
+        // deferred and not yet admitted. A fixed-rate class bounds the latter
+        // by the arrivals of one full deferral budget.
+        let cfg = optane_config(4, 2, 4096, 53);
+        let (rate_per_s, defer_ns, max_defers) = (4.0e6, 20_000u64, 3u32);
+        let class = TenantClass::new(
+            0,
+            "overloaded",
+            1000,
+            ArrivalProcess::FixedRate {
+                rate_per_s: rate_per_s / 1000.0,
+            },
+            30_000,
+        )
+        .with_slo(100.0, 1_000_000)
+        .with_admission(crate::tenant::AdmissionSpec {
+            burst: 8,
+            refill_per_s: 1.0e6,
+            defer_ns,
+            max_defers,
+        });
+        let spec = class.merged_spec();
+        let mut streams = [Stream::of_tenant(&cfg, &spec, 0, Route::Spread, 0)];
+        let mut arrivals = ArrivalMerge::of_tenants(cfg.seed, std::slice::from_ref(&spec));
+        let ctl = AdmissionCtl::new(
+            class.admission.as_ref().unwrap(),
+            class.offered_rate_per_s().unwrap(),
+            class.slo.unwrap().target_p99_us,
+        );
+        let out = execute(
+            &cfg,
+            &mut streams,
+            &mut arrivals,
+            &mut AdmissionState::new(vec![Some(ctl)]),
+            None,
+            EngineMode::Inline,
+            &ObsPlan {
+                telemetry: TelemetrySpec::disabled(),
+                tenant_slo_windows: &[0],
+                attribution: false,
+            },
+        );
+        let acc = &out.tenants[0];
+        assert!(
+            acc.deferrals > 0 && acc.rejected > 0,
+            "controller must bite"
+        );
+        assert_eq!(acc.latency.count() + acc.rejected, class.requests);
+        let max_depth = out.depth.max_depth() as usize;
+        let deferral_window_ns = defer_ns * u64::from(max_defers);
+        let max_deferred = (rate_per_s * deferral_window_ns as f64 / 1e9).ceil() as usize + 1;
+        assert!(
+            (max_depth..=max_depth + max_deferred).contains(&out.peak_slots),
+            "peak slots {} vs depth {max_depth} + at most {max_deferred} deferred",
+            out.peak_slots
+        );
+        assert!(out.peak_slots > max_depth, "deferred requests hold slots");
+        assert_heap_bound(&out, &cfg);
+    }
+
+    #[test]
+    fn recycled_slots_serve_every_request_exactly_once() {
+        // 6 000 requests through a 32-request closed-loop window: each slot
+        // is reused ~190 times, under both accounting modes.
+        let cfg = optane_config(2, 4, 4096, 54);
+        let cfg = SimConfig {
+            pipeline: cfg.pipeline.with_journal_flush(48),
+            ..cfg
+        };
+        let n = 6_000u64;
+        let window = 32u32;
+        assert!(n > 64 * u64::from(window));
+        let reqs = mixed_requests(&cfg, n, 1_500);
+        let closed = Workload::ClosedLoop { in_flight: window };
+        for mode in [EngineMode::Inline, EngineMode::Sharded(2)] {
+            let recorder = SpanRecorder::with_capacity(1 << 20);
+            let out = probe(&cfg, closed, &reqs, Some(&recorder), mode);
+            assert_eq!(out.peak_slots, window as usize, "{mode:?}");
+            assert_eq!(out.latencies.len() as u64, n);
+
+            // Every request id closes its Completion stage exactly once, and
+            // its stage spans tile [arrival, completion] without a gap.
+            let mut completions = vec![0u32; n as usize];
+            let mut dwell_ns = vec![0u64; n as usize];
+            let mut last_end = vec![None; n as usize];
+            for span in recorder.events() {
+                let id = span.span.0 as usize;
+                if span.stage == Stage::Completion {
+                    completions[id] += 1;
+                }
+                if let Some(end) = last_end[id] {
+                    assert_eq!(span.start_ns, end, "request {id} has a gap");
+                }
+                last_end[id] = Some(span.end_ns);
+                dwell_ns[id] += span.end_ns - span.start_ns;
+            }
+            assert_eq!(recorder.dropped(), 0);
+            assert!(completions.iter().all(|&c| c == 1), "{mode:?}");
+            let mut latencies = out.latencies.clone();
+            latencies.sort_unstable();
+            dwell_ns.sort_unstable();
+            assert_eq!(dwell_ns, latencies, "{mode:?}");
+            let total: u64 = latencies.iter().sum();
+            assert_eq!(out.tenants[0].stages.total_ns(), total);
+        }
     }
 
     #[test]

@@ -9,32 +9,38 @@ use std::collections::BinaryHeap;
 
 use crate::clock::SimTime;
 
-/// What happens when an event fires. `req` indexes the engine's request
-/// table; resource indices are resolved by the engine.
+/// What happens when an event fires. `slot` is the request's recycled
+/// in-flight slot in the engine's slot table (see `engine::SlotTable`);
+/// resource indices are resolved by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Event {
-    /// A request enters the system (open-loop arrival or closed-loop refill).
-    Arrive { req: u32 },
+    /// Stream `stream` offers its next request for the first time (an
+    /// open-loop arrival or a closed-loop refill); the request takes its
+    /// slot here.
+    Issue { stream: u32 },
+    /// A deferred request is offered to its admission controller again.
+    Reoffer { slot: u32 },
     /// The write's journal record is durable; it may now enter its queue
     /// pair. Only scheduled when the pipeline's `journal_flush_ns` is
     /// non-zero (reads never journal).
-    JournalFlushed { req: u32 },
+    JournalFlushed { slot: u32 },
     /// The request won its queue pair and rang the doorbell; it now travels
     /// to the controller.
-    QpForwarded { req: u32 },
+    QpForwarded { slot: u32 },
     /// The queue pair's submission-side serialization window expired; the
     /// next waiter may proceed.
     QpRecovered { qp: u32 },
     /// The controller finished fetching the SQ entry.
-    FetchDone { req: u32 },
+    FetchDone { slot: u32 },
     /// The media finished serving the request on one of its channels.
-    MediaDone { req: u32 },
+    MediaDone { slot: u32 },
     /// The per-device PCIe link finished the request's transfer.
-    SsdLinkDone { req: u32 },
+    SsdLinkDone { slot: u32 },
     /// The shared GPU-side PCIe link finished the request's transfer.
-    GpuLinkDone { req: u32 },
-    /// The completion entry landed and the submitter observed it.
-    Complete { req: u32 },
+    GpuLinkDone { slot: u32 },
+    /// The completion entry landed and the submitter observed it; the
+    /// request's slot is freed.
+    Complete { slot: u32 },
 }
 
 #[derive(Debug, PartialEq, Eq)]
@@ -56,33 +62,20 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// Min-heap of scheduled events.
+/// Min-heap of scheduled events, grown on demand: its population is bounded
+/// by in-flight work (see the footprint bound `engine::drive_events`
+/// asserts), never by run length.
 ///
-/// Tracks its own high-water mark: [`peak_len`](Self::peak_len) against
-/// [`reserved`](Self::reserved) is the regression probe asserting the
-/// engine's up-front capacity reservation actually covers a run (the heap
-/// must never reallocate mid-run).
+/// Tracks its own high-water mark ([`peak_len`](Self::peak_len)) so that
+/// bound can be checked.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
     heap: BinaryHeap<Reverse<Scheduled>>,
     seq: u64,
-    reserved: usize,
     peak: usize,
 }
 
 impl EventQueue {
-    /// A queue with room for `n` simultaneously pending events. The engine
-    /// reserves for its worst case up front (see
-    /// `engine::heap_reservation`), so a run never reallocates the heap.
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        Self {
-            heap: BinaryHeap::with_capacity(n),
-            seq: 0,
-            reserved: n,
-            peak: 0,
-        }
-    }
-
     /// Schedules `event` to fire at `at`.
     pub(crate) fn schedule(&mut self, at: SimTime, event: Event) {
         let seq = self.seq;
@@ -106,11 +99,6 @@ impl EventQueue {
         self.peak
     }
 
-    /// Capacity reserved at construction.
-    pub(crate) fn reserved(&self) -> usize {
-        self.reserved
-    }
-
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
@@ -124,16 +112,16 @@ mod tests {
     #[test]
     fn pops_in_time_order_with_fifo_ties() {
         let mut q = EventQueue::default();
-        q.schedule(SimTime::from_ns(30), Event::Arrive { req: 3 });
-        q.schedule(SimTime::from_ns(10), Event::Arrive { req: 1 });
-        q.schedule(SimTime::from_ns(10), Event::Complete { req: 2 });
+        q.schedule(SimTime::from_ns(30), Event::Issue { stream: 3 });
+        q.schedule(SimTime::from_ns(10), Event::Issue { stream: 1 });
+        q.schedule(SimTime::from_ns(10), Event::Complete { slot: 2 });
         let a = q.pop().unwrap();
         let b = q.pop().unwrap();
         let c = q.pop().unwrap();
-        assert_eq!(a, (SimTime::from_ns(10), Event::Arrive { req: 1 }));
+        assert_eq!(a, (SimTime::from_ns(10), Event::Issue { stream: 1 }));
         assert_eq!(
             b,
-            (SimTime::from_ns(10), Event::Complete { req: 2 }),
+            (SimTime::from_ns(10), Event::Complete { slot: 2 }),
             "FIFO tie-break"
         );
         assert_eq!(c.0, SimTime::from_ns(30));

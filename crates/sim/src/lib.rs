@@ -14,10 +14,16 @@
 //!   media → DMA → completion pipeline, parameterized from the Table-2
 //!   [`bam_nvme_sim::SsdSpec`]s and [`bam_pcie::LinkSpec`] occupancies.
 //! * [`engine`] — the event loop: FIFO service centers per queue pair,
-//!   media-channel pool per SSD, per-device and shared PCIe links.
+//!   media-channel pool per SSD, per-device and shared PCIe links. One
+//!   timing spine serves every entry point; it pulls arrivals lazily and
+//!   keys per-request state by a recycled in-flight slot, so the engine's
+//!   own memory follows the requests in flight, not the run length
+//!   (asserted at the end of every run). `workers > 1` only moves the
+//!   spine's accounting onto per-SSD shards; results are bit-identical.
 //! * [`tenant`] — multi-tenant workloads: [`tenant::TenantSpec`] arrival
 //!   sources (fixed-rate, Poisson, closed-loop, and [`dist::Mmpp2`] bursts)
-//!   superposed into one stream ([`tenant::Superposition`]), with queue
+//!   superposed lazily into one stream ([`tenant::Superposition`] is the
+//!   merge collected), with queue
 //!   pairs allocated shared or weighted-fair
 //!   ([`pipeline::QueuePairPolicy`]); [`tenant::TenantClass`] merges
 //!   millions of statistically identical logical tenants in closed form

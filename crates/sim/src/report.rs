@@ -59,6 +59,19 @@ pub struct DepthTimeline {
 }
 
 impl DepthTimeline {
+    /// An empty timeline with room for a run of `requests`: every request
+    /// contributes at most two points (admission and completion), so sizing
+    /// once up front means the point list never reallocates — growth by
+    /// doubling would hold 1.5× the final list live at its last step and
+    /// retain up to 2×.
+    pub(crate) fn for_requests(requests: u64) -> Self {
+        let points = usize::try_from(requests.saturating_mul(2)).expect("run fits in memory");
+        Self {
+            points: Vec::with_capacity(points),
+            end: SimTime::ZERO,
+        }
+    }
+
     pub(crate) fn record(&mut self, at: SimTime, depth: u32) {
         self.points.push((at, depth));
     }
@@ -169,8 +182,8 @@ impl SimReport {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn build(
         mut latencies_ns: Vec<u64>,
-        read_latencies_ns: Vec<u64>,
-        write_latencies_ns: Vec<u64>,
+        read_latency: &LatencyHisto,
+        write_latency: &LatencyHisto,
         mut depth: DepthTimeline,
         end: SimTime,
         events: u64,
@@ -196,12 +209,8 @@ impl SimReport {
             depth,
             queue_occupancy_mean,
             queue_occupancy_max,
-            read_latency: LatencySummary::from_histo(&LatencyHisto::from_samples(
-                read_latencies_ns,
-            )),
-            write_latency: LatencySummary::from_histo(&LatencyHisto::from_samples(
-                write_latencies_ns,
-            )),
+            read_latency: LatencySummary::from_histo(read_latency),
+            write_latency: LatencySummary::from_histo(write_latency),
             sorted_latencies_ns: latencies_ns,
             histogram,
             stages,
@@ -577,8 +586,8 @@ mod tests {
         depth.record(SimTime::from_ns(0), 1);
         let r = SimReport::build(
             vec![10_000; 100],
-            vec![10_000; 80],
-            vec![10_000; 20],
+            &LatencyHisto::from_samples(vec![10_000; 80]),
+            &LatencyHisto::from_samples(vec![10_000; 20]),
             depth,
             SimTime::from_us(1000.0),
             700,

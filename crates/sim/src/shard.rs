@@ -4,23 +4,33 @@
 //! the one seeded RNG — the global RNG draw order is part of the engine's
 //! determinism contract, so timing decisions stay sequential. What *can*
 //! parallelize is everything downstream of a timing decision: stage-dwell
-//! histograms, span events, latency vectors, and occupancy meters are all
-//! order-independent merges (integer histograms, min/max folds, sorted
-//! vectors). The spine therefore emits a compact [`Rec`] stream, partitioned
-//! by owning device, and each shard applies its slice independently.
+//! histograms, span events, latency histograms, and occupancy meters are all
+//! order-independent merges (integer histograms, min/max folds, one sorted
+//! sample vector). The spine therefore emits a compact [`Rec`] stream,
+//! partitioned by owning device, and each shard applies its slice
+//! independently.
 //!
 //! Every record about a request routes to the shard of the request's queue
 //! pair, so a shard sees its own requests' records in global `(time, seq)`
 //! order — exactly the order the inline engine would have applied them.
 //! Merging shard results back (see [`merge_tenants`] and
 //! [`occupancy_stats`]) reproduces the inline accounting bit for bit.
+//!
+//! Per-request state is keyed by the spine's recycled in-flight slot, so a
+//! shard's footprint follows the in-flight population, not the run length:
+//! [`Rec::Arrive`] carries every static fact of the request
+//! ([`RequestInfo`]), and each later record names only the slot. Completed
+//! latencies stream straight into [`bam_obs::LatencyHisto`]s; the one
+//! exact-sample vector kept is the one `SimReport::sorted_latencies_ns`
+//! exposes.
 
 use bam_obs::{
-    BlameMark, BlameRow, SpanEvent, SpanId, SpanRecorder, Stage, StageBreakdown, WindowedSeries,
+    BlameMark, BlameRow, LatencyHisto, SpanEvent, SpanId, SpanRecorder, Stage, StageBreakdown,
+    WindowedSeries,
 };
 
 use crate::clock::SimTime;
-use crate::engine::{RequestDesc, TelemetrySpec};
+use crate::engine::TelemetrySpec;
 
 /// What observability the engines collect during a run: the run-level
 /// telemetry spec plus each tenant's SLO evaluation window (0 = none).
@@ -29,10 +39,9 @@ use crate::engine::{RequestDesc, TelemetrySpec};
 pub(crate) struct ObsPlan<'a> {
     pub(crate) telemetry: TelemetrySpec,
     pub(crate) tenant_slo_windows: &'a [u64],
-    /// Thinned member attribution for class runs: `member_of[req]` is the
-    /// synthetic member (within its class) each request belongs to. `None`
-    /// skips per-member accounting entirely.
-    pub(crate) member_of: Option<&'a [u32]>,
+    /// Thinned member attribution for class runs: collect one histogram per
+    /// [`RequestInfo::member`]. `false` skips per-member accounting entirely.
+    pub(crate) attribution: bool,
 }
 
 /// Time-weighted occupancy accounting for one queue pair.
@@ -76,27 +85,52 @@ pub(crate) fn occupancy_stats(meters: &[OccupancyMeter], end: SimTime) -> (f64, 
     (mean, max)
 }
 
-/// One accounting fact from the timing spine. `idx` is the record's global
-/// emission index — the total order that reconstructs the span stream after
-/// a parallel run.
+/// The static facts of one request, derived by the spine in closed form from
+/// its stream's arrival counter when the request first arrives.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RequestInfo {
+    /// Global request index (span and blame-row identity).
+    pub(crate) req: u64,
+    /// Payload bytes.
+    pub(crate) bytes: u64,
+    /// Global queue pair the request is routed to.
+    pub(crate) qp: u32,
+    /// Accounting tenant.
+    pub(crate) tenant: u32,
+    /// Thinned synthetic member within the request's class (0 unless the
+    /// run thins).
+    pub(crate) member: u32,
+    /// `true` for a write.
+    pub(crate) write: bool,
+}
+
+/// One accounting fact from the timing spine. `slot` is the request's
+/// recycled in-flight slot; `idx` is the record's global emission index —
+/// the total order that reconstructs the span stream after a parallel run.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Rec {
-    /// Request `req` entered the system at `at`.
-    Arrive { req: u32, at: SimTime },
-    /// Request `req` closed pipeline stage `stage` at `at`. `service_ns` is
-    /// the stage's pure service time — the spine knows it exactly (it
-    /// scheduled the departure) — so shards can split the dwell into service
-    /// vs wait without re-deriving timing decisions.
+    /// The request described by `info` entered the system at `at` and took
+    /// `slot` (its first offer; re-offers after a deferral emit nothing).
+    Arrive {
+        slot: u32,
+        at: SimTime,
+        info: RequestInfo,
+    },
+    /// The request in `slot` closed pipeline stage `stage` at `at`.
+    /// `service_ns` is the stage's pure service time — the spine knows it
+    /// exactly (it scheduled the departure) — so shards can split the dwell
+    /// into service vs wait without re-deriving timing decisions.
     Stage {
-        req: u32,
+        slot: u32,
         stage: Stage,
         at: SimTime,
         idx: u64,
         service_ns: u64,
     },
-    /// Request `req` completed at `at` (closes the Completion stage).
+    /// The request in `slot` completed at `at` (closes the Completion stage
+    /// and frees the slot).
     Complete {
-        req: u32,
+        slot: u32,
         at: SimTime,
         idx: u64,
         service_ns: u64,
@@ -107,12 +141,13 @@ pub(crate) enum Rec {
         at: SimTime,
         occupancy: u64,
     },
-    /// The admission controller pushed request `req` back at `at` (it will
-    /// be re-offered after its class's deferral backoff).
-    Defer { req: u32, at: SimTime },
-    /// The admission controller rejected request `req` at `at` (it exhausted
-    /// its deferral budget and never enters the pipeline).
-    Reject { req: u32, at: SimTime },
+    /// The admission controller pushed the request in `slot` back at `at`
+    /// (it will be re-offered after its class's deferral backoff).
+    Defer { slot: u32, at: SimTime },
+    /// The admission controller rejected the request in `slot` at `at` (it
+    /// exhausted its deferral budget and never enters the pipeline; the slot
+    /// is freed).
+    Reject { slot: u32, at: SimTime },
 }
 
 impl Rec {
@@ -129,14 +164,17 @@ impl Rec {
     }
 }
 
-/// Static shard topology: devices are dealt round-robin over
+/// Shard topology: devices are dealt round-robin over
 /// `min(workers, num_ssds)` shards, and a queue pair belongs to its device's
 /// shard. Every record about a request routes to the shard of the request's
-/// queue pair, so per-request state never crosses shards.
-#[derive(Debug, Clone, Copy)]
+/// queue pair — remembered per in-flight slot from its [`Rec::Arrive`] — so
+/// per-request state never crosses shards.
+#[derive(Debug, Clone)]
 pub(crate) struct ShardMap {
     pub(crate) shards: usize,
     queue_pairs_per_ssd: u32,
+    /// The shard each in-flight slot's records route to.
+    shard_of_slot: Vec<usize>,
 }
 
 impl ShardMap {
@@ -144,6 +182,7 @@ impl ShardMap {
         Self {
             shards: workers.min(num_ssds as usize).max(1),
             queue_pairs_per_ssd,
+            shard_of_slot: Vec::new(),
         }
     }
 
@@ -153,13 +192,21 @@ impl ShardMap {
     }
 
     /// The shard a record routes to.
-    pub(crate) fn route(&self, rec: &Rec, qp_of: &[u32]) -> usize {
+    pub(crate) fn route(&mut self, rec: &Rec) -> usize {
         match *rec {
-            Rec::Arrive { req, .. }
-            | Rec::Stage { req, .. }
-            | Rec::Complete { req, .. }
-            | Rec::Defer { req, .. }
-            | Rec::Reject { req, .. } => self.of_qp(qp_of[req as usize]),
+            Rec::Arrive { slot, info, .. } => {
+                let shard = self.of_qp(info.qp);
+                let slot = slot as usize;
+                if slot >= self.shard_of_slot.len() {
+                    self.shard_of_slot.resize(slot + 1, 0);
+                }
+                self.shard_of_slot[slot] = shard;
+                shard
+            }
+            Rec::Stage { slot, .. }
+            | Rec::Complete { slot, .. }
+            | Rec::Defer { slot, .. }
+            | Rec::Reject { slot, .. } => self.shard_of_slot[slot as usize],
             Rec::Meter { qp, .. } => self.of_qp(qp),
         }
     }
@@ -169,8 +216,8 @@ impl ShardMap {
 /// `engine::IssueState`).
 #[derive(Debug)]
 pub(crate) struct TenantAcc {
-    /// Completed-request latencies, in completion order.
-    pub(crate) latencies: Vec<u64>,
+    /// Latency histogram over the tenant's completed requests.
+    pub(crate) latency: LatencyHisto,
     /// When the tenant's first request arrived.
     pub(crate) first_arrival: Option<SimTime>,
     /// When the tenant's last request completed.
@@ -189,14 +236,14 @@ pub(crate) struct TenantAcc {
     /// Requests the admission controller rejected outright.
     pub(crate) rejected: u64,
     /// Per-member completion histograms for class runs with thinned
-    /// attribution (empty when `ObsPlan::member_of` is `None`).
-    pub(crate) members: std::collections::BTreeMap<u32, bam_obs::LatencyHisto>,
+    /// attribution (empty unless `ObsPlan::attribution` is set).
+    pub(crate) members: std::collections::BTreeMap<u32, LatencyHisto>,
 }
 
 impl TenantAcc {
     fn new(slo_window_ns: u64) -> Self {
         Self {
-            latencies: Vec::new(),
+            latency: LatencyHisto::new(),
             first_arrival: None,
             last_completion: SimTime::ZERO,
             stages: StageBreakdown::new(),
@@ -209,16 +256,15 @@ impl TenantAcc {
     }
 }
 
-/// Merges per-shard tenant accounts elementwise. Latency vectors concatenate
-/// in shard order — every consumer is order-independent (histograms, min/max
-/// folds, or an explicit sort) — first arrivals min-fold, last completions
-/// max-fold, and stage histograms merge exactly.
+/// Merges per-shard tenant accounts elementwise: first arrivals min-fold,
+/// last completions max-fold, and the latency and stage histograms merge
+/// exactly (integer counters, so the result is independent of shard order).
 pub(crate) fn merge_tenants(parts: Vec<Vec<TenantAcc>>) -> Vec<TenantAcc> {
     let mut parts = parts.into_iter();
     let mut merged = parts.next().expect("at least one shard");
     for part in parts {
         for (into, from) in merged.iter_mut().zip(part) {
-            into.latencies.extend_from_slice(&from.latencies);
+            into.latency.merge(&from.latency);
             into.first_arrival = match (into.first_arrival, from.first_arrival) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
@@ -246,154 +292,132 @@ pub(crate) enum SpanOut<'a> {
     Buffered(Vec<(u64, SpanEvent)>),
 }
 
+/// Accounting state of one in-flight slot: the request's static facts plus
+/// the two instants dwell and latency are measured from.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotAcc {
+    info: RequestInfo,
+    /// Arrival (first-offer) instant.
+    arrive_at: SimTime,
+    /// Last stage boundary.
+    last_mark: SimTime,
+}
+
 /// One shard's accounting state: everything the inline engine used to track
 /// per request and per tenant, applied from the record stream instead of
 /// inside the event loop.
 ///
-/// `local_of` densely remaps request ids onto this shard's own slots so the
-/// per-request arrays cost memory proportional to the shard's share, not the
-/// whole run ([`None`] means the identity map — the inline engine accounts
-/// every request).
+/// Per-request state is indexed by the spine's in-flight slot and grown on
+/// demand, so it costs memory proportional to the peak in-flight population
+/// (slots are recycled), not the run length.
 pub(crate) struct Accounting<'a> {
-    requests: &'a [RequestDesc],
-    tenant_of: &'a [u32],
-    qp_of: &'a [u32],
-    local_of: Option<&'a [u32]>,
-    /// Thinned member attribution (class runs only; see
-    /// [`ObsPlan::member_of`]).
-    member_of: Option<&'a [u32]>,
-    /// Arrival instant of each owned request (dense via `local_of`).
-    arrive_at: Vec<SimTime>,
-    /// Last stage boundary of each owned request.
-    last_mark: Vec<SimTime>,
+    /// Collect per-member histograms (see [`ObsPlan::attribution`]).
+    attribution: bool,
+    slots: Vec<SlotAcc>,
+    /// Per-slot blame scratch: the marks of the request currently in the
+    /// slot (empty when blame is disabled).
+    marks: Vec<Vec<BlameMark>>,
     pub(crate) meters: Vec<OccupancyMeter>,
     pub(crate) tenants: Vec<TenantAcc>,
-    /// Completed-read latencies, in completion order.
-    pub(crate) read_latencies: Vec<u64>,
-    /// Completed-write latencies, in completion order.
-    pub(crate) write_latencies: Vec<u64>,
+    /// Latency histogram over completed reads.
+    pub(crate) read_latency: LatencyHisto,
+    /// Latency histogram over completed writes. Includes the journal-flush
+    /// stage when enabled — latency is measured from arrival.
+    pub(crate) write_latency: LatencyHisto,
+    /// Every completed request's latency, in completion order: the exact
+    /// samples behind `SimReport::sorted_latencies_ns`.
+    pub(crate) latencies: Vec<u64>,
     pub(crate) spans: SpanOut<'a>,
     /// Run-level windowed telemetry (disabled — window 0 — when the plan
     /// asks for none; every record is then a single branch).
     pub(crate) series: WindowedSeries,
-    /// Per-request blame rows (empty when the plan disables blame). Dense
-    /// via `local_of`, like the other per-request arrays.
+    /// Blame rows of settled (completed or rejected) requests, in settlement
+    /// order (empty when the plan disables blame).
     rows: Vec<BlameRow>,
     /// Whether blame rows are being collected.
     blame: bool,
 }
 
 impl<'a> Accounting<'a> {
-    #[allow(clippy::too_many_arguments)]
+    /// A shard expecting about `requests` completions (the inline engine
+    /// knows its exact total; shards pass 0 and grow).
     pub(crate) fn new(
-        requests: &'a [RequestDesc],
-        tenant_of: &'a [u32],
-        qp_of: &'a [u32],
-        local_of: Option<&'a [u32]>,
-        slots: usize,
+        requests: usize,
         total_qps: u32,
-        plan: &ObsPlan<'a>,
+        plan: &ObsPlan<'_>,
         spans: SpanOut<'a>,
     ) -> Self {
         let blame = plan.telemetry.blame;
         Self {
-            requests,
-            tenant_of,
-            qp_of,
-            local_of,
-            member_of: plan.member_of,
-            arrive_at: vec![SimTime::ZERO; slots],
-            last_mark: vec![SimTime::ZERO; slots],
+            attribution: plan.attribution,
+            slots: Vec::new(),
+            marks: Vec::new(),
             meters: vec![OccupancyMeter::default(); total_qps as usize],
             tenants: plan
                 .tenant_slo_windows
                 .iter()
                 .map(|&w| TenantAcc::new(w))
                 .collect(),
-            read_latencies: Vec::new(),
-            write_latencies: Vec::new(),
+            read_latency: LatencyHisto::new(),
+            write_latency: LatencyHisto::new(),
+            latencies: Vec::with_capacity(requests),
             spans,
             series: WindowedSeries::new(plan.telemetry.window_ns),
-            rows: if blame {
-                (0..slots)
-                    .map(|_| BlameRow {
-                        id: 0,
-                        arrive_ns: 0,
-                        marks: Vec::new(),
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            },
+            rows: Vec::with_capacity(if blame { requests } else { 0 }),
             blame,
         }
     }
 
-    #[inline]
-    fn local(&self, req: u32) -> usize {
-        match self.local_of {
-            Some(map) => map[req as usize] as usize,
-            None => req as usize,
-        }
-    }
-
-    /// Closes one pipeline stage of `req` at `now`: the dwell since the
-    /// request's previous stage boundary lands in its tenant's
-    /// [`StageBreakdown`] and (when tracing) in the span output on the
-    /// request's queue-pair track. Dwell times tile the request's life
+    /// Closes one pipeline stage of the request in `slot` at `now`: the
+    /// dwell since the request's previous stage boundary lands in its
+    /// tenant's [`StageBreakdown`] and (when tracing) in the span output on
+    /// the request's queue-pair track. Dwell times tile the request's life
     /// exactly — their sum is the end-to-end latency. `service_ns` is the
     /// stage's pure service time from the spine; the dwell's remainder is
     /// queueing wait, recorded into the windowed series and (when blame is
-    /// on) the request's blame row.
-    fn mark(&mut self, req: u32, stage: Stage, now: SimTime, idx: u64, service_ns: u64) {
-        let slot = self.local(req);
-        let start = self.last_mark[slot];
+    /// on) the slot's blame scratch.
+    fn mark(&mut self, slot: u32, stage: Stage, now: SimTime, idx: u64, service_ns: u64) {
+        let acc = &mut self.slots[slot as usize];
+        let start = std::mem::replace(&mut acc.last_mark, now);
+        let info = acc.info;
         let dwell = now - start;
-        self.tenants[self.tenant_of[req as usize] as usize]
+        self.tenants[info.tenant as usize]
             .stages
             .record(stage, dwell);
         self.series
             .record_stage(now.as_ns(), stage, dwell, dwell - service_ns.min(dwell));
         if self.blame {
-            self.rows[slot].marks.push(BlameMark {
+            self.marks[slot as usize].push(BlameMark {
                 stage,
                 end_ns: now.as_ns(),
                 service_ns,
             });
         }
-        match &mut self.spans {
-            SpanOut::None => {}
-            SpanOut::Direct(rec) => rec.record(Self::span_event(
-                self.requests,
-                self.qp_of,
-                req,
-                stage,
-                start,
-                now,
-            )),
-            SpanOut::Buffered(buf) => buf.push((
-                idx,
-                Self::span_event(self.requests, self.qp_of, req, stage, start, now),
-            )),
-        }
-        self.last_mark[slot] = now;
-    }
-
-    fn span_event(
-        requests: &[RequestDesc],
-        qp_of: &[u32],
-        req: u32,
-        stage: Stage,
-        start: SimTime,
-        end: SimTime,
-    ) -> SpanEvent {
-        SpanEvent {
-            span: SpanId(u64::from(req)),
+        let event = || SpanEvent {
+            span: SpanId(info.req),
             stage,
             start_ns: start.as_ns(),
-            end_ns: end.as_ns(),
-            track: qp_of[req as usize],
-            arg: requests[req as usize].bytes,
+            end_ns: now.as_ns(),
+            track: info.qp,
+            arg: info.bytes,
+        };
+        match &mut self.spans {
+            SpanOut::None => {}
+            SpanOut::Direct(rec) => rec.record(event()),
+            SpanOut::Buffered(buf) => buf.push((idx, event())),
+        }
+    }
+
+    /// Files the settled request of `slot` as a blame row (a rejected
+    /// request's row has no marks).
+    fn settle_blame(&mut self, slot: u32) {
+        if self.blame {
+            let acc = &self.slots[slot as usize];
+            self.rows.push(BlameRow {
+                id: acc.info.req,
+                arrive_ns: acc.arrive_at.as_ns(),
+                marks: self.marks[slot as usize].clone(),
+            });
         }
     }
 
@@ -402,65 +426,79 @@ impl<'a> Accounting<'a> {
     /// the same ones the inline engine performs.
     pub(crate) fn apply(&mut self, rec: Rec) {
         match rec {
-            Rec::Arrive { req, at } => {
-                let slot = self.local(req);
-                self.arrive_at[slot] = at;
-                self.last_mark[slot] = at;
-                self.series.record_arrival(at.as_ns());
-                if self.blame {
-                    self.rows[slot].id = u64::from(req);
-                    self.rows[slot].arrive_ns = at.as_ns();
+            Rec::Arrive { slot, at, info } => {
+                let i = slot as usize;
+                if i >= self.slots.len() {
+                    self.slots.resize(i + 1, SlotAcc::default());
+                    if self.blame {
+                        self.marks.resize_with(i + 1, Vec::new);
+                    }
                 }
-                let tenant = &mut self.tenants[self.tenant_of[req as usize] as usize];
+                self.slots[i] = SlotAcc {
+                    info,
+                    arrive_at: at,
+                    last_mark: at,
+                };
+                if self.blame {
+                    self.marks[i].clear();
+                }
+                self.series.record_arrival(at.as_ns());
+                let tenant = &mut self.tenants[info.tenant as usize];
                 tenant.first_arrival.get_or_insert(at);
                 tenant.offered += 1;
                 tenant.slo_series.record_arrival(at.as_ns());
             }
             Rec::Stage {
-                req,
+                slot,
                 stage,
                 at,
                 idx,
                 service_ns,
-            } => self.mark(req, stage, at, idx, service_ns),
+            } => self.mark(slot, stage, at, idx, service_ns),
             Rec::Complete {
-                req,
+                slot,
                 at,
                 idx,
                 service_ns,
             } => {
-                self.mark(req, Stage::Completion, at, idx, service_ns);
-                let latency = at - self.arrive_at[self.local(req)];
+                self.mark(slot, Stage::Completion, at, idx, service_ns);
+                self.settle_blame(slot);
+                let SlotAcc {
+                    info, arrive_at, ..
+                } = self.slots[slot as usize];
+                let latency = at - arrive_at;
                 self.series.record_completion(at.as_ns(), latency);
-                let tenant = &mut self.tenants[self.tenant_of[req as usize] as usize];
-                tenant.latencies.push(latency);
+                let tenant = &mut self.tenants[info.tenant as usize];
+                tenant.latency.record(latency);
                 tenant.last_completion = at;
                 tenant.slo_series.record_completion(at.as_ns(), latency);
-                if let Some(member_of) = self.member_of {
+                if self.attribution {
                     tenant
                         .members
-                        .entry(member_of[req as usize])
+                        .entry(info.member)
                         .or_default()
                         .record(latency);
                 }
-                if self.requests[req as usize].write {
-                    self.write_latencies.push(latency);
+                if info.write {
+                    self.write_latency.record(latency);
                 } else {
-                    self.read_latencies.push(latency);
+                    self.read_latency.record(latency);
                 }
+                self.latencies.push(latency);
             }
             Rec::Meter { qp, at, occupancy } => {
                 self.meters[qp as usize].update(at, occupancy);
                 self.series.record_occupancy(at.as_ns(), occupancy);
             }
-            Rec::Defer { req, at } => {
-                let tenant = &mut self.tenants[self.tenant_of[req as usize] as usize];
+            Rec::Defer { slot, at } => {
+                let tenant = &mut self.tenants[self.slots[slot as usize].info.tenant as usize];
                 tenant.deferrals += 1;
                 tenant.slo_series.record_deferral(at.as_ns());
                 self.series.record_deferral(at.as_ns());
             }
-            Rec::Reject { req, at } => {
-                let tenant = &mut self.tenants[self.tenant_of[req as usize] as usize];
+            Rec::Reject { slot, at } => {
+                self.settle_blame(slot);
+                let tenant = &mut self.tenants[self.slots[slot as usize].info.tenant as usize];
                 tenant.rejected += 1;
                 tenant.slo_series.record_rejection(at.as_ns());
                 self.series.record_rejection(at.as_ns());
@@ -487,6 +525,32 @@ mod tests {
     use super::*;
 
     #[test]
+    fn records_follow_their_slot_to_the_arrival_s_shard() {
+        let mut map = ShardMap::new(2, 4, 2);
+        let at = SimTime::ZERO;
+        let arrive = |slot, qp| Rec::Arrive {
+            slot,
+            at,
+            info: RequestInfo {
+                qp,
+                ..RequestInfo::default()
+            },
+        };
+        assert_eq!(map.route(&arrive(5, 2)), 1);
+        assert_eq!(map.route(&Rec::Defer { slot: 5, at }), 1);
+        assert_eq!(map.route(&Rec::Reject { slot: 5, at }), 1);
+        // The slot is recycled by a request on another device's shard.
+        assert_eq!(map.route(&arrive(5, 4)), 0);
+        let complete = Rec::Complete {
+            slot: 5,
+            at,
+            idx: 0,
+            service_ns: 0,
+        };
+        assert_eq!(map.route(&complete), 0);
+    }
+
+    #[test]
     fn shard_map_deals_devices_round_robin() {
         let map = ShardMap::new(2, 4, 2);
         assert_eq!(map.shards, 2);
@@ -502,17 +566,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_tenants_folds_min_max_and_concats() {
+    fn merge_tenants_folds_min_max_and_merges_histograms() {
         let mut a = TenantAcc::new(0);
-        a.latencies.push(10);
+        a.latency.record(10);
         a.first_arrival = Some(SimTime::from_ns(5));
         a.last_completion = SimTime::from_ns(100);
         let mut b = TenantAcc::new(0);
-        b.latencies.push(20);
+        b.latency.record(20);
         b.first_arrival = Some(SimTime::from_ns(2));
         b.last_completion = SimTime::from_ns(50);
         let merged = merge_tenants(vec![vec![a], vec![b]]);
-        assert_eq!(merged[0].latencies, vec![10, 20]);
+        assert_eq!(merged[0].latency, LatencyHisto::from_samples([10, 20]));
         assert_eq!(merged[0].first_arrival, Some(SimTime::from_ns(2)));
         assert_eq!(merged[0].last_completion, SimTime::from_ns(100));
     }
