@@ -8,33 +8,21 @@
 //! trace-event JSON (loadable in Perfetto or `chrome://tracing`),
 //! `--timeline-out <path>` to export the Optane run's full timeline
 //! document (windowed telemetry + per-resource blame decomposition), and
-//! `--workers N` to run on the sharded engine (default 1 = inline; the
-//! output is bit-identical at every worker count).
+//! `--workers N` to run the engine's accounting on N shard threads (default
+//! 1 = inline; the output is bit-identical at every worker count).
 
 use bam_bench::breakdown_exp::{
-    breakdown_with_workers, traced_events_with_workers, BREAKDOWN_ACCESS_BYTES,
-    BREAKDOWN_IN_FLIGHT, BREAKDOWN_JOURNAL_OVERHEAD_BYTES, BREAKDOWN_REQUESTS, BREAKDOWN_SEED,
-    BREAKDOWN_WRITES,
+    breakdown, traced_events, BREAKDOWN_ACCESS_BYTES, BREAKDOWN_IN_FLIGHT,
+    BREAKDOWN_JOURNAL_OVERHEAD_BYTES, BREAKDOWN_REQUESTS, BREAKDOWN_SEED, BREAKDOWN_WRITES,
 };
 use bam_bench::jsonout::{emit_bench_json, json_array, json_mode, JsonObject};
 use bam_bench::timeline_exp::{breakdown_timeline_body, observed_breakdown_run};
-use bam_bench::{print_table, timeline_out_path, workers_arg};
+use bam_bench::{flag_value, print_table, workers_arg};
 use bam_sim::chrome_trace_json;
-
-/// The path following `--trace-out`, if present.
-fn trace_out_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            return Some(args.next().expect("--trace-out needs a path"));
-        }
-    }
-    None
-}
 
 fn main() {
     let workers = workers_arg();
-    let results = breakdown_with_workers(BREAKDOWN_SEED, workers);
+    let results = breakdown(BREAKDOWN_SEED, workers);
     for (spec, report, rows) in &results {
         let table: Vec<Vec<String>> = rows
             .iter()
@@ -70,12 +58,12 @@ fn main() {
          end-to-end latency exactly. Queue-pair share grows as media gets slower only where \
          submission slots, not media, are the bottleneck."
     );
-    if let Some(path) = trace_out_path() {
-        let trace = chrome_trace_json(&traced_events_with_workers(BREAKDOWN_SEED, workers));
+    if let Some(path) = flag_value("--trace-out") {
+        let trace = chrome_trace_json(&traced_events(BREAKDOWN_SEED, workers));
         std::fs::write(&path, trace).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("wrote {path}");
     }
-    if let Some(path) = timeline_out_path() {
+    if let Some(path) = flag_value("--timeline-out") {
         let (report, telemetry) = observed_breakdown_run(BREAKDOWN_SEED, workers);
         let body = breakdown_timeline_body(BREAKDOWN_SEED, &report, &telemetry);
         std::fs::write(&path, format!("{body}\n")).unwrap_or_else(|e| panic!("write {path}: {e}"));

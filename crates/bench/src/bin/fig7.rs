@@ -13,7 +13,7 @@ fn main() {
         graph_exp::verify_bfs_against_reference(GRAPH_SCALE, SEED),
         "functional BFS must match the host reference before reporting times"
     );
-    let rows = graph_exp::figure7_with_workers(GRAPH_SCALE, SEED, 1);
+    let rows = graph_exp::figure7(GRAPH_SCALE, SEED, 1);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

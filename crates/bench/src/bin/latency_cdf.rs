@@ -6,10 +6,10 @@
 //! with in the mean — the dynamics behind the Fig 9 slowdowns. Pass `--json`
 //! to also write `BENCH_latency_cdf.json`, `--trace-out <path>` to export
 //! the Optane 1×-depth cell's spans as Chrome trace-event JSON, and
-//! `--workers N` to run on the sharded engine (default 1 = inline; the
-//! output is bit-identical at every worker count).
+//! `--workers N` to run the engine's accounting on N shard threads (default
+//! 1 = inline; the output is bit-identical at every worker count).
 use bam_bench::jsonout::{emit_bench_json, json_array, json_mode, JsonObject};
-use bam_bench::{print_table, sim_exp, workers_arg};
+use bam_bench::{flag_value, print_table, sim_exp, workers_arg};
 use bam_sim::chrome_trace_json;
 
 /// Access granularity of the sweep (the graph experiments' 4 KB lines).
@@ -18,7 +18,7 @@ const SEED: u64 = 9;
 
 fn main() {
     let workers = workers_arg();
-    let rows = sim_exp::latency_cdf_with_workers(4, ACCESS_BYTES, SEED, workers);
+    let rows = sim_exp::latency_cdf(4, ACCESS_BYTES, SEED, workers);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -62,16 +62,11 @@ fn main() {
          product (Little's law); at 2x, throughput stays at the peak while every percentile \
          roughly doubles — latency bought nothing."
     );
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            let path = args.next().expect("--trace-out needs a path");
-            let events =
-                sim_exp::latency_cdf_traced_events_with_workers(4, ACCESS_BYTES, SEED, workers);
-            std::fs::write(&path, chrome_trace_json(&events))
-                .unwrap_or_else(|e| panic!("write {path}: {e}"));
-            eprintln!("wrote {path}");
-        }
+    if let Some(path) = flag_value("--trace-out") {
+        let events = sim_exp::latency_cdf_traced_events(4, ACCESS_BYTES, SEED, workers);
+        std::fs::write(&path, chrome_trace_json(&events))
+            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+        eprintln!("wrote {path}");
     }
     if json_mode() {
         let body = JsonObject::new()

@@ -5,8 +5,9 @@
 //! without the class's SLO admission controller armed. Class aggregation is
 //! closed-form, so every cell costs O(classes) event-loop work — the
 //! million-tenant rows run as fast as the ten-thousand-tenant ones. Pass
-//! `--json` to also write `BENCH_slo.json` and `--workers N` to run on the
-//! sharded engine (output is bit-identical at every worker count).
+//! `--json` to also write `BENCH_slo.json` and `--workers N` to run the
+//! engine's accounting on N shard threads (output is bit-identical at every
+//! worker count).
 use bam_bench::jsonout::{emit_bench_json, json_array, json_mode, JsonObject};
 use bam_bench::{print_table, slo_exp, workers_arg};
 
@@ -14,7 +15,7 @@ const SEED: u64 = 37;
 
 fn main() {
     let workers = workers_arg();
-    let rows = slo_exp::slo_sweep_with_workers(SEED, workers);
+    let rows = slo_exp::slo_sweep(SEED, workers);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

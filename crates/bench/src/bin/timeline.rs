@@ -8,13 +8,13 @@
 //! vs. wait per stage, population and tail slice); the SLO table shows what
 //! it cost each tenant in violations and error-budget burn. Pass `--json`
 //! to also write `BENCH_timeline.json`, `--timeline-out <path>` to export
-//! the full timeline document to a file, and `--workers N` to run on the
-//! sharded engine (default 1 = inline; every output is bit-identical at
-//! any worker count).
+//! the full timeline document to a file, and `--workers N` to run the
+//! engine's accounting on N shard threads (default 1 = inline; every output
+//! is bit-identical at any worker count).
 
 use bam_bench::jsonout::{emit_bench_json, json_mode};
 use bam_bench::timeline_exp::{dominant_stage, timeline_body, timeline_run, TIMELINE_SEED};
-use bam_bench::{print_table, timeline_out_path, workers_arg};
+use bam_bench::{flag_value, print_table, workers_arg};
 use bam_sim::Stage;
 
 fn main() {
@@ -164,7 +164,7 @@ fn main() {
     );
 
     let body = timeline_body(TIMELINE_SEED, &report, &telemetry);
-    if let Some(path) = timeline_out_path() {
+    if let Some(path) = flag_value("--timeline-out") {
         std::fs::write(&path, format!("{body}\n")).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("wrote {path}");
     }

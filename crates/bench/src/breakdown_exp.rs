@@ -12,7 +12,9 @@
 
 use bam_nvme_sim::SsdSpec;
 use bam_pcie::LinkSpec;
-use bam_sim::{engine, PipelineParams, SimConfig, SimReport, SpanEvent, SpanRecorder, Workload};
+use bam_sim::{
+    engine, PipelineParams, Run, SimConfig, SimReport, SpanEvent, SpanRecorder, Workload,
+};
 
 /// Seed of the breakdown runs.
 pub const BREAKDOWN_SEED: u64 = 23;
@@ -71,7 +73,7 @@ pub fn breakdown_config(spec: &SsdSpec, seed: u64) -> SimConfig {
 
 /// Runs one device's seeded breakdown workload, optionally recording every
 /// stage interval as span events (the `--trace-out` export). `workers`
-/// selects the engine (1 = inline, more = sharded); the report and spans
+/// places the engine's accounting ([`Run::workers`]); the report and spans
 /// are bit-identical at every count.
 pub fn breakdown_report(
     spec: &SsdSpec,
@@ -84,10 +86,9 @@ pub fn breakdown_report(
     let workload = Workload::ClosedLoop {
         in_flight: BREAKDOWN_IN_FLIGHT,
     };
-    match recorder {
-        Some(rec) => engine::run_traced_with_workers(&config, workload, &reqs, workers, rec),
-        None => engine::run_with_workers(&config, workload, &reqs, workers),
-    }
+    let run = Run::new(&config).workers(workers);
+    let run = recorder.map_or(run, |rec| run.trace(rec));
+    run.single(workload, &reqs).expect("valid workload").0
 }
 
 /// Flattens one report's stage breakdown into table rows, in pipeline order
@@ -118,15 +119,7 @@ pub fn stage_rows(device: &str, report: &SimReport) -> Vec<BreakdownRow> {
 
 /// The full breakdown: the three Table-2 devices, each returning its run
 /// report and stage table.
-pub fn breakdown(seed: u64) -> Vec<(SsdSpec, SimReport, Vec<BreakdownRow>)> {
-    breakdown_with_workers(seed, 1)
-}
-
-/// [`breakdown`] with an explicit engine worker count (1 = inline).
-pub fn breakdown_with_workers(
-    seed: u64,
-    workers: usize,
-) -> Vec<(SsdSpec, SimReport, Vec<BreakdownRow>)> {
+pub fn breakdown(seed: u64, workers: usize) -> Vec<(SsdSpec, SimReport, Vec<BreakdownRow>)> {
     [
         SsdSpec::intel_optane_p5800x(),
         SsdSpec::samsung_pm1735(),
@@ -143,12 +136,7 @@ pub fn breakdown_with_workers(
 
 /// The Optane run's span events (what `breakdown --trace-out` exports):
 /// bounded to the recorder's default capacity, deterministic per seed.
-pub fn traced_events(seed: u64) -> Vec<SpanEvent> {
-    traced_events_with_workers(seed, 1)
-}
-
-/// [`traced_events`] with an explicit engine worker count (1 = inline).
-pub fn traced_events_with_workers(seed: u64, workers: usize) -> Vec<SpanEvent> {
+pub fn traced_events(seed: u64, workers: usize) -> Vec<SpanEvent> {
     let rec = SpanRecorder::new();
     breakdown_report(&SsdSpec::intel_optane_p5800x(), seed, Some(&rec), workers);
     rec.events()
@@ -163,7 +151,7 @@ mod tests {
         // The acceptance bar is >= 95% of each request's end-to-end latency
         // attributed to named stages; the engine's marks tile the latency
         // exactly, so the attribution is in fact 100%.
-        for (spec, report, rows) in breakdown(BREAKDOWN_SEED) {
+        for (spec, report, rows) in breakdown(BREAKDOWN_SEED, 1) {
             let latency_total: u64 = report.sorted_latencies_ns.iter().sum();
             let attributed = report.stages.total_ns();
             assert!(
@@ -188,8 +176,8 @@ mod tests {
 
     #[test]
     fn breakdown_and_trace_are_deterministic() {
-        let a = breakdown(BREAKDOWN_SEED);
-        let b = breakdown(BREAKDOWN_SEED);
+        let a = breakdown(BREAKDOWN_SEED, 1);
+        let b = breakdown(BREAKDOWN_SEED, 1);
         for ((_, ra, rows_a), (_, rb, rows_b)) in a.iter().zip(&b) {
             assert_eq!(ra.stages, rb.stages);
             for (x, y) in rows_a.iter().zip(rows_b) {
@@ -198,8 +186,8 @@ mod tests {
                 assert!(x.share_pct == y.share_pct);
             }
         }
-        let ta = traced_events(BREAKDOWN_SEED);
-        let tb = traced_events(BREAKDOWN_SEED);
+        let ta = traced_events(BREAKDOWN_SEED, 1);
+        let tb = traced_events(BREAKDOWN_SEED, 1);
         assert!(!ta.is_empty());
         assert_eq!(ta, tb, "trace must be bit-identical per seed");
     }

@@ -200,31 +200,14 @@ fn pick_source(graph: &CsrGraph) -> u32 {
 /// The functional phase always runs against simulated Optane devices: the
 /// cache/queue behaviour it measures does not depend on the device's speed,
 /// which only enters through the analytic models applied afterwards.
-pub fn measure_graph(
-    dataset: &DatasetDescriptor,
-    workload: GraphWorkload,
-    cache_fraction: f64,
-    scale: f64,
-    access: AccessConfig,
-    seed: u64,
-) -> GraphMeasurement {
-    measure_graph_with_workers(
-        dataset,
-        workload,
-        cache_fraction,
-        scale,
-        access,
-        seed,
-        WORKERS,
-    )
-}
-
-/// [`measure_graph`] with an explicit executor width. One worker makes the
-/// functional counts fully deterministic (no cross-thread interleaving in the
-/// cache), which the simulation-driven harnesses require for reproducible
-/// output at a fixed seed.
+///
+/// `workers` is the executor width ([`WORKERS`] unless the caller needs
+/// reproducible counts): one worker makes the functional counts fully
+/// deterministic (no cross-thread interleaving in the cache), which the
+/// simulation-driven harnesses require for reproducible output at a fixed
+/// seed.
 #[allow(clippy::too_many_arguments)]
-pub fn measure_graph_with_workers(
+pub fn measure_graph(
     dataset: &DatasetDescriptor,
     workload: GraphWorkload,
     cache_fraction: f64,
@@ -323,23 +306,18 @@ pub struct Fig7Row {
     pub bam: ExecutionBreakdown,
 }
 
-/// Figure 7: BFS and CC end-to-end time, Target vs BaM, 1 vs 4 Optane SSDs.
-pub fn figure7(scale: f64, seed: u64) -> Vec<Fig7Row> {
-    figure7_with_workers(scale, seed, WORKERS)
-}
-
-/// [`figure7`] with an explicit executor width. The `fig7` binary runs
-/// single-worker so its output (and `BENCH_fig7.json`) is bit-identical per
-/// seed — the same determinism contract `figure11` honours for the CI drift
-/// gate.
-pub fn figure7_with_workers(scale: f64, seed: u64, workers: usize) -> Vec<Fig7Row> {
+/// Figure 7: BFS and CC end-to-end time, Target vs BaM, 1 vs 4 Optane SSDs,
+/// on an executor `workers` wide. The `fig7` binary runs single-worker so
+/// its output (and `BENCH_fig7.json`) is bit-identical per seed — the same
+/// determinism contract `figure11` honours for the CI drift gate.
+pub fn figure7(scale: f64, seed: u64, workers: usize) -> Vec<Fig7Row> {
     let mut rows = Vec::new();
     for dataset in DatasetDescriptor::table3() {
         for workload in [GraphWorkload::Bfs, GraphWorkload::Cc] {
             if workload == GraphWorkload::Cc && !dataset.used_for_cc() {
                 continue;
             }
-            let m = measure_graph_with_workers(
+            let m = measure_graph(
                 &dataset,
                 workload,
                 PAPER_CACHE_FRACTION,
@@ -401,6 +379,7 @@ pub fn figure8(datasets: &[&str], scale: f64, seed: u64) -> Vec<Fig8Row> {
                     scale,
                     access,
                     seed,
+                    WORKERS,
                 );
                 rows.push(Fig8Row {
                     dataset: dataset.short_name,
@@ -444,6 +423,7 @@ pub fn figure9(scale: f64, seed: u64) -> Vec<Fig9Row> {
                 scale,
                 AccessConfig::Optimized,
                 seed,
+                WORKERS,
             );
             let optane = bam_breakdown(&m, SsdSpec::intel_optane_p5800x(), 4, None).total_s();
             let pm1735 = bam_breakdown(&m, SsdSpec::samsung_pm1735(), 4, None).total_s();
@@ -491,6 +471,7 @@ pub fn figure10(scale: f64, seed: u64) -> Vec<Fig10Row> {
                 scale,
                 AccessConfig::Optimized,
                 seed,
+                WORKERS,
             );
             let total = bam_breakdown(&m, SsdSpec::intel_optane_p5800x(), 4, None).total_s();
             totals.push((gb, total, m.metrics.hit_rate()));
@@ -546,7 +527,7 @@ pub fn figure11(scale: f64, seed: u64) -> Vec<Fig11Row> {
     let sweep = [128u32, 96, 80, 64, 48, 40, 32];
     let mut rows = Vec::new();
     for workload in [GraphWorkload::Bfs, GraphWorkload::Cc] {
-        let m = measure_graph_with_workers(
+        let m = measure_graph(
             &dataset,
             workload,
             PAPER_CACHE_FRACTION,
@@ -615,7 +596,7 @@ mod tests {
 
     #[test]
     fn figure7_shape_bam_competitive_with_target_at_4_ssds() {
-        let rows = figure7(TEST_SCALE, 1);
+        let rows = figure7(TEST_SCALE, 1, WORKERS);
         assert!(!rows.is_empty());
         // Average BFS speedup of BaM over Target with 4 SSDs ~1.0x (>=0.7),
         // and CC speedup >= BFS speedup (CC benefits more).

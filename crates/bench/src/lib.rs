@@ -2,8 +2,9 @@
 //!
 //! Each experiment of the paper's evaluation is implemented as a library
 //! function that returns structured rows; the `src/bin/*` binaries print
-//! those rows in the same form the paper reports, and the Criterion benches
-//! and integration tests exercise the same functions at reduced scale.
+//! those rows in the same form the paper reports, and the unit tests
+//! exercise the same functions at reduced scale. (Host cost — ns/op,
+//! events/s, allocations — is measured by `benchmark/`, not here.)
 //!
 //! Methodology (see DESIGN.md): workloads execute *functionally* on the
 //! simulated BaM stack at a reduced scale, and measured ratios (cache hit
@@ -35,12 +36,10 @@
 //! | [`misc_exp::figure15`] | Fig 15 (UVM vs ZeroCopy) |
 //! | [`misc_exp::vectoradd_eval`] | §5.4 (vectorAdd) |
 //! | [`recovery_exp::recovery_sweep`] | Crash-recovery sweep (journal replay; beyond the paper) |
-//! | [`engine_exp::engine_sweep`] | Engine throughput: inline vs sharded event engine (infrastructure; beyond the paper) |
 
 pub mod analytics_exp;
 pub mod breakdown_exp;
 pub mod drift;
-pub mod engine_exp;
 pub mod graph_exp;
 pub mod jsonout;
 pub mod micro_exp;
@@ -51,44 +50,31 @@ pub mod sim_exp;
 pub mod slo_exp;
 pub mod timeline_exp;
 
-/// The worker count following `--workers` in the process arguments, or 1
-/// (the inline engine) when absent — the event-driven binaries take this
-/// flag, and their default output stays byte-identical to the
-/// single-threaded engine's because `workers == 1` *is* the inline path.
+/// The value following flag `name` (`--workers`, `--trace-out`,
+/// `--timeline-out`, …) in the process arguments, or `None` when the flag is
+/// absent.
 ///
 /// # Panics
 ///
-/// Panics if the flag is present without a positive integer value.
-pub fn workers_arg() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--workers" {
-            let v = args.next().expect("--workers needs a value");
-            let n: usize = v.parse().expect("--workers must be an integer");
-            assert!(n > 0, "--workers must be at least 1");
-            return n;
-        }
-    }
-    1
+/// Panics if the flag is the last argument.
+pub fn flag_value(name: &str) -> Option<String> {
+    let mut args = std::env::args().skip_while(|a| a != name);
+    args.next().map(|_| {
+        args.next()
+            .unwrap_or_else(|| panic!("{name} needs a value"))
+    })
 }
 
-/// The path following `--timeline-out` in the process arguments, or `None`
-/// when absent — the observability binaries take this flag to export the
-/// run's full timeline document (windowed telemetry + blame decomposition
-/// [+ SLO outcomes]) as JSON. The export is deterministic per seed and
-/// byte-identical at every `--workers` count.
+/// The worker count following `--workers`, or 1 when absent — what the
+/// event-driven binaries hand to [`bam_sim::Run::workers`]: up to one worker
+/// accounts inline on the engine's own thread, more run that many accounting
+/// shards. Output is byte-identical at every count.
 ///
 /// # Panics
 ///
-/// Panics if the flag is present without a path value.
-pub fn timeline_out_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--timeline-out" {
-            return Some(args.next().expect("--timeline-out needs a path"));
-        }
-    }
-    None
+/// Panics if the value is not an integer.
+pub fn workers_arg() -> usize {
+    flag_value("--workers").map_or(1, |v| v.parse().expect("--workers must be an integer"))
 }
 
 /// Prints a table of rows as aligned columns on stdout (shared by the

@@ -95,6 +95,7 @@ pub fn figure15(scale: f64, seed: u64) -> Vec<Fig15Row> {
             scale,
             AccessConfig::Optimized,
             seed,
+            WORKERS,
         );
         let demand = m.full_scale_demand();
         let storage = SsdArrayModel::prototype(SsdSpec::intel_optane_p5800x(), 4);

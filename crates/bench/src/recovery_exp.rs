@@ -20,7 +20,7 @@ use bam_core::{
 };
 use bam_nvme_sim::{DataLayout, SsdSpec};
 use bam_pcie::LinkSpec;
-use bam_sim::{run, PipelineParams, RequestDesc, SimConfig, Workload};
+use bam_sim::{PipelineParams, RequestDesc, Run, SimConfig, Workload};
 
 /// Dirty working sets swept (cache lines written before the crash).
 pub const RECOVERY_DIRTY_SETS: [u64; 3] = [16, 64, 256];
@@ -122,7 +122,9 @@ fn simulate_replay_us(replayed_lines: u64) -> f64 {
         requests.push(RequestDesc::write(512));
     }
     let in_flight = (requests.len() as u32).min(64);
-    let report = run(&cfg, Workload::ClosedLoop { in_flight }, &requests);
+    let (report, _) = Run::new(&cfg)
+        .single(Workload::ClosedLoop { in_flight }, &requests)
+        .expect("at least one replayed line");
     report.sim_time_s * 1e6
 }
 

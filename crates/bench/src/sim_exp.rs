@@ -11,8 +11,8 @@ use std::collections::HashMap;
 use bam_nvme_sim::SsdSpec;
 use bam_pcie::LinkSpec;
 use bam_sim::{
-    engine, interference_ratio, ArrivalProcess, Mmpp2, PipelineParams, QueuePairPolicy, SimConfig,
-    SimReport, SpanEvent, SpanRecorder, TenantSpec, Workload,
+    engine, interference_ratio, ArrivalProcess, Mmpp2, PipelineParams, QueuePairPolicy, Run,
+    SimConfig, SimReport, SpanEvent, SpanRecorder, TenantSpec, Workload,
 };
 use bam_timing::{required_queue_depth, SsdArrayModel};
 use serde::{Deserialize, Serialize};
@@ -60,15 +60,10 @@ pub struct LatencyCdfRow {
 
 /// Tail-latency CDFs for the three Table-2 SSD technologies behind a 4-SSD
 /// array at `access_bytes` granularity, each at 0.5×, 1×, and 2× its
-/// bandwidth-latency product (Fig 9 / Table 2, event-driven).
-pub fn latency_cdf(num_ssds: usize, access_bytes: u64, seed: u64) -> Vec<LatencyCdfRow> {
-    latency_cdf_with_workers(num_ssds, access_bytes, seed, 1)
-}
-
-/// [`latency_cdf`] on the sharded engine with `workers` accounting workers
-/// (1 = the inline engine). The rows are bit-identical at every worker
-/// count — the flag only changes how the simulation is executed.
-pub fn latency_cdf_with_workers(
+/// bandwidth-latency product (Fig 9 / Table 2, event-driven). `workers`
+/// places the engine's accounting ([`Run::workers`]); the rows are
+/// bit-identical at every count.
+pub fn latency_cdf(
     num_ssds: usize,
     access_bytes: u64,
     seed: u64,
@@ -97,12 +92,10 @@ pub fn latency_cdf_with_workers(
                 ),
             };
             let reqs = engine::uniform_reads(&config, SAMPLE_REQUESTS);
-            let report = engine::run_with_workers(
-                &config,
-                Workload::ClosedLoop { in_flight },
-                &reqs,
-                workers,
-            );
+            let (report, _) = Run::new(&config)
+                .workers(workers)
+                .single(Workload::ClosedLoop { in_flight }, &reqs)
+                .expect("valid sweep cell");
             rows.push(LatencyCdfRow {
                 device: spec.name.clone(),
                 depth_multiplier: multiplier,
@@ -126,14 +119,9 @@ pub fn latency_cdf_with_workers(
 /// Span events of one representative `latency_cdf` cell — Optane at 1× its
 /// bandwidth-latency product — re-run under tracing (which changes nothing:
 /// the report is identical to the untraced cell's). This is what
-/// `latency_cdf --trace-out` exports; deterministic per seed.
-pub fn latency_cdf_traced_events(num_ssds: usize, access_bytes: u64, seed: u64) -> Vec<SpanEvent> {
-    latency_cdf_traced_events_with_workers(num_ssds, access_bytes, seed, 1)
-}
-
-/// [`latency_cdf_traced_events`] on the sharded engine (1 = inline); the
-/// exported spans are bit-identical at every worker count.
-pub fn latency_cdf_traced_events_with_workers(
+/// `latency_cdf --trace-out` exports; deterministic per seed and
+/// bit-identical at every `workers` count.
+pub fn latency_cdf_traced_events(
     num_ssds: usize,
     access_bytes: u64,
     seed: u64,
@@ -155,15 +143,14 @@ pub fn latency_cdf_traced_events_with_workers(
     };
     let reqs = engine::uniform_reads(&config, SAMPLE_REQUESTS);
     let recorder = SpanRecorder::new();
-    engine::run_traced_with_workers(
-        &config,
-        Workload::ClosedLoop {
-            in_flight: qd as u32,
-        },
-        &reqs,
-        workers,
-        &recorder,
-    );
+    let workload = Workload::ClosedLoop {
+        in_flight: qd as u32,
+    };
+    Run::new(&config)
+        .workers(workers)
+        .trace(&recorder)
+        .single(workload, &reqs)
+        .expect("valid sweep cell");
     recorder.events()
 }
 
@@ -209,13 +196,12 @@ pub fn simulated_storage_time(
         (SAMPLE_REQUESTS as u128 * writes as u128 / total as u128) as u64
     };
     let reqs = engine::mixed_requests(&config, SAMPLE_REQUESTS, sample_writes);
-    let report = engine::run(
-        &config,
-        Workload::ClosedLoop {
-            in_flight: SWEEP_IN_FLIGHT,
-        },
-        &reqs,
-    );
+    let workload = Workload::ClosedLoop {
+        in_flight: SWEEP_IN_FLIGHT,
+    };
+    let (report, _) = Run::new(&config)
+        .single(workload, &reqs)
+        .expect("a positive queue-pair count and a non-empty sample");
     let seconds = total as f64 / report.throughput_per_s;
     (seconds, report)
 }
@@ -351,28 +337,15 @@ fn scenario_tenants(n: usize, bursty: bool, steady_requests: u64) -> Vec<TenantS
 /// The full multi-tenant sweep: 1/2/4/8 tenants × (all-steady, bursty
 /// antagonist) × shared vs weighted-fair queue pairs × the three Table-2
 /// devices, with each tenant's solo p99 as the interference baseline.
-pub fn tenant_matrix(seed: u64) -> Vec<TenantRow> {
-    tenant_matrix_scaled(seed, TENANT_STEADY_REQUESTS)
-}
-
-/// [`tenant_matrix`] on the sharded engine with `workers` accounting
-/// workers (1 = the inline engine); rows are bit-identical at every count.
-pub fn tenant_matrix_with_workers(seed: u64, workers: usize) -> Vec<TenantRow> {
-    tenant_matrix_scaled_with_workers(seed, TENANT_STEADY_REQUESTS, workers)
+/// `workers` places the engine's accounting ([`Run::workers`]); rows are
+/// bit-identical at every count.
+pub fn tenant_matrix(seed: u64, workers: usize) -> Vec<TenantRow> {
+    tenant_matrix_scaled(seed, TENANT_STEADY_REQUESTS, workers)
 }
 
 /// [`tenant_matrix`] with an explicit per-steady-tenant request count (the
 /// unit tests run a reduced scale; the `tenants` binary runs the full one).
-pub fn tenant_matrix_scaled(seed: u64, steady_requests: u64) -> Vec<TenantRow> {
-    tenant_matrix_scaled_with_workers(seed, steady_requests, 1)
-}
-
-/// [`tenant_matrix_scaled`] with an explicit engine worker count.
-pub fn tenant_matrix_scaled_with_workers(
-    seed: u64,
-    steady_requests: u64,
-    workers: usize,
-) -> Vec<TenantRow> {
+pub fn tenant_matrix_scaled(seed: u64, steady_requests: u64, workers: usize) -> Vec<TenantRow> {
     let mut rows = Vec::new();
     // Solo-run p99 baselines, keyed by (device, policy, tenant id).
     let mut solo_p99: HashMap<(String, &'static str, u32), f64> = HashMap::new();
@@ -382,12 +355,12 @@ pub fn tenant_matrix_scaled_with_workers(
         SsdSpec::samsung_980pro(),
     ] {
         let config = tenant_config(&spec, seed);
+        let run = Run::new(&config).workers(workers);
         for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
             for num_tenants in [1usize, 2, 4, 8] {
                 for bursty in [false, true] {
                     let tenants = scenario_tenants(num_tenants, bursty, steady_requests);
-                    let report =
-                        engine::run_tenants_with_workers(&config, &tenants, policy, workers);
+                    let (report, _) = run.tenants(&tenants, policy).expect("valid scenario");
                     for (t, summary) in tenants.iter().zip(&report.tenants) {
                         let key = (spec.name.clone(), policy.label(), t.id);
                         // An n=1 run *is* the tenant's solo run (the engine
@@ -396,15 +369,8 @@ pub fn tenant_matrix_scaled_with_workers(
                             *solo_p99.entry(key).or_insert(summary.latency.p99_us)
                         } else {
                             *solo_p99.entry(key).or_insert_with(|| {
-                                engine::run_tenants_with_workers(
-                                    &config,
-                                    std::slice::from_ref(t),
-                                    policy,
-                                    workers,
-                                )
-                                .tenants[0]
-                                    .latency
-                                    .p99_us
+                                let solo = run.tenants(std::slice::from_ref(t), policy);
+                                solo.expect("valid scenario").0.tenants[0].latency.p99_us
                             })
                         };
                         rows.push(TenantRow {
@@ -439,7 +405,7 @@ mod tests {
 
     #[test]
     fn latency_cdf_shapes_match_table2() {
-        let rows = latency_cdf(4, 4096, 11);
+        let rows = latency_cdf(4, 4096, 11, 1);
         assert_eq!(rows.len(), 9, "3 devices x 3 depths");
         let at = |device: &str, mult: f64| {
             rows.iter()
@@ -474,8 +440,8 @@ mod tests {
 
     #[test]
     fn latency_cdf_is_deterministic() {
-        let a = latency_cdf(4, 4096, 5);
-        let b = latency_cdf(4, 4096, 5);
+        let a = latency_cdf(4, 4096, 5, 1);
+        let b = latency_cdf(4, 4096, 5, 1);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.p999_us, y.p999_us);
             assert_eq!(x.achieved_miops, y.achieved_miops);
@@ -495,12 +461,11 @@ mod tests {
             steady_tenant(0, TENANT_STEADY_REQUESTS),
             bursty_antagonist(TENANT_STEADY_REQUESTS),
         ];
+        let run = Run::new(&config);
         let measure = |policy: QueuePairPolicy| {
-            let solo = engine::run_tenants(&config, std::slice::from_ref(&tenants[0]), policy)
-                .tenants[0]
-                .latency
-                .p99_us;
-            let corun = engine::run_tenants(&config, &tenants, policy);
+            let (solo, _) = run.tenants(&tenants[..1], policy).unwrap();
+            let solo = solo.tenants[0].latency.p99_us;
+            let (corun, _) = run.tenants(&tenants, policy).unwrap();
             let steady = corun.tenant(0).unwrap().latency.p99_us;
             interference_ratio(steady, solo)
         };
@@ -534,21 +499,18 @@ mod tests {
             bursty_antagonist(TENANT_STEADY_REQUESTS),
         ];
         let p99 = |policy| {
-            engine::run_tenants(&config, &tenants, policy)
-                .tenant(ANTAGONIST_ID)
-                .unwrap()
-                .latency
-                .p99_us
+            let (report, _) = Run::new(&config).tenants(&tenants, policy).unwrap();
+            report.tenant(ANTAGONIST_ID).unwrap().latency.p99_us
         };
         assert!(p99(QueuePairPolicy::WeightedFair) > p99(QueuePairPolicy::Shared));
     }
 
     #[test]
     fn tenant_matrix_covers_the_sweep_and_is_deterministic() {
-        let rows = tenant_matrix_scaled(19, 800);
+        let rows = tenant_matrix_scaled(19, 800, 1);
         // 3 devices × 2 policies × (1+2+4+8 tenants) × 2 scenarios.
         assert_eq!(rows.len(), 3 * 2 * 15 * 2);
-        let again = tenant_matrix_scaled(19, 800);
+        let again = tenant_matrix_scaled(19, 800, 1);
         for (a, b) in rows.iter().zip(&again) {
             assert_eq!(a.p99_us, b.p99_us);
             assert_eq!(a.throughput_per_s, b.throughput_per_s);

@@ -19,7 +19,7 @@
 //! trades admitted throughput for the ceiling even when the array could
 //! have kept up.
 
-use bam_sim::{engine, AdmissionSpec, ArrivalProcess, QueuePairPolicy, SimConfig, TenantClass};
+use bam_sim::{AdmissionSpec, ArrivalProcess, QueuePairPolicy, Run, SimConfig, TenantClass};
 
 /// Transfer size of every request in the sweep.
 pub const SLO_ACCESS_BYTES: u64 = 4096;
@@ -133,22 +133,21 @@ fn slo_class(members: u32, load: f64, controlled: bool) -> TenantClass {
     }
 }
 
-/// Runs the full sweep on `workers` event-engine workers. The rows are
-/// byte-identical at every worker count and contain no wall-clock values.
-pub fn slo_sweep_with_workers(seed: u64, workers: usize) -> Vec<SloRow> {
+/// Runs the full sweep, with the engine's accounting placed by `workers`
+/// ([`Run::workers`]). The rows are byte-identical at every worker count and
+/// contain no wall-clock values.
+pub fn slo_sweep(seed: u64, workers: usize) -> Vec<SloRow> {
     let cfg = slo_config(seed);
+    let run = Run::new(&cfg).workers(workers);
     let mut rows = Vec::new();
     for &members in &SLO_MEMBER_SCALES {
         for &load in &SLO_LOAD_MULTIPLIERS {
             for controlled in [false, true] {
                 let class = slo_class(members, load, controlled);
                 let offered_rate_per_s = class.offered_rate_per_s().expect("open process");
-                let report = engine::run_classes(
-                    &cfg,
-                    std::slice::from_ref(&class),
-                    QueuePairPolicy::Shared,
-                    workers,
-                );
+                let (report, _) = run
+                    .classes(std::slice::from_ref(&class), QueuePairPolicy::Shared)
+                    .expect("valid class");
                 let t = &report.tenants[0];
                 let slo = t.slo.expect("class carries an SLO");
                 let adm = t.admission.unwrap_or_default();
@@ -179,11 +178,6 @@ pub fn slo_sweep_with_workers(seed: u64, workers: usize) -> Vec<SloRow> {
     rows
 }
 
-/// [`slo_sweep_with_workers`] on the inline engine.
-pub fn slo_sweep(seed: u64) -> Vec<SloRow> {
-    slo_sweep_with_workers(seed, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,18 +189,14 @@ mod tests {
     fn controller_holds_the_budget_at_every_load_and_overload_blows_it() {
         let cfg = slo_config(37);
         for (load, overloaded) in [(0.6, false), (1.2, true)] {
-            let base = engine::run_classes(
-                &cfg,
-                &[slo_class(10_000, load, false)],
-                QueuePairPolicy::Shared,
-                1,
-            );
-            let capped = engine::run_classes(
-                &cfg,
-                &[slo_class(10_000, load, true)],
-                QueuePairPolicy::Shared,
-                1,
-            );
+            let run = |controlled| {
+                let class = slo_class(10_000, load, controlled);
+                let (report, _) = Run::new(&cfg)
+                    .classes(&[class], QueuePairPolicy::Shared)
+                    .unwrap();
+                report
+            };
+            let (base, capped) = (run(false), run(true));
             let adm = capped.tenants[0].admission.expect("controller armed");
             assert_eq!(adm.offered, SLO_REQUESTS);
             assert_eq!(adm.admitted + adm.rejected, adm.offered);

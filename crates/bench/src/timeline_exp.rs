@@ -13,7 +13,7 @@
 //! engine worker count.
 
 use bam_sim::{
-    engine, BlameReport, MultiTenantReport, QueuePairPolicy, RunTelemetry, SimReport, Stage,
+    engine, BlameReport, MultiTenantReport, QueuePairPolicy, Run, RunTelemetry, SimReport, Stage,
     TelemetrySpec, WindowedSeries,
 };
 
@@ -60,18 +60,16 @@ pub fn timeline_spec() -> TelemetrySpec {
     TelemetrySpec::full(TIMELINE_WINDOW_NS, TIMELINE_TOP_K)
 }
 
-/// Runs the flagship observed scenario (1 = inline engine; the report and
-/// telemetry are bit-identical at every worker count).
+/// Runs the flagship observed scenario (`workers` as in [`Run::workers`];
+/// the report and telemetry are bit-identical at every count).
 pub fn timeline_run(seed: u64, workers: usize) -> (MultiTenantReport, RunTelemetry) {
     let spec = bam_nvme_sim::SsdSpec::intel_optane_p5800x();
     let config = sim_exp::tenant_config(&spec, seed);
-    engine::run_tenants_observed(
-        &config,
-        &timeline_tenants(),
-        QueuePairPolicy::Shared,
-        workers,
-        timeline_spec(),
-    )
+    Run::new(&config)
+        .workers(workers)
+        .telemetry(timeline_spec())
+        .tenants(&timeline_tenants(), QueuePairPolicy::Shared)
+        .expect("valid scenario")
 }
 
 /// The observed single-tenant breakdown run (what `breakdown
@@ -85,15 +83,14 @@ pub fn observed_breakdown_run(seed: u64, workers: usize) -> (SimReport, RunTelem
         breakdown_exp::BREAKDOWN_REQUESTS,
         breakdown_exp::BREAKDOWN_WRITES,
     );
-    engine::run_observed(
-        &config,
-        bam_sim::Workload::ClosedLoop {
-            in_flight: breakdown_exp::BREAKDOWN_IN_FLIGHT,
-        },
-        &reqs,
-        workers,
-        timeline_spec(),
-    )
+    let workload = bam_sim::Workload::ClosedLoop {
+        in_flight: breakdown_exp::BREAKDOWN_IN_FLIGHT,
+    };
+    Run::new(&config)
+        .workers(workers)
+        .telemetry(timeline_spec())
+        .single(workload, &reqs)
+        .expect("valid workload")
 }
 
 /// Renders the windowed series as a JSON array, one object per populated

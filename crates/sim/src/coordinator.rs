@@ -1,7 +1,7 @@
 //! Coordinator for the sharded engine: a worker pool of per-SSD accounting
 //! shards fed by the timing spine.
 //!
-//! The spine (`engine::drive_events`) stays sequential — the global RNG draw
+//! The spine (`spine::drive_events`) stays sequential — the global RNG draw
 //! order is part of the determinism contract — while each shard applies its
 //! own device's accounting records concurrently. Records are batched and
 //! flushed under conservative lookahead: a shard may lag the spine by at
@@ -23,13 +23,17 @@ use bam_obs::{
     merge_indexed_spans, BlameRow, LatencyHisto, SpanEvent, SpanRecorder, WindowedSeries,
 };
 
+use crate::arrivals::ArrivalMerge;
 use crate::clock::SimTime;
-use crate::engine::{drive_events, AdmissionState, EngineOutput, SimConfig, Stream};
+use crate::engine::admission::AdmissionState;
+use crate::engine::run::EngineOutput;
+use crate::engine::spine::drive_events;
+use crate::engine::stream::Stream;
+use crate::engine::SimConfig;
 use crate::pipeline::PipelineParams;
 use crate::shard::{
     merge_tenants, occupancy_stats, Accounting, ObsPlan, OccupancyMeter, Rec, ShardMap, SpanOut,
 };
-use crate::tenant::ArrivalMerge;
 
 /// Records a shard batch may accumulate before it is flushed regardless of
 /// virtual time.
@@ -76,7 +80,7 @@ impl ShardLink {
 }
 
 /// Runs the spine with `min(workers, num_ssds)` accounting shards and merges
-/// their results into the same [`EngineOutput`] the inline engine produces.
+/// their results into the same [`EngineOutput`] inline accounting produces.
 pub(crate) fn run_sharded_core(
     config: &SimConfig,
     streams: &mut [Stream<'_>],

@@ -14,12 +14,15 @@
 //!   media → DMA → completion pipeline, parameterized from the Table-2
 //!   [`bam_nvme_sim::SsdSpec`]s and [`bam_pcie::LinkSpec`] occupancies.
 //! * [`engine`] — the event loop: FIFO service centers per queue pair,
-//!   media-channel pool per SSD, per-device and shared PCIe links. One
-//!   timing spine serves every entry point; it pulls arrivals lazily and
-//!   keys per-request state by a recycled in-flight slot, so the engine's
-//!   own memory follows the requests in flight, not the run length
-//!   (asserted at the end of every run). `workers > 1` only moves the
-//!   spine's accounting onto per-SSD shards; results are bit-identical.
+//!   media-channel pool per SSD, per-device and shared PCIe links.
+//!   [`engine::Run`] is the one entry point (one request stream, explicit
+//!   tenants, or tenant classes; optionally traced and observed) over one
+//!   driver and one timing spine; the spine pulls arrivals lazily and keys
+//!   per-request state by a recycled in-flight slot, so the engine's own
+//!   memory follows the requests in flight, not the run length (asserted
+//!   at the end of every run). [`engine::Run::shards`] only moves the
+//!   spine's accounting onto per-SSD shard threads; results are
+//!   bit-identical. Bad input is a typed [`engine::SimError`].
 //! * [`tenant`] — multi-tenant workloads: [`tenant::TenantSpec`] arrival
 //!   sources (fixed-rate, Poisson, closed-loop, and [`dist::Mmpp2`] bursts)
 //!   superposed lazily into one stream ([`tenant::Superposition`] is the
@@ -39,22 +42,21 @@
 //! ## Example: the paper's §2.2 worked example, event-driven
 //!
 //! ```
-//! use bam_sim::{engine, SimConfig, Workload};
+//! use bam_sim::{engine, Run, SimConfig, Workload};
 //!
 //! // 512B reads at 6.35M IOPS against 11us latency...
 //! let config = SimConfig::worked_example(11.0, 1);
 //! let requests = engine::uniform_reads(&config, 20_000);
-//! let report = engine::run(
-//!     &config,
-//!     Workload::OpenLoop { rate_per_s: 6.35e6 },
-//!     &requests,
-//! );
+//! let (report, _telemetry) =
+//!     Run::new(&config).single(Workload::OpenLoop { rate_per_s: 6.35e6 }, &requests)?;
 //! // ...needs ~70 requests in flight (T x L, Little's law).
 //! let in_flight = report.depth.steady_state_mean();
 //! let analytic = bam_timing::required_queue_depth(6.35e6, 11.0) as f64;
 //! assert!((in_flight / analytic - 1.0).abs() < 0.05);
+//! # Ok::<(), bam_sim::SimError>(())
 //! ```
 
+mod arrivals;
 pub mod clock;
 mod coordinator;
 pub mod dist;
@@ -73,13 +75,7 @@ pub use bam_obs::{
 };
 pub use clock::SimTime;
 pub use dist::{LatencyDist, Mmpp2, MmppDwellStats};
-pub use engine::{
-    run, run_class_members, run_classes, run_classes_attributed, run_classes_observed,
-    run_observed, run_sharded, run_sharded_traced, run_tenants, run_tenants_observed,
-    run_tenants_sharded, run_tenants_sharded_traced, run_tenants_traced, run_tenants_with_workers,
-    run_traced, run_traced_with_workers, run_with_workers, uniform_reads, RequestDesc, SimConfig,
-    TelemetrySpec, Workload,
-};
+pub use engine::{uniform_reads, RequestDesc, Run, SimConfig, SimError, TelemetrySpec, Workload};
 pub use pipeline::{fair_shares, tail_sigma, PipelineParams, QueuePairPolicy};
 pub use report::{
     interference_ratio, AdmissionReport, DepthTimeline, LatencySummary, MemberSummary,

@@ -31,7 +31,7 @@ use crate::dist::LatencyDist;
 const QP_FORWARD_NS: u64 = 200;
 
 /// How the array's queue pairs are allocated among tenants in a multi-tenant
-/// run ([`crate::engine::run_tenants`]).
+/// run ([`crate::engine::Run::tenants`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum QueuePairPolicy {
     /// Free-for-all: every tenant round-robins across every queue pair, so a

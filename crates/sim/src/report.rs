@@ -151,8 +151,8 @@ pub struct SimReport {
     /// Requests completed.
     pub completed: u64,
     /// Discrete events the engine processed to produce this run — the unit
-    /// the `engine` benchmark's events/s throughput is measured in.
-    /// Identical for the inline and sharded engines on the same workload.
+    /// the benchmark's `sim.engine.events_per_s_*` rows are measured in.
+    /// Identical wherever the run's accounting was applied.
     pub events: u64,
     /// Total simulated duration in seconds.
     pub sim_time_s: f64,
@@ -301,7 +301,7 @@ pub struct TenantSummary {
     /// a [`crate::TenantClass`] with an [`crate::AdmissionSpec`] armed.
     pub admission: Option<AdmissionReport>,
     /// Thinned per-member attribution, when this summary row is a class run
-    /// through [`crate::engine::run_classes_attributed`]. Sorted by member
+    /// through [`crate::engine::Run::classes_attributed`]. Sorted by member
     /// index; members with no completions are absent.
     pub members: Vec<MemberSummary>,
 }
@@ -466,8 +466,8 @@ impl MultiTenantReport {
 
 /// Run-level telemetry of one observed run: the windowed series plus the
 /// blame decomposition described by the run's
-/// [`crate::engine::TelemetrySpec`]. Bit-identical between the inline and
-/// sharded engines at any worker count — the property
+/// [`crate::engine::TelemetrySpec`]. Bit-identical between inline and
+/// sharded accounting at any shard count — the property
 /// `tests/parallel_equivalence.rs` asserts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunTelemetry {

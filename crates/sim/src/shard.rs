@@ -1,6 +1,6 @@
 //! Per-shard accounting for the sharded engine.
 //!
-//! The timing spine (`engine::drive_events`) owns every service center and
+//! The timing spine (`spine::drive_events`) owns every service center and
 //! the one seeded RNG — the global RNG draw order is part of the engine's
 //! determinism contract, so timing decisions stay sequential. What *can*
 //! parallelize is everything downstream of a timing decision: stage-dwell
@@ -213,7 +213,7 @@ impl ShardMap {
 }
 
 /// Accounting-side state of one tenant (the spine keeps issue state; see
-/// `engine::IssueState`).
+/// `engine::stream::Stream`).
 #[derive(Debug)]
 pub(crate) struct TenantAcc {
     /// Latency histogram over the tenant's completed requests.

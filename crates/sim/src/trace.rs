@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 use bam_nvme_sim::{IoEvent, SimHook};
 
-use crate::engine::{self, RequestDesc, SimConfig, Workload};
+use crate::engine::{RequestDesc, Run, SimConfig, SimError, Workload};
 use crate::report::SimReport;
 
 /// An I/O stream captured from a functional run.
@@ -39,11 +39,13 @@ impl IoTrace {
     /// modulo, so a trace from a small functional run can drive a full-scale
     /// array configuration.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the trace is empty.
-    pub fn replay(&self, config: &SimConfig, workload: Workload) -> SimReport {
-        engine::run(config, workload, &self.requests)
+    /// [`SimError::NoRequests`] if the trace is empty, plus the other
+    /// conditions of [`Run::single`].
+    pub fn replay(&self, config: &SimConfig, workload: Workload) -> Result<SimReport, SimError> {
+        let (report, _) = Run::new(config).single(workload, &self.requests)?;
+        Ok(report)
     }
 }
 
@@ -140,8 +142,11 @@ mod tests {
         }
         let trace = rec.take_trace();
         let config = SimConfig::worked_example(11.0, 9);
-        let report = trace.replay(&config, Workload::ClosedLoop { in_flight: 64 });
+        let workload = Workload::ClosedLoop { in_flight: 64 };
+        let report = trace.replay(&config, workload).unwrap();
         assert_eq!(report.completed, 512);
         assert!(report.latency.p50_us >= 11.0 * 0.99);
+        let empty = IoTrace::default().replay(&config, workload);
+        assert_eq!(empty.err(), Some(SimError::NoRequests));
     }
 }

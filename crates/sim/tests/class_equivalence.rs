@@ -6,25 +6,26 @@
 //! 1. **Closed-form merge is exact.** A class's engine-level stream is the
 //!    closed-form superposition of its members, so a class run must be
 //!    bit-identical to the explicit runs it aggregates: a one-member class
-//!    equals its `TenantSpec`, and an M-member class equals the member
-//!    *oracle* (`run_class_members` — one accounting slot per logical
-//!    member over the identical merged stream).
+//!    *is* its `TenantSpec` (the engine runs an explicit tenant as exactly
+//!    that class, so the fact is checked on the data), and an M-member
+//!    class equals the member *oracle* (`Run::class_members` — one
+//!    accounting slot per logical member over the identical merged stream).
 //! 2. **Thinned attribution is consistent.** Per-member histograms from
-//!    `run_classes_attributed` must equal the oracle's per-member accounts
+//!    `Run::classes_attributed` must equal the oracle's per-member accounts
 //!    and merge exactly back to the class aggregate.
 //! 3. **Admission control is deterministic and actually works.** Reports
-//!    are bit-identical at any worker count, and under sustained overload
+//!    are bit-identical at any shard count, and under sustained overload
 //!    the controller holds the class's p99 burn rate under budget while the
 //!    uncontrolled run blows through it.
 
 use bam_nvme_sim::SsdSpec;
 use bam_pcie::LinkSpec;
 use bam_sim::{
-    engine, AdmissionSpec, ArrivalProcess, LatencyHisto, Mmpp2, PipelineParams, QueuePairPolicy,
+    AdmissionSpec, ArrivalProcess, LatencyHisto, Mmpp2, PipelineParams, QueuePairPolicy, Run,
     Stage, TelemetrySpec, TenantClass, TenantSpec,
 };
 
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn optane_config(
     num_ssds: u32,
@@ -46,27 +47,29 @@ fn optane_config(
 }
 
 #[test]
-fn single_member_class_is_bitwise_its_explicit_tenant_run() {
-    let cfg = optane_config(4, 2, 4096, 17);
-    let class = TenantClass::new(
-        3,
-        "solo",
-        1,
+fn explicit_tenant_is_its_single_member_class() {
+    // `Run::tenants` runs each tenant as `TenantClass::from(tenant)`; that
+    // is sound because the class merges back to the tenant, field for field
+    // and for every arrival process (scaling by one member is exact).
+    let mmpp = Mmpp2 {
+        calm_rate_per_s: 12.5e3,
+        burst_rate_per_s: 400.0e3,
+        mean_calm_s: 4.0e-3,
+        mean_burst_s: 1.0e-3,
+    };
+    let processes = [
+        ArrivalProcess::FixedRate { rate_per_s: 3.0e5 },
         ArrivalProcess::Poisson { rate_per_s: 2.0e5 },
-        3_000,
-    )
-    .with_slo(40.0, 500_000);
-    let spec = TenantSpec::new(
-        3,
-        "solo",
-        ArrivalProcess::Poisson { rate_per_s: 2.0e5 },
-        3_000,
-    )
-    .with_slo(40.0, 500_000);
-    for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
-        let via_class = engine::run_classes(&cfg, std::slice::from_ref(&class), policy, 1);
-        let via_spec = engine::run_tenants(&cfg, std::slice::from_ref(&spec), policy);
-        assert_eq!(via_class, via_spec, "{policy:?}");
+        ArrivalProcess::ClosedLoop { in_flight: 32 },
+        ArrivalProcess::Mmpp(mmpp),
+    ];
+    for (id, arrival) in processes.into_iter().enumerate() {
+        let mut spec = TenantSpec::new(id as u32, "solo", arrival, 3_000).with_slo(40.0, 500_000);
+        spec.writes = 700;
+        spec.weight = 3;
+        let class = TenantClass::from(&spec);
+        assert_eq!((class.members, class.admission), (1, None));
+        assert_eq!(class.merged_spec(), spec, "{arrival:?}");
     }
 }
 
@@ -83,8 +86,9 @@ fn closed_loop_class_matches_the_merged_explicit_tenant() {
         6_000,
     );
     let spec = TenantSpec::new(0, "cl", ArrivalProcess::ClosedLoop { in_flight: 32 }, 6_000);
-    let via_class = engine::run_classes(&cfg, &[class], QueuePairPolicy::Shared, 1);
-    let via_spec = engine::run_tenants(&cfg, &[spec], QueuePairPolicy::Shared);
+    let run = Run::new(&cfg);
+    let via_class = run.classes(&[class], QueuePairPolicy::Shared).unwrap();
+    let via_spec = run.tenants(&[spec], QueuePairPolicy::Shared).unwrap();
     assert_eq!(via_class, via_spec);
 }
 
@@ -120,8 +124,8 @@ fn eight_member_class_matches_the_member_oracle_bit_for_bit() {
     let cfg = optane_config(4, 2, 4096, 13);
     let classes = oracle_classes();
     for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
-        let class_run = engine::run_classes(&cfg, &classes, policy, 1);
-        let oracle = engine::run_class_members(&cfg, &classes, policy, 1);
+        let (class_run, _) = Run::new(&cfg).classes(&classes, policy).unwrap();
+        let (oracle, _) = Run::new(&cfg).class_members(&classes, policy).unwrap();
         // Same merged stream, same routing, different accounting granularity
         // — the overall report must not budge by a bit.
         assert_eq!(class_run.overall, oracle.overall, "{policy:?}");
@@ -139,10 +143,11 @@ fn eight_member_class_matches_the_member_oracle_bit_for_bit() {
 fn thinned_member_attribution_equals_the_oracle_accounts() {
     let cfg = optane_config(4, 2, 4096, 13);
     let classes = oracle_classes();
-    let attributed = engine::run_classes_attributed(&cfg, &classes, QueuePairPolicy::Shared, 1);
-    let oracle = engine::run_class_members(&cfg, &classes, QueuePairPolicy::Shared, 1);
+    let (run, shared) = (Run::new(&cfg), QueuePairPolicy::Shared);
+    let (attributed, _) = run.classes_attributed(&classes, shared).unwrap();
+    let (oracle, _) = run.class_members(&classes, shared).unwrap();
     // Attribution must not perturb the run itself.
-    let plain = engine::run_classes(&cfg, &classes, QueuePairPolicy::Shared, 1);
+    let (plain, _) = run.classes(&classes, shared).unwrap();
     assert_eq!(attributed.overall, plain.overall);
 
     let mut oracle_rows = oracle.tenants.iter();
@@ -184,7 +189,7 @@ fn thinned_member_attribution_equals_the_oracle_accounts() {
 #[test]
 fn class_runs_are_identical_across_worker_counts() {
     // Classes with SLOs and an armed controller: the report, telemetry, and
-    // Prometheus exposition must be bit-identical at any worker count.
+    // Prometheus exposition must be bit-identical at any shard count.
     let cfg = optane_config(4, 2, 4096, 21);
     let classes = vec![
         TenantClass::new(
@@ -212,7 +217,8 @@ fn class_runs_are_identical_across_worker_counts() {
     ];
     let spec = TelemetrySpec::full(100_000, 8);
     for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
-        let (inline, inline_tel) = engine::run_classes_observed(&cfg, &classes, policy, 1, spec);
+        let run = Run::new(&cfg).telemetry(spec);
+        let (inline, inline_tel) = run.classes(&classes, policy).unwrap();
         let adm = inline.tenants[0]
             .admission
             .expect("armed class must report admission");
@@ -226,9 +232,8 @@ fn class_runs_are_identical_across_worker_counts() {
             "{policy:?}: deferred admissions must carry the admission stage"
         );
         assert!(inline.tenants[1].admission.is_none(), "{policy:?}");
-        for workers in WORKER_COUNTS {
-            let (sharded, sharded_tel) =
-                engine::run_classes_observed(&cfg, &classes, policy, workers, spec);
+        for workers in SHARD_COUNTS {
+            let (sharded, sharded_tel) = run.shards(workers).classes(&classes, policy).unwrap();
             assert_eq!(inline, sharded, "{policy:?}: report, workers={workers}");
             assert_eq!(
                 inline_tel, sharded_tel,
@@ -240,12 +245,15 @@ fn class_runs_are_identical_across_worker_counts() {
                 "{policy:?}: prom export, workers={workers}"
             );
         }
-        // Attribution at every worker count matches workers=1 exactly.
-        let attributed = engine::run_classes_attributed(&cfg, &classes, policy, 1);
-        for workers in WORKER_COUNTS {
+        // Attribution at every shard count matches inline exactly.
+        let run = Run::new(&cfg);
+        let attributed = run.classes_attributed(&classes, policy).unwrap();
+        for workers in SHARD_COUNTS {
             assert_eq!(
                 attributed,
-                engine::run_classes_attributed(&cfg, &classes, policy, workers),
+                run.shards(workers)
+                    .classes_attributed(&classes, policy)
+                    .unwrap(),
                 "{policy:?}: attribution, workers={workers}"
             );
         }
@@ -274,8 +282,11 @@ fn admission_control_caps_the_burn_rate_under_overload() {
         max_defers: 0,
     });
 
-    let base = engine::run_classes(&cfg, &[uncontrolled], QueuePairPolicy::Shared, 1);
-    let capped = engine::run_classes(&cfg, &[controlled], QueuePairPolicy::Shared, 1);
+    let run = Run::new(&cfg);
+    let (base, _) = run
+        .classes(&[uncontrolled], QueuePairPolicy::Shared)
+        .unwrap();
+    let (capped, _) = run.classes(&[controlled], QueuePairPolicy::Shared).unwrap();
 
     let burn_base = base.tenants[0].slo.expect("slo").burn_rate;
     let burn_capped = capped.tenants[0].slo.expect("slo").burn_rate;

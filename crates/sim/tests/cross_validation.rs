@@ -7,7 +7,9 @@
 //! latencies against the ×16 link's 512 B (51 M IOPS) and 4 KB (6.35 M IOPS)
 //! command rates.
 
-use bam_sim::{engine, ArrivalProcess, Mmpp2, QueuePairPolicy, SimConfig, TenantSpec, Workload};
+use bam_sim::{
+    engine, ArrivalProcess, Mmpp2, QueuePairPolicy, Run, SimConfig, TenantSpec, Workload,
+};
 use bam_timing::{required_queue_depth, steady_state_in_flight};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,7 +23,8 @@ fn simulate(latency_us: f64, rate_per_s: f64) -> bam_sim::SimReport {
     let requests = ((expected * 16.0) as u64).max(50_000);
     let config = SimConfig::worked_example(latency_us, 0xBA4);
     let reqs = engine::uniform_reads(&config, requests);
-    engine::run(&config, Workload::OpenLoop { rate_per_s }, &reqs)
+    let open = Workload::OpenLoop { rate_per_s };
+    Run::new(&config).single(open, &reqs).unwrap().0
 }
 
 #[test]
@@ -125,7 +128,9 @@ fn superposed_poisson_streams_agree_with_littles_law() {
         })
         .collect();
     let config = SimConfig::worked_example(11.0, 0xBA5);
-    let report = engine::run_tenants(&config, &tenants, QueuePairPolicy::Shared);
+    let (report, _) = Run::new(&config)
+        .tenants(&tenants, QueuePairPolicy::Shared)
+        .unwrap();
     let aggregate = 4.0 * per_tenant_rate;
     let analytic = steady_state_in_flight(aggregate, 11.0);
     let measured = report.overall.depth.steady_state_mean();

@@ -54,15 +54,15 @@ fn functional_trace_replays_through_the_engine() {
             512,
         ),
     };
-    let report = trace.replay(&config, Workload::ClosedLoop { in_flight: 32 });
+    let workload = Workload::ClosedLoop { in_flight: 32 };
+    let report = trace.replay(&config, workload).unwrap();
     assert_eq!(report.completed, stack_requests);
     // Every request pays at least the unloaded pipeline latency.
     assert!(report.latency.p50_us >= config.pipeline.unloaded_read_latency_us() * 0.99);
     assert!(report.latency.p999_us >= report.latency.p50_us);
 
     // Replays are deterministic: same trace, same seed, same report.
-    let again = trace.replay(&config, Workload::ClosedLoop { in_flight: 32 });
-    assert_eq!(report, again);
+    assert_eq!(trace.replay(&config, workload), Ok(report));
 }
 
 #[test]

@@ -1,21 +1,21 @@
-//! Differential suite: the sharded engine must be bit-identical to the
-//! inline engine at every worker count.
+//! Differential suite: accounting on shard threads must be bit-identical to
+//! inline accounting at every shard count.
 //!
 //! Every assertion is full-structure equality (`SimReport` /
 //! `MultiTenantReport` derive `PartialEq` over every field, including depth
 //! timelines, latency vectors, histograms, and stage breakdowns), plus
 //! byte-equality of the exported Chrome traces — the contract is *bit*
-//! identity, not statistical agreement. Worker counts past the device count
+//! identity, not statistical agreement. Shard counts past the device count
 //! are legal (shards clamp to `num_ssds`) and must change nothing either.
 
 use bam_nvme_sim::SsdSpec;
 use bam_pcie::LinkSpec;
 use bam_sim::{
-    chrome_trace_json, engine, ArrivalProcess, Mmpp2, PipelineParams, QueuePairPolicy, SimConfig,
-    SpanRecorder, TelemetrySpec, TenantSpec, Workload,
+    chrome_trace_json, engine, ArrivalProcess, Mmpp2, PipelineParams, QueuePairPolicy, Run,
+    SimConfig, SpanRecorder, TelemetrySpec, TenantSpec, Workload,
 };
 
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn optane_config(num_ssds: u32, queue_pairs_per_ssd: u32, bytes: u64, seed: u64) -> SimConfig {
     SimConfig {
@@ -31,19 +31,21 @@ fn optane_config(num_ssds: u32, queue_pairs_per_ssd: u32, bytes: u64, seed: u64)
     }
 }
 
-/// One single-tenant workload checked across every worker count, untraced
+/// One single-tenant workload checked across every shard count, untraced
 /// and traced.
 fn check_single(name: &str, cfg: &SimConfig, workload: Workload, reqs: &[engine::RequestDesc]) {
-    let inline = engine::run(cfg, workload, reqs);
+    let run = Run::new(cfg);
+    let (inline, _) = run.single(workload, reqs).unwrap();
     assert!(inline.completed == reqs.len() as u64, "{name}: sanity");
     let rec_inline = SpanRecorder::with_capacity(1 << 20);
-    let traced = engine::run_traced(cfg, workload, reqs, &rec_inline);
+    let (traced, _) = run.trace(&rec_inline).single(workload, reqs).unwrap();
     assert_eq!(inline, traced, "{name}: tracing must not perturb");
-    for workers in WORKER_COUNTS {
-        let sharded = engine::run_sharded(cfg, workload, reqs, workers);
+    for workers in SHARD_COUNTS {
+        let run = run.shards(workers);
+        let (sharded, _) = run.single(workload, reqs).unwrap();
         assert_eq!(inline, sharded, "{name}: report, workers={workers}");
         let rec_sharded = SpanRecorder::with_capacity(1 << 20);
-        let sharded_traced = engine::run_sharded_traced(cfg, workload, reqs, workers, &rec_sharded);
+        let (sharded_traced, _) = run.trace(&rec_sharded).single(workload, reqs).unwrap();
         assert_eq!(
             inline, sharded_traced,
             "{name}: traced report, workers={workers}"
@@ -157,15 +159,18 @@ fn multi_tenant_antagonist_sweep_is_identical() {
         3_000,
     ));
     for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
-        let inline = engine::run_tenants(&cfg, &tenants, policy);
+        let run = Run::new(&cfg);
+        let (inline, _) = run.tenants(&tenants, policy).unwrap();
         let rec_inline = SpanRecorder::with_capacity(1 << 20);
-        let traced = engine::run_tenants_traced(&cfg, &tenants, policy, &rec_inline);
+        let (traced, _) = run.trace(&rec_inline).tenants(&tenants, policy).unwrap();
         assert_eq!(inline, traced, "{policy:?}: tracing must not perturb");
-        for workers in WORKER_COUNTS {
-            let sharded = engine::run_tenants_sharded(&cfg, &tenants, policy, workers);
+        for workers in SHARD_COUNTS {
+            let run = run.shards(workers);
+            let (sharded, _) = run.tenants(&tenants, policy).unwrap();
             assert_eq!(inline, sharded, "{policy:?}: workers={workers}");
             let rec_sharded = SpanRecorder::with_capacity(1 << 20);
-            engine::run_tenants_sharded_traced(&cfg, &tenants, policy, workers, &rec_sharded);
+            let traced = run.trace(&rec_sharded).tenants(&tenants, policy);
+            assert_eq!(inline, traced.unwrap().0, "{policy:?}: workers={workers}");
             assert_eq!(
                 chrome_trace_json(&rec_inline.events()),
                 chrome_trace_json(&rec_sharded.events()),
@@ -184,9 +189,10 @@ fn timeline_and_blame_are_identical_across_worker_counts() {
     let cfg = optane_config(4, 2, 4096, 4);
     let reqs = engine::uniform_reads(&cfg, 12_000);
     let workload = Workload::ClosedLoop { in_flight: 2048 };
-    let (inline, inline_tel) = engine::run_observed(&cfg, workload, &reqs, 1, spec);
-    for workers in WORKER_COUNTS {
-        let (sharded, sharded_tel) = engine::run_observed(&cfg, workload, &reqs, workers, spec);
+    let run = Run::new(&cfg).telemetry(spec);
+    let (inline, inline_tel) = run.single(workload, &reqs).unwrap();
+    for workers in SHARD_COUNTS {
+        let (sharded, sharded_tel) = run.shards(workers).single(workload, &reqs).unwrap();
         assert_eq!(inline, sharded, "report, workers={workers}");
         assert_eq!(inline_tel, sharded_tel, "telemetry, workers={workers}");
     }
@@ -198,9 +204,10 @@ fn timeline_and_blame_are_identical_across_worker_counts() {
     };
     let jreqs = engine::mixed_requests(&jcfg, 8_000, 3_000);
     let jworkload = Workload::ClosedLoop { in_flight: 128 };
-    let (jinline, jinline_tel) = engine::run_observed(&jcfg, jworkload, &jreqs, 1, spec);
-    for workers in WORKER_COUNTS {
-        let (sharded, sharded_tel) = engine::run_observed(&jcfg, jworkload, &jreqs, workers, spec);
+    let jrun = Run::new(&jcfg).telemetry(spec);
+    let (jinline, jinline_tel) = jrun.single(jworkload, &jreqs).unwrap();
+    for workers in SHARD_COUNTS {
+        let (sharded, sharded_tel) = jrun.shards(workers).single(jworkload, &jreqs).unwrap();
         assert_eq!(jinline, sharded, "journalled report, workers={workers}");
         assert_eq!(
             jinline_tel, sharded_tel,
@@ -213,7 +220,7 @@ fn timeline_and_blame_are_identical_across_worker_counts() {
 fn tenant_slo_and_telemetry_are_identical_across_worker_counts() {
     // The antagonist sweep with SLOs attached: per-tenant SLO reports, the
     // merged timeline, and the blame decomposition must match the inline
-    // engine bit for bit at every worker count and under both policies.
+    // run bit for bit at every shard count and under both policies.
     let cfg = optane_config(4, 2, 4096, 13);
     let mmpp = Mmpp2 {
         calm_rate_per_s: 50.0e3,
@@ -242,14 +249,14 @@ fn tenant_slo_and_telemetry_are_identical_across_worker_counts() {
     ));
     let spec = TelemetrySpec::full(100_000, 8);
     for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
-        let (inline, inline_tel) = engine::run_tenants_observed(&cfg, &tenants, policy, 1, spec);
+        let run = Run::new(&cfg).telemetry(spec);
+        let (inline, inline_tel) = run.tenants(&tenants, policy).unwrap();
         assert!(
             inline.tenants[0].slo.is_some(),
             "SLO'd tenant must carry a report"
         );
-        for workers in WORKER_COUNTS {
-            let (sharded, sharded_tel) =
-                engine::run_tenants_observed(&cfg, &tenants, policy, workers, spec);
+        for workers in SHARD_COUNTS {
+            let (sharded, sharded_tel) = run.shards(workers).tenants(&tenants, policy).unwrap();
             assert_eq!(inline, sharded, "{policy:?}: report, workers={workers}");
             assert_eq!(
                 inline_tel, sharded_tel,
@@ -267,16 +274,18 @@ fn tenant_slo_and_telemetry_are_identical_across_worker_counts() {
 #[test]
 fn span_ring_overflow_drops_identically() {
     // A recorder smaller than the span stream: the sharded replay must wrap
-    // the ring and count drops exactly like the inline engine.
+    // the ring and count drops exactly like the inline run.
     let cfg = optane_config(2, 8, 4096, 77);
     let reqs = engine::uniform_reads(&cfg, 2_000);
     let workload = Workload::ClosedLoop { in_flight: 64 };
     let rec_inline = SpanRecorder::with_capacity(1024);
-    engine::run_traced(&cfg, workload, &reqs, &rec_inline);
+    let run = Run::new(&cfg);
+    run.trace(&rec_inline).single(workload, &reqs).unwrap();
     assert!(rec_inline.dropped() > 0, "stream must overflow the ring");
-    for workers in WORKER_COUNTS {
+    for workers in SHARD_COUNTS {
         let rec_sharded = SpanRecorder::with_capacity(1024);
-        engine::run_sharded_traced(&cfg, workload, &reqs, workers, &rec_sharded);
+        let sharded = run.shards(workers).trace(&rec_sharded);
+        sharded.single(workload, &reqs).unwrap();
         assert_eq!(
             rec_inline.events(),
             rec_sharded.events(),

@@ -7,7 +7,7 @@
 use bam_nvme_sim::SsdSpec;
 use bam_pcie::LinkSpec;
 use bam_sim::{
-    engine, ArrivalProcess, PipelineParams, QueuePairPolicy, SimConfig, Stage, TelemetrySpec,
+    engine, ArrivalProcess, PipelineParams, QueuePairPolicy, Run, SimConfig, Stage, TelemetrySpec,
     TenantSpec, Workload,
 };
 
@@ -32,15 +32,12 @@ fn observation_does_not_perturb_the_report() {
     let cfg = optane_config(4, 8, 11);
     let reqs = engine::uniform_reads(&cfg, 6_000);
     let workload = Workload::ClosedLoop { in_flight: 256 };
-    let plain = engine::run(&cfg, workload, &reqs);
-    for workers in [1, 4] {
-        let (observed, telemetry) = engine::run_observed(
-            &cfg,
-            workload,
-            &reqs,
-            workers,
-            TelemetrySpec::full(WINDOW_NS, 8),
-        );
+    let (plain, _) = Run::new(&cfg).single(workload, &reqs).unwrap();
+    for shards in [0, 4] {
+        let observed = Run::new(&cfg)
+            .shards(shards)
+            .telemetry(TelemetrySpec::full(WINDOW_NS, 8));
+        let (observed, telemetry) = observed.single(workload, &reqs).unwrap();
         assert_eq!(plain, observed, "telemetry must be a pure observer");
         assert!(!telemetry.series.is_empty(), "series must have recorded");
         assert_eq!(telemetry.blame.requests, plain.completed);
@@ -59,13 +56,8 @@ fn blame_attributes_every_request_latency_exactly() {
     };
     let reqs = engine::mixed_requests(&cfg, 4_000, 1_500);
     let workload = Workload::ClosedLoop { in_flight: 128 };
-    let (report, telemetry) = engine::run_observed(
-        &cfg,
-        workload,
-        &reqs,
-        1,
-        TelemetrySpec::full(WINDOW_NS, reqs.len()),
-    );
+    let observed = Run::new(&cfg).telemetry(TelemetrySpec::full(WINDOW_NS, reqs.len()));
+    let (report, telemetry) = observed.single(workload, &reqs).unwrap();
 
     // The decomposition's total equals the engine's own latency population
     // to the nanosecond: blame attributes 100% of every request.
@@ -103,8 +95,8 @@ fn windowed_series_reconciles_with_run_aggregates() {
     let cfg = optane_config(4, 8, 7);
     let reqs = engine::uniform_reads(&cfg, 5_000);
     let workload = Workload::OpenLoop { rate_per_s: 2.0e6 };
-    let (report, telemetry) =
-        engine::run_observed(&cfg, workload, &reqs, 1, TelemetrySpec::full(WINDOW_NS, 4));
+    let observed = Run::new(&cfg).telemetry(TelemetrySpec::full(WINDOW_NS, 4));
+    let (report, telemetry) = observed.single(workload, &reqs).unwrap();
 
     let mut arrivals = 0u64;
     let mut completions = 0u64;
@@ -144,13 +136,9 @@ fn slo_reports_follow_tenant_specs() {
         TenantSpec::new(1, "loose", arrival, 2_000).with_slo(100_000.0, 1_000_000),
         TenantSpec::new(2, "unbound", arrival, 2_000),
     ];
-    let (report, _) = engine::run_tenants_observed(
-        &cfg,
-        &tenants,
-        QueuePairPolicy::Shared,
-        1,
-        TelemetrySpec::disabled(),
-    );
+    let (report, _) = Run::new(&cfg)
+        .tenants(&tenants, QueuePairPolicy::Shared)
+        .unwrap();
 
     let tight = report.tenants[0].slo.expect("tight tenant has an SLO");
     let loose = report.tenants[1].slo.expect("loose tenant has an SLO");
@@ -182,21 +170,11 @@ fn slo_evaluation_is_identical_inline_and_sharded() {
         TenantSpec::new(1, "b", arrival, 1_500).with_slo(15.0, 250_000),
         TenantSpec::new(2, "c", arrival, 1_500),
     ];
-    let (inline, inline_tel) = engine::run_tenants_observed(
-        &cfg,
-        &tenants,
-        QueuePairPolicy::WeightedFair,
-        1,
-        TelemetrySpec::full(WINDOW_NS, 8),
-    );
+    let run = Run::new(&cfg).telemetry(TelemetrySpec::full(WINDOW_NS, 8));
+    let policy = QueuePairPolicy::WeightedFair;
+    let (inline, inline_tel) = run.tenants(&tenants, policy).unwrap();
     for workers in [2, 4, 8] {
-        let (sharded, sharded_tel) = engine::run_tenants_observed(
-            &cfg,
-            &tenants,
-            QueuePairPolicy::WeightedFair,
-            workers,
-            TelemetrySpec::full(WINDOW_NS, 8),
-        );
+        let (sharded, sharded_tel) = run.shards(workers).tenants(&tenants, policy).unwrap();
         assert_eq!(inline, sharded, "workers={workers}");
         assert_eq!(inline_tel, sharded_tel, "telemetry, workers={workers}");
     }
@@ -212,13 +190,9 @@ fn prom_export_carries_slo_metrics_for_spec_tenants_only() {
         TenantSpec::new(0, "with-slo", arrival, 1_000).with_slo(25.0, 500_000),
         TenantSpec::new(1, "without", arrival, 1_000),
     ];
-    let (report, _) = engine::run_tenants_observed(
-        &cfg,
-        &tenants,
-        QueuePairPolicy::Shared,
-        1,
-        TelemetrySpec::disabled(),
-    );
+    let (report, _) = Run::new(&cfg)
+        .tenants(&tenants, QueuePairPolicy::Shared)
+        .unwrap();
     let text = report.prom_export();
     assert!(text.ends_with('\n') && !text.ends_with("\n\n"));
     assert!(text.contains("bam_sim_completed_total"));
@@ -246,7 +220,7 @@ fn prom_export_carries_slo_metrics_for_spec_tenants_only() {
 mod attribution_properties {
     use super::optane_config;
     use bam_sim::{
-        engine, ArrivalProcess, LatencyHisto, LatencySummary, QueuePairPolicy, TenantClass,
+        ArrivalProcess, LatencyHisto, LatencySummary, QueuePairPolicy, Run, TenantClass,
     };
     use proptest::prelude::*;
 
@@ -254,7 +228,7 @@ mod attribution_properties {
         #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
         /// For any member count and seed, the thinned per-member accounts of
-        /// `run_classes_attributed` sum exactly to the class aggregate: the
+        /// `Run::classes_attributed` sum exactly to the class aggregate: the
         /// completed counts add up, and merging the member latency histograms
         /// reproduces the class's latency summary bit for bit.
         #[test]
@@ -273,12 +247,9 @@ mod attribution_properties {
                 ArrivalProcess::Poisson { rate_per_s: 4.0e5 / f64::from(members) },
                 requests,
             );
-            let report = engine::run_classes_attributed(
-                &cfg,
-                std::slice::from_ref(&class),
-                QueuePairPolicy::Shared,
-                1,
-            );
+            let (report, _) = Run::new(&cfg)
+                .classes_attributed(std::slice::from_ref(&class), QueuePairPolicy::Shared)
+                .unwrap();
             let class_row = &report.tenants[0];
             prop_assert_eq!(class_row.completed, requests);
 
