@@ -3,18 +3,32 @@
 //! `BamArray<T>` gives GPU kernels an array interface over data that lives on
 //! storage: element reads consult the software cache, coalesce accesses
 //! across the lanes of a warp, and issue storage I/O only on misses; element
-//! writes go through the write-back cache. The warp-level entry point
-//! ([`BamArray::gather_warp`]) mirrors the overloaded subscript operator of
-//! the CUDA implementation, which performs its coalescing at warp scope.
+//! writes go through the write-back cache. The warp-level entry points
+//! ([`BamArray::gather_warp`], one element per lane, and
+//! [`BamArray::read_runs_warp`], one run per lane) mirror the overloaded
+//! subscript operator of the CUDA implementation, which works at warp scope:
+//! they coalesce across lanes and keep all of the warp's misses in flight at
+//! once instead of paying for them one after another.
 
 use std::sync::Arc;
 
 use bam_gpu_sim::exec::WarpCtx;
-use bam_gpu_sim::warp::{groups, match_any, WARP_SIZE};
-use bam_mem::Pod;
+use bam_gpu_sim::warp::{groups, match_any, LaneMask, WARP_SIZE};
+use bam_mem::{Pod, MAX_POD_BYTES};
 
 use crate::error::BamError;
 use crate::system::SystemInner;
+
+/// The part of a run of consecutive elements that lies in one cache line.
+#[derive(Clone, Copy)]
+struct RunPiece {
+    /// Index of the piece's first element in the output buffer.
+    out: usize,
+    /// Byte offset of that element within the line.
+    offset: u64,
+    /// Elements of the run in this line.
+    elems: usize,
+}
 
 /// A storage-backed array of `T`, accessed on demand by GPU threads.
 ///
@@ -95,6 +109,64 @@ impl<T: Pod> BamArray<T> {
         self.inner.preload_bytes(self.base, &bytes)
     }
 
+    /// Bounds-checks the run `[start, start + count)`, `count > 0`.
+    fn check_run(&self, start: u64, count: u64) -> Result<(), BamError> {
+        self.check(start)?;
+        self.check(start + count - 1)
+    }
+
+    /// Splits the run `[start, start + count)` at cache-line boundaries,
+    /// yielding `(line, piece)` in order; the run's elements land in the
+    /// output buffer from index `out` on.
+    fn run_pieces(
+        &self,
+        start: u64,
+        count: u64,
+        out: usize,
+    ) -> impl Iterator<Item = (u64, RunPiece)> + '_ {
+        let end = start + count;
+        let (mut idx, mut out) = (start, out);
+        std::iter::from_fn(move || {
+            if idx >= end {
+                return None;
+            }
+            let (line, offset) = self.line_of(idx);
+            let elems = ((self.inner.line_bytes - offset) / T::SIZE as u64).min(end - idx);
+            let piece = RunPiece {
+                out,
+                offset,
+                elems: elems as usize,
+            };
+            idx += elems;
+            out += elems as usize;
+            Some((line, piece))
+        })
+    }
+
+    /// Reads `pieces` into `out`, each line's reference reused for every
+    /// element it covers and the misses among the lines fetched together.
+    fn read_pieces(
+        &self,
+        pieces: impl Iterator<Item = (u64, RunPiece)>,
+        out: &mut [T],
+    ) -> Result<(), BamError> {
+        self.inner.with_lines(pieces, |piece, view| {
+            let dst = &mut out[piece.out..piece.out + piece.elems];
+            for (e, value) in dst.iter_mut().enumerate() {
+                *value = view.read(piece.offset + (e * T::SIZE) as u64);
+            }
+            if piece.elems > 1 {
+                self.inner.metrics.record_reuse();
+            }
+        })?;
+        Ok(())
+    }
+
+    /// An output buffer of `len` elements for [`BamArray::read_pieces`].
+    fn zeroed(len: u64) -> Vec<T> {
+        vec![T::from_bytes(&[0u8; MAX_POD_BYTES][..T::SIZE]); len as usize]
+    }
+
     /// Reads element `idx` from a single GPU thread (no warp coalescing).
     ///
     /// # Errors
@@ -104,9 +176,7 @@ impl<T: Pod> BamArray<T> {
         self.check(idx)?;
         self.inner.metrics.record_requested_bytes(T::SIZE as u64);
         let (line, offset) = self.line_of(idx);
-        self.inner
-            .read_element(line, offset, T::SIZE)
-            .map(|buf| T::from_bytes(&buf))
+        self.inner.with_line(line, |view| view.read(offset))
     }
 
     /// Writes element `idx` from a single GPU thread. The data goes through
@@ -119,15 +189,16 @@ impl<T: Pod> BamArray<T> {
         self.check(idx)?;
         self.inner.metrics.record_requested_bytes(T::SIZE as u64);
         let (line, offset) = self.line_of(idx);
-        let mut buf = vec![0u8; T::SIZE];
-        value.to_bytes(&mut buf);
-        self.inner.write_element(line, offset, &buf)
+        let mut buf = [0u8; MAX_POD_BYTES];
+        value.to_bytes(&mut buf[..T::SIZE]);
+        self.inner.write_line_range(line, offset, &buf[..T::SIZE])
     }
 
     /// Warp-coalesced gather: every active lane with `Some(index)` reads that
     /// element; lanes accessing the same cache line share a single probe and
     /// a single storage request, led by the lowest lane of each group
-    /// (§3.4's `__match_any_sync` coalescer).
+    /// (§3.4's `__match_any_sync` coalescer). The leaders' misses are issued
+    /// together and awaited once.
     ///
     /// # Errors
     ///
@@ -142,21 +213,10 @@ impl<T: Pod> BamArray<T> {
         for idx in indices.iter().flatten() {
             self.check(*idx)?;
         }
-        if !self.inner.coalescing {
-            for lane in 0..WARP_SIZE {
-                if warp.is_active(lane) {
-                    if let Some(idx) = indices[lane] {
-                        out[lane] = Some(self.read(idx)?);
-                    }
-                }
-            }
-            return Ok(out);
-        }
-
         // Build the per-lane cache-line keys for match_any; lanes with no
         // access are excluded from the participation mask.
         let mut keys = [u64::MAX; WARP_SIZE];
-        let mut participate: u32 = 0;
+        let mut participate: LaneMask = 0;
         for lane in 0..WARP_SIZE {
             if warp.is_active(lane) {
                 if let Some(idx) = indices[lane] {
@@ -165,40 +225,40 @@ impl<T: Pod> BamArray<T> {
                 }
             }
         }
-        if participate == 0 {
-            return Ok(out);
+        // Without coalescing every lane is a group of its own.
+        let masks = if self.inner.coalescing {
+            match_any(&keys, participate)
+        } else {
+            std::array::from_fn(|lane| participate & (1 << lane))
+        };
+        let lanes = u64::from(participate.count_ones());
+        let leaders = groups(&masks, participate).count() as u64;
+        self.inner
+            .metrics
+            .record_requested_bytes(T::SIZE as u64 * lanes);
+        if lanes > leaders {
+            self.inner.metrics.record_coalesced(lanes - leaders);
         }
-        let masks = match_any(&keys, participate);
-        for (leader, mask) in groups(&masks, participate) {
-            let line = keys[leader];
-            let lanes_in_group = mask.count_ones() as u64;
-            self.inner
-                .metrics
-                .record_requested_bytes(T::SIZE as u64 * lanes_in_group);
-            if lanes_in_group > 1 {
-                self.inner.metrics.record_coalesced(lanes_in_group - 1);
-            }
-            // The leader performs the single probe on behalf of the group and
-            // the line stays pinned while every member lane copies its
-            // element out (broadcast via shared memory in the prototype).
-            self.inner.with_line(line, |read_at| {
-                for lane in 0..WARP_SIZE {
-                    if mask & (1 << lane) != 0 {
-                        let idx = indices[lane].expect("participating lane has an index");
-                        let (_, offset) = self.line_of(idx);
-                        let buf = read_at(offset, T::SIZE);
-                        out[lane] = Some(T::from_bytes(&buf));
-                    }
+        // Each leader performs the single probe on behalf of its group and
+        // the line stays pinned while every member lane copies its element
+        // out (broadcast via shared memory in the prototype).
+        self.inner.with_lines(
+            groups(&masks, participate).map(|(leader, mask)| (keys[leader], mask)),
+            |mask, view| {
+                for lane in (0..WARP_SIZE).filter(|lane| mask & (1 << lane) != 0) {
+                    let idx = indices[lane].expect("participating lane has an index");
+                    out[lane] = Some(view.read(self.line_of(idx).1));
                 }
-            })?;
-        }
+            },
+        )?;
         Ok(out)
     }
 
     /// Reads `count` consecutive elements starting at `start`, reusing each
     /// cache-line reference for every element it covers (the "cache line
     /// reference reuse" optimization of §3.5 that Figure 8's *Optimized*
-    /// configuration exploits for neighbour lists).
+    /// configuration exploits for neighbour lists). The lines that miss are
+    /// fetched together.
     ///
     /// # Errors
     ///
@@ -207,30 +267,61 @@ impl<T: Pod> BamArray<T> {
         if count == 0 {
             return Ok(Vec::new());
         }
-        self.check(start)?;
-        self.check(start + count - 1)?;
+        self.check_run(start, count)?;
         self.inner
             .metrics
             .record_requested_bytes(T::SIZE as u64 * count);
-        let mut result = Vec::with_capacity(count as usize);
-        let mut idx = start;
-        while idx < start + count {
-            let (line, offset) = self.line_of(idx);
-            // Elements remaining in this line.
-            let elems_in_line =
-                ((self.inner.line_bytes - offset) / T::SIZE as u64).min(start + count - idx);
-            self.inner.with_line(line, |read_at| {
-                for e in 0..elems_in_line {
-                    let buf = read_at(offset + e * T::SIZE as u64, T::SIZE);
-                    result.push(T::from_bytes(&buf));
-                }
-            })?;
-            if elems_in_line > 1 {
-                self.inner.metrics.record_reuse();
-            }
-            idx += elems_in_line;
+        let mut out = Self::zeroed(count);
+        self.read_pieces(self.run_pieces(start, count, 0), &mut out)?;
+        Ok(out)
+    }
+
+    /// Warp-scope [`BamArray::read_run`]: active lane `i` reads the run
+    /// `runs[i] = Some((start, count))`, and `visit(lane, elements)` is then
+    /// called for each such lane in lane order. All lanes' lines are walked
+    /// in lane order through one batch, so the warp's misses overlap instead
+    /// of being paid one lane after another, and the elements of every lane
+    /// share one buffer. The cache is probed, and storage is read, exactly as
+    /// by one `read_run` per lane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BamError::IndexOutOfBounds`] or a storage failure; `visit`
+    /// is not called then.
+    pub fn read_runs_warp(
+        &self,
+        warp: &WarpCtx,
+        runs: &[Option<(u64, u64)>; WARP_SIZE],
+        mut visit: impl FnMut(usize, &[T]),
+    ) -> Result<(), BamError> {
+        let lane_runs = || {
+            warp.lanes()
+                .filter_map(|(lane, _)| runs[lane].map(|(start, count)| (lane, start, count)))
+                .filter(|&(_, _, count)| count > 0)
+        };
+        let mut total = 0u64;
+        for (_, start, count) in lane_runs() {
+            self.check_run(start, count)?;
+            total += count;
         }
-        Ok(result)
+        self.inner
+            .metrics
+            .record_requested_bytes(T::SIZE as u64 * total);
+        let mut elements = Self::zeroed(total);
+        let mut filled = 0usize;
+        let pieces = lane_runs().flat_map(|(_, start, count)| {
+            let out = filled;
+            filled += count as usize;
+            self.run_pieces(start, count, out)
+        });
+        self.read_pieces(pieces, &mut elements)?;
+        let mut rest = elements.as_slice();
+        for (lane, _, count) in lane_runs() {
+            let (run, tail) = rest.split_at(count as usize);
+            visit(lane, run);
+            rest = tail;
+        }
+        Ok(())
     }
 
     /// Prefetches the cache lines covering `count` elements starting at
@@ -239,8 +330,8 @@ impl<T: Pod> BamArray<T> {
     /// This is one of the "higher-level abstractions" §3.5 anticipates being
     /// built over `bam::array`: a kernel that knows its upcoming access
     /// window can warm the cache early and overlap the storage latency with
-    /// unrelated compute. Returns the number of lines that actually missed
-    /// (and were therefore fetched from storage).
+    /// unrelated compute. Returns the number of lines this call fetched from
+    /// storage (lines another thread brought in meanwhile are not counted).
     ///
     /// # Errors
     ///
@@ -250,18 +341,14 @@ impl<T: Pod> BamArray<T> {
         if count == 0 || self.inner.cache.is_none() {
             return Ok(0);
         }
-        self.check(start)?;
-        self.check(start + count - 1)?;
-        let misses_before = self.inner.metrics.snapshot().cache_misses;
+        self.check_run(start, count)?;
         let first_line = self.line_of(start).0;
         let last_line = self.line_of(start + count - 1).0;
-        for line in first_line..=last_line {
-            // Acquire and immediately release: the line lands in a slot and
-            // stays there until evicted, exactly like a touched-but-unpinned
-            // line.
-            self.inner.with_line(line, |_read_at| ())?;
-        }
-        Ok(self.inner.metrics.snapshot().cache_misses - misses_before)
+        // Acquire and immediately release: each line lands in a slot and
+        // stays there until evicted, exactly like a touched-but-unpinned
+        // line.
+        self.inner
+            .with_lines((first_line..=last_line).map(|line| (line, ())), |(), _| ())
     }
 
     /// Writes `values` to consecutive elements starting at `start`, reusing
@@ -275,24 +362,18 @@ impl<T: Pod> BamArray<T> {
             return Ok(());
         }
         let count = values.len() as u64;
-        self.check(start)?;
-        self.check(start + count - 1)?;
+        self.check_run(start, count)?;
         self.inner
             .metrics
             .record_requested_bytes(T::SIZE as u64 * count);
-        let mut idx = start;
-        let mut consumed = 0usize;
-        while idx < start + count {
-            let (line, offset) = self.line_of(idx);
-            let elems_in_line =
-                ((self.inner.line_bytes - offset) / T::SIZE as u64).min(start + count - idx);
-            let mut bytes = vec![0u8; elems_in_line as usize * T::SIZE];
-            for e in 0..elems_in_line as usize {
-                values[consumed + e].to_bytes(&mut bytes[e * T::SIZE..(e + 1) * T::SIZE]);
+        let mut bytes = Vec::new();
+        for (line, piece) in self.run_pieces(start, count, 0) {
+            bytes.resize(piece.elems * T::SIZE, 0);
+            let line_values = &values[piece.out..piece.out + piece.elems];
+            for (value, encoded) in line_values.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
+                value.to_bytes(encoded);
             }
-            self.inner.write_line_range(line, offset, &bytes)?;
-            idx += elems_in_line;
-            consumed += elems_in_line as usize;
+            self.inner.write_line_range(line, piece.offset, &bytes)?;
         }
         Ok(())
     }
@@ -406,6 +487,77 @@ mod tests {
         assert_eq!(arr.prefetch(0, 512).unwrap(), 0);
         // Out-of-bounds prefetch is rejected.
         assert!(arr.prefetch(2000, 100).is_err());
+    }
+
+    /// Regression test: `prefetch` used to return the change of the global
+    /// miss counter between two snapshots, so another thread's misses (or a
+    /// `reset_metrics`) in between leaked into — or underflowed — its answer.
+    #[test]
+    fn prefetch_counts_only_the_lines_it_fetched_itself() {
+        let sys = system();
+        let arr = sys.create_array::<u64>(64 * 1024).unwrap();
+        // 64 elements per 512-byte line: 32 lines for the prefetcher, and a
+        // disjoint 512 lines the other thread keeps missing on through the
+        // 128-slot cache.
+        let started = std::sync::Barrier::new(2);
+        let prefetched = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                started.wait();
+                let mut i = 0u64;
+                while !prefetched.load(std::sync::atomic::Ordering::Acquire) || i < 512 {
+                    arr.read(4096 + (i % 512) * 64).unwrap();
+                    i += 1;
+                }
+            });
+            started.wait();
+            for round in 0..8u64 {
+                // Lines nobody else touches: exactly 32 of them are fetched,
+                // however many misses the other thread racks up meanwhile.
+                assert_eq!(arr.prefetch(40_000 + round * 2048, 2048).unwrap(), 32);
+                sys.reset_metrics();
+            }
+            prefetched.store(true, std::sync::atomic::Ordering::Release);
+        });
+    }
+
+    #[test]
+    fn warp_run_reader_matches_per_lane_read_run() {
+        let sys = system();
+        let arr = sys.create_array::<u32>(8192).unwrap();
+        arr.preload(&(0..8192u32).map(|i| i * 5).collect::<Vec<_>>())
+            .unwrap();
+        // Lane l reads l + 1 elements from 200 * l: runs that start mid-line,
+        // span lines, and (lanes 0 and 1) share one; lane 7 reads nothing and
+        // lanes 24.. are inactive.
+        let warp = WarpCtx {
+            warp_id: 0,
+            base_thread: 0,
+            active: 0x00FF_FFFF,
+        };
+        let mut runs = [None; WARP_SIZE];
+        for (lane, run) in runs.iter_mut().enumerate() {
+            *run = Some((200 * lane as u64, lane as u64 + 1));
+        }
+        runs[1] = Some((1, 100));
+        runs[7] = Some((0, 0));
+        let mut seen = Vec::new();
+        arr.read_runs_warp(&warp, &runs, |lane, values| {
+            let (start, count) = runs[lane].unwrap();
+            assert_eq!(values, arr.read_run(start, count).unwrap());
+            seen.push(lane);
+        })
+        .unwrap();
+        let want: Vec<usize> = (0..24).filter(|&l| l != 7).collect();
+        assert_eq!(seen, want, "active lanes with a run, in lane order");
+        // One bad lane fails the call before anything is visited.
+        runs[3] = Some((8000, 500));
+        let mut visited = false;
+        assert!(matches!(
+            arr.read_runs_warp(&warp, &runs, |_, _| visited = true),
+            Err(BamError::IndexOutOfBounds { .. })
+        ));
+        assert!(!visited);
     }
 
     #[test]

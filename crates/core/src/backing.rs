@@ -28,6 +28,21 @@ pub trait CacheBacking: Send + Sync {
     /// Returns an error if the line is out of range or the device fails.
     fn fetch_line(&self, line: u64, dst: DevAddr) -> Result<(), BamError>;
 
+    /// Fetches every `(line, dst)` of `requests`, issued in slice order, and
+    /// leaves each one's result in the matching element of `outcomes`. One
+    /// failed fetch does not fail the others. The default fetches one line
+    /// after another; a store with queues overlaps them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length.
+    fn fetch_lines(&self, requests: &[(u64, DevAddr)], outcomes: &mut [Result<(), BamError>]) {
+        assert_eq!(requests.len(), outcomes.len(), "one outcome per request");
+        for (&(line, dst), outcome) in requests.iter().zip(outcomes) {
+            *outcome = self.fetch_line(line, dst);
+        }
+    }
+
     /// Writes line `line` back from GPU memory at `src`.
     ///
     /// # Errors
@@ -90,10 +105,12 @@ impl CacheBacking for MemoryBacking {
                 len: self.num_lines,
             });
         }
-        let mut buf = vec![0u8; self.line_bytes as usize];
-        self.data
-            .read_bytes(self.base + line * self.line_bytes, &mut buf);
-        self.gpu.write_bytes(dst, &buf);
+        self.gpu.copy_from(
+            dst,
+            &self.data,
+            self.base + line * self.line_bytes,
+            self.line_bytes as usize,
+        );
         Ok(())
     }
 
@@ -104,10 +121,12 @@ impl CacheBacking for MemoryBacking {
                 len: self.num_lines,
             });
         }
-        let mut buf = vec![0u8; self.line_bytes as usize];
-        self.gpu.read_bytes(src, &mut buf);
-        self.data
-            .write_bytes(self.base + line * self.line_bytes, &buf);
+        self.data.copy_from(
+            self.base + line * self.line_bytes,
+            &self.gpu,
+            src,
+            self.line_bytes as usize,
+        );
         Ok(())
     }
 }
@@ -151,6 +170,14 @@ impl CacheBacking for CrashBacking {
             return Err(BamError::Crashed);
         }
         self.inner.fetch_line(line, dst)
+    }
+
+    fn fetch_lines(&self, requests: &[(u64, DevAddr)], outcomes: &mut [Result<(), BamError>]) {
+        if self.crash.is_crashed() {
+            outcomes.fill_with(|| Err(BamError::Crashed));
+        } else {
+            self.inner.fetch_lines(requests, outcomes);
+        }
     }
 
     fn writeback_line(&self, line: u64, src: DevAddr) -> Result<(), BamError> {
@@ -216,6 +243,9 @@ mod tests {
         assert!(out.iter().all(|&x| x == 0));
         // ...and while down, everything fails.
         assert_eq!(b.fetch_line(0, 1024), Err(BamError::Crashed));
+        let mut outcomes = [Ok(()), Ok(())];
+        b.fetch_lines(&[(0, 1024), (1, 1536)], &mut outcomes);
+        assert_eq!(outcomes, [Err(BamError::Crashed), Err(BamError::Crashed)]);
         assert_eq!(b.writeback_line(0, 0), Err(BamError::Crashed));
         // The reboot restores service.
         cp.reset();

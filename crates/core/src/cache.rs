@@ -29,6 +29,7 @@ use bam_obs::{SpanEvent, SpanSink, Stage};
 
 use crate::backing::CacheBacking;
 use crate::error::BamError;
+use crate::fixed::{FixedVec, MAX_BATCH};
 use crate::journal::CacheJournal;
 use crate::metrics::BamMetrics;
 
@@ -83,6 +84,27 @@ pub struct LineGuard<'a> {
     cache: &'a BamCache,
     line: u64,
     slot: u64,
+    fetched: bool,
+}
+
+/// A miss of [`BamCache::acquire_each`] whose line is claimed BUSY and holds
+/// a slot, its read not yet issued.
+#[derive(Clone, Copy)]
+struct PendingMiss<R> {
+    line: u64,
+    slot: u64,
+    tag: R,
+    /// Virtual step the miss-fetch span opened at.
+    fetch_start: u64,
+}
+
+/// What one [`BamCache::acquire_each`] call has in flight.
+struct Batch<R> {
+    pending: FixedVec<PendingMiss<R>, MAX_BATCH>,
+    /// Later requests for a pending line: `(tag, line)`.
+    waiters: FixedVec<(R, u64), MAX_BATCH>,
+    /// Lines this call has fetched (or claimed to fetch) so far.
+    fetched: u64,
 }
 
 impl LineGuard<'_> {
@@ -94,6 +116,12 @@ impl LineGuard<'_> {
     /// GPU-memory address of the first byte of the cached line.
     pub fn addr(&self) -> DevAddr {
         self.cache.slot_addr(self.slot)
+    }
+
+    /// Whether the acquire that returned this guard missed and fetched the
+    /// line itself.
+    pub fn fetched(&self) -> bool {
+        self.fetched
     }
 
     /// Marks the line dirty (call after writing through [`LineGuard::addr`]).
@@ -131,6 +159,8 @@ pub struct BamCache {
     slots_base: DevAddr,
     line_bytes: u64,
     num_slots: u64,
+    /// Most misses one [`BamCache::acquire_each`] call keeps claimed at once.
+    batch_cap: usize,
     /// Write-ahead metadata journal; when present, every acknowledged write
     /// and every dirty-line write-back is journalled (see [`crate::journal`]).
     journal: Option<Arc<CacheJournal>>,
@@ -196,6 +226,9 @@ impl BamCache {
             slots_base,
             line_bytes,
             num_slots,
+            // At most a quarter of the slots, so that one thread's batch
+            // leaves victims for the threads running beside it.
+            batch_cap: MAX_BATCH.min((num_slots / 4).max(1) as usize),
             journal: None,
             applied_lsn,
             write_locks,
@@ -297,6 +330,7 @@ impl BamCache {
                             cache: self,
                             line,
                             slot: slot_of(cur),
+                            fetched: false,
                         });
                     }
                 }
@@ -317,7 +351,7 @@ impl BamCache {
                     self.metrics.record_miss();
                     self.emit_span(Stage::CacheProbe, probe_start, line);
                     let fetch_start = self.spans.with(|rec| rec.tick()).unwrap_or(0);
-                    let slot = match self.find_victim() {
+                    let slot = match self.find_victim(self.victim_patience(), || Ok(())) {
                         Ok(s) => s,
                         Err(e) => {
                             // Roll back so other threads are not stuck behind
@@ -338,10 +372,218 @@ impl BamCache {
                         cache: self,
                         line,
                         slot,
+                        fetched: true,
                     });
                 }
             }
         }
+    }
+
+    /// Acquires each `(line, tag)` of `requests` and calls `visit(tag, addr)`
+    /// once per request with the line pinned at `addr`, overlapping the
+    /// misses' storage reads. Returns the number of lines this call fetched.
+    ///
+    /// The requests are walked in order. A hit is pinned, visited and
+    /// released on the spot, exactly as [`BamCache::acquire`] would. A miss
+    /// claims the line BUSY and a clock victim but does not fetch yet; a
+    /// later request for a line this call has already claimed counts as the
+    /// hit it would have been and is visited with it. Only then are all the
+    /// claimed lines fetched together ([`CacheBacking::fetch_lines`]),
+    /// published VALID, visited and released — so visits do *not* happen in
+    /// request order; `tag` tells the visitor which request it is serving.
+    ///
+    /// With one thread the lines probed, every hit/miss classification, every
+    /// victim and the order of storage commands are those of acquiring the
+    /// requests one by one: a claimed line differs from the released one it
+    /// would have been only to the clock, the slots a batch has claimed are
+    /// the run just behind the hand, and at most `min(32, num_slots / 4)` of
+    /// them are claimed at a time — the hand never comes round to one.
+    ///
+    /// A thread holding claimed lines never waits on another thread: before
+    /// spinning on a line someone else is fetching, and before a dirty
+    /// victim's synchronous write-back, it completes its own claimed lines;
+    /// a victim search that finds nothing quickly ends the batch early and
+    /// the request takes the [`BamCache::acquire`] path.
+    ///
+    /// # Errors
+    ///
+    /// The first error of any request, after which no request is left
+    /// unvisited-but-pinned, no line BUSY and no slot claimed: a failed fetch
+    /// rolls back its own line only.
+    pub fn acquire_each<R: Copy>(
+        &self,
+        requests: impl IntoIterator<Item = (u64, R)>,
+        mut visit: impl FnMut(R, DevAddr),
+    ) -> Result<u64, BamError> {
+        let mut batch = Batch {
+            pending: FixedVec::new(),
+            waiters: FixedVec::new(),
+            fetched: 0,
+        };
+        for (line, tag) in requests {
+            if let Err(e) = self.walk(line, tag, &mut batch, &mut visit) {
+                // The first error wins; what is claimed is still completed.
+                let _ = self.complete(&mut batch, &mut visit);
+                return Err(e);
+            }
+        }
+        self.complete(&mut batch, &mut visit)?;
+        Ok(batch.fetched)
+    }
+
+    /// One step of [`BamCache::acquire_each`]'s walk.
+    fn walk<R: Copy>(
+        &self,
+        line: u64,
+        tag: R,
+        batch: &mut Batch<R>,
+        visit: &mut impl FnMut(R, DevAddr),
+    ) -> Result<(), BamError> {
+        if line >= self.num_lines() {
+            return Err(BamError::IndexOutOfBounds {
+                index: line,
+                len: self.num_lines(),
+            });
+        }
+        let probe_start = self.spans.with(|rec| rec.tick()).unwrap_or(0);
+        let state = &self.line_state[line as usize];
+        loop {
+            let cur = state.load(Ordering::Acquire);
+            match state_of(cur) {
+                STATE_VALID => {
+                    let next = pack(STATE_VALID, is_dirty(cur), refs_of(cur) + 1, slot_of(cur));
+                    if state
+                        .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
+                        .is_ok()
+                    {
+                        self.metrics.record_probe();
+                        self.metrics.record_hit();
+                        self.emit_span(Stage::CacheProbe, probe_start, line);
+                        visit(tag, self.slot_addr(slot_of(cur)));
+                        self.release(line);
+                        return Ok(());
+                    }
+                }
+                STATE_BUSY => {
+                    if !batch.pending.iter().any(|p| p.line == line) {
+                        // Someone else is fetching or evicting the line.
+                        // Holding BUSY lines while spinning on theirs could
+                        // deadlock, so ours are completed first.
+                        self.complete(batch, visit)?;
+                        return self.acquire_one(line, tag, batch, visit);
+                    }
+                    if batch.waiters.is_full() {
+                        self.complete(batch, visit)?;
+                        continue; // now a plain hit
+                    }
+                    self.metrics.record_probe();
+                    self.metrics.record_hit();
+                    self.emit_span(Stage::CacheProbe, probe_start, line);
+                    batch.waiters.push((tag, line));
+                    return Ok(());
+                }
+                _ => {
+                    let busy = pack(STATE_BUSY, false, 0, 0);
+                    if state
+                        .compare_exchange_weak(cur, busy, Ordering::AcqRel, Ordering::Acquire)
+                        .is_err()
+                    {
+                        continue;
+                    }
+                    let fetch_start = self.spans.with(|rec| rec.tick()).unwrap_or(0);
+                    // With lines claimed, look for a victim only briefly:
+                    // whole sweeps, which leave the hand where it was.
+                    let patience = if batch.pending.is_empty() {
+                        self.victim_patience()
+                    } else {
+                        2 * self.num_slots
+                    };
+                    let slot = match self.find_victim(patience, || self.complete(batch, visit)) {
+                        Ok(slot) => slot,
+                        Err(e) => {
+                            state.store(pack(STATE_INVALID, false, 0, 0), Ordering::Release);
+                            if e != BamError::CacheThrashing || batch.pending.is_empty() {
+                                return Err(e);
+                            }
+                            self.complete(batch, visit)?;
+                            return self.acquire_one(line, tag, batch, visit);
+                        }
+                    };
+                    self.metrics.record_probe();
+                    self.metrics.record_miss();
+                    self.emit_span(Stage::CacheProbe, probe_start, line);
+                    batch.fetched += 1;
+                    batch.pending.push(PendingMiss {
+                        line,
+                        slot,
+                        tag,
+                        fetch_start,
+                    });
+                    if batch.pending.len() >= self.batch_cap {
+                        self.complete(batch, visit)?;
+                    }
+                    return Ok(());
+                }
+            }
+        }
+    }
+
+    /// The ordinary path for one request of a batch that holds nothing.
+    fn acquire_one<R: Copy>(
+        &self,
+        line: u64,
+        tag: R,
+        batch: &mut Batch<R>,
+        visit: &mut impl FnMut(R, DevAddr),
+    ) -> Result<(), BamError> {
+        debug_assert!(batch.pending.is_empty());
+        let guard = self.acquire(line)?;
+        batch.fetched += u64::from(guard.fetched());
+        visit(tag, guard.addr());
+        Ok(())
+    }
+
+    /// Fetches every claimed line of `batch` together, then publishes,
+    /// visits (for the claiming request and its waiters) and releases each;
+    /// a failed fetch frees its slot and leaves its line INVALID. Returns the
+    /// first fetch error.
+    fn complete<R: Copy>(
+        &self,
+        batch: &mut Batch<R>,
+        visit: &mut impl FnMut(R, DevAddr),
+    ) -> Result<(), BamError> {
+        if batch.pending.is_empty() {
+            return Ok(());
+        }
+        let mut requests = [(0u64, 0 as DevAddr); MAX_BATCH];
+        let mut outcomes: [Result<(), BamError>; MAX_BATCH] = std::array::from_fn(|_| Ok(()));
+        let n = batch.pending.len();
+        for (request, miss) in requests.iter_mut().zip(batch.pending.iter()) {
+            *request = (miss.line, self.slot_addr(miss.slot));
+        }
+        self.backing.fetch_lines(&requests[..n], &mut outcomes[..n]);
+
+        let mut first_error = None;
+        for (miss, outcome) in batch.pending.drain().zip(outcomes) {
+            let state = &self.line_state[miss.line as usize];
+            if let Err(e) = outcome {
+                self.slot_to_line[miss.slot as usize].store(0, Ordering::Release);
+                state.store(pack(STATE_INVALID, false, 0, 0), Ordering::Release);
+                first_error.get_or_insert(e);
+                continue;
+            }
+            self.emit_span(Stage::MissFetch, miss.fetch_start, miss.line);
+            self.slot_to_line[miss.slot as usize].store(miss.line + 1, Ordering::Release);
+            state.store(pack(STATE_VALID, false, 1, miss.slot), Ordering::Release);
+            let addr = self.slot_addr(miss.slot);
+            visit(miss.tag, addr);
+            for &(tag, _) in batch.waiters.iter().filter(|(_, line)| *line == miss.line) {
+                visit(tag, addr);
+            }
+            self.release(miss.line);
+        }
+        batch.waiters.clear();
+        first_error.map_or(Ok(()), Err)
     }
 
     /// Journals and applies an application write of `payload` at byte
@@ -433,16 +675,27 @@ impl BamCache {
         debug_assert!(refs_of(prev) > 0, "release without a matching acquire");
     }
 
+    /// Clock steps [`BamCache::acquire`] spends looking for a victim before it
+    /// reports thrashing rather than hanging: enough full sweeps that
+    /// short-lived pins held by concurrent threads get released (transient
+    /// full-pin states are normal; permanent ones are the application bug
+    /// the error reports).
+    fn victim_patience(&self) -> u64 {
+        self.num_slots * 4096 + 65_536
+    }
+
     /// Finds a slot to hold a newly fetched line, evicting an unpinned valid
-    /// line if necessary (clock replacement, §3.4).
-    fn find_victim(&self) -> Result<u64, BamError> {
-        // Bound the search: after enough full sweeps with every slot pinned
-        // or busy, report thrashing rather than hanging. Yield between sweeps
-        // so short-lived pins held by concurrent threads get a chance to be
-        // released (transient full-pin states are normal; permanent ones are
-        // the application bug this error reports).
-        let limit = self.num_slots * 4096 + 65_536;
-        for attempt in 0..limit {
+    /// line if necessary (clock replacement, §3.4), within `patience` clock
+    /// steps. `before_writeback` runs before a dirty victim is synchronously
+    /// written back — the one place the search blocks on storage; its error
+    /// abandons the eviction.
+    fn find_victim(
+        &self,
+        patience: u64,
+        mut before_writeback: impl FnMut() -> Result<(), BamError>,
+    ) -> Result<u64, BamError> {
+        // Yield between sweeps so concurrent threads get to drop their pins.
+        for attempt in 0..patience {
             if attempt > 0 && attempt % self.num_slots == 0 {
                 std::thread::yield_now();
             }
@@ -477,7 +730,9 @@ impl BamCache {
                 continue;
             }
             if is_dirty(cur) {
-                if let Err(e) = self.journalled_writeback(victim_line, self.slot_addr(slot)) {
+                let written = before_writeback()
+                    .and_then(|()| self.journalled_writeback(victim_line, self.slot_addr(slot)));
+                if let Err(e) = written {
                     // Put the victim back exactly as found (valid, dirty,
                     // unpinned, same slot) so the line is neither wedged busy
                     // nor silently stripped of its dirty data.

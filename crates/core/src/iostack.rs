@@ -15,8 +15,9 @@ use bam_obs::{SpanEvent, SpanSink, Stage};
 
 use crate::backing::CacheBacking;
 use crate::error::BamError;
+use crate::fixed::{FixedVec, MAX_BATCH};
 use crate::metrics::BamMetrics;
-use crate::queue::BamQueuePair;
+use crate::queue::{BamQueuePair, Submission};
 
 /// Ceiling on the per-attempt fetch-retry backoff. The exponential saturates
 /// here instead of overflowing the shift for large configured retry counts.
@@ -28,6 +29,19 @@ const MAX_FETCH_BACKOFF_US: u64 = 10_000;
 fn retry_backoff_us(base_us: u64, attempt: u32) -> u64 {
     let factor = 1u64.checked_shl(attempt - 1).unwrap_or(u64::MAX);
     base_us.saturating_mul(factor).min(MAX_FETCH_BACKOFF_US)
+}
+
+/// One read command of a [`IoStack::read_lines`] batch, staged and not yet
+/// waited for.
+struct StagedRead<'a> {
+    /// Index of its request (and outcome) in the batch.
+    index: usize,
+    qp: &'a BamQueuePair,
+    submission: Submission,
+    device: usize,
+    lba: u64,
+    /// Virtual step the doorbell span opened at, when a recorder is installed.
+    start_step: Option<u64>,
 }
 
 /// The GPU-side I/O stack over a multi-SSD array.
@@ -219,6 +233,26 @@ impl IoStack {
         Ok(())
     }
 
+    /// Routes a read of `line`: the device and device-local LBA (round-robin
+    /// across replicas) and the queue pair (round-robin within the device).
+    fn route_read(&self, line: u64) -> (usize, u64, &BamQueuePair) {
+        let logical_lba = line * u64::from(self.blocks_per_line());
+        let rr = self.rr_device.fetch_add(1, Ordering::Relaxed) as usize;
+        let (device, lba) = self.array.locate_read(logical_lba, rr);
+        (device, lba, self.pick_queue(device))
+    }
+
+    /// Accounts one successfully completed read: doorbell span, sim-hook
+    /// submit event and request counters. Emitted together so trace length
+    /// and request counters agree 1:1 (failed commands appear in neither).
+    fn read_completed(&self, start_step: Option<u64>, device: usize, queue: u16, lba: u64) {
+        if let Some(start) = start_step {
+            self.emit_doorbell_span(start, device, lba);
+        }
+        self.emit_submit(device, queue, false, lba);
+        self.metrics.record_read_request(self.line_bytes);
+    }
+
     /// Reads cache line `line` from storage into GPU memory at `dst`.
     ///
     /// # Errors
@@ -226,20 +260,77 @@ impl IoStack {
     /// Returns [`BamError::IndexOutOfBounds`] or a storage failure.
     pub fn read_line(&self, line: u64, dst: DevAddr) -> Result<(), BamError> {
         self.check_line(line)?;
-        let logical_lba = line * u64::from(self.blocks_per_line());
-        let rr = self.rr_device.fetch_add(1, Ordering::Relaxed) as usize;
-        let (device, lba) = self.array.locate_read(logical_lba, rr);
-        let qp = self.pick_queue(device);
+        let (device, lba, qp) = self.route_read(line);
         let start_step = self.spans.with(|rec| rec.tick());
         qp.submit_and_wait(NvmeCommand::read(0, lba, self.blocks_per_line(), dst))?;
-        if let Some(start) = start_step {
-            self.emit_doorbell_span(start, device, lba);
-        }
-        // Emitted alongside the metrics so trace length and request counters
-        // agree 1:1 (failed commands appear in neither).
-        self.emit_submit(device, qp.queue_id(), false, lba);
-        self.metrics.record_read_request(self.line_bytes);
+        self.read_completed(start_step, device, qp.queue_id(), lba);
         Ok(())
+    }
+
+    /// Reads every `(line, dst)` of `requests` with the commands overlapped:
+    /// they are routed and staged in slice order (the same devices, queues
+    /// and order [`IoStack::read_line`] would have used one after another),
+    /// each queue's doorbell is rung once, and only then are the completions
+    /// awaited, in order. Each request's result lands in the matching element
+    /// of `outcomes`; a failed command does not fail the others, and none is
+    /// left in flight on return.
+    ///
+    /// Deadlock rule: a thread holding un-waited submissions never blocks on
+    /// queue credit — their credits, and everything queued behind them in a
+    /// completion ring, are what other threads wait for. When a queue has no
+    /// credit to try-take, the commands staged so far are rung and awaited
+    /// first, and only then does the thread block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length.
+    pub fn read_lines(&self, requests: &[(u64, DevAddr)], outcomes: &mut [Result<(), BamError>]) {
+        assert_eq!(requests.len(), outcomes.len(), "one outcome per request");
+        let mut staged: FixedVec<StagedRead<'_>, MAX_BATCH> = FixedVec::new();
+        for (index, &(line, dst)) in requests.iter().enumerate() {
+            if let Err(e) = self.check_line(line) {
+                outcomes[index] = Err(e);
+                continue;
+            }
+            let (device, lba, qp) = self.route_read(line);
+            let cmd = NvmeCommand::read(0, lba, self.blocks_per_line(), dst);
+            let start_step = self.spans.with(|rec| rec.tick());
+            let submission = qp.try_stage(cmd).unwrap_or_else(|| {
+                self.await_staged(&mut staged, outcomes);
+                qp.submit(cmd)
+            });
+            staged.push(StagedRead {
+                index,
+                qp,
+                submission,
+                device,
+                lba,
+                start_step,
+            });
+            if staged.is_full() {
+                self.await_staged(&mut staged, outcomes);
+            }
+        }
+        self.await_staged(&mut staged, outcomes);
+    }
+
+    /// Rings each queue once for everything staged on it, then waits for the
+    /// staged reads in staging order and records their outcomes.
+    fn await_staged(
+        &self,
+        staged: &mut FixedVec<StagedRead<'_>, MAX_BATCH>,
+        outcomes: &mut [Result<(), BamError>],
+    ) {
+        // Newest first: ringing a queue's newest submission sweeps its older
+        // ones, whose own `ring` then finds the mark already clear.
+        for read in staged.iter().rev() {
+            read.qp.ring(&read.submission);
+        }
+        for read in staged.drain() {
+            outcomes[read.index] = read.qp.wait(read.submission).map(|_| {
+                self.read_completed(read.start_step, read.device, read.qp.queue_id(), read.lba);
+            });
+        }
     }
 
     /// Writes cache line `line` from GPU memory at `src` back to storage.
@@ -266,6 +357,37 @@ impl IoStack {
         Ok(())
     }
 
+    /// The cache-miss retry loop, entered with the outcome of the fetch's
+    /// first attempt (made alone or as part of a batch): a transient device
+    /// failure is retried with [`IoStack::read_line`] after a backoff, up to
+    /// the configured budget; a fetch that ends well records its latency.
+    fn fetch_with_retry(
+        &self,
+        line: u64,
+        dst: DevAddr,
+        first_attempt: Result<(), BamError>,
+        started: Instant,
+    ) -> Result<(), BamError> {
+        let mut outcome = first_attempt;
+        let mut attempt = 0u32;
+        // Only transient device failures are worth retrying; config and
+        // bounds errors are deterministic.
+        while matches!(outcome, Err(BamError::Storage(_))) && attempt < self.fetch_retries {
+            attempt += 1;
+            self.metrics.record_retry();
+            if self.fetch_retry_base_us > 0 {
+                let backoff = retry_backoff_us(self.fetch_retry_base_us, attempt);
+                std::thread::sleep(std::time::Duration::from_micros(backoff));
+            }
+            outcome = self.read_line(line, dst);
+        }
+        if outcome.is_ok() {
+            self.metrics
+                .record_fetch_latency(started.elapsed().as_nanos() as u64);
+        }
+        outcome
+    }
+
     /// The data layout of the underlying array.
     pub fn layout(&self) -> DataLayout {
         self.array.layout()
@@ -283,27 +405,18 @@ impl CacheBacking for IoStack {
 
     fn fetch_line(&self, line: u64, dst: DevAddr) -> Result<(), BamError> {
         let started = Instant::now();
-        let mut attempt = 0u32;
-        let outcome = loop {
-            match self.read_line(line, dst) {
-                // Only transient device failures are worth retrying; config
-                // and bounds errors are deterministic.
-                Err(BamError::Storage(_)) if attempt < self.fetch_retries => {
-                    attempt += 1;
-                    self.metrics.record_retry();
-                    if self.fetch_retry_base_us > 0 {
-                        let backoff = retry_backoff_us(self.fetch_retry_base_us, attempt);
-                        std::thread::sleep(std::time::Duration::from_micros(backoff));
-                    }
-                }
-                other => break other,
-            }
-        };
-        if outcome.is_ok() {
-            self.metrics
-                .record_fetch_latency(started.elapsed().as_nanos() as u64);
+        self.fetch_with_retry(line, dst, self.read_line(line, dst), started)
+    }
+
+    fn fetch_lines(&self, requests: &[(u64, DevAddr)], outcomes: &mut [Result<(), BamError>]) {
+        let started = Instant::now();
+        self.read_lines(requests, outcomes);
+        // A failed command re-enters the single-line retry loop on its own;
+        // each line's latency sample runs from the batch's issue.
+        for (&(line, dst), outcome) in requests.iter().zip(outcomes) {
+            let first_attempt = std::mem::replace(outcome, Ok(()));
+            *outcome = self.fetch_with_retry(line, dst, first_attempt, started);
         }
-        outcome
     }
 
     fn writeback_line(&self, line: u64, src: DevAddr) -> Result<(), BamError> {
@@ -327,6 +440,14 @@ mod tests {
         num_ssds: usize,
         layout: DataLayout,
     ) -> (Arc<ByteRegion>, BumpAllocator, Arc<SsdArray>, IoStack) {
+        build_with_queues(num_ssds, layout, 2)
+    }
+
+    fn build_with_queues(
+        num_ssds: usize,
+        layout: DataLayout,
+        queues_per_device: usize,
+    ) -> (Arc<ByteRegion>, BumpAllocator, Arc<SsdArray>, IoStack) {
         let region = Arc::new(ByteRegion::new(32 << 20));
         let alloc = BumpAllocator::new(region.len() as u64);
         let mut array = SsdArray::new(
@@ -338,7 +459,7 @@ mod tests {
         );
         array.start();
         let array = Arc::new(array);
-        let raw_queues = array.create_queues(&alloc, 2, 32).unwrap();
+        let raw_queues = array.create_queues(&alloc, queues_per_device, 32).unwrap();
         let queues: Vec<Vec<Arc<BamQueuePair>>> = raw_queues
             .into_iter()
             .map(|per_dev| {
@@ -423,6 +544,40 @@ mod tests {
         assert_eq!(stack.total_submissions(), 10);
         assert!(stack.total_doorbell_writes() <= 10);
         assert!(stack.total_doorbell_writes() >= 1);
+    }
+
+    #[test]
+    fn one_threads_batch_on_one_queue_rings_the_doorbell_once() {
+        let (region, alloc, array, stack) = build_with_queues(1, DataLayout::Replicated, 1);
+        for line in 0..8u64 {
+            array.preload(line * 1024, &[line as u8 + 1; 1024]).unwrap();
+        }
+        let requests: Vec<(u64, DevAddr)> = (0..8)
+            .map(|line| (line, alloc.alloc(1024, 512).unwrap()))
+            .collect();
+        let mut outcomes: Vec<Result<(), BamError>> = requests.iter().map(|_| Ok(())).collect();
+        stack.read_lines(&requests, &mut outcomes);
+        assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
+        for &(line, dst) in &requests {
+            let mut out = vec![0u8; 1024];
+            region.read_bytes(dst, &mut out);
+            assert!(out.iter().all(|&b| b == line as u8 + 1), "line {line}");
+        }
+        assert_eq!(stack.total_submissions(), 8);
+        assert_eq!(stack.total_doorbell_writes(), 1, "one batch, one doorbell");
+        assert_eq!(stack.metrics.snapshot().read_requests, 8);
+
+        // A line out of range fails alone; the rest of its batch is read.
+        let mut outcomes = vec![Ok(()), Ok(()), Ok(())];
+        stack.read_lines(
+            &[requests[0], (1 << 40, requests[1].1), requests[2]],
+            &mut outcomes,
+        );
+        assert!(matches!(
+            outcomes.as_slice(),
+            [Ok(()), Err(BamError::IndexOutOfBounds { .. }), Ok(())]
+        ));
+        assert_eq!(stack.total_doorbell_writes(), 2);
     }
 
     #[test]

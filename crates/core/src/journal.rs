@@ -133,22 +133,23 @@ impl JournalRecord {
     }
 }
 
-fn encode_record(kind: u8, lsn: u64, line: u64, aux: u64, payload: &[u8]) -> Vec<u8> {
+/// Appends one encoded record to `buf`.
+fn encode_record(buf: &mut Vec<u8>, kind: u8, lsn: u64, line: u64, aux: u64, payload: &[u8]) {
     debug_assert!(payload.len() <= u16::MAX as usize);
-    let mut rec = Vec::with_capacity(RECORD_OVERHEAD_BYTES + payload.len());
-    rec.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
-    rec.push(kind);
-    rec.push(0); // pad
-    rec.extend_from_slice(&(payload.len() as u16).to_le_bytes());
-    rec.extend_from_slice(&lsn.to_le_bytes());
-    rec.extend_from_slice(&line.to_le_bytes());
-    rec.extend_from_slice(&aux.to_le_bytes());
-    let hdr_cksum = fnv1a64(&rec[..32]);
-    rec.extend_from_slice(&hdr_cksum.to_le_bytes());
-    rec.extend_from_slice(payload);
-    let cksum = fnv1a64(&rec);
-    rec.extend_from_slice(&cksum.to_le_bytes());
-    rec
+    let start = buf.len();
+    buf.reserve(RECORD_OVERHEAD_BYTES + payload.len());
+    buf.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
+    buf.push(kind);
+    buf.push(0); // pad
+    buf.extend_from_slice(&(payload.len() as u16).to_le_bytes());
+    buf.extend_from_slice(&lsn.to_le_bytes());
+    buf.extend_from_slice(&line.to_le_bytes());
+    buf.extend_from_slice(&aux.to_le_bytes());
+    let hdr_cksum = fnv1a64(&buf[start..start + 32]);
+    buf.extend_from_slice(&hdr_cksum.to_le_bytes());
+    buf.extend_from_slice(payload);
+    let cksum = fnv1a64(&buf[start..]);
+    buf.extend_from_slice(&cksum.to_le_bytes());
 }
 
 fn le_u64(bytes: &[u8]) -> u64 {
@@ -307,29 +308,32 @@ impl CacheJournal {
         );
         let mut inner = self.inner.lock();
         let lsn = inner.next_lsn;
-        let rec = encode_record(kind, lsn, line, aux, payload);
-        if let Some(cp) = &self.crash {
-            match cp.consume_step() {
-                StepOutcome::Run => {}
-                StepOutcome::Crash { torn_bytes } => {
-                    // The torn prefix is always strictly shorter than the
-                    // record: a crashed append never becomes durable.
-                    let keep = (torn_bytes as usize).min(rec.len() - 1);
-                    let prefix = rec[..keep].to_vec();
-                    inner.buf.extend_from_slice(&prefix);
-                    return Err(BamError::Crashed);
-                }
-                StepOutcome::Down => return Err(BamError::Crashed),
-            }
+        let start = inner.buf.len();
+        let record_bytes = RECORD_OVERHEAD_BYTES + payload.len();
+        let step = self
+            .crash
+            .as_ref()
+            .map_or(StepOutcome::Run, |cp| cp.consume_step());
+        if step == StepOutcome::Down {
+            return Err(BamError::Crashed);
         }
-        inner.buf.extend_from_slice(&rec);
+        // The record is encoded straight into the journal; a crashed append
+        // is that record cut short.
+        encode_record(&mut inner.buf, kind, lsn, line, aux, payload);
+        if let StepOutcome::Crash { torn_bytes } = step {
+            // The torn prefix is always strictly shorter than the record: a
+            // crashed append never becomes durable.
+            let keep = (torn_bytes as usize).min(record_bytes - 1);
+            inner.buf.truncate(start + keep);
+            return Err(BamError::Crashed);
+        }
         inner.next_lsn += 1;
         if kind == KIND_WRITE {
             inner.payload_bytes += payload.len() as u64;
         }
         Ok(JournalAppend {
             lsn,
-            bytes: rec.len() as u64,
+            bytes: record_bytes as u64,
         })
     }
 

@@ -12,8 +12,9 @@
 //!   per-line state words manipulated with single atomics, clock
 //!   replacement, reference-count pinning, dirty tracking and write-back.
 //! * [`array::BamArray`] — the `bam::array<T>` abstraction (§3.5): element
-//!   reads/writes with warp coalescing (`match_any` + leader election) and
-//!   cache-line reference reuse.
+//!   reads/writes with warp coalescing (`match_any` + leader election),
+//!   cache-line reference reuse, and warp-scope readers that issue all of a
+//!   warp's misses before waiting for any.
 //! * [`iostack::IoStack`] — routes line fetches/write-backs to the SSD array
 //!   through the BaM queues, round-robining across devices and queue pairs.
 //! * [`system::BamSystem`] — one-call initialization that allocates
@@ -45,6 +46,7 @@ pub mod cache;
 pub mod config;
 pub mod crash;
 pub mod error;
+mod fixed;
 pub mod iostack;
 pub mod journal;
 pub mod metrics;
@@ -66,5 +68,5 @@ pub use journal::{
     JournalRecord, LineReplay, RecoveryReport,
 };
 pub use metrics::{BamMetrics, MetricsSnapshot};
-pub use queue::BamQueuePair;
+pub use queue::{BamQueuePair, Submission};
 pub use system::BamSystem;

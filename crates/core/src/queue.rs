@@ -76,12 +76,25 @@ struct CqState {
     sq_head: u32,
 }
 
+/// A command handed to a [`BamQueuePair`] and not yet waited for. It holds
+/// one queue credit and — completions retire in ticket order — everything
+/// submitted behind it until [`BamQueuePair::wait`] consumes it.
+#[derive(Debug)]
+#[must_use = "an un-waited submission holds a queue credit and stalls the completion queue"]
+pub struct Submission {
+    /// Physical SQ entry (and command id) of the command.
+    entry: u32,
+}
+
 /// A BaM-managed NVMe queue pair.
 ///
 /// Any number of threads may call [`BamQueuePair::submit_and_wait`]
 /// concurrently; the protocol guarantees each command is submitted exactly
 /// once, each completion is delivered to the thread that submitted the
-/// matching command, and doorbell writes are batched across threads.
+/// matching command, and doorbell writes are batched across threads — and
+/// across one thread's batch, when it stages several commands before ringing
+/// ([`BamQueuePair::try_stage`], [`BamQueuePair::ring`],
+/// [`BamQueuePair::wait`]).
 #[derive(Debug)]
 pub struct BamQueuePair {
     qp: Arc<QueuePair>,
@@ -152,51 +165,63 @@ impl BamQueuePair {
     }
 
     /// Submits `cmd` (its `cid` is overwritten by the protocol) and blocks
-    /// until the matching completion arrives.
+    /// until the matching completion arrives: [`BamQueuePair::submit`] then
+    /// [`BamQueuePair::wait`].
     ///
     /// # Errors
     ///
     /// Returns [`BamError::Storage`] if the device reports a non-success
     /// status.
     pub fn submit_and_wait(&self, cmd: NvmeCommand) -> Result<NvmeCompletion, BamError> {
-        self.acquire_credit();
-        let entry = self.enqueue(cmd);
-        let (completion, pos) = self.poll_completion(entry);
-        self.retire_completion(pos);
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
-        if completion.status.is_success() {
-            Ok(completion)
-        } else {
-            Err(BamError::Storage(bam_nvme_sim::NvmeError::CommandFailed {
-                cid: completion.cid,
-                status: completion.status,
-            }))
-        }
+        self.wait(self.submit(cmd))
     }
 
-    /// Blocks until an in-flight credit is available (at most `capacity`
-    /// commands outstanding).
-    fn acquire_credit(&self) {
+    /// Submits `cmd` and rings the doorbell, blocking while the queue has no
+    /// free credit. The caller must not hold un-waited [`Submission`]s of its
+    /// own (on any queue) — their credits may be the ones it would wait for;
+    /// use [`BamQueuePair::try_stage`] then.
+    pub fn submit(&self, cmd: NvmeCommand) -> Submission {
         let mut spins = 0u64;
-        loop {
-            let cur = self.in_flight.load(Ordering::Acquire);
-            if cur < u64::from(self.capacity) {
-                if self
-                    .in_flight
-                    .compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    return;
-                }
-            } else {
-                spin_wait(&mut spins);
+        while !self.try_credit() {
+            spin_wait(&mut spins);
+        }
+        let submission = self.enqueue(cmd);
+        self.ring(&submission);
+        submission
+    }
+
+    /// Stages `cmd` without blocking on credit and without ringing the
+    /// doorbell: credit → ticket → copy → mark. Returns `None` when every
+    /// credit is taken. A batch stages its commands, calls
+    /// [`BamQueuePair::ring`] once on the last one per queue, then
+    /// [`BamQueuePair::wait`]s for each in staging order.
+    pub fn try_stage(&self, cmd: NvmeCommand) -> Option<Submission> {
+        self.try_credit().then(|| self.enqueue(cmd))
+    }
+
+    /// Takes one in-flight credit if fewer than `capacity` commands are
+    /// outstanding.
+    fn try_credit(&self) -> bool {
+        let mut cur = self.in_flight.load(Ordering::Acquire);
+        while cur < u64::from(self.capacity) {
+            match self.in_flight.compare_exchange_weak(
+                cur,
+                cur + 1,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return true,
+                Err(actual) => cur = actual,
             }
         }
+        false
     }
 
-    /// Phase 1: claim a slot, copy the command, and complete tail movement /
-    /// doorbell ringing. Returns the physical entry used.
-    fn enqueue(&self, mut cmd: NvmeCommand) -> u32 {
+    /// Claims a slot, copies the command in and marks it ready. Needs a
+    /// credit, which also bounds the turn wait: with at most `capacity =
+    /// entries - 1` commands outstanding and completions retired in ticket
+    /// order, the slot's previous occupant has already been swept.
+    fn enqueue(&self, mut cmd: NvmeCommand) -> Submission {
         // Ticket → (entry, turn).
         let ticket = self.ticket.fetch_add(1, Ordering::AcqRel);
         let entry = (ticket % u64::from(self.entries)) as u32;
@@ -214,41 +239,58 @@ impl BamQueuePair {
         cmd.cid = entry as u16;
         self.qp.write_sq_entry(entry, &cmd);
 
-        // Publish: set our mark bit.
+        // Flip our turn_counter to odd ("submitted, awaiting retirement";
+        // retirement adds the other half of the turn), then publish the mark.
+        self.turn_counter[entry as usize].fetch_add(1, Ordering::AcqRel);
         self.sq_marks.set(entry);
+        Submission { entry }
+    }
 
-        // move_tail (paper's routine): one winner sweeps consecutive marks
-        // from the tail, advances it, and rings the doorbell once.
+    /// move_tail (paper's routine) up to and including `submission`: one
+    /// winner sweeps consecutive marks from the tail, advances it, and rings
+    /// the doorbell once for everything swept. Marks clear in ticket order,
+    /// so ringing a thread's newest submission covers its older ones.
+    pub fn ring(&self, submission: &Submission) {
+        let entry = submission.entry;
         let mut spins = 0u64;
-        loop {
-            if !self.sq_marks.is_set(entry) {
-                break; // the tail has been moved past our entry
-            }
+        // The mark clears once the tail has moved past our entry.
+        while self.sq_marks.is_set(entry) {
             if let Some(mut tail) = self.sq_lock.try_lock() {
                 let mut t = tail.tail;
-                let mut advanced = false;
                 while self.sq_marks.is_set(t) {
                     self.sq_marks.clear(t);
                     t = (t + 1) % self.entries;
-                    advanced = true;
                 }
-                if advanced {
+                if t != tail.tail {
                     tail.tail = t;
                     self.qp.ring_sq_tail(t);
-                }
-                drop(tail);
-                if !self.sq_marks.is_set(entry) {
-                    break;
                 }
             } else {
                 spin_wait(&mut spins);
             }
         }
+    }
 
-        // Our command is now visible to the controller: flip our
-        // turn_counter to odd, recording "submitted, awaiting retirement".
-        self.turn_counter[entry as usize].fetch_add(1, Ordering::AcqRel);
-        entry
+    /// Blocks until `submission` completes, retires its completion entry and
+    /// returns its credit. A thread waits for its submissions in the order it
+    /// made them (completions retire in ticket order).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BamError::Storage`] if the device reports a non-success
+    /// status.
+    pub fn wait(&self, submission: Submission) -> Result<NvmeCompletion, BamError> {
+        let (completion, pos) = self.poll_completion(submission.entry);
+        self.retire_completion(pos);
+        self.in_flight.fetch_sub(1, Ordering::AcqRel);
+        if completion.status.is_success() {
+            Ok(completion)
+        } else {
+            Err(BamError::Storage(bam_nvme_sim::NvmeError::CommandFailed {
+                cid: completion.cid,
+                status: completion.status,
+            }))
+        }
     }
 
     /// Phase 2: poll the CQ (lock-free) for the completion whose cid matches

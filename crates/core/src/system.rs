@@ -14,7 +14,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bam_gpu_sim::{GpuMemory, GpuSpec};
-use bam_mem::{DevAddr, Pod};
+use bam_mem::{ByteRegion, DevAddr, Pod};
 use bam_nvme_sim::{DataLayout, FaultInjector, SsdArray, StatsSnapshot};
 use bam_obs::{chrome_trace_json, PromWriter, SpanRecorder};
 
@@ -32,10 +32,30 @@ use crate::queue::BamQueuePair;
 /// Number of pre-allocated scratch line buffers used by uncached accesses.
 const SCRATCH_BUFFERS: usize = 64;
 
+/// A typed window onto one cache line's bytes in GPU memory, valid while the
+/// line is pinned (or, uncached, while its scratch buffer is held): what
+/// [`SystemInner::with_line`] and [`SystemInner::with_lines`] hand their
+/// callers. `Copy`, and reading through it never allocates.
+#[derive(Clone, Copy)]
+pub(crate) struct LineView<'a> {
+    region: &'a ByteRegion,
+    base: DevAddr,
+}
+
+impl LineView<'_> {
+    /// Decodes the `T` at byte `offset` within the line.
+    #[inline]
+    pub(crate) fn read<T: Pod>(&self, offset: u64) -> T {
+        self.region.read_pod(self.base + offset)
+    }
+}
+
 /// Shared state behind a [`BamSystem`] and every [`BamArray`] created from it.
 pub(crate) struct SystemInner {
     pub(crate) config: BamConfig,
     pub(crate) gpu: GpuMemory,
+    /// The GPU memory region, held once for the element paths.
+    region: Arc<ByteRegion>,
     pub(crate) array: Arc<SsdArray>,
     pub(crate) iostack: Arc<IoStack>,
     pub(crate) cache: Option<Arc<BamCache>>,
@@ -65,57 +85,54 @@ impl std::fmt::Debug for SystemInner {
 }
 
 impl SystemInner {
-    /// Runs `f` with a reader over the given cache line's bytes.
+    /// Runs `f` with a view of the given cache line's bytes.
     ///
     /// With the cache enabled, the line is acquired (pinned) for the duration
     /// of `f`; in uncached mode the line is read into a scratch buffer first
     /// (every call is a storage request — the Fig 8 "no cache" configuration).
+    #[inline]
     pub(crate) fn with_line<R>(
         &self,
         line: u64,
-        f: impl FnOnce(&dyn Fn(u64, usize) -> Vec<u8>) -> R,
+        f: impl FnOnce(LineView<'_>) -> R,
     ) -> Result<R, BamError> {
-        let region = self.gpu.region();
+        let region = &*self.region;
         if let Some(cache) = &self.cache {
             let guard = cache.acquire(line)?;
-            let base = guard.addr();
-            let read_at = move |offset: u64, size: usize| {
-                let mut buf = vec![0u8; size];
-                region.read_bytes(base + offset, &mut buf);
-                buf
-            };
-            Ok(f(&read_at))
+            Ok(f(LineView {
+                region,
+                base: guard.addr(),
+            }))
         } else {
-            let (_slot_guard, addr) = self.lock_scratch();
-            self.iostack.read_line(line, addr)?;
-            let read_at = move |offset: u64, size: usize| {
-                let mut buf = vec![0u8; size];
-                region.read_bytes(addr + offset, &mut buf);
-                buf
-            };
-            Ok(f(&read_at))
+            let (_slot_guard, base) = self.lock_scratch();
+            self.iostack.read_line(line, base)?;
+            Ok(f(LineView { region, base }))
         }
     }
 
-    /// Reads `size` bytes at `offset` within `line`.
-    pub(crate) fn read_element(
+    /// Calls `visit(tag, view)` once for each `(line, tag)` of `requests`,
+    /// with the misses among them fetched together
+    /// ([`BamCache::acquire_each`]): visits come in no particular order, and
+    /// `tag` says which request one serves. Returns the number of lines
+    /// fetched from storage. Uncached, every request is its own storage read,
+    /// one after another.
+    pub(crate) fn with_lines<R: Copy>(
         &self,
-        line: u64,
-        offset: u64,
-        size: usize,
-    ) -> Result<Vec<u8>, BamError> {
-        self.with_line(line, |read_at| read_at(offset, size))
-    }
-
-    /// Writes `bytes` at `offset` within `line` (write-back through the
-    /// cache, or a read-modify-write of the whole line in uncached mode).
-    pub(crate) fn write_element(
-        &self,
-        line: u64,
-        offset: u64,
-        bytes: &[u8],
-    ) -> Result<(), BamError> {
-        self.write_line_range(line, offset, bytes)
+        requests: impl IntoIterator<Item = (u64, R)>,
+        mut visit: impl FnMut(R, LineView<'_>),
+    ) -> Result<u64, BamError> {
+        let region = &*self.region;
+        if let Some(cache) = &self.cache {
+            return cache.acquire_each(requests, |tag, base| visit(tag, LineView { region, base }));
+        }
+        let (_slot_guard, base) = self.lock_scratch();
+        let mut fetched = 0;
+        for (line, tag) in requests {
+            self.iostack.read_line(line, base)?;
+            visit(tag, LineView { region, base });
+            fetched += 1;
+        }
+        Ok(fetched)
     }
 
     /// Writes an arbitrary byte range within one line.
@@ -129,7 +146,7 @@ impl SystemInner {
             offset + bytes.len() as u64 <= self.line_bytes,
             "write crosses a cache-line boundary"
         );
-        let region = self.gpu.region();
+        let region = &*self.region;
         if let Some(cache) = &self.cache {
             let guard = cache.acquire(line)?;
             let addr = guard.addr();
@@ -294,10 +311,12 @@ impl BamSystem {
 
         let line_bytes = config.cache_line_bytes;
         let coalescing = config.warp_coalescing;
+        let region = gpu.region();
         Ok(Self {
             inner: Arc::new(SystemInner {
                 config,
                 gpu,
+                region,
                 array: ssd_array,
                 iostack,
                 cache,
@@ -583,13 +602,13 @@ impl BamSystem {
         }
         // Replay against the raw I/O stack: the crash wrapper models devices
         // lost with the crashed host, and the reboot is behind us.
-        let region = self.inner.gpu.region();
+        let region = &self.inner.region;
         let (_slot_guard, scratch) = self.inner.lock_scratch();
         let recorder = self.inner.span_recorder.lock().clone();
         let report = journal::recover_observed(
             journal_bytes,
             self.inner.iostack.as_ref(),
-            &region,
+            region,
             scratch,
             recorder.as_deref(),
         )?;

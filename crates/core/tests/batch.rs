@@ -1,0 +1,314 @@
+//! The batched miss path (`BamCache::acquire_each` over
+//! `IoStack::read_lines`) under contention, device faults and crashes: it
+//! must complete, and leave no line BUSY, no slot claimed and no command in
+//! flight behind it — whatever happens to the commands of a batch.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use bam_core::{
+    recover, BamCache, BamError, BamMetrics, BamQueuePair, CacheBacking, CacheJournal,
+    CrashBacking, CrashPoint, IoStack,
+};
+use bam_mem::{BumpAllocator, ByteRegion};
+use bam_nvme_sim::{DataLayout, NvmeCommand, NvmeStatus, SsdArray, SsdSpec};
+
+const LINE: u64 = 512;
+const LINES: u64 = 1024;
+const STATE_INVALID: u8 = 0;
+const STATE_VALID: u8 = 2;
+
+/// One SSD holding `LINES` lines (line `l` filled with byte `l % 251`) behind
+/// `queue_pairs` queue pairs of `queue_depth` entries.
+struct Rig {
+    region: Arc<ByteRegion>,
+    alloc: BumpAllocator,
+    array: Arc<SsdArray>,
+    metrics: Arc<BamMetrics>,
+    stack: Arc<IoStack>,
+}
+
+fn line_byte(line: u64) -> u8 {
+    (line % 251) as u8
+}
+
+fn rig(queue_pairs: usize, queue_depth: u32, fetch_retries: u32) -> Rig {
+    let region = Arc::new(ByteRegion::new(8 << 20));
+    let alloc = BumpAllocator::new(region.len() as u64);
+    let mut array = SsdArray::new(
+        SsdSpec::intel_optane_p5800x(),
+        1,
+        region.clone(),
+        LINES * LINE,
+        DataLayout::Replicated,
+    );
+    array.start();
+    let array = Arc::new(array);
+    for line in 0..LINES {
+        array
+            .preload(line * LINE, &[line_byte(line); LINE as usize])
+            .unwrap();
+    }
+    let queues = array
+        .create_queues(&alloc, queue_pairs, queue_depth)
+        .unwrap()
+        .into_iter()
+        .map(|dev| {
+            dev.into_iter()
+                .map(|q| Arc::new(BamQueuePair::new(q)))
+                .collect()
+        })
+        .collect();
+    let metrics = Arc::new(BamMetrics::new());
+    let stack = Arc::new(
+        IoStack::new(array.clone(), queues, LINE, LINES, metrics.clone())
+            .with_fetch_retry(fetch_retries, 1),
+    );
+    Rig {
+        region,
+        alloc,
+        array,
+        metrics,
+        stack,
+    }
+}
+
+impl Rig {
+    fn cache(&self, backing: Arc<dyn CacheBacking>, slots: u64) -> BamCache {
+        let slots_base = self.alloc.alloc(slots * LINE, LINE).unwrap();
+        BamCache::new(backing, self.metrics.clone(), slots_base, slots)
+    }
+
+    /// Fails the first command for `line` (one block per line), once.
+    fn fail_line_once(&self, line: u64) {
+        let strikes = AtomicU64::new(1);
+        self.array
+            .device(0)
+            .controller()
+            .set_fault_injector(Some(Arc::new(move |cmd: &NvmeCommand| {
+                (cmd.slba == line
+                    && strikes
+                        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |s| s.checked_sub(1))
+                        .is_ok())
+                .then_some(NvmeStatus::InternalError)
+            })));
+    }
+
+    fn heal(&self) {
+        self.array.device(0).controller().set_fault_injector(None);
+    }
+
+    /// Asserts `addr` holds line `line`'s pattern.
+    fn assert_line_at(&self, line: u64, addr: u64) {
+        let mut buf = [0u8; LINE as usize];
+        self.region.read_bytes(addr, &mut buf);
+        assert!(
+            buf.iter().all(|&b| b == line_byte(line)),
+            "line {line} holds the wrong bytes"
+        );
+    }
+}
+
+/// No line is BUSY or pinned, and every one of the `slots` slots can still
+/// be claimed (none is stuck claimed by a fetch that never finished).
+fn assert_quiescent(cache: &BamCache, slots: u64) {
+    for line in 0..LINES {
+        let (state, refs, _) = cache.line_debug(line);
+        assert!(
+            state == STATE_INVALID || state == STATE_VALID,
+            "line {line} left BUSY"
+        );
+        assert_eq!(refs, 0, "line {line} left pinned");
+    }
+    let resident: Vec<u64> = (0..LINES)
+        .filter(|&l| cache.line_debug(l).0 == STATE_VALID)
+        .collect();
+    assert!(resident.len() as u64 <= slots);
+    // Pin what is resident, then fill every remaining slot with a new line.
+    let mut guards: Vec<_> = resident
+        .iter()
+        .map(|&l| cache.acquire(l).unwrap())
+        .collect();
+    for line in (0..LINES).filter(|l| !resident.contains(l)) {
+        if guards.len() as u64 == slots {
+            break;
+        }
+        guards.push(cache.acquire(line).expect("a slot was leaked"));
+    }
+    assert_eq!(guards.len() as u64, slots);
+}
+
+#[test]
+fn four_threads_of_32_line_batches_share_a_4_entry_queue_and_a_16_slot_cache() {
+    // Three credits for 4 × 32 wanted commands, and a cache half the size of
+    // one batch: every thread keeps running out of credit and of victims.
+    const SLOTS: u64 = 16;
+    let r = rig(1, 4, 0);
+    let cache = r.cache(r.stack.clone(), SLOTS);
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let (cache, r) = (&cache, &r);
+            s.spawn(move || {
+                for round in 0..40u64 {
+                    // Overlapping windows, so threads also meet on lines.
+                    let first = (t * 37 + round * 29) % (LINES - 32);
+                    let mut visited = 0u32;
+                    cache
+                        .acquire_each((first..first + 32).map(|l| (l, l)), |line, addr| {
+                            r.assert_line_at(line, addr);
+                            visited += 1;
+                        })
+                        .unwrap();
+                    assert_eq!(visited, 32, "every request is visited exactly once");
+                }
+            });
+        }
+    });
+    let m = r.metrics.snapshot();
+    assert_eq!(m.cache_hits + m.cache_misses, 4 * 40 * 32);
+    assert_eq!(m.read_requests, m.cache_misses);
+    assert_quiescent(&cache, SLOTS);
+}
+
+#[test]
+fn repeated_lines_in_one_batch_are_fetched_once_and_visited_every_time() {
+    let r = rig(2, 64, 0);
+    let cache = r.cache(r.stack.clone(), 64);
+    // 40 requests for line 7 overflow the batch's waiter list, too.
+    let lines: Vec<u64> = [3, 7, 3, 9]
+        .into_iter()
+        .chain(std::iter::repeat_n(7, 40))
+        .collect();
+    let mut visits = vec![0u32; lines.len()];
+    let fetched = cache
+        .acquire_each(lines.iter().copied().zip(0usize..), |i, addr| {
+            r.assert_line_at(lines[i], addr);
+            visits[i] += 1;
+        })
+        .unwrap();
+    assert_eq!(fetched, 3);
+    assert!(visits.iter().all(|&v| v == 1));
+    let m = r.metrics.snapshot();
+    assert_eq!((m.cache_misses, m.cache_hits), (3, lines.len() as u64 - 3));
+    assert_eq!(m.probe_attempts, lines.len() as u64);
+    assert_quiescent(&cache, 64);
+}
+
+#[test]
+fn a_failed_command_with_no_retry_budget_fails_the_call_and_only_its_own_line() {
+    const SLOTS: u64 = 64;
+    let r = rig(2, 64, 0);
+    let cache = r.cache(r.stack.clone(), SLOTS);
+    r.fail_line_once(105);
+    let mut visited = Vec::new();
+    let err = cache
+        .acquire_each((100..116).map(|l| (l, l)), |line, addr| {
+            r.assert_line_at(line, addr);
+            visited.push(line);
+        })
+        .unwrap_err();
+    assert!(matches!(err, BamError::Storage(_)), "{err:?}");
+    // Line 105 alone is rolled back.
+    assert_eq!(visited.len(), 15);
+    assert!(!visited.contains(&105));
+    for line in 100..116 {
+        let want = if line == 105 {
+            STATE_INVALID
+        } else {
+            STATE_VALID
+        };
+        assert_eq!(cache.line_debug(line).0, want, "line {line}");
+    }
+    assert_eq!(r.metrics.snapshot().storage_retries, 0);
+    assert_quiescent(&cache, SLOTS);
+    // The device has healed (the fault was one-shot): the line is served.
+    let guard = cache.acquire(105).unwrap();
+    r.assert_line_at(105, guard.addr());
+}
+
+#[test]
+fn a_failed_command_is_retried_alone_within_the_budget() {
+    const SLOTS: u64 = 64;
+    let r = rig(2, 64, 2);
+    let cache = r.cache(r.stack.clone(), SLOTS);
+    r.fail_line_once(105);
+    let mut visited = 0;
+    let fetched = cache
+        .acquire_each((100..116).map(|l| (l, l)), |line, addr| {
+            r.assert_line_at(line, addr);
+            visited += 1;
+        })
+        .unwrap();
+    assert_eq!((fetched, visited), (16, 16));
+    let m = r.metrics.snapshot();
+    // One retry, and it is not a second miss or a second read request.
+    assert_eq!(m.storage_retries, 1);
+    assert_eq!((m.cache_misses, m.read_requests), (16, 16));
+    assert_quiescent(&cache, SLOTS);
+    r.heal();
+}
+
+#[test]
+fn a_crash_at_a_dirty_victims_writeback_inside_a_batch_is_clean_and_recoverable() {
+    const SLOTS: u64 = 16;
+    let r = rig(2, 64, 0);
+    let cp = Arc::new(CrashPoint::new());
+    let journal = Arc::new(CacheJournal::with_crash_point(cp.clone()));
+    let backing = Arc::new(CrashBacking::new(r.stack.clone(), cp.clone()));
+    let cache = r.cache(backing, SLOTS).with_journal(journal.clone());
+
+    // Fill the cache with dirty lines 0..16 (acknowledged, journalled writes).
+    for line in 0..SLOTS {
+        let guard = cache.acquire(line).unwrap();
+        let addr = guard.addr();
+        cache
+            .journalled_write(line, 0, &[0xEE; 8], || {
+                r.region.write_bytes(addr, &[0xEE; 8])
+            })
+            .unwrap();
+    }
+    // A batch of new lines must evict them. Let the first victim go (intent,
+    // media write, commit = 3 durable steps), the second's intent land, and
+    // crash the second's media write — with one read already claimed.
+    cp.arm(cp.steps_taken() + 4, 0);
+    let mut visited = Vec::new();
+    let err = cache
+        .acquire_each((500..508).map(|l| (l, l)), |line, addr| {
+            r.assert_line_at(line, addr);
+            visited.push(line);
+        })
+        .unwrap_err();
+    assert_eq!(err, BamError::Crashed);
+    assert_eq!(
+        visited,
+        [500],
+        "the claimed line completed before the crash"
+    );
+    // Down, the whole batch fails cleanly.
+    assert_eq!(
+        cache
+            .acquire_each((600..632).map(|l| (l, ())), |(), _| ())
+            .unwrap_err(),
+        BamError::Crashed
+    );
+    for line in 0..LINES {
+        let (state, refs, _) = cache.line_debug(line);
+        assert_ne!(state, 1, "line {line} left BUSY by the crash");
+        assert_eq!(refs, 0);
+    }
+    // The victim whose write-back crashed is still resident and dirty.
+    assert_eq!(cache.line_debug(1), (STATE_VALID, 0, true));
+
+    // Reboot: every acknowledged write is redone from the journal.
+    cp.reset();
+    let scratch = r.alloc.alloc(LINE, LINE).unwrap();
+    let report = recover(&journal.snapshot(), r.stack.as_ref(), &r.region, scratch).unwrap();
+    assert_eq!(report.replayed_lines, SLOTS - 1, "line 0 was committed");
+    cache.reset_after_crash();
+    for line in 0..SLOTS {
+        let guard = cache.acquire(line).unwrap();
+        let mut head = [0u8; 8];
+        r.region.read_bytes(guard.addr(), &mut head);
+        assert_eq!(head, [0xEE; 8], "acknowledged write to line {line} lost");
+    }
+}

@@ -102,20 +102,15 @@ pub fn shfl<T: Copy>(values: &[T], src_lane: usize) -> T {
 ///
 /// This is exactly the per-group work distribution BaM's coalescer performs:
 /// each leader probes the cache once on behalf of its group.
-pub fn groups(match_masks: &[LaneMask; WARP_SIZE], active: LaneMask) -> Vec<(usize, LaneMask)> {
-    let mut seen: LaneMask = 0;
-    let mut out = Vec::new();
-    for (lane, &mask) in match_masks.iter().enumerate() {
-        if active & (1 << lane) == 0 || seen & (1 << lane) != 0 || mask == 0 {
-            continue;
-        }
-        let leader = elect_leader(mask).expect("non-empty mask has a leader");
-        if leader == lane {
-            out.push((leader, mask));
-        }
-        seen |= mask;
-    }
-    out
+pub fn groups(
+    match_masks: &[LaneMask; WARP_SIZE],
+    active: LaneMask,
+) -> impl Iterator<Item = (usize, LaneMask)> + '_ {
+    match_masks
+        .iter()
+        .enumerate()
+        .filter(move |&(lane, &mask)| active & (1 << lane) != 0 && elect_leader(mask) == Some(lane))
+        .map(|(lane, &mask)| (lane, mask))
 }
 
 #[cfg(test)]
@@ -134,7 +129,7 @@ mod tests {
         assert_eq!(masks[0], expected);
         assert_eq!(masks[4], expected);
         // Union of distinct groups covers all lanes exactly once.
-        let gs = groups(&masks, u32::MAX);
+        let gs: Vec<_> = groups(&masks, u32::MAX).collect();
         assert_eq!(gs.len(), 4);
         let union: u32 = gs.iter().map(|(_, m)| m).fold(0, |a, b| a | b);
         assert_eq!(union, u32::MAX);
@@ -149,8 +144,7 @@ mod tests {
         let masks = match_any(&vals, active);
         assert_eq!(masks[0], 0xFF);
         assert_eq!(masks[8], 0, "inactive lane gets empty mask");
-        let gs = groups(&masks, active);
-        assert_eq!(gs, vec![(0, 0xFF)]);
+        assert_eq!(groups(&masks, active).collect::<Vec<_>>(), vec![(0, 0xFF)]);
     }
 
     #[test]
@@ -183,7 +177,7 @@ mod tests {
             *v = lane as u64 * 1000;
         }
         let masks = match_any(&vals, u32::MAX);
-        let gs = groups(&masks, u32::MAX);
+        let gs: Vec<_> = groups(&masks, u32::MAX).collect();
         assert_eq!(gs.len(), 32);
         assert!(gs
             .iter()

@@ -2,7 +2,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::view::{Pod, MAX_POD_BYTES};
 use crate::DevAddr;
+
+/// Stack staging buffer of the fill and region-to-region copy loops.
+const COPY_CHUNK: usize = 512;
 
 /// A fixed-size, thread-safe byte region.
 ///
@@ -149,15 +153,36 @@ impl ByteRegion {
     ///
     /// Panics if the range is out of bounds.
     pub fn fill(&self, addr: DevAddr, len: usize, value: u8) {
-        // Chunked to avoid one giant temporary buffer.
-        const CHUNK: usize = 64 * 1024;
-        let chunk = vec![value; len.min(CHUNK)];
+        let chunk = [value; COPY_CHUNK];
         let mut done = 0usize;
         while done < len {
-            let n = (len - done).min(CHUNK);
+            let n = (len - done).min(COPY_CHUNK);
             self.write_bytes(addr + done as u64, &chunk[..n]);
             done += n;
         }
+    }
+
+    /// Reads one `T` at byte address `addr` (need not be aligned), decoding
+    /// from a stack buffer: no allocation, and a single word load when the
+    /// element does not straddle a word boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the element is out of bounds or wider than
+    /// [`MAX_POD_BYTES`].
+    #[inline]
+    pub fn read_pod<T: Pod>(&self, addr: DevAddr) -> T {
+        assert!(T::SIZE <= MAX_POD_BYTES, "element wider than MAX_POD_BYTES");
+        let byte_in_word = addr as usize % 8;
+        if byte_in_word + T::SIZE <= 8 {
+            self.check(addr, T::SIZE);
+            let word = self.words[addr as usize / 8].load(Ordering::Relaxed);
+            let bytes = (word >> (byte_in_word * 8)).to_le_bytes();
+            return T::from_bytes(&bytes[..T::SIZE]);
+        }
+        let mut buf = [0u8; MAX_POD_BYTES];
+        self.read_bytes(addr, &mut buf[..T::SIZE]);
+        T::from_bytes(&buf[..T::SIZE])
     }
 
     /// Reads a little-endian `u64` at byte address `addr` (need not be aligned).
@@ -228,21 +253,30 @@ impl ByteRegion {
         )
     }
 
+    /// Copies `len` bytes from `src` in the region `from` to `dst` in this
+    /// region, staged through a stack buffer (no allocation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either range is out of bounds.
+    pub fn copy_from(&self, dst: DevAddr, from: &ByteRegion, src: DevAddr, len: usize) {
+        let mut buf = [0u8; COPY_CHUNK];
+        let mut done = 0usize;
+        while done < len {
+            let n = (len - done).min(COPY_CHUNK);
+            from.read_bytes(src + done as u64, &mut buf[..n]);
+            self.write_bytes(dst + done as u64, &buf[..n]);
+            done += n;
+        }
+    }
+
     /// Copies `len` bytes within this region from `src` to `dst`.
     ///
     /// # Panics
     ///
     /// Panics if either range is out of bounds.
     pub fn copy_within(&self, src: DevAddr, dst: DevAddr, len: usize) {
-        const CHUNK: usize = 64 * 1024;
-        let mut buf = vec![0u8; len.min(CHUNK)];
-        let mut done = 0usize;
-        while done < len {
-            let n = (len - done).min(CHUNK);
-            self.read_bytes(src + done as u64, &mut buf[..n]);
-            self.write_bytes(dst + done as u64, &buf[..n]);
-            done += n;
-        }
+        self.copy_from(dst, self, src, len);
     }
 }
 
@@ -299,6 +333,32 @@ mod tests {
         r.copy_within(100, 1000, 200);
         r.read_bytes(1000, &mut out);
         assert!(out.iter().all(|&b| b == 0x5A));
+    }
+
+    #[test]
+    fn read_pod_matches_read_bytes_at_every_alignment() {
+        let r = ByteRegion::new(64);
+        let data: Vec<u8> = (1..=64).collect();
+        r.write_bytes(0, &data);
+        for addr in 0..48usize {
+            assert_eq!(r.read_pod::<u8>(addr as u64), data[addr]);
+            let want32 = u32::from_le_bytes(data[addr..addr + 4].try_into().unwrap());
+            assert_eq!(r.read_pod::<u32>(addr as u64), want32, "u32 at {addr}");
+            let want64 = u64::from_le_bytes(data[addr..addr + 8].try_into().unwrap());
+            assert_eq!(r.read_pod::<u64>(addr as u64), want64, "u64 at {addr}");
+        }
+    }
+
+    #[test]
+    fn copy_from_moves_bytes_between_regions() {
+        let a = ByteRegion::new(2048);
+        let b = ByteRegion::new(2048);
+        let data: Vec<u8> = (0..1500).map(|i| (i % 251) as u8).collect();
+        a.write_bytes(3, &data);
+        b.copy_from(77, &a, 3, data.len());
+        let mut out = vec![0u8; data.len()];
+        b.read_bytes(77, &mut out);
+        assert_eq!(out, data);
     }
 
     #[test]

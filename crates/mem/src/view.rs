@@ -17,13 +17,17 @@ use crate::{ByteRegion, DevAddr};
 /// and float primitives; workloads in the reproduction use these element
 /// types exclusively (the paper's workloads use 4- and 8-byte elements).
 pub trait Pod: Copy + Send + Sync + 'static {
-    /// Size of the element in bytes.
+    /// Size of the element in bytes (at most [`MAX_POD_BYTES`]).
     const SIZE: usize;
     /// Encodes the value into `out` (little-endian). `out.len() == SIZE`.
     fn to_bytes(&self, out: &mut [u8]);
     /// Decodes a value from `bytes` (little-endian). `bytes.len() == SIZE`.
     fn from_bytes(bytes: &[u8]) -> Self;
 }
+
+/// Widest element [`ByteRegion::read_pod`] decodes; bounds the stack buffers
+/// typed accesses stage through.
+pub const MAX_POD_BYTES: usize = 16;
 
 macro_rules! impl_pod {
     ($($t:ty),*) => {
@@ -127,9 +131,7 @@ impl<T: Pod> TypedSlice<T> {
     ///
     /// Panics if `idx >= len()`.
     pub fn get(&self, idx: usize) -> T {
-        let mut buf = vec![0u8; T::SIZE];
-        self.region.read_bytes(self.addr_of(idx), &mut buf);
-        T::from_bytes(&buf)
+        self.region.read_pod(self.addr_of(idx))
     }
 
     /// Writes element `idx`.
@@ -138,9 +140,9 @@ impl<T: Pod> TypedSlice<T> {
     ///
     /// Panics if `idx >= len()`.
     pub fn set(&self, idx: usize, value: T) {
-        let mut buf = vec![0u8; T::SIZE];
-        value.to_bytes(&mut buf);
-        self.region.write_bytes(self.addr_of(idx), &buf);
+        let mut buf = [0u8; MAX_POD_BYTES];
+        value.to_bytes(&mut buf[..T::SIZE]);
+        self.region.write_bytes(self.addr_of(idx), &buf[..T::SIZE]);
     }
 
     /// Copies the whole view into a `Vec<T>`.

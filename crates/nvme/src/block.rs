@@ -93,6 +93,76 @@ impl BlockStore {
         Ok(())
     }
 
+    fn whole_blocks(&self, len: usize) -> Result<u64, NvmeError> {
+        if !len.is_multiple_of(self.block_size) {
+            return Err(NvmeError::UnalignedBuffer {
+                len,
+                block_size: self.block_size,
+            });
+        }
+        Ok((len / self.block_size) as u64)
+    }
+
+    /// Visits `nblocks` blocks starting at `slba` in place, without copying
+    /// them out: `visit(i, Some(bytes))` for the `i`-th block of the range,
+    /// or `visit(i, None)` when it was never written (it reads as zeroes).
+    /// This is the controller's DMA source for read commands.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NvmeError::LbaOutOfRange`] if the range exceeds the
+    /// namespace.
+    pub fn read_blocks_with(
+        &self,
+        slba: Lba,
+        nblocks: u64,
+        mut visit: impl FnMut(u64, Option<&[u8]>),
+    ) -> Result<(), NvmeError> {
+        self.check_range(slba, nblocks)?;
+        let extents = self.extents.read();
+        for i in 0..nblocks {
+            let lba = slba + i;
+            let offset_in_extent = (lba % BLOCKS_PER_EXTENT) as usize * self.block_size;
+            visit(
+                i,
+                extents
+                    .get(&(lba / BLOCKS_PER_EXTENT))
+                    .map(|extent| &extent[offset_in_extent..offset_in_extent + self.block_size]),
+            );
+        }
+        Ok(())
+    }
+
+    /// Lets `fill(i, block)` overwrite each of `nblocks` blocks starting at
+    /// `slba` in place (the controller's DMA sink for write commands).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NvmeError::LbaOutOfRange`] if the range exceeds the
+    /// namespace.
+    pub fn write_blocks_with(
+        &self,
+        slba: Lba,
+        nblocks: u64,
+        mut fill: impl FnMut(u64, &mut [u8]),
+    ) -> Result<(), NvmeError> {
+        self.check_range(slba, nblocks)?;
+        let mut extents = self.extents.write();
+        let extent_bytes = BLOCKS_PER_EXTENT as usize * self.block_size;
+        for i in 0..nblocks {
+            let lba = slba + i;
+            let offset_in_extent = (lba % BLOCKS_PER_EXTENT) as usize * self.block_size;
+            let extent = extents
+                .entry(lba / BLOCKS_PER_EXTENT)
+                .or_insert_with(|| vec![0u8; extent_bytes].into_boxed_slice());
+            fill(
+                i,
+                &mut extent[offset_in_extent..offset_in_extent + self.block_size],
+            );
+        }
+        Ok(())
+    }
+
     /// Reads whole blocks starting at `slba` into `buf`.
     ///
     /// # Errors
@@ -101,27 +171,15 @@ impl BlockStore {
     /// namespace, or [`NvmeError::UnalignedBuffer`] if `buf` is not a whole
     /// number of blocks.
     pub fn read_blocks(&self, slba: Lba, buf: &mut [u8]) -> Result<(), NvmeError> {
-        if !buf.len().is_multiple_of(self.block_size) {
-            return Err(NvmeError::UnalignedBuffer {
-                len: buf.len(),
-                block_size: self.block_size,
-            });
-        }
-        let nblocks = (buf.len() / self.block_size) as u64;
-        self.check_range(slba, nblocks)?;
-        let extents = self.extents.read();
-        for i in 0..nblocks {
-            let lba = slba + i;
-            let extent_id = lba / BLOCKS_PER_EXTENT;
-            let offset_in_extent = (lba % BLOCKS_PER_EXTENT) as usize * self.block_size;
-            let dst = &mut buf[(i as usize) * self.block_size..][..self.block_size];
-            match extents.get(&extent_id) {
-                Some(extent) => dst
-                    .copy_from_slice(&extent[offset_in_extent..offset_in_extent + self.block_size]),
+        let nblocks = self.whole_blocks(buf.len())?;
+        let bs = self.block_size;
+        self.read_blocks_with(slba, nblocks, |i, block| {
+            let dst = &mut buf[i as usize * bs..][..bs];
+            match block {
+                Some(bytes) => dst.copy_from_slice(bytes),
                 None => dst.fill(0),
             }
-        }
-        Ok(())
+        })
     }
 
     /// Writes whole blocks starting at `slba` from `data`.
@@ -132,27 +190,11 @@ impl BlockStore {
     /// namespace, or [`NvmeError::UnalignedBuffer`] if `data` is not a whole
     /// number of blocks.
     pub fn write_blocks(&self, slba: Lba, data: &[u8]) -> Result<(), NvmeError> {
-        if !data.len().is_multiple_of(self.block_size) {
-            return Err(NvmeError::UnalignedBuffer {
-                len: data.len(),
-                block_size: self.block_size,
-            });
-        }
-        let nblocks = (data.len() / self.block_size) as u64;
-        self.check_range(slba, nblocks)?;
-        let mut extents = self.extents.write();
-        let extent_bytes = BLOCKS_PER_EXTENT as usize * self.block_size;
-        for i in 0..nblocks {
-            let lba = slba + i;
-            let extent_id = lba / BLOCKS_PER_EXTENT;
-            let offset_in_extent = (lba % BLOCKS_PER_EXTENT) as usize * self.block_size;
-            let extent = extents
-                .entry(extent_id)
-                .or_insert_with(|| vec![0u8; extent_bytes].into_boxed_slice());
-            extent[offset_in_extent..offset_in_extent + self.block_size]
-                .copy_from_slice(&data[(i as usize) * self.block_size..][..self.block_size]);
-        }
-        Ok(())
+        let nblocks = self.whole_blocks(data.len())?;
+        let bs = self.block_size;
+        self.write_blocks_with(slba, nblocks, |i, block| {
+            block.copy_from_slice(&data[i as usize * bs..][..bs]);
+        })
     }
 
     /// Writes an arbitrary byte range (not necessarily block aligned) at byte

@@ -110,47 +110,43 @@ impl NvmeController {
     }
 
     fn execute(&self, cmd: &NvmeCommand) -> NvmeStatus {
-        if let Some(injector) = self.fault_injector.read().clone() {
+        if let Some(injector) = self.fault_injector.read().as_ref() {
             if let Some(status) = injector(cmd) {
                 self.stats.record_failure();
                 return status;
             }
         }
+        // Data moves block by block between the media and GPU memory, with
+        // no staging copy of the whole transfer.
         let bs = self.store.block_size();
-        match cmd.opcode {
-            NvmeOpcode::Read => {
-                let mut buf = vec![0u8; cmd.nlb as usize * bs];
-                match self.store.read_blocks(cmd.slba, &mut buf) {
-                    Ok(()) => {
-                        // DMA write into GPU memory (Figure 2, step Ⓓ).
-                        self.region.write_bytes(cmd.dptr, &buf);
-                        self.stats.record_read(u64::from(cmd.nlb));
-                        NvmeStatus::Success
-                    }
-                    Err(_) => {
-                        self.stats.record_failure();
-                        NvmeStatus::LbaOutOfRange
-                    }
-                }
-            }
-            NvmeOpcode::Write => {
-                let mut buf = vec![0u8; cmd.nlb as usize * bs];
-                // DMA read from GPU memory.
-                self.region.read_bytes(cmd.dptr, &mut buf);
-                match self.store.write_blocks(cmd.slba, &buf) {
-                    Ok(()) => {
-                        self.stats.record_write(u64::from(cmd.nlb));
-                        NvmeStatus::Success
-                    }
-                    Err(_) => {
-                        self.stats.record_failure();
-                        NvmeStatus::LbaOutOfRange
-                    }
-                }
-            }
+        let nlb = u64::from(cmd.nlb);
+        let block_addr = |i: u64| cmd.dptr + i * bs as u64;
+        let outcome = match cmd.opcode {
+            // DMA write into GPU memory (Figure 2, step Ⓓ).
+            NvmeOpcode::Read => self
+                .store
+                .read_blocks_with(cmd.slba, nlb, |i, block| match block {
+                    Some(bytes) => self.region.write_bytes(block_addr(i), bytes),
+                    None => self.region.fill(block_addr(i), bs, 0),
+                })
+                .map(|()| self.stats.record_read(nlb)),
+            // DMA read from GPU memory.
+            NvmeOpcode::Write => self
+                .store
+                .write_blocks_with(cmd.slba, nlb, |i, block| {
+                    self.region.read_bytes(block_addr(i), block)
+                })
+                .map(|()| self.stats.record_write(nlb)),
             NvmeOpcode::Flush => {
                 self.stats.record_flush();
-                NvmeStatus::Success
+                Ok(())
+            }
+        };
+        match outcome {
+            Ok(()) => NvmeStatus::Success,
+            Err(_) => {
+                self.stats.record_failure();
+                NvmeStatus::LbaOutOfRange
             }
         }
     }
@@ -169,7 +165,10 @@ impl NvmeController {
             st.last_seen_tail = tail;
             self.stats.record_doorbell();
         }
-        let hook = self.sim_hook.read().clone();
+        if st.sq_head == tail {
+            return 0;
+        }
+        let hook = self.sim_hook.read();
         let block_bytes = self.store.block_size() as u64;
         let entries = qp.entries;
         let mut processed = 0usize;

@@ -32,11 +32,12 @@ pub struct IoEvent {
 /// need. Hooks run on the submitting / controller threads, so they must be
 /// cheap and must not call back into the stack.
 ///
-/// Ordering caveat: the stack submits synchronously (`submit_and_wait`), and
-/// [`SimHook::on_submit`] is deliberately withheld until the command has
-/// succeeded so that trace length and the stack's request metrics agree 1:1.
-/// A command's `on_device_fetch`/`on_complete` therefore arrive *before* its
-/// `on_submit`; hooks must not assume pipeline order across methods.
+/// Ordering caveat: [`SimHook::on_submit`] is deliberately withheld until the
+/// stack has waited for the command and seen it succeed, so that trace length
+/// and the stack's request metrics agree 1:1 (a batch of reads reports them
+/// in the order it issued them). A command's `on_device_fetch`/`on_complete`
+/// therefore arrive *before* its `on_submit`; hooks must not assume pipeline
+/// order across methods.
 pub trait SimHook: Send + Sync {
     /// The GPU-side stack submitted a command that went on to complete
     /// successfully (emitted 1:1 with the stack's request metrics; failed

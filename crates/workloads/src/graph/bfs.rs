@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bam_core::{BamArray, BamError};
+use bam_gpu_sim::warp::WARP_SIZE;
 use bam_gpu_sim::GpuExecutor;
 
 use super::csr::CsrGraph;
@@ -63,10 +64,11 @@ pub fn bfs_reference(graph: &CsrGraph, source: u32) -> BfsResult {
 
 /// BFS with the edge list accessed on demand through BaM.
 ///
-/// Each BFS level launches one GPU kernel; warps take frontier nodes, read
-/// their neighbour lists from the [`BamArray`] with cache-line reference
-/// reuse ([`BamArray::read_run`]), and atomically claim unvisited neighbours
-/// for the next frontier.
+/// Each BFS level launches one GPU kernel; a warp takes 32 frontier nodes,
+/// reads their neighbour lists from the [`BamArray`] in one warp-scope call
+/// ([`BamArray::read_runs_warp`]: cache-line reference reuse, and all of the
+/// warp's misses in flight together), and atomically claims unvisited
+/// neighbours for the next frontier.
 ///
 /// # Errors
 ///
@@ -94,34 +96,31 @@ pub fn bfs_bam(
         let first_error_ref = &first_error;
         let next_ref = &next;
         exec.launch(frontier.len(), |warp| {
+            let mut runs = [None; WARP_SIZE];
+            let mut edges_of_warp = 0;
+            for (lane, tid) in warp.lanes() {
+                let u = frontier_ref[tid] as usize;
+                let count = offsets[u + 1] - offsets[u];
+                runs[lane] = Some((offsets[u], count));
+                edges_of_warp += count;
+            }
             let mut local_next = Vec::new();
-            for (_lane, tid) in warp.lanes() {
-                let u = frontier_ref[tid];
-                let start = offsets[u as usize];
-                let count = offsets[u as usize + 1] - start;
-                if count == 0 {
-                    continue;
+            let claim_unvisited = |_lane: usize, neighbors: &[u32]| {
+                for &v in neighbors {
+                    if distances_ref[v as usize]
+                        .compare_exchange(u32::MAX, level + 1, Ordering::AcqRel, Ordering::Acquire)
+                        .is_ok()
+                    {
+                        local_next.push(v);
+                    }
                 }
-                match edges.read_run(start, count) {
-                    Ok(neighbors) => {
-                        edges_traversed_ref.fetch_add(count, Ordering::Relaxed);
-                        for v in neighbors {
-                            if distances_ref[v as usize]
-                                .compare_exchange(
-                                    u32::MAX,
-                                    level + 1,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                )
-                                .is_ok()
-                            {
-                                local_next.push(v);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        first_error_ref.lock().expect("poisoned").get_or_insert(e);
-                    }
+            };
+            match edges.read_runs_warp(warp, &runs, claim_unvisited) {
+                Ok(()) => {
+                    edges_traversed_ref.fetch_add(edges_of_warp, Ordering::Relaxed);
+                }
+                Err(e) => {
+                    first_error_ref.lock().expect("poisoned").get_or_insert(e);
                 }
             }
             if !local_next.is_empty() {

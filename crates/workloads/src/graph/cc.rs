@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bam_core::{BamArray, BamError};
+use bam_gpu_sim::warp::WARP_SIZE;
 use bam_gpu_sim::GpuExecutor;
 
 use super::csr::CsrGraph;
@@ -88,39 +89,37 @@ pub fn cc_bam(
         let edges_traversed_ref = &edges_traversed;
         let first_error_ref = &first_error;
         exec.launch(n, |warp| {
-            for (_lane, u) in warp.lanes() {
-                let start = offsets[u];
-                let count = offsets[u + 1] - start;
-                if count == 0 {
-                    continue;
+            let mut runs = [None; WARP_SIZE];
+            let mut edges_of_warp = 0;
+            for (lane, u) in warp.lanes() {
+                let count = offsets[u + 1] - offsets[u];
+                runs[lane] = Some((offsets[u], count));
+                edges_of_warp += count;
+            }
+            let adopt_minimum = |lane: usize, neighbors: &[u32]| {
+                let label = &labels_ref[warp.thread_id(lane)];
+                let mut best = label.load(Ordering::Acquire);
+                for &v in neighbors {
+                    best = best.min(labels_ref[v as usize].load(Ordering::Acquire));
                 }
-                match edges.read_run(start, count) {
-                    Ok(neighbors) => {
-                        edges_traversed_ref.fetch_add(count, Ordering::Relaxed);
-                        let mut best = labels_ref[u].load(Ordering::Acquire);
-                        for v in neighbors {
-                            best = best.min(labels_ref[v as usize].load(Ordering::Acquire));
+                // Monotonically lower our label to the minimum seen.
+                let mut cur = label.load(Ordering::Acquire);
+                while best < cur {
+                    match label.compare_exchange(cur, best, Ordering::AcqRel, Ordering::Acquire) {
+                        Ok(_) => {
+                            changed_ref.store(true, Ordering::Release);
+                            break;
                         }
-                        // Monotonically lower our label to the minimum seen.
-                        let mut cur = labels_ref[u].load(Ordering::Acquire);
-                        while best < cur {
-                            match labels_ref[u].compare_exchange(
-                                cur,
-                                best,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            ) {
-                                Ok(_) => {
-                                    changed_ref.store(true, Ordering::Release);
-                                    break;
-                                }
-                                Err(actual) => cur = actual,
-                            }
-                        }
+                        Err(actual) => cur = actual,
                     }
-                    Err(e) => {
-                        first_error_ref.lock().expect("poisoned").get_or_insert(e);
-                    }
+                }
+            };
+            match edges.read_runs_warp(warp, &runs, adopt_minimum) {
+                Ok(()) => {
+                    edges_traversed_ref.fetch_add(edges_of_warp, Ordering::Relaxed);
+                }
+                Err(e) => {
+                    first_error_ref.lock().expect("poisoned").get_or_insert(e);
                 }
             }
         });

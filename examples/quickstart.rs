@@ -43,7 +43,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sum.load(std::sync::atomic::Ordering::Relaxed)
     );
 
-    // 4. Inspect what the software stack did (MetricsSnapshot's Display
+    // 4. The same at run granularity: every lane reads eight consecutive
+    //    elements. One warp-scope call walks all lanes' lines in order and
+    //    keeps the warp's misses in flight together.
+    let run_sum = std::sync::atomic::AtomicU64::new(0);
+    exec.launch((n / 8) as usize, |warp| {
+        let mut runs = [None; WARP_SIZE];
+        for (lane, tid) in warp.lanes() {
+            runs[lane] = Some((tid as u64 * 8, 8));
+        }
+        data.read_runs_warp(warp, &runs, |_lane, values| {
+            let sum: f32 = values.iter().sum();
+            run_sum.fetch_add(sum as u64, std::sync::atomic::Ordering::Relaxed);
+        })
+        .expect("read runs");
+    });
+    println!(
+        "sum over 8-element runs ≈ {}",
+        run_sum.load(std::sync::atomic::Ordering::Relaxed)
+    );
+
+    // 5. Inspect what the software stack did (MetricsSnapshot's Display
     //    prints the cache and storage summary).
     println!("{}", system.metrics());
     println!("doorbell writes: {}", system.total_doorbell_writes());

@@ -42,14 +42,13 @@ proptest! {
     #[test]
     fn warp_match_any_partitions(keys in prop::collection::vec(0u64..8, WARP_SIZE), active in any::<u32>()) {
         let masks = match_any(&keys, active);
-        let gs = groups(&masks, active);
         let mut covered: u32 = 0;
-        for (leader, mask) in &gs {
+        for (leader, mask) in groups(&masks, active) {
             prop_assert_eq!(covered & mask, 0, "groups must be disjoint");
             covered |= mask;
             for lane in 0..WARP_SIZE {
                 if mask & (1 << lane) != 0 {
-                    prop_assert_eq!(keys[lane], keys[*leader]);
+                    prop_assert_eq!(keys[lane], keys[leader]);
                     prop_assert!(active & (1 << lane) != 0);
                 }
             }
