@@ -269,11 +269,11 @@ impl BamMetrics {
         ] {
             c.store(0, Ordering::Relaxed);
         }
-        *self.fetch_latency_ns.lock().expect("metrics lock poisoned") = LatencyHisto::new();
-        *self
-            .writeback_latency_ns
-            .lock()
-            .expect("metrics lock poisoned") = LatencyHisto::new();
+        // Cleared in place: a histogram keeps the bucket range it grew to, so
+        // a repeated phase records into it without allocating again.
+        for histo in [&self.fetch_latency_ns, &self.writeback_latency_ns] {
+            histo.lock().expect("metrics lock poisoned").clear();
+        }
     }
 }
 

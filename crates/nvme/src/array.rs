@@ -144,14 +144,17 @@ impl SsdArray {
     }
 
     /// Maps a logical block to every `(device index, device LBA)` that must
-    /// be written to keep the layout consistent.
-    pub fn locate_write(&self, logical_lba: Lba) -> Vec<(usize, Lba)> {
-        match self.layout {
-            DataLayout::Replicated => (0..self.devices.len()).map(|d| (d, logical_lba)).collect(),
+    /// be written to keep the layout consistent: every replica, or the one
+    /// stripe holding the block.
+    pub fn locate_write(&self, logical_lba: Lba) -> impl Iterator<Item = (usize, Lba)> {
+        let (devices, lba) = match self.layout {
+            DataLayout::Replicated => (0..self.devices.len(), logical_lba),
             DataLayout::Striped { chunk_blocks } => {
-                vec![self.locate_striped(logical_lba, chunk_blocks)]
+                let (device, lba) = self.locate_striped(logical_lba, chunk_blocks);
+                (device..device + 1, lba)
             }
-        }
+        };
+        devices.map(move |device| (device, lba))
     }
 
     fn locate_striped(&self, logical_lba: Lba, chunk_blocks: u64) -> (usize, Lba) {
@@ -260,7 +263,7 @@ mod tests {
         );
         let devices: Vec<usize> = (0..8).map(|i| arr.locate_read(10, i).0).collect();
         assert_eq!(devices, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-        assert_eq!(arr.locate_write(10).len(), 4);
+        assert_eq!(arr.locate_write(10).count(), 4);
     }
 
     #[test]
@@ -302,7 +305,7 @@ mod tests {
             1 << 20,
             DataLayout::Striped { chunk_blocks: 4 },
         );
-        assert_eq!(arr.locate_write(5).len(), 1);
+        assert_eq!(arr.locate_write(5).count(), 1);
     }
 
     #[test]

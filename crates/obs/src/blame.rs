@@ -11,16 +11,22 @@
 //! wait across all stages reproduces the end-to-end latency to the
 //! nanosecond — blame attributes 100% of every request.
 //!
-//! [`BlameReport::build`] aggregates rows into per-stage service/wait
-//! histograms for the whole population and separately for the tail slice
-//! (requests above the population p99), and keeps a deterministic top-k
-//! exemplar list of the slowest requests with their full span waterfalls.
-//! All outputs are canonical: rows sort by request id before aggregation,
-//! so shard-concatenated inputs produce bit-identical reports.
+//! A [`BlameAccumulator`] aggregates rows, one at a time, into per-stage
+//! service/wait histograms for the whole population and separately for the
+//! tail slice (requests above the population p99), and keeps a
+//! deterministic top-k exemplar list of the slowest requests with their
+//! full span waterfalls. It holds a row only while the row can still land
+//! in the tail or among the exemplars, so its footprint follows the tail,
+//! not the run. Every output is a pure function of the row *set*:
+//! accumulators fed any partition of the rows in any order and merged in
+//! any order finish into bit-identical reports.
+
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::histo::LatencyHisto;
+use crate::histo::{bucket_index, LatencyHisto};
 use crate::span::{Stage, STAGE_COUNT};
 
 /// One closed stage of one request: when it closed and how much of its
@@ -34,6 +40,46 @@ pub struct BlameMark {
     /// Active service nanoseconds inside the stage's dwell; the remainder
     /// is wait (queueing behind the resource).
     pub service_ns: u64,
+}
+
+/// The marks of one retained request, held inline: a request closes each of
+/// the [`STAGE_COUNT`] stages at most once, so a fixed array always has room
+/// and retaining a row never allocates for its marks.
+#[derive(Debug, Clone, Copy)]
+struct StageMarks {
+    len: u8,
+    marks: [BlameMark; STAGE_COUNT],
+}
+
+impl StageMarks {
+    /// Copies `marks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than [`STAGE_COUNT`] marks: some stage closed twice.
+    fn new(marks: &[BlameMark]) -> Self {
+        assert!(
+            marks.len() <= STAGE_COUNT,
+            "a request closes each of the {STAGE_COUNT} stages at most once"
+        );
+        // The filler is never read: `as_slice` stops at `len`.
+        let unused = BlameMark {
+            stage: Stage::CacheProbe,
+            end_ns: 0,
+            service_ns: 0,
+        };
+        let mut held = [unused; STAGE_COUNT];
+        held[..marks.len()].copy_from_slice(marks);
+        Self {
+            len: marks.len() as u8,
+            marks: held,
+        }
+    }
+
+    /// The marks in closing order.
+    fn as_slice(&self) -> &[BlameMark] {
+        &self.marks[..usize::from(self.len)]
+    }
 }
 
 /// One request's complete blame record: arrival plus every stage mark in
@@ -188,16 +234,288 @@ pub struct BlameReport {
     pub exemplars: Vec<Exemplar>,
 }
 
-impl BlameReport {
-    /// Builds the canonical report from per-request rows.
+/// Splits one row's marks into waterfall steps: each dwell is measured
+/// boundary-to-boundary, service is clamped to the dwell, and the remainder
+/// is wait — service + wait tiles the row's latency exactly.
+fn waterfall(arrive_ns: u64, marks: &[BlameMark]) -> impl Iterator<Item = WaterfallStep> + '_ {
+    let mut prev = arrive_ns;
+    marks.iter().map(move |mark| {
+        let dwell = mark.end_ns.saturating_sub(prev);
+        let service_ns = mark.service_ns.min(dwell);
+        let step = WaterfallStep {
+            stage: mark.stage,
+            start_ns: prev,
+            end_ns: mark.end_ns,
+            service_ns,
+            wait_ns: dwell - service_ns,
+        };
+        prev = mark.end_ns;
+        step
+    })
+}
+
+/// A row the accumulator still holds, marks inline so that holding it
+/// takes no allocation of its own.
+#[derive(Debug, Clone, Copy)]
+struct Kept {
+    latency_ns: u64,
+    id: u64,
+    arrive_ns: u64,
+    marks: StageMarks,
+}
+
+impl Kept {
+    /// Slowness rank: the exemplar order is latency descending, id ascending
+    /// on ties, so the greater key is the slower (more exemplary) row.
+    fn rank(&self) -> (u64, Reverse<u64>) {
+        (self.latency_ns, Reverse(self.id))
+    }
+}
+
+/// One-pass builder of a [`BlameReport`] over a run whose row count is
+/// bounded up front.
+///
+/// Every pushed row lands in the population latency histogram and the
+/// `overall` breakdown at once; the row itself is retained only while it can
+/// still matter. The tail slice is cut at the population p99, which is known
+/// only at the end — but with `expected` ≥ the rows the run will push, at
+/// most `⌊expected / 100⌋` rows can end up in buckets above the final p99
+/// bucket. So once more than `budget = ⌊expected / 100⌋ + 1` rows have been
+/// seen in buckets `≥ b`, the final p99 bucket cannot lie below `b`, and no
+/// row below `b` can be in the tail. That highest such `b` is the *floor*; it
+/// only rises, rows are held per bucket from the floor up, and a bucket the
+/// floor passes is dropped whole. The `top_k` slowest rows seen are held
+/// beside them, wherever the floor is. The result is exact —
+/// [`finish`](Self::finish) equals materialising, sorting and scanning every
+/// row.
+///
+/// Retained rows are bounded by `budget + top_k +` the population of the
+/// floor bucket ([`retained_bound`](Self::retained_bound)). The last term is
+/// the degenerate case stated, not hidden: when every latency shares one
+/// histogram bucket (all rows identical, say) that bucket is the floor and
+/// every row is retained — O(n), as the materialised build always was.
+#[derive(Debug, Clone)]
+pub struct BlameAccumulator {
+    expected: u64,
+    top_k: usize,
+    /// Latency of every pushed row.
+    latency: LatencyHisto,
+    overall: BlameBreakdown,
+    /// The rows of every histogram bucket `>= floor`, by bucket.
+    tail: BTreeMap<usize, Vec<Kept>>,
+    /// The `top_k` slowest rows seen, slowest first (the exemplar order).
+    slowest: Vec<Kept>,
+    /// Lowest histogram bucket a row can still reach the tail from.
+    floor: usize,
+    /// Rows seen in buckets `>= floor`.
+    at_or_above: u64,
+}
+
+impl BlameAccumulator {
+    /// An accumulator for a run that settles at most `expected` rows —
+    /// summed over every accumulator that will be [`merge`](Self::merge)d
+    /// into one report — keeping `top_k` exemplars.
+    pub fn new(expected: u64, top_k: usize) -> Self {
+        Self {
+            expected,
+            top_k,
+            latency: LatencyHisto::new(),
+            overall: BlameBreakdown::new(),
+            tail: BTreeMap::new(),
+            slowest: Vec::new(),
+            floor: 0,
+            at_or_above: 0,
+        }
+    }
+
+    /// Rows that may end above the final p99 bucket, plus one of slack.
+    fn budget(&self) -> u64 {
+        self.expected / 100 + 1
+    }
+
+    /// Raises the floor as far as the rows seen so far prove safe, dropping
+    /// the buckets it passes.
+    fn raise_floor(&mut self) {
+        loop {
+            let here = self.latency.bucket_count(self.floor);
+            if self.at_or_above - here <= self.budget() {
+                return;
+            }
+            self.at_or_above -= here;
+            self.tail.remove(&self.floor);
+            self.floor += 1;
+        }
+    }
+
+    /// Whether a row of `rank` is one of the `top_k` slowest seen so far.
+    fn is_exemplary(&self, rank: (u64, Reverse<u64>)) -> bool {
+        self.slowest.len() < self.top_k
+            || self.slowest.last().is_some_and(|least| rank > least.rank())
+    }
+
+    /// Holds `row` among the `top_k` slowest if it is one of them (`top_k`
+    /// is an exemplar count: small enough that a sorted insert is the whole
+    /// data structure).
+    fn offer_exemplar(&mut self, row: Kept) {
+        if self.is_exemplary(row.rank()) {
+            let at = self
+                .slowest
+                .partition_point(|held| held.rank() > row.rank());
+            self.slowest.insert(at, row);
+            self.slowest.truncate(self.top_k);
+        }
+    }
+
+    /// Adds one settled request: its arrival plus every stage mark in
+    /// closing order (none for a request that never entered the pipeline —
+    /// its latency is 0). A row is copied, never boxed: pushing allocates
+    /// only when a histogram or a bucket's row list grows.
     ///
-    /// Rows may arrive in any order (the sharded engine concatenates
-    /// per-shard slices): they are sorted by request id first, so the
-    /// output is a pure function of the row *set*. Each row's dwell is
-    /// measured boundary-to-boundary, service is clamped to the dwell, and
-    /// the remainder is wait — service + wait tiles the row's latency
-    /// exactly.
-    pub fn build(mut rows: Vec<BlameRow>, top_k: usize) -> Self {
+    /// # Panics
+    ///
+    /// Panics when the row exceeds the `expected` count the accumulator was
+    /// sized for (the floor argument would no longer hold), or — if it has
+    /// to be retained — carries more than [`STAGE_COUNT`] marks (some stage
+    /// closed twice).
+    pub fn push(&mut self, id: u64, arrive_ns: u64, marks: &[BlameMark]) {
+        assert!(
+            self.latency.count() < self.expected,
+            "more blame rows than the {} expected",
+            self.expected
+        );
+        let latency_ns = marks
+            .last()
+            .map_or(0, |m| m.end_ns.saturating_sub(arrive_ns));
+        self.latency.record(latency_ns);
+        for step in waterfall(arrive_ns, marks) {
+            self.overall
+                .record(step.stage, step.service_ns, step.wait_ns);
+        }
+
+        let bucket = bucket_index(latency_ns);
+        let reaches_tail = bucket >= self.floor;
+        if !(reaches_tail || self.is_exemplary((latency_ns, Reverse(id)))) {
+            return;
+        }
+        let row = Kept {
+            latency_ns,
+            id,
+            arrive_ns,
+            marks: StageMarks::new(marks),
+        };
+        self.offer_exemplar(row);
+        if reaches_tail {
+            self.tail.entry(bucket).or_default().push(row);
+            self.at_or_above += 1;
+            self.raise_floor();
+        }
+    }
+
+    /// Folds in another accumulator of the same run (same `expected` and
+    /// `top_k`): histograms sum, retained rows unite, and the floor is
+    /// re-derived from the summed histogram — it can only be at or above
+    /// either side's, so no row either side dropped is missed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the two sides were sized differently or together hold
+    /// more rows than expected.
+    pub fn merge(&mut self, other: BlameAccumulator) {
+        assert_eq!(
+            (self.expected, self.top_k),
+            (other.expected, other.top_k),
+            "cannot merge blame accumulators of different runs"
+        );
+        self.latency.merge(&other.latency);
+        assert!(
+            self.latency.count() <= self.expected,
+            "more blame rows than the {} expected",
+            self.expected
+        );
+        self.overall.merge(&other.overall);
+        for (bucket, rows) in other.tail {
+            self.tail.entry(bucket).or_default().extend(rows);
+        }
+        for row in other.slowest {
+            self.offer_exemplar(row);
+        }
+        self.floor = 0;
+        self.at_or_above = self.latency.count();
+        self.raise_floor();
+    }
+
+    /// Rows currently held (one that is both in the tail buckets and among
+    /// the slowest counts twice — it is held twice).
+    pub fn retained(&self) -> usize {
+        self.tail.values().map(Vec::len).sum::<usize>() + self.slowest.len()
+    }
+
+    /// The bound [`retained`](Self::retained) never exceeds: the rows that
+    /// may still sit above the floor bucket, the exemplars, and the floor
+    /// bucket's own population (see the type docs for why the last term
+    /// cannot be dropped).
+    pub fn retained_bound(&self) -> usize {
+        let rows = self.budget() + self.latency.bucket_count(self.floor);
+        usize::try_from(rows).map_or(usize::MAX, |rows| rows.saturating_add(self.top_k))
+    }
+
+    /// Cuts the tail at the population p99 and builds the report.
+    pub fn finish(self) -> BlameReport {
+        let p99_cut_ns = self.latency.value_at_quantile(0.99);
+        let mut tail = BlameBreakdown::new();
+        let mut tail_requests = 0u64;
+        for row in self.tail.values().flatten() {
+            if row.latency_ns > p99_cut_ns {
+                tail_requests += 1;
+                for step in waterfall(row.arrive_ns, row.marks.as_slice()) {
+                    tail.record(step.stage, step.service_ns, step.wait_ns);
+                }
+            }
+        }
+        let exemplars = self
+            .slowest
+            .iter()
+            .map(|row| Exemplar {
+                id: row.id,
+                arrive_ns: row.arrive_ns,
+                latency_ns: row.latency_ns,
+                waterfall: waterfall(row.arrive_ns, row.marks.as_slice()).collect(),
+            })
+            .collect();
+        BlameReport {
+            requests: self.latency.count(),
+            p99_cut_ns,
+            tail_requests,
+            overall: self.overall,
+            tail,
+            exemplars,
+        }
+    }
+}
+
+impl BlameReport {
+    /// Builds the canonical report from per-request rows, in any order: one
+    /// [`BlameAccumulator`] sized for `rows.len()`, fed in a loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row that has to be retained carries more than
+    /// [`STAGE_COUNT`] marks (see [`BlameAccumulator::push`]).
+    pub fn build(rows: Vec<BlameRow>, top_k: usize) -> Self {
+        let mut acc = BlameAccumulator::new(rows.len() as u64, top_k);
+        for row in &rows {
+            acc.push(row.id, row.arrive_ns, &row.marks);
+        }
+        let report = acc.finish();
+        #[cfg(test)]
+        assert_eq!(report, Self::materialised(rows, top_k));
+        report
+    }
+
+    /// The reference builder the accumulator is checked against: hold every
+    /// row, sort, take the p99 of the whole population, then scan.
+    #[cfg(test)]
+    fn materialised(mut rows: Vec<BlameRow>, top_k: usize) -> Self {
         rows.sort_unstable_by_key(|r| r.id);
         let histo = LatencyHisto::from_samples(rows.iter().map(BlameRow::latency_ns));
         let p99_cut_ns = histo.value_at_quantile(0.99);
@@ -278,6 +596,7 @@ impl BlameReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn row(id: u64, arrive: u64, marks: &[(Stage, u64, u64)]) -> BlameRow {
         BlameRow {
@@ -383,6 +702,241 @@ mod tests {
         let report = BlameReport::build(rows, 3);
         let ids: Vec<u64> = report.exemplars.iter().map(|e| e.id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
+    }
+
+    /// Streams `rows` through `shards` accumulators (row `i` goes to
+    /// `assign(i)`), all sized for `rows.len() + slack`, folds them in
+    /// `order`, checks every retention bound on the way, and returns the
+    /// finished report with the most rows any accumulator held at its end.
+    fn streamed(
+        rows: &[BlameRow],
+        shards: usize,
+        assign: impl Fn(usize) -> usize,
+        order: &[usize],
+        slack: u64,
+        top_k: usize,
+    ) -> (BlameReport, usize) {
+        let expected = rows.len() as u64 + slack;
+        let mut parts: Vec<Option<BlameAccumulator>> = (0..shards)
+            .map(|_| Some(BlameAccumulator::new(expected, top_k)))
+            .collect();
+        for (i, row) in rows.iter().enumerate() {
+            let part = parts[assign(i) % shards].as_mut().unwrap();
+            part.push(row.id, row.arrive_ns, &row.marks);
+            assert!(part.retained() <= part.retained_bound());
+        }
+        let mut most = 0;
+        let mut merged: Option<BlameAccumulator> = None;
+        for &i in order {
+            let part = parts[i].take().unwrap();
+            most = most.max(part.retained());
+            merged = Some(match merged {
+                None => part,
+                Some(mut into) => {
+                    into.merge(part);
+                    assert!(into.retained() <= into.retained_bound());
+                    into
+                }
+            });
+        }
+        let merged = merged.unwrap();
+        most = most.max(merged.retained());
+        (merged.finish(), most)
+    }
+
+    /// [`streamed`] on one accumulator, checked against the oracle.
+    fn streamed_whole(rows: &[BlameRow], slack: u64, top_k: usize) -> (BlameReport, usize) {
+        let (report, most) = streamed(rows, 1, |_| 0, &[0], slack, top_k);
+        assert_eq!(report, BlameReport::materialised(rows.to_vec(), top_k));
+        (report, most)
+    }
+
+    /// One Media stage ending `latency` after arrival.
+    fn flat(id: u64, latency: u64) -> BlameRow {
+        row(id, id * 3, &[(Stage::Media, id * 3 + latency, latency / 2)])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+
+        /// Any rows, dealt over 1–8 accumulators sized for at least the row
+        /// count and merged in any order, finish into exactly the report
+        /// the materialise-sort-scan oracle builds.
+        #[test]
+        fn streaming_equals_the_materialised_oracle(
+            raw in prop::collection::vec(
+                (
+                    0u64..1_000_000,
+                    prop::collection::vec(
+                        (0u64..3_000_000, 0u64..60_000, 0u64..STAGE_COUNT as u64),
+                        0usize..6,
+                    ),
+                ),
+                0usize..400,
+            ),
+            deal in prop::collection::vec(0usize..8, 1usize..64),
+            knobs in (1usize..9, 0u64..300, 0usize..12, any::<u64>()),
+        ) {
+            let (shards, slack, top_k, seed) = knobs;
+            // Coarse quanta make equal latencies and shared buckets the
+            // norm; the occasional row has no marks at all (a rejection).
+            let quantum = [1u64, 4_096, 262_144][(seed % 3) as usize];
+            let rows: Vec<BlameRow> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, (arrive, steps))| {
+                    let mut end = *arrive;
+                    let marks = steps
+                        .iter()
+                        .map(|&(dwell, service, stage)| {
+                            end += dwell / quantum * quantum;
+                            BlameMark {
+                                stage: Stage::ALL[stage as usize],
+                                end_ns: end,
+                                service_ns: service,
+                            }
+                        })
+                        .collect();
+                    BlameRow { id: i as u64, arrive_ns: *arrive, marks }
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..shards).collect();
+            for i in (1..shards).rev() {
+                order.swap(i, (seed.rotate_left(i as u32 * 7) as usize) % (i + 1));
+            }
+            let (report, _) = streamed(
+                &rows,
+                shards,
+                |i| deal[i % deal.len()],
+                &order,
+                slack,
+                top_k,
+            );
+            prop_assert_eq!(report, BlameReport::materialised(rows, top_k));
+        }
+    }
+
+    #[test]
+    fn identical_latencies_are_the_stated_degenerate_case() {
+        // One bucket holds everything, so it is the floor bucket and every
+        // row stays: O(n), inside the bound because the bound says so.
+        let rows: Vec<BlameRow> = (0..250).map(|i| flat(i, 40_000)).collect();
+        let (report, most) = streamed_whole(&rows, 0, 4);
+        assert_eq!(most, 250 + 4);
+        assert_eq!(report.tail_requests, 0);
+        assert_eq!(
+            report.exemplars.iter().map(|e| e.id).collect::<Vec<_>>(),
+            [0, 1, 2, 3]
+        );
+    }
+
+    #[test]
+    fn the_p99_bucket_straddles_its_own_midpoint() {
+        // 150 fast rows, then 50 spread across the one bucket
+        // [999 424, 1 007 616) the p99 falls in: the cut is that bucket's
+        // midpoint, so the bucket is half tail and half not.
+        let mut rows: Vec<BlameRow> = (0..150).map(|i| flat(i, 1_000)).collect();
+        rows.extend((0..50).map(|i| flat(150 + i, 999_424 + i * 160)));
+        let (report, _) = streamed_whole(&rows, 0, 3);
+        assert_eq!(report.p99_cut_ns, 999_424 + 4_096);
+        assert_eq!(report.tail_requests, 24);
+        let (split, _) = streamed(&rows, 3, |i| i, &[2, 0, 1], 17, 3);
+        assert_eq!(split, report);
+    }
+
+    #[test]
+    fn fewer_rows_than_exemplars() {
+        let rows: Vec<BlameRow> = (0..3).map(|i| flat(i, 1_000 * (i + 1))).collect();
+        let (report, _) = streamed_whole(&rows, 0, 8);
+        assert_eq!(
+            report.exemplars.iter().map(|e| e.id).collect::<Vec<_>>(),
+            [2, 1, 0]
+        );
+        // No exemplars at all is legal too.
+        let (none, _) = streamed_whole(&rows, 5, 0);
+        assert!(none.exemplars.is_empty());
+        assert_eq!(none.requests, 3);
+    }
+
+    #[test]
+    fn rejected_rows_count_with_latency_zero() {
+        // A rejection has no marks: it is a request of latency 0 that
+        // attributes nothing.
+        let mut rows: Vec<BlameRow> = (0..198).map(|i| row(i, i * 5, &[])).collect();
+        rows.push(flat(198, 70_000));
+        rows.push(flat(199, 90_000));
+        let (report, _) = streamed_whole(&rows, 0, 4);
+        assert_eq!(report.requests, 200);
+        assert_eq!(report.p99_cut_ns, 0);
+        assert_eq!(report.tail_requests, 2);
+        assert_eq!(report.overall.total_ns(), 160_000);
+        assert_eq!(report.exemplars[2].latency_ns, 0);
+        assert!(report.exemplars[2].waterfall.is_empty());
+        // Nothing but rejections.
+        let (report, _) = streamed_whole(&rows[..198], 2, 4);
+        assert_eq!(report.requests, 198);
+        assert!(report.overall.is_empty());
+        assert_eq!(report.tail_requests, 0);
+    }
+
+    #[test]
+    fn an_exact_multiple_of_a_hundred_with_no_slack() {
+        // `expected = n = 100k`: the p99 rank is exactly `99k`, the tightest
+        // the budget gets.
+        for n in [100u64, 200, 1_000] {
+            let rows: Vec<BlameRow> = (0..n).map(|i| flat(i, 1_000 + i * 997)).collect();
+            let (report, most) = streamed_whole(&rows, 0, 2);
+            assert_eq!(report.requests, n);
+            assert_eq!(report.tail_requests, n / 100, "n={n}");
+            assert!(most < 20, "n={n}: {most} rows retained");
+            let (split, _) = streamed(&rows, 4, |i| i * 7, &[3, 1, 0, 2], 0, 2);
+            assert_eq!(split, report);
+        }
+    }
+
+    #[test]
+    fn a_late_burst_raises_the_floor_after_a_quiet_start() {
+        // 5 000 fast rows settle the floor among themselves; the slow burst
+        // that follows has to lift it clear of them.
+        let mut rows: Vec<BlameRow> = (0..5_000).map(|i| flat(i, 1_000 + i % 700)).collect();
+        rows.extend((0..200).map(|i| flat(5_000 + i, 1_000_000 + i * 9_000)));
+        let mut acc = BlameAccumulator::new(rows.len() as u64, 4);
+        let mut floors = Vec::new();
+        for r in &rows {
+            acc.push(r.id, r.arrive_ns, &r.marks);
+            assert!(acc.retained() <= acc.retained_bound());
+            floors.push(acc.floor);
+        }
+        assert!(
+            floors.windows(2).all(|w| w[0] <= w[1]),
+            "the floor only rises"
+        );
+        assert!(floors[4_999] <= bucket_index(1_700));
+        assert!(floors[5_199] >= bucket_index(1_000_000));
+        // Only the burst's top is still held.
+        assert!(acc.retained() < 70, "{} rows retained", acc.retained());
+        assert_eq!(acc.finish(), BlameReport::materialised(rows.clone(), 4));
+        // The burst first, the quiet rows after: the same report.
+        rows.rotate_left(5_000);
+        streamed_whole(&rows, 0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "more blame rows than the 2 expected")]
+    fn pushing_past_the_expected_count_panics() {
+        let mut acc = BlameAccumulator::new(2, 1);
+        for i in 0..3 {
+            let r = flat(i, 1_000);
+            acc.push(r.id, r.arrive_ns, &r.marks);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stages at most once")]
+    fn a_retained_row_with_a_stage_closed_twice_panics() {
+        let marks = [(Stage::Media, 1_000, 10); STAGE_COUNT + 1];
+        let r = row(0, 0, &marks);
+        BlameAccumulator::new(1, 1).push(r.id, r.arrive_ns, &r.marks);
     }
 
     #[test]

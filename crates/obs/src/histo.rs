@@ -5,9 +5,13 @@
 //! sub-buckets, bounding the relative quantisation error of any recorded
 //! value by `1 / SUBBUCKETS` (≈ 1.6%) and the error of the reported bucket
 //! midpoint by half that. The layout is the classic HdrHistogram scheme
-//! specialised to `u64` nanoseconds with no dynamic resizing: every
-//! histogram owns the same [`HISTO_BUCKETS`] counters, so merging is a
-//! plain element-wise sum and equality is structural.
+//! specialised to `u64` nanoseconds: every histogram addresses the same
+//! [`HISTO_BUCKETS`] logical buckets, but stores counters only for the
+//! octave-aligned bucket range it has touched — a window's few hundred
+//! samples span a handful of octaves, not all 59. The stored range is an
+//! implementation detail: equality, merging and every query are defined on
+//! bucket *content*, so two histograms of the same samples are equal however
+//! their storage grew.
 
 use serde::{Deserialize, Serialize};
 
@@ -15,11 +19,13 @@ use serde::{Deserialize, Serialize};
 const SUBBUCKETS: u64 = 64;
 /// Values strictly below this are exact (identity-bucketed).
 const LINEAR_MAX: u64 = SUBBUCKETS;
-/// Total bucket count: 64 exact buckets + 58 octaves × 64 sub-buckets.
+/// Logical bucket count: 64 exact buckets + 58 octaves × 64 sub-buckets.
 pub const HISTO_BUCKETS: usize = (SUBBUCKETS + (63 - 6) * SUBBUCKETS + SUBBUCKETS) as usize;
+/// Storage grows in whole octaves of this many buckets.
+const OCTAVE: usize = SUBBUCKETS as usize;
 
 /// Bucket index for a value. Exact below `LINEAR_MAX`; log-linear above.
-fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v < LINEAR_MAX {
         return v as usize;
     }
@@ -50,7 +56,8 @@ fn bucket_width(idx: usize) -> u64 {
     }
 }
 
-/// A mergeable, constant-size latency histogram over `u64` nanoseconds.
+/// A mergeable latency histogram over `u64` nanoseconds, sized by the bucket
+/// range its samples touched.
 ///
 /// `count`, `sum`, `min` and `max` are tracked exactly; quantiles are
 /// answered from the bucket midpoint (clamped to the observed `[min, max]`
@@ -58,6 +65,10 @@ fn bucket_width(idx: usize) -> u64 {
 /// nearest-rank answer.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct LatencyHisto {
+    /// Logical index of `counts[0]`; a multiple of [`OCTAVE`].
+    lo: usize,
+    /// Counters of logical buckets `lo..lo + counts.len()`; the length is a
+    /// multiple of [`OCTAVE`]. Buckets outside the range hold zero.
     counts: Vec<u64>,
     count: u64,
     sum: u64,
@@ -71,13 +82,16 @@ impl Default for LatencyHisto {
     }
 }
 
+/// Content equality: the same samples give equal histograms whatever range
+/// either side happens to store (growth order, a [`LatencyHisto::clear`]ed
+/// past, a merge that widened one of them).
 impl PartialEq for LatencyHisto {
     fn eq(&self, other: &Self) -> bool {
         self.count == other.count
             && self.sum == other.sum
             && self.min == other.min
             && self.max == other.max
-            && self.counts == other.counts
+            && self.occupied() == other.occupied()
     }
 }
 
@@ -97,10 +111,11 @@ impl std::fmt::Debug for LatencyHisto {
 }
 
 impl LatencyHisto {
-    /// An empty histogram with all [`HISTO_BUCKETS`] counters zeroed.
+    /// An empty histogram. Allocates nothing until the first sample.
     pub fn new() -> Self {
         Self {
-            counts: vec![0; HISTO_BUCKETS],
+            lo: 0,
+            counts: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -117,20 +132,91 @@ impl LatencyHisto {
         h
     }
 
+    /// Forgets every sample but keeps the storage and the range it covers,
+    /// so recording into the same range again allocates nothing.
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+    }
+
+    /// Widens the stored range to cover logical buckets `from..to`, in whole
+    /// octaves.
+    #[cold]
+    fn cover(&mut self, from: usize, to: usize) {
+        debug_assert!(from < to && to <= HISTO_BUCKETS);
+        let from = from / OCTAVE * OCTAVE;
+        let to = to.div_ceil(OCTAVE) * OCTAVE;
+        if self.counts.is_empty() {
+            self.lo = from;
+            self.counts.resize(to - from, 0);
+            return;
+        }
+        let hi = self.lo + self.counts.len();
+        if to > hi {
+            self.counts.resize(to - self.lo, 0);
+        }
+        if from < self.lo {
+            let shift = self.lo - from;
+            let len = self.counts.len();
+            self.counts.resize(len + shift, 0);
+            self.counts.copy_within(..len, shift);
+            self.counts[..shift].fill(0);
+            self.lo = from;
+        }
+    }
+
+    /// The stored counters trimmed to the first and last non-empty bucket,
+    /// with the logical index of the first: the histogram's bucket content.
+    fn occupied(&self) -> (usize, &[u64]) {
+        let Some(first) = self.counts.iter().position(|&c| c != 0) else {
+            return (0, &[]);
+        };
+        let last = self.counts.iter().rposition(|&c| c != 0).unwrap_or(first);
+        (self.lo + first, &self.counts[first..=last])
+    }
+
+    /// Samples recorded into logical bucket `idx`.
+    pub(crate) fn bucket_count(&self, idx: usize) -> u64 {
+        idx.checked_sub(self.lo)
+            .and_then(|off| self.counts.get(off))
+            .copied()
+            .unwrap_or(0)
+    }
+
     /// Records one nanosecond sample.
+    #[inline]
     pub fn record(&mut self, ns: u64) {
-        self.counts[bucket_index(ns)] += 1;
+        let idx = bucket_index(ns);
+        // One compare covers both ends of the stored range: below `lo` the
+        // offset wraps to a huge value.
+        match self.counts.get_mut(idx.wrapping_sub(self.lo)) {
+            Some(slot) => *slot += 1,
+            None => {
+                self.cover(idx, idx + 1);
+                self.counts[idx - self.lo] += 1;
+            }
+        }
         self.count += 1;
         self.sum = self.sum.saturating_add(ns);
         self.min = self.min.min(ns);
         self.max = self.max.max(ns);
     }
 
-    /// Element-wise merge: afterwards `self` equals the histogram of the
+    /// Bucket-wise merge: afterwards `self` equals the histogram of the
     /// concatenated sample streams.
     pub fn merge(&mut self, other: &LatencyHisto) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        let (from, counts) = other.occupied();
+        if !counts.is_empty() {
+            if from < self.lo || from + counts.len() > self.lo + self.counts.len() {
+                self.cover(from, from + counts.len());
+            }
+            let at = from - self.lo;
+            for (a, b) in self.counts[at..at + counts.len()].iter_mut().zip(counts) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
@@ -186,7 +272,7 @@ impl LatencyHisto {
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
+        for (idx, &c) in (self.lo..).zip(&self.counts) {
             seen += c;
             if seen >= rank {
                 let mid = bucket_lower(idx) + bucket_width(idx) / 2;
@@ -207,15 +293,17 @@ impl LatencyHisto {
         if self.count == 0 || ns >= self.max {
             return 0;
         }
-        let first = bucket_index(ns) + 1;
-        self.counts[first..].iter().sum()
+        let first = (bucket_index(ns) + 1).saturating_sub(self.lo);
+        self.counts
+            .get(first..)
+            .map_or(0, |above| above.iter().sum())
     }
 
     /// Iterates the non-empty buckets as `(inclusive_upper_bound_ns,
     /// cumulative_count)` pairs, the shape Prometheus histogram series want.
     pub fn cumulative_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let mut cum = 0u64;
-        self.counts.iter().enumerate().filter_map(move |(idx, &c)| {
+        (self.lo..).zip(&self.counts).filter_map(move |(idx, &c)| {
             if c == 0 {
                 return None;
             }
@@ -331,6 +419,122 @@ mod tests {
         }
         assert_eq!(h.count_above(u64::MAX), 0);
         assert_eq!(h.count_above(0), 10_000);
+    }
+
+    /// The same samples recorded forwards, backwards, after a `clear`, and
+    /// through merges of disjoint, overlapping and empty parts.
+    fn same_content_different_histories(samples: &[u64]) -> Vec<LatencyHisto> {
+        let forwards = LatencyHisto::from_samples(samples.iter().copied());
+        let backwards = LatencyHisto::from_samples(samples.iter().rev().copied());
+        // Grown over the whole bucket space first, then cleared: stores far
+        // more range than the samples touch.
+        let mut recycled = LatencyHisto::from_samples([0, u64::MAX]);
+        recycled.clear();
+        samples.iter().for_each(|&s| recycled.record(s));
+        // Low half merged into high half, and the other way round.
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let (low, high) = sorted.split_at(sorted.len() / 2);
+        let mut up = LatencyHisto::from_samples(low.iter().copied());
+        up.merge(&LatencyHisto::from_samples(high.iter().copied()));
+        let mut down = LatencyHisto::from_samples(high.iter().copied());
+        down.merge(&LatencyHisto::from_samples(low.iter().copied()));
+        // Interleaved parts share their whole range; an empty part and a
+        // cleared wide one add nothing.
+        let (even, odd): (Vec<u64>, Vec<u64>) = samples.iter().partition(|&&s| s % 2 == 0);
+        let mut interleaved = LatencyHisto::new();
+        interleaved.merge(&LatencyHisto::from_samples(odd));
+        interleaved.merge(&LatencyHisto::new());
+        interleaved.merge(&LatencyHisto::from_samples(even));
+        let mut wide = LatencyHisto::from_samples([1, 1 << 60]);
+        wide.clear();
+        interleaved.merge(&wide);
+        vec![forwards, backwards, recycled, up, down, interleaved]
+    }
+
+    #[test]
+    fn equality_and_merge_ignore_growth_history_and_stored_range() {
+        let samples: Vec<u64> = (0..2_000u64)
+            .map(|i| (i * i * 7) % 90_000_017 + 3)
+            .collect();
+        let histories = same_content_different_histories(&samples);
+        for h in &histories[1..] {
+            assert_eq!(h, &histories[0]);
+            assert_eq!(
+                h.cumulative_buckets().collect::<Vec<_>>(),
+                histories[0].cumulative_buckets().collect::<Vec<_>>()
+            );
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                assert_eq!(h.value_at_quantile(q), histories[0].value_at_quantile(q));
+            }
+            for t in [0, 2, 40_000, 90_000_020, u64::MAX] {
+                assert_eq!(h.count_above(t), histories[0].count_above(t));
+            }
+        }
+        // One sample apart is unequal, wherever it lands relative to the
+        // stored range.
+        for extra in [0, 50_000, u64::MAX] {
+            let mut more = histories[0].clone();
+            more.record(extra);
+            assert_ne!(more, histories[0]);
+        }
+        // Emptiness is content too.
+        let mut cleared = histories[0].clone();
+        cleared.clear();
+        assert_eq!(cleared, LatencyHisto::new());
+        assert_eq!(cleared.value_at_quantile(0.5), 0);
+        assert_eq!(cleared.cumulative_buckets().count(), 0);
+    }
+
+    #[test]
+    fn count_above_outside_the_stored_range() {
+        // Samples in one octave around 1 ms: the stored range is that octave.
+        let h = LatencyHisto::from_samples((0..100u64).map(|i| 1_000_000 + i * 1_000));
+        assert!(h.counts.len() <= 2 * OCTAVE, "{} buckets", h.counts.len());
+        // A threshold below `lo` counts everything, one above the range
+        // (but below max, which the early return would catch) nothing.
+        assert_eq!(h.count_above(0), 100);
+        assert_eq!(h.count_above(500), 100);
+        assert_eq!(h.count_above(900_000), 100);
+        assert_eq!(h.count_above(h.max_ns()), 0);
+        assert_eq!(h.count_above(1 << 40), 0);
+        let mut wide = h.clone();
+        wide.record(1 << 50);
+        assert_eq!(wide.count_above(1 << 40), 1);
+        assert_eq!(wide.count_above(500), 101);
+    }
+
+    #[test]
+    fn storage_follows_the_touched_range() {
+        let mut h = LatencyHisto::new();
+        assert_eq!(h.counts.capacity(), 0, "an empty histogram owns no heap");
+        h.record(1_000_000);
+        assert_eq!(h.counts.len(), OCTAVE);
+        // Growing downwards keeps what was recorded.
+        h.record(10);
+        h.record(1 << 30);
+        assert_eq!(h.lo, 0);
+        assert_eq!(h.counts.len() % OCTAVE, 0);
+        assert!(h.counts.len() < HISTO_BUCKETS / 2);
+        assert_eq!(h, LatencyHisto::from_samples([10, 1_000_000, 1 << 30]));
+    }
+
+    #[test]
+    fn clear_keeps_storage_so_the_old_range_records_in_place() {
+        let samples: Vec<u64> = (0..500u64).map(|i| 20_000 + i * 977).collect();
+        let mut h = LatencyHisto::from_samples(samples.iter().copied());
+        let (lo, len, ptr, cap) = (h.lo, h.counts.len(), h.counts.as_ptr(), h.counts.capacity());
+        h.clear();
+        assert!(h.is_empty());
+        assert_eq!(h.min_ns(), 0);
+        assert_eq!(h.max_ns(), 0);
+        samples.iter().for_each(|&s| h.record(s));
+        // Same buffer, same range: nothing was allocated or moved.
+        assert_eq!(
+            (h.lo, h.counts.len(), h.counts.as_ptr(), h.counts.capacity()),
+            (lo, len, ptr, cap)
+        );
+        assert_eq!(h, LatencyHisto::from_samples(samples));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! discrete-event simulator (`bam-sim`):
 //!
 //! * [`LatencyHisto`] — a log-linear HDR-style histogram with ≤ ~1.6%
-//!   relative bucket error, constant size, mergeable, and cheap to record
-//!   into. It replaces exact sample vectors wherever only percentiles are
-//!   needed.
+//!   relative bucket error, sized by the bucket range its samples touched,
+//!   mergeable, and cheap to record into. It replaces exact sample vectors
+//!   wherever only percentiles are needed.
 //! * [`SpanRecorder`] / [`SpanEvent`] — a bounded ring buffer of typed
 //!   per-request stage spans. Timestamps are virtual (sim nanoseconds or
 //!   functional-layer step counters), so traces are bit-identical per seed.
@@ -18,7 +18,9 @@
 //!   [`evaluate_slo`]) and the functional stack's [`TelemetrySink`].
 //! * [`BlameReport`] — per-resource service/wait decomposition of every
 //!   request's latency, tail-slice breakdowns, and deterministic slowest-
-//!   request exemplars.
+//!   request exemplars, built in one streaming pass by a
+//!   [`BlameAccumulator`] that holds only the rows still able to reach the
+//!   tail.
 //!
 //! The crate deliberately depends on nothing but the serde markers: both
 //! stack layers and the bench harness can pull it in without cycles.
@@ -29,7 +31,9 @@ mod histo;
 mod span;
 mod timeseries;
 
-pub use blame::{BlameBreakdown, BlameMark, BlameReport, BlameRow, Exemplar, WaterfallStep};
+pub use blame::{
+    BlameAccumulator, BlameBreakdown, BlameMark, BlameReport, BlameRow, Exemplar, WaterfallStep,
+};
 pub use export::{chrome_trace_json, PromWriter};
 pub use histo::{LatencyHisto, HISTO_BUCKETS};
 pub use span::{

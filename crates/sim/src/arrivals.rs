@@ -50,30 +50,18 @@ type Arrival = (u64, u32);
 const CHUNK: usize = 64;
 
 impl ArrivalTimes {
-    /// The first `arrival.prescheduled(requests)` arrivals of `arrival`,
-    /// drawing from `rng`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-positive rate or a closed loop without capacity.
+    /// The first `arrival.prescheduled(requests)` arrivals of `arrival`
+    /// (already checked by [`ArrivalProcess::validate`]), drawing from `rng`.
     pub(crate) fn new(arrival: ArrivalProcess, requests: u64, mut rng: StdRng) -> Self {
+        debug_assert_eq!(arrival.validate(), Ok(()));
         let process = match arrival {
-            ArrivalProcess::FixedRate { rate_per_s } => {
-                assert!(rate_per_s > 0.0, "fixed rate must be positive");
-                Process::FixedRate { rate_per_s, i: 0 }
-            }
-            ArrivalProcess::Poisson { rate_per_s } => {
-                assert!(rate_per_s > 0.0, "Poisson rate must be positive");
-                Process::Poisson {
-                    rate_per_s,
-                    t_ns: 0.0,
-                    last_ns: 0,
-                }
-            }
-            ArrivalProcess::ClosedLoop { in_flight } => {
-                assert!(in_flight > 0, "closed loop needs at least one request");
-                Process::ClosedLoop
-            }
+            ArrivalProcess::FixedRate { rate_per_s } => Process::FixedRate { rate_per_s, i: 0 },
+            ArrivalProcess::Poisson { rate_per_s } => Process::Poisson {
+                rate_per_s,
+                t_ns: 0.0,
+                last_ns: 0,
+            },
+            ArrivalProcess::ClosedLoop { .. } => Process::ClosedLoop,
             ArrivalProcess::Mmpp(m) => Process::Mmpp(MmppPath::new(m, &mut rng)),
         };
         Self {

@@ -20,7 +20,7 @@
 use std::sync::mpsc;
 
 use bam_obs::{
-    merge_indexed_spans, BlameRow, LatencyHisto, SpanEvent, SpanRecorder, WindowedSeries,
+    merge_indexed_spans, BlameAccumulator, LatencyHisto, SpanEvent, SpanRecorder, WindowedSeries,
 };
 
 use crate::arrivals::ArrivalMerge;
@@ -184,15 +184,20 @@ pub(crate) fn run_sharded_core(
         }
     }
 
-    // Fold the shard series and concatenate blame rows. The series merge is
-    // commutative, and the blame report builder sorts rows by request id, so
-    // both outputs are bit-identical to the inline engine's at any shard
-    // count.
+    // Fold the shard series and blame accumulators. Both merges are
+    // commutative and a finished accumulator is a pure function of the row
+    // set, so both outputs are bit-identical to the inline engine's at any
+    // shard count.
     let mut series = WindowedSeries::new(plan.telemetry.window_ns);
-    let mut blame_rows: Vec<BlameRow> = Vec::new();
+    let mut blame: Option<BlameAccumulator> = None;
     for acct in &mut accts {
         series.merge(&acct.series);
-        blame_rows.append(&mut acct.take_blame_rows());
+        if let Some(part) = acct.take_blame() {
+            match &mut blame {
+                Some(merged) => merged.merge(part),
+                None => blame = Some(part),
+            }
+        }
     }
 
     let tenants = merge_tenants(accts.into_iter().map(|a| a.tenants).collect());
@@ -210,6 +215,6 @@ pub(crate) fn run_sharded_core(
         write_latency,
         tenants,
         series,
-        blame_rows,
+        blame,
     }
 }

@@ -11,6 +11,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::engine::SimError;
+
 /// A latency distribution over non-negative nanosecond durations.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum LatencyDist {
@@ -155,6 +157,22 @@ impl MmppDwellStats {
 }
 
 impl Mmpp2 {
+    /// Checks the parameters: both rates non-negative with at least one
+    /// positive, both mean dwells positive (NaN is neither).
+    pub fn validate(&self) -> Result<(), SimError> {
+        let rates_ok = self.calm_rate_per_s >= 0.0
+            && self.burst_rate_per_s >= 0.0
+            && (self.calm_rate_per_s > 0.0 || self.burst_rate_per_s > 0.0);
+        if !rates_ok {
+            return Err(SimError::InvalidMmppRates);
+        }
+        if self.mean_calm_s > 0.0 && self.mean_burst_s > 0.0 {
+            Ok(())
+        } else {
+            Err(SimError::NonPositiveMmppDwell)
+        }
+    }
+
     /// The long-run mean arrival rate: each state's rate weighted by the
     /// fraction of time the chain spends there.
     pub fn mean_rate_per_s(&self) -> f64 {
@@ -169,9 +187,11 @@ impl Mmpp2 {
     ///
     /// # Panics
     ///
-    /// Panics unless both rates are non-negative (at least one positive) and
-    /// both mean dwells are positive.
+    /// Panics on parameters that fail [`Mmpp2::validate`].
     pub fn arrival_times(&self, n: u64, rng: &mut StdRng) -> (Vec<u64>, MmppDwellStats) {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
         let mut path = MmppPath::new(*self, rng);
         let arrivals = (0..n).map(|_| path.next_arrival_ns(rng)).collect();
         (arrivals, path.stats)
@@ -196,23 +216,10 @@ pub(crate) struct MmppPath {
 }
 
 impl MmppPath {
-    /// A path starting in the calm state at time zero (draws the first
-    /// calm dwell).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the conditions of [`Mmpp2::arrival_times`].
+    /// A path of validated `params` ([`Mmpp2::validate`]) starting in the
+    /// calm state at time zero (draws the first calm dwell).
     pub(crate) fn new(params: Mmpp2, rng: &mut StdRng) -> Self {
-        assert!(
-            params.calm_rate_per_s >= 0.0
-                && params.burst_rate_per_s >= 0.0
-                && (params.calm_rate_per_s > 0.0 || params.burst_rate_per_s > 0.0),
-            "MMPP needs a positive arrival rate in at least one state"
-        );
-        assert!(
-            params.mean_calm_s > 0.0 && params.mean_burst_s > 0.0,
-            "MMPP dwell means must be positive"
-        );
+        debug_assert_eq!(params.validate(), Ok(()));
         Self {
             params,
             burst: false,

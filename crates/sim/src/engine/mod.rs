@@ -180,8 +180,25 @@ pub enum SimError {
     NoClasses,
     /// The configuration has zero queue pairs.
     NoQueuePairs,
-    /// An open-loop rate is zero, negative or NaN.
+    /// A fixed or Poisson arrival rate is zero, negative or NaN.
     NonPositiveRate,
+    /// An MMPP rate is negative or NaN, or both states are silent.
+    InvalidMmppRates,
+    /// An MMPP mean dwell is zero, negative or NaN.
+    NonPositiveMmppDwell,
+    /// A closed loop keeps zero requests in flight, so it never issues.
+    EmptyClosedLoop,
+    /// Under [`QueuePairPolicy::WeightedFair`], the stream at this position
+    /// (declaration order) has weight zero.
+    ZeroWeight(usize),
+    /// [`QueuePairPolicy::WeightedFair`] cannot give each of `streams` its
+    /// own queue pair out of `queue_pairs`.
+    TooFewQueuePairs {
+        /// Queue pairs in the array.
+        queue_pairs: u32,
+        /// Streams to split them among.
+        streams: usize,
+    },
     /// Two tenants share this id.
     DuplicateTenantId(u32),
     /// Two classes share this id.
@@ -206,7 +223,23 @@ impl std::fmt::Display for SimError {
             SimError::NoTenants => write!(f, "no tenants to simulate"),
             SimError::NoClasses => write!(f, "no classes to simulate"),
             SimError::NoQueuePairs => write!(f, "need at least one queue pair"),
-            SimError::NonPositiveRate => write!(f, "open-loop rate must be positive"),
+            SimError::NonPositiveRate => write!(f, "arrival rate must be positive"),
+            SimError::InvalidMmppRates => write!(
+                f,
+                "MMPP needs non-negative rates, positive in at least one state"
+            ),
+            SimError::NonPositiveMmppDwell => write!(f, "MMPP dwell means must be positive"),
+            SimError::EmptyClosedLoop => {
+                write!(f, "closed loop needs at least one request in flight")
+            }
+            SimError::ZeroWeight(stream) => write!(f, "stream {stream} has weight zero"),
+            SimError::TooFewQueuePairs {
+                queue_pairs,
+                streams,
+            } => write!(
+                f,
+                "need at least one queue pair per stream ({queue_pairs} for {streams})"
+            ),
             SimError::DuplicateTenantId(id) => write!(f, "duplicate tenant id {id}"),
             SimError::DuplicateClassId(id) => write!(f, "duplicate class id {id}"),
             SimError::NoMembers(id) => write!(f, "class {id} has no members"),
@@ -235,13 +268,8 @@ impl std::error::Error for SimError {}
 /// the telemetry are bit-identical at any shard count, and tracing or
 /// observing a run perturbs nothing.
 ///
-/// # Panics
-///
-/// The terminals report bad input as a [`SimError`]. Two input conditions
-/// still panic, in the code that owns them: an arrival process with a
-/// non-positive rate, dwell mean or closed-loop window (the arrival
-/// generators; see [`crate::tenant::Superposition::generate`]), and [`QueuePairPolicy::WeightedFair`] with a zero
-/// weight or fewer queue pairs than streams ([`crate::pipeline::fair_shares`]).
+/// The terminals report every bad input as a [`SimError`], before any
+/// simulation runs.
 #[derive(Clone, Copy)]
 pub struct Run<'a> {
     config: &'a SimConfig,

@@ -7,7 +7,7 @@ use bam_obs::{evaluate_slo, LatencyHisto, SloSpec, SpanRecorder, StageBreakdown,
 use super::admission::{AdmissionCtl, AdmissionState};
 use super::spine::drive_events;
 use super::stream::{block_bases, queue_pair_shares, Shape, Stream};
-use super::{RequestDesc, Run, SimConfig, SimError, TelemetrySpec, Workload};
+use super::{RequestDesc, Run, SimConfig, SimError, Workload};
 use crate::arrivals::ArrivalMerge;
 use crate::clock::SimTime;
 use crate::coordinator;
@@ -47,10 +47,9 @@ pub(crate) struct EngineOutput {
     pub(crate) tenants: Vec<TenantAcc>,
     /// Run-level windowed telemetry (empty when the plan disabled it).
     pub(crate) series: WindowedSeries,
-    /// Per-request blame rows (empty when the plan disabled blame;
-    /// settlement order inline, shard-concatenated on shards — the report
-    /// builder sorts).
-    pub(crate) blame_rows: Vec<bam_obs::BlameRow>,
+    /// Streamed blame over every settled request, shard accumulators
+    /// merged (`None` when the plan disabled blame).
+    pub(crate) blame: Option<bam_obs::BlameAccumulator>,
 }
 
 /// Runs the spine over `streams` with accounting applied inline on the
@@ -71,9 +70,8 @@ pub(crate) fn execute(
         );
     }
     let spans = recorder.map_or(SpanOut::None, SpanOut::Direct);
-    let requests: u64 = streams.iter().map(|s| s.count).sum();
     let mut acct = Accounting::new(
-        usize::try_from(requests).expect("run fits in memory"),
+        usize::try_from(plan.requests).expect("run fits in memory"),
         config.total_queue_pairs(),
         plan,
         spans,
@@ -82,7 +80,7 @@ pub(crate) fn execute(
         acct.apply(rec)
     });
     let (occupancy_mean, occupancy_max) = occupancy_stats(&acct.meters, spine.end);
-    let blame_rows = acct.take_blame_rows();
+    let blame = acct.take_blame();
     EngineOutput {
         end: spine.end,
         depth: spine.depth,
@@ -96,7 +94,7 @@ pub(crate) fn execute(
         write_latency: acct.write_latency,
         tenants: acct.tenants,
         series: acct.series,
-        blame_rows,
+        blame,
     }
 }
 
@@ -156,15 +154,7 @@ fn validate(
         return Err(SimError::NoQueuePairs);
     }
     for (i, c) in classes.iter().enumerate() {
-        if let (Input::Requests(_), ArrivalProcess::FixedRate { rate_per_s }) =
-            (input, c.member_arrival)
-        {
-            // Written so that a NaN rate is rejected too.
-            let positive = rate_per_s > 0.0;
-            if !positive {
-                return Err(SimError::NonPositiveRate);
-            }
-        }
+        c.member_arrival.validate()?;
         if classes[..i].iter().any(|u| u.id == c.id) {
             return Err(match input {
                 Input::Tenants => SimError::DuplicateTenantId(c.id),
@@ -218,7 +208,7 @@ impl Run<'_> {
         let attribution = granularity == ClassGranularity::Class { attribution: true };
 
         let weights: Vec<u32> = classes.iter().map(|c| c.weight).collect();
-        let (shares, routes) = queue_pair_shares(config, policy, &weights);
+        let (shares, routes) = queue_pair_shares(config, policy, &weights)?;
         let bases = block_bases(classes.iter().map(|c| c.requests));
         let specs: Vec<TenantSpec> = classes.iter().map(TenantClass::merged_spec).collect();
 
@@ -274,6 +264,7 @@ impl Run<'_> {
 
         let plan = ObsPlan {
             telemetry: self.telemetry,
+            requests: streams.iter().map(|s| s.count).sum(),
             tenant_slo_windows: &slo_windows,
             attribution,
         };
@@ -307,7 +298,7 @@ impl Run<'_> {
             shares,
             admission,
         } = self.simulate(input, classes, policy, granularity)?;
-        let run_telemetry = take_run_telemetry(&mut outcome, self.telemetry);
+        let run_telemetry = take_run_telemetry(&mut outcome);
 
         let mut overall_stages = StageBreakdown::new();
         let mut summaries: Vec<TenantSummary> = Vec::new();
@@ -355,10 +346,10 @@ impl Run<'_> {
 }
 
 /// Moves the run-level telemetry out of `outcome` and assembles it.
-fn take_run_telemetry(outcome: &mut EngineOutput, telemetry: TelemetrySpec) -> RunTelemetry {
+fn take_run_telemetry(outcome: &mut EngineOutput) -> RunTelemetry {
     let series = std::mem::replace(&mut outcome.series, WindowedSeries::new(0));
-    let blame_rows = std::mem::take(&mut outcome.blame_rows);
-    build_run_telemetry(series, blame_rows, &outcome.depth, telemetry.blame_top_k)
+    let blame = outcome.blame.take();
+    build_run_telemetry(series, blame, &outcome.depth)
 }
 
 /// The run seen as one merged stream.
@@ -415,7 +406,7 @@ mod tests {
     use super::*;
     use crate::engine::spine::HEAP_SLACK;
     use crate::engine::tests::optane_config;
-    use crate::engine::{mixed_requests, uniform_reads};
+    use crate::engine::{mixed_requests, uniform_reads, TelemetrySpec};
     use crate::tenant::AdmissionSpec;
     use bam_obs::Stage;
 
@@ -578,6 +569,91 @@ mod tests {
             run.tenants(&twins, shared).err(),
             Some(SimError::DuplicateTenantId(7))
         );
+
+        // Arrival parameters the generators cannot run on.
+        let mmpp = crate::dist::Mmpp2 {
+            calm_rate_per_s: 50.0e3,
+            burst_rate_per_s: 1.6e6,
+            mean_calm_s: 4.0e-3,
+            mean_burst_s: 1.0e-3,
+        };
+        let silent = crate::dist::Mmpp2 {
+            calm_rate_per_s: 0.0,
+            burst_rate_per_s: 0.0,
+            ..mmpp
+        };
+        let negative = crate::dist::Mmpp2 {
+            calm_rate_per_s: -1.0,
+            ..mmpp
+        };
+        let instant = crate::dist::Mmpp2 {
+            mean_burst_s: 0.0,
+            ..mmpp
+        };
+        let unsettled = crate::dist::Mmpp2 {
+            mean_calm_s: f64::NAN,
+            ..mmpp
+        };
+        let arrivals = [
+            (
+                ArrivalProcess::Poisson { rate_per_s: 0.0 },
+                SimError::NonPositiveRate,
+            ),
+            (
+                ArrivalProcess::FixedRate {
+                    rate_per_s: f64::NAN,
+                },
+                SimError::NonPositiveRate,
+            ),
+            (ArrivalProcess::Mmpp(silent), SimError::InvalidMmppRates),
+            (ArrivalProcess::Mmpp(negative), SimError::InvalidMmppRates),
+            (
+                ArrivalProcess::Mmpp(instant),
+                SimError::NonPositiveMmppDwell,
+            ),
+            (
+                ArrivalProcess::Mmpp(unsettled),
+                SimError::NonPositiveMmppDwell,
+            ),
+            (
+                ArrivalProcess::ClosedLoop { in_flight: 0 },
+                SimError::EmptyClosedLoop,
+            ),
+        ];
+        for (arrival, error) in arrivals {
+            let tenant = TenantSpec::new(1, "bad", arrival, 10);
+            let specs = [steady(0, 1.0e5, 10), tenant];
+            assert_eq!(
+                run.tenants(&specs, shared).err(),
+                Some(error),
+                "{arrival:?}"
+            );
+        }
+        assert_eq!(
+            run.single(Workload::ClosedLoop { in_flight: 0 }, &reqs)
+                .err(),
+            Some(SimError::EmptyClosedLoop)
+        );
+
+        // A weighted-fair split the 8-queue-pair array cannot honour.
+        let fair = QueuePairPolicy::WeightedFair;
+        let crowd: Vec<TenantSpec> = (0..9).map(|id| steady(id, 1.0e5, 10)).collect();
+        assert_eq!(
+            run.tenants(&crowd, fair).err(),
+            Some(SimError::TooFewQueuePairs {
+                queue_pairs: 8,
+                streams: 9
+            })
+        );
+        assert!(run.tenants(&crowd, shared).is_ok());
+        let mut weightless = steady(1, 1.0e5, 10);
+        weightless.weight = 0;
+        let specs = [steady(0, 1.0e5, 10), weightless];
+        assert_eq!(
+            run.tenants(&specs, fair).err(),
+            Some(SimError::ZeroWeight(1))
+        );
+        assert!(run.tenants(&specs, shared).is_ok());
 
         let poisson = ArrivalProcess::Poisson { rate_per_s: 1.0e3 };
         let class = |id, members| TenantClass::new(id, "c", members, poisson, 10);
@@ -837,6 +913,37 @@ mod tests {
             assert_eq!(admission_spans, admitted_late, "shards={shards}");
             assert_eq!(out.latencies.len() as u64 + controlled.rejected, 6_000);
             assert_spans_tile_latencies(&recorder, &out, 6_000);
+        }
+    }
+
+    #[test]
+    fn blame_retention_follows_the_tail_not_the_run() {
+        // A saturated array (latencies spread over many buckets): the
+        // accumulator ends a run holding about a hundredth of it, wherever
+        // accounting ran. `Accounting::take_blame` asserts the exact bound
+        // on every shard of every observed run; this pins its scale.
+        let cfg = optane_config(4, 2, 4096, 56);
+        let classes: Vec<TenantClass> = [steady(0, 2.0e6, 30_000), steady(1, 2.0e6, 30_000)]
+            .iter()
+            .map(TenantClass::from)
+            .collect();
+        for shards in [0, 4] {
+            let run = Run::new(&cfg)
+                .shards(shards)
+                .telemetry(TelemetrySpec::full(100_000, 8));
+            let blame = run
+                .simulate(Input::Tenants, &classes, QueuePairPolicy::Shared, PLAIN)
+                .unwrap()
+                .outcome
+                .blame
+                .expect("blame was asked for");
+            let retained = blame.retained();
+            assert!(retained <= blame.retained_bound(), "shards={shards}");
+            assert!(
+                (600..3_000).contains(&retained),
+                "shards={shards}: {retained} of 60000 rows retained"
+            );
+            assert_eq!(blame.finish().requests, 60_000);
         }
     }
 

@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use super::{RequestDesc, SimConfig};
+use super::{RequestDesc, SimConfig, SimError};
 use crate::pipeline::{fair_shares, QueuePairPolicy};
 use crate::shard::RequestInfo;
 use crate::tenant::{ArrivalProcess, TenantClass};
@@ -184,20 +184,21 @@ impl<'a> Stream<'a> {
     }
 }
 
-/// Queue-pair shares and partition bases of `weights` under `policy`.
+/// Queue-pair shares and partition bases of `weights` under `policy`, or why
+/// the array cannot be split that way.
 pub(super) fn queue_pair_shares(
     config: &SimConfig,
     policy: QueuePairPolicy,
     weights: &[u32],
-) -> (Vec<u32>, Vec<Route>) {
+) -> Result<(Vec<u32>, Vec<Route>), SimError> {
     let total_qps = config.total_queue_pairs();
-    match policy {
+    Ok(match policy {
         QueuePairPolicy::Shared => (
             vec![total_qps; weights.len()],
             vec![Route::Spread; weights.len()],
         ),
         QueuePairPolicy::WeightedFair => {
-            let shares = fair_shares(total_qps, weights);
+            let shares = fair_shares(total_qps, weights)?;
             let routes = shares
                 .iter()
                 .scan(0u32, |base, &share| {
@@ -208,7 +209,7 @@ pub(super) fn queue_pair_shares(
                 .collect();
             (shares, routes)
         }
-    }
+    })
 }
 
 /// First global request index of each block of `counts` requests.

@@ -25,6 +25,7 @@ use bam_timing::ssd::PER_QUEUE_PAIR_IOPS;
 use serde::{Deserialize, Serialize};
 
 use crate::dist::LatencyDist;
+use crate::engine::SimError;
 
 /// GPU-side protocol time to win an SQ slot, write the entry, and (amortized)
 /// ring the doorbell, in nanoseconds.
@@ -64,20 +65,27 @@ impl QueuePairPolicy {
 
 /// Splits `total` queue pairs among tenants in proportion to `weights`
 /// (largest-remainder method), guaranteeing every tenant at least one queue
-/// pair. Deterministic: remainder ties break toward lower indices.
+/// pair. Deterministic: remainder ties break toward lower indices. No
+/// tenants get no shares.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `weights` is empty, any weight is zero, or `total` is smaller
-/// than the number of tenants.
-pub fn fair_shares(total: u32, weights: &[u32]) -> Vec<u32> {
-    assert!(!weights.is_empty(), "no tenants to allocate to");
-    assert!(weights.iter().all(|&w| w > 0), "weights must be positive");
-    assert!(
-        total as usize >= weights.len(),
-        "need at least one queue pair per tenant ({total} for {})",
-        weights.len()
-    );
+/// [`SimError::ZeroWeight`] if any weight is zero, and
+/// [`SimError::TooFewQueuePairs`] if `total` is smaller than the number of
+/// tenants.
+pub fn fair_shares(total: u32, weights: &[u32]) -> Result<Vec<u32>, SimError> {
+    if let Some(stream) = weights.iter().position(|&w| w == 0) {
+        return Err(SimError::ZeroWeight(stream));
+    }
+    if (total as usize) < weights.len() {
+        return Err(SimError::TooFewQueuePairs {
+            queue_pairs: total,
+            streams: weights.len(),
+        });
+    }
+    if weights.is_empty() {
+        return Ok(Vec::new());
+    }
     let sum: u64 = weights.iter().map(|&w| u64::from(w)).sum();
     let mut shares: Vec<u32> = weights
         .iter()
@@ -103,7 +111,7 @@ pub fn fair_shares(total: u32, weights: &[u32]) -> Vec<u32> {
         }
     }
     debug_assert_eq!(shares.iter().sum::<u32>(), total);
-    shares
+    Ok(shares)
 }
 
 /// Stage parameters of one SSD's request pipeline.
@@ -308,29 +316,37 @@ mod tests {
 
     #[test]
     fn fair_shares_proportional_and_exhaustive() {
-        assert_eq!(fair_shares(8, &[1, 1]), vec![4, 4]);
-        assert_eq!(fair_shares(8, &[3, 1]), vec![6, 2]);
-        assert_eq!(fair_shares(8, &[1, 1, 1, 1, 1, 1, 1, 1]), vec![1; 8]);
+        assert_eq!(fair_shares(8, &[1, 1]), Ok(vec![4, 4]));
+        assert_eq!(fair_shares(8, &[3, 1]), Ok(vec![6, 2]));
+        assert_eq!(fair_shares(8, &[1, 1, 1, 1, 1, 1, 1, 1]), Ok(vec![1; 8]));
         // Remainders go to the largest fractional parts, lower index first.
-        assert_eq!(fair_shares(10, &[1, 1, 1]), vec![4, 3, 3]);
+        assert_eq!(fair_shares(10, &[1, 1, 1]), Ok(vec![4, 3, 3]));
         // Every allocation is exhaustive.
         for (total, weights) in [(7u32, vec![2u32, 5]), (128, vec![1, 2, 3, 4])] {
-            assert_eq!(fair_shares(total, &weights).iter().sum::<u32>(), total);
+            let shares = fair_shares(total, &weights).unwrap();
+            assert_eq!(shares.iter().sum::<u32>(), total);
         }
     }
 
     #[test]
     fn fair_shares_guarantees_a_queue_pair_to_tiny_weights() {
-        let shares = fair_shares(8, &[1000, 1, 1]);
+        let shares = fair_shares(8, &[1000, 1, 1]).unwrap();
         assert_eq!(shares.iter().sum::<u32>(), 8);
         assert!(shares.iter().all(|&s| s >= 1), "{shares:?}");
         assert!(shares[0] >= 6);
     }
 
     #[test]
-    #[should_panic(expected = "at least one queue pair per tenant")]
-    fn fair_shares_rejects_too_few_queue_pairs() {
-        fair_shares(2, &[1, 1, 1]);
+    fn fair_shares_rejects_what_it_cannot_split() {
+        assert_eq!(
+            fair_shares(2, &[1, 1, 1]),
+            Err(SimError::TooFewQueuePairs {
+                queue_pairs: 2,
+                streams: 3
+            })
+        );
+        assert_eq!(fair_shares(8, &[1, 0, 1]), Err(SimError::ZeroWeight(1)));
+        assert_eq!(fair_shares(0, &[]), Ok(Vec::new()));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! occupancy, per-stage dwell breakdowns, and the Little's-law cross-check.
 
 use bam_obs::{
-    BlameReport, BlameRow, LatencyHisto, PromWriter, SloReport, StageBreakdown, WindowedSeries,
+    BlameAccumulator, BlameReport, LatencyHisto, PromWriter, SloReport, StageBreakdown,
+    WindowedSeries,
 };
 use serde::{Deserialize, Serialize};
 
@@ -479,18 +480,19 @@ pub struct RunTelemetry {
 }
 
 /// Assembles a [`RunTelemetry`] from the engine output: folds the (engine-
-/// independent) depth timeline into the series and builds the canonical
-/// blame report from the collected rows.
+/// independent) depth timeline into the series and finishes the streamed
+/// blame (an unobserved run's report is the empty one).
 pub(crate) fn build_run_telemetry(
     mut series: WindowedSeries,
-    rows: Vec<BlameRow>,
+    blame: Option<BlameAccumulator>,
     depth: &DepthTimeline,
-    top_k: usize,
 ) -> RunTelemetry {
     depth.fold_into(&mut series);
     RunTelemetry {
         series,
-        blame: BlameReport::build(rows, top_k),
+        blame: blame
+            .unwrap_or_else(|| BlameAccumulator::new(0, 0))
+            .finish(),
     }
 }
 

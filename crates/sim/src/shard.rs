@@ -25,8 +25,8 @@
 //! exposes.
 
 use bam_obs::{
-    BlameMark, BlameRow, LatencyHisto, SpanEvent, SpanId, SpanRecorder, Stage, StageBreakdown,
-    WindowedSeries,
+    BlameAccumulator, BlameMark, LatencyHisto, SpanEvent, SpanId, SpanRecorder, Stage,
+    StageBreakdown, WindowedSeries,
 };
 
 use crate::clock::SimTime;
@@ -38,6 +38,9 @@ use crate::engine::TelemetrySpec;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ObsPlan<'a> {
     pub(crate) telemetry: TelemetrySpec,
+    /// Requests the run will settle (the sum of the stream counts): what
+    /// every shard's [`BlameAccumulator`] is sized for.
+    pub(crate) requests: u64,
     pub(crate) tenant_slo_windows: &'a [u64],
     /// Thinned member attribution for class runs: collect one histogram per
     /// [`RequestInfo::member`]. `false` skips per-member accounting entirely.
@@ -331,11 +334,9 @@ pub(crate) struct Accounting<'a> {
     /// Run-level windowed telemetry (disabled — window 0 — when the plan
     /// asks for none; every record is then a single branch).
     pub(crate) series: WindowedSeries,
-    /// Blame rows of settled (completed or rejected) requests, in settlement
-    /// order (empty when the plan disables blame).
-    rows: Vec<BlameRow>,
-    /// Whether blame rows are being collected.
-    blame: bool,
+    /// Streaming blame over settled (completed or rejected) requests; `None`
+    /// when the plan disables blame.
+    blame: Option<BlameAccumulator>,
 }
 
 impl<'a> Accounting<'a> {
@@ -347,7 +348,10 @@ impl<'a> Accounting<'a> {
         plan: &ObsPlan<'_>,
         spans: SpanOut<'a>,
     ) -> Self {
-        let blame = plan.telemetry.blame;
+        let blame = plan
+            .telemetry
+            .blame
+            .then(|| BlameAccumulator::new(plan.requests, plan.telemetry.blame_top_k));
         Self {
             attribution: plan.attribution,
             slots: Vec::new(),
@@ -363,7 +367,6 @@ impl<'a> Accounting<'a> {
             latencies: Vec::with_capacity(requests),
             spans,
             series: WindowedSeries::new(plan.telemetry.window_ns),
-            rows: Vec::with_capacity(if blame { requests } else { 0 }),
             blame,
         }
     }
@@ -386,7 +389,7 @@ impl<'a> Accounting<'a> {
             .record(stage, dwell);
         self.series
             .record_stage(now.as_ns(), stage, dwell, dwell - service_ns.min(dwell));
-        if self.blame {
+        if self.blame.is_some() {
             self.marks[slot as usize].push(BlameMark {
                 stage,
                 end_ns: now.as_ns(),
@@ -408,16 +411,16 @@ impl<'a> Accounting<'a> {
         }
     }
 
-    /// Files the settled request of `slot` as a blame row (a rejected
-    /// request's row has no marks).
+    /// Streams the settled request of `slot` into the blame accumulator (a
+    /// rejected request has no marks).
     fn settle_blame(&mut self, slot: u32) {
-        if self.blame {
+        if let Some(blame) = &mut self.blame {
             let acc = &self.slots[slot as usize];
-            self.rows.push(BlameRow {
-                id: acc.info.req,
-                arrive_ns: acc.arrive_at.as_ns(),
-                marks: self.marks[slot as usize].clone(),
-            });
+            blame.push(
+                acc.info.req,
+                acc.arrive_at.as_ns(),
+                &self.marks[slot as usize],
+            );
         }
     }
 
@@ -430,7 +433,7 @@ impl<'a> Accounting<'a> {
                 let i = slot as usize;
                 if i >= self.slots.len() {
                     self.slots.resize(i + 1, SlotAcc::default());
-                    if self.blame {
+                    if self.blame.is_some() {
                         self.marks.resize_with(i + 1, Vec::new);
                     }
                 }
@@ -439,7 +442,7 @@ impl<'a> Accounting<'a> {
                     arrive_at: at,
                     last_mark: at,
                 };
-                if self.blame {
+                if self.blame.is_some() {
                     self.marks[i].clear();
                 }
                 self.series.record_arrival(at.as_ns());
@@ -514,9 +517,18 @@ impl<'a> Accounting<'a> {
         }
     }
 
-    /// The shard's blame rows (empty when blame was disabled).
-    pub(crate) fn take_blame_rows(&mut self) -> Vec<BlameRow> {
-        std::mem::take(&mut self.rows)
+    /// The shard's blame accumulator (`None` when blame was disabled),
+    /// checked against its retention bound: rows held beyond the tail would
+    /// mean the report side grew with the run again.
+    pub(crate) fn take_blame(&mut self) -> Option<BlameAccumulator> {
+        let blame = self.blame.take()?;
+        assert!(
+            blame.retained() <= blame.retained_bound(),
+            "blame accumulator outgrew the tail: {} rows retained vs a bound of {}",
+            blame.retained(),
+            blame.retained_bound()
+        );
+        Some(blame)
     }
 }
 

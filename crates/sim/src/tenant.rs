@@ -32,6 +32,7 @@ use serde::{Deserialize, Serialize};
 use crate::arrivals::ArrivalMerge;
 use crate::clock::SimTime;
 use crate::dist::Mmpp2;
+use crate::engine::SimError;
 
 /// How one tenant's requests arrive.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,6 +59,24 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
+    /// Checks the process's parameters: rates and dwell means positive (NaN
+    /// is not), a closed loop with room for at least one request.
+    pub fn validate(&self) -> Result<(), SimError> {
+        match *self {
+            ArrivalProcess::FixedRate { rate_per_s } | ArrivalProcess::Poisson { rate_per_s } => {
+                // A NaN rate lands in the `else` too.
+                if rate_per_s > 0.0 {
+                    Ok(())
+                } else {
+                    Err(SimError::NonPositiveRate)
+                }
+            }
+            ArrivalProcess::ClosedLoop { in_flight: 0 } => Err(SimError::EmptyClosedLoop),
+            ArrivalProcess::ClosedLoop { .. } => Ok(()),
+            ArrivalProcess::Mmpp(mmpp) => mmpp.validate(),
+        }
+    }
+
     /// How many of a tenant's `requests` arrivals are pre-scheduled before
     /// the engine starts: everything for open streams, only the initial
     /// in-flight window for closed loops (the rest refill event-driven on
@@ -357,10 +376,16 @@ impl Superposition {
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive rate, a closed loop without capacity, or
-    /// `bases` not matching `tenants` in length.
+    /// Panics on an arrival process that fails
+    /// [`ArrivalProcess::validate`], or `bases` not matching `tenants` in
+    /// length.
     pub fn generate(run_seed: u64, tenants: &[TenantSpec], bases: &[u64]) -> Self {
         assert_eq!(tenants.len(), bases.len(), "one base index per tenant");
+        for t in tenants {
+            if let Err(e) = t.arrival.validate() {
+                panic!("tenant {}: {e}", t.id);
+            }
+        }
         let mut next = bases.to_vec();
         let arrivals = ArrivalMerge::of_tenants(run_seed, tenants)
             .map(|(at, tenant)| {
