@@ -1,13 +1,11 @@
 //! The workload demand description consumed by every system model.
 
-use serde::{Deserialize, Serialize};
-
 /// What a workload asks of the memory/storage system, independent of which
 /// system serves it.
 ///
 /// Workloads produce this from their functional execution (graph traversals,
 /// query scans, ...); system models turn it into time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessDemand {
     /// Total size of the dataset as stored (what a load-everything system
     /// must move).

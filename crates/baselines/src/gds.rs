@@ -59,14 +59,6 @@ impl GdsModel {
             / self.gpu_link.effective_bandwidth_gbps()
     }
 
-    /// Convenience: evaluates the utilization sweep of Figure 5.
-    pub fn figure5_sweep(&self, total_bytes: u64, granularities: &[u64]) -> Vec<(u64, f64)> {
-        granularities
-            .iter()
-            .map(|&g| (g, self.link_utilization(total_bytes, g)))
-            .collect()
-    }
-
     /// Seconds for a demand read entirely through GDS at its access size.
     pub fn read_demand_s(&self, demand: &AccessDemand) -> f64 {
         self.transfer_time_s(demand.bytes_touched, demand.access_bytes)
@@ -99,10 +91,12 @@ mod tests {
     #[test]
     fn sweep_is_monotone() {
         let g = gds();
-        let sweep = g.figure5_sweep(16 << 30, &[4096, 8192, 16384, 32768, 65536]);
-        assert_eq!(sweep.len(), 5);
+        let sweep: Vec<f64> = [4096, 8192, 16384, 32768, 65536]
+            .iter()
+            .map(|&io| g.link_utilization(16 << 30, io))
+            .collect();
         for pair in sweep.windows(2) {
-            assert!(pair[1].1 >= pair[0].1 - 1e-9);
+            assert!(pair[1] >= pair[0] - 1e-9);
         }
     }
 

@@ -11,10 +11,9 @@
 
 use bam_pcie::LinkSpec;
 use bam_timing::{CpuStackModel, ExecutionBreakdown, GpuRateModel};
-use serde::{Deserialize, Serialize};
 
 /// Description of one analytics query as RAPIDS executes it.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RapidsQuery {
     /// Number of table rows.
     pub rows: u64,
@@ -46,7 +45,7 @@ impl RapidsQuery {
 }
 
 /// Result of evaluating one query under the RAPIDS model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RapidsQueryResult {
     /// Seconds spent in CPU row-group initialization (find + allocate +
     /// stage + transfer).

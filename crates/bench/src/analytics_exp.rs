@@ -1,7 +1,5 @@
 //! Data-analytics experiments: Figures 12 and 14.
 
-use serde::{Deserialize, Serialize};
-
 use bam_baselines::{BamPerformanceModel, RapidsModel, RapidsQueryResult};
 use bam_core::{BamSystem, MetricsSnapshot};
 use bam_gpu_sim::{GpuExecutor, GpuSpec};
@@ -21,7 +19,7 @@ const FULL_SCALE_LINE: u64 = 4096;
 const PARALLELISM: u64 = 1 << 17;
 
 /// One query's entry in Figure 12.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig12Row {
     /// Query index (0–5).
     pub query: usize,
@@ -206,7 +204,7 @@ pub fn figure12(rows: usize, seed: u64) -> Vec<Fig12Row> {
 }
 
 /// One query's entry in Figure 14 (RAPIDS time breakdown + amplification).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig14Row {
     /// Query index (0–5).
     pub query: usize,

@@ -1,8 +1,9 @@
 //! Regenerates Figure 8: sources of performance improvement in BaM.
-use bam_bench::{graph_exp, print_table, scale::GRAPH_SCALE};
+use bam_bench::scale::{GRAPH_SCALE, WORKERS};
+use bam_bench::{graph_exp, print_table};
 
 fn main() {
-    let rows = graph_exp::figure8(&["K", "U", "F", "M", "Uk"], GRAPH_SCALE, 8);
+    let rows = graph_exp::figure8(&["K", "U", "F", "M", "Uk"], GRAPH_SCALE, 8, WORKERS);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

@@ -1,7 +1,7 @@
 //! The bench-regression gate: parse two `BENCH_*.json` trajectory files and
 //! diff them with tolerances.
 //!
-//! The offline `serde` shim has no deserializer, so this module carries a
+//! The workspace has no serialization dependency, so this module carries a
 //! minimal hand-rolled JSON parser sufficient for the files `jsonout`
 //! emits (objects, arrays, strings, numbers, booleans, null). Comparison
 //! rules: deterministic fields (strings, booleans, nulls, and values both

@@ -3,8 +3,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 use bam_baselines::{AccessDemand, BamPerformanceModel, TargetSystem};
 use bam_core::{BamArray, BamError, BamSystem, MetricsSnapshot};
 use bam_gpu_sim::{GpuExecutor, GpuSpec};
@@ -22,7 +20,7 @@ const FULL_SCALE_LINE: u64 = 4096;
 const PARALLELISM: u64 = 1 << 17;
 
 /// Which graph workload an experiment row refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphWorkload {
     /// Breadth-first search.
     Bfs,
@@ -41,7 +39,7 @@ impl GraphWorkload {
 }
 
 /// The access-path configuration of Figure 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessConfig {
     /// Every element access issues a storage request (no software cache).
     NoCache,
@@ -292,7 +290,7 @@ pub fn target_breakdown(measurement: &GraphMeasurement, num_ssds: usize) -> Exec
 }
 
 /// One bar group of Figure 7.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Row {
     /// Dataset short name (K, U, F, M, Uk).
     pub dataset: &'static str,
@@ -341,7 +339,7 @@ pub fn figure7(scale: f64, seed: u64, workers: usize) -> Vec<Fig7Row> {
 }
 
 /// One bar of Figure 8.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Row {
     /// Dataset short name.
     pub dataset: &'static str,
@@ -356,8 +354,9 @@ pub struct Fig8Row {
 }
 
 /// Figure 8: sources of improvement (no cache → naive cache → optimized) for
-/// the given datasets.
-pub fn figure8(datasets: &[&str], scale: f64, seed: u64) -> Vec<Fig8Row> {
+/// the given datasets, on an executor `workers` wide (one worker makes the
+/// functional counts, and so every total, deterministic per seed).
+pub fn figure8(datasets: &[&str], scale: f64, seed: u64, workers: usize) -> Vec<Fig8Row> {
     let mut rows = Vec::new();
     for dataset in DatasetDescriptor::table3() {
         if !datasets.contains(&dataset.short_name) {
@@ -379,7 +378,7 @@ pub fn figure8(datasets: &[&str], scale: f64, seed: u64) -> Vec<Fig8Row> {
                     scale,
                     access,
                     seed,
-                    WORKERS,
+                    workers,
                 );
                 rows.push(Fig8Row {
                     dataset: dataset.short_name,
@@ -395,7 +394,7 @@ pub fn figure8(datasets: &[&str], scale: f64, seed: u64) -> Vec<Fig8Row> {
 }
 
 /// One bar of Figure 9.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Row {
     /// Dataset short name.
     pub dataset: &'static str,
@@ -440,7 +439,7 @@ pub fn figure9(scale: f64, seed: u64) -> Vec<Fig9Row> {
 }
 
 /// One point of Figure 10.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Row {
     /// Workload.
     pub workload: GraphWorkload,
@@ -495,7 +494,7 @@ pub fn figure10(scale: f64, seed: u64) -> Vec<Fig10Row> {
 
 /// One point of Figure 11: the analytic projection and the event-driven
 /// simulation, side by side.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Row {
     /// Workload.
     pub workload: GraphWorkload,
@@ -631,7 +630,9 @@ mod tests {
 
     #[test]
     fn figure8_shape_each_optimization_helps() {
-        let rows = figure8(&["K"], TEST_SCALE, 2);
+        // One worker: the totals are exact per seed, so the test can assert
+        // equality where the optimizations have nothing to give.
+        let rows = figure8(&["K"], TEST_SCALE, 2, 1);
         let total = |cfg: AccessConfig, w: GraphWorkload| {
             rows.iter()
                 .find(|r| r.config == cfg && r.workload == w)
@@ -643,12 +644,20 @@ mod tests {
             let naive = total(AccessConfig::NaiveCache, w);
             let opt = total(AccessConfig::Optimized, w);
             assert!(none > naive, "{w:?}: cache must help ({none} vs {naive})");
-            assert!(
-                naive >= opt,
-                "{w:?}: optimizations must help ({naive} vs {opt})"
-            );
             assert!(none / opt > 3.0, "{w:?}: end-to-end gain {:.1}", none / opt);
         }
+        // BFS gains from the warp-batched kernel and coalescing. CC runs the
+        // same run-based kernel either way and differs only in coalescing,
+        // which gives it nothing at this scale, so its two totals are equal.
+        let (bfs_naive, bfs_opt) = (
+            total(AccessConfig::NaiveCache, GraphWorkload::Bfs),
+            total(AccessConfig::Optimized, GraphWorkload::Bfs),
+        );
+        assert!(bfs_naive > bfs_opt, "BFS: {bfs_naive} vs {bfs_opt}");
+        assert_eq!(
+            total(AccessConfig::NaiveCache, GraphWorkload::Cc),
+            total(AccessConfig::Optimized, GraphWorkload::Cc),
+        );
         // No-cache amplification is large (4-byte elements through 512B I/O).
         let nocache = rows
             .iter()

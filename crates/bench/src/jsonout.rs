@@ -1,9 +1,9 @@
 //! Minimal JSON emission for the `--json` modes of the figure binaries.
 //!
-//! The offline `serde` shim is a marker-trait stand-in with no serializer, so
-//! the harnesses build their `BENCH_<name>.json` perf-tracking files through
-//! this small hand-rolled builder instead. Output is deterministic: fields
-//! appear in insertion order.
+//! The workspace has no serialization dependency, so the harnesses build their
+//! `BENCH_<name>.json` perf-tracking files and the timeline documents through
+//! this small hand-rolled builder — the only JSON writer in `bam-bench`.
+//! Output is deterministic: fields appear in insertion order.
 
 use std::path::PathBuf;
 

@@ -5,11 +5,10 @@ use bam_nvme_sim::SsdSpec;
 use bam_pcie::LinkSpec;
 use bam_timing::{GpuRateModel, SsdArrayModel};
 use bam_workloads::micro;
-use serde::{Deserialize, Serialize};
 
 /// One point of Figure 4: IOPS at a given SSD count and outstanding-request
 /// count.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig4Row {
     /// Number of Optane SSDs.
     pub num_ssds: usize,
@@ -70,7 +69,7 @@ pub fn figure4(
 }
 
 /// One point of Figure 5: achieved bandwidth as a fraction of the ×16 link.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig5Row {
     /// I/O granularity in bytes.
     pub io_bytes: u64,
@@ -104,7 +103,7 @@ pub fn figure5(total_bytes: u64, granularities: &[u64]) -> Vec<Fig5Row> {
 }
 
 /// One configuration of Figure 6.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig6Row {
     /// Number of GPU threads issuing accesses.
     pub threads: u64,

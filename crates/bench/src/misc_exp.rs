@@ -1,8 +1,6 @@
 //! Remaining experiments: Tables 2 and 3, Figures 13 and 15, and the
 //! vectorAdd evaluation (§5.4).
 
-use serde::{Deserialize, Serialize};
-
 use bam_baselines::{BamPerformanceModel, ProactiveTiling, TargetSystem, UvmModel};
 use bam_gpu_sim::{GpuExecutor, GpuSpec, OccupancyModel, RegisterUsage};
 use bam_nvme_sim::SsdSpec;
@@ -20,7 +18,7 @@ pub fn table2() -> Vec<Table2Row> {
 }
 
 /// One row of the regenerated Table 3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Row {
     /// Dataset short name.
     pub short_name: &'static str,
@@ -64,7 +62,7 @@ pub fn figure13() -> Vec<RegisterUsage> {
 }
 
 /// One dataset's entry in Figure 15.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig15Row {
     /// Dataset short name.
     pub dataset: &'static str,
@@ -111,7 +109,7 @@ pub fn figure15(scale: f64, seed: u64) -> Vec<Fig15Row> {
 }
 
 /// Result of the vectorAdd evaluation (§5.4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VectorAddEval {
     /// Elements per input vector in the full-scale experiment.
     pub full_elements: u64,

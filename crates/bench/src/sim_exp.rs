@@ -15,7 +15,6 @@ use bam_sim::{
     SimConfig, SimReport, SpanEvent, SpanRecorder, TenantSpec, Workload,
 };
 use bam_timing::{required_queue_depth, SsdArrayModel};
-use serde::{Deserialize, Serialize};
 
 /// Requests simulated per configuration. The stream is a steady-state sample:
 /// rates measured over it are applied to full-scale request counts.
@@ -28,7 +27,7 @@ pub const SWEEP_IN_FLIGHT: u32 = 2048;
 
 /// One row of the `latency_cdf` experiment: one device technology at one
 /// closed-loop depth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyCdfRow {
     /// Device name (Table 2 row).
     pub device: String,
@@ -282,7 +281,7 @@ pub fn tenant_config(spec: &SsdSpec, seed: u64) -> SimConfig {
 }
 
 /// One per-tenant row of the multi-tenant sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TenantRow {
     /// Device name (Table 2 row).
     pub device: String,

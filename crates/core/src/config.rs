@@ -1,7 +1,6 @@
 //! BaM system configuration.
 
 use bam_nvme_sim::{DataLayout, SsdSpec, BLOCK_SIZE};
-use serde::{Deserialize, Serialize};
 
 use crate::error::BamError;
 
@@ -12,7 +11,7 @@ use crate::error::BamError;
 /// depth 1024 per SSD, Intel Optane SSDs, and data replicated across SSDs.
 /// Experiments scale the byte capacities down; the *ratios* are what matter
 /// for the reproduced shapes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BamConfig {
     /// Cache line size in bytes (also the storage I/O granularity, §5.1).
     pub cache_line_bytes: u64,

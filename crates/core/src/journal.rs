@@ -54,7 +54,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use bam_mem::{ByteRegion, DevAddr};
 use bam_obs::{SpanEvent, SpanRecorder, Stage};
@@ -451,7 +450,7 @@ impl CacheJournal {
 
 /// What [`recover`] did, in full; byte-identical across identical replays,
 /// which the determinism sweeps assert directly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Complete records decoded from the journal.
     pub records_scanned: u64,
@@ -491,7 +490,7 @@ impl std::fmt::Display for RecoveryReport {
 
 /// What recovery owes one line: pass 1 of [`recover`], exposed per line so
 /// callers (the `recovery --verbose` bench) can print the replay plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineReplay {
     /// Backing-store line index.
     pub line: u64,

@@ -11,7 +11,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bam_obs::LatencyHisto;
-use serde::{Deserialize, Serialize};
 
 /// Live counters for one BaM system instance.
 #[derive(Debug, Default)]
@@ -42,7 +41,7 @@ pub struct BamMetrics {
 }
 
 /// A point-in-time copy of [`BamMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Cache probes that hit a valid line.
     pub cache_hits: u64,

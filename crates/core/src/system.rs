@@ -53,7 +53,6 @@ impl LineView<'_> {
 /// Shared state behind a [`BamSystem`] and every [`BamArray`] created from it.
 pub(crate) struct SystemInner {
     pub(crate) config: BamConfig,
-    pub(crate) gpu: GpuMemory,
     /// The GPU memory region, held once for the element paths.
     region: Arc<ByteRegion>,
     pub(crate) array: Arc<SsdArray>,
@@ -315,7 +314,6 @@ impl BamSystem {
         Ok(Self {
             inner: Arc::new(SystemInner {
                 config,
-                gpu,
                 region,
                 array: ssd_array,
                 iostack,
@@ -337,11 +335,6 @@ impl BamSystem {
     /// The configuration this system was built with.
     pub fn config(&self) -> &BamConfig {
         &self.inner.config
-    }
-
-    /// The simulated GPU memory (for allocating kernel-private state).
-    pub fn gpu_memory(&self) -> &GpuMemory {
-        &self.inner.gpu
     }
 
     /// Maps a new storage-backed array of `len` elements of `T`.
@@ -562,12 +555,6 @@ impl BamSystem {
     /// crash and feeds [`BamSystem::recover_from_journal`]).
     pub fn journal(&self) -> Option<&Arc<CacheJournal>> {
         self.inner.journal.as_ref()
-    }
-
-    /// The injected crash point, when built via
-    /// [`BamSystem::with_crash_point`].
-    pub fn crash_point(&self) -> Option<&Arc<CrashPoint>> {
-        self.inner.crash.as_ref()
     }
 
     /// Installs (or, with `None`, removes) a fault injector on SSD `device`,

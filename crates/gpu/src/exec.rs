@@ -10,8 +10,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::GpuSpec;
 use crate::warp::{LaneMask, WARP_SIZE};
 
@@ -52,7 +50,7 @@ impl WarpCtx {
 }
 
 /// Statistics of one kernel launch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KernelStats {
     /// Number of logical GPU threads launched.
     pub threads: usize,
@@ -157,19 +155,6 @@ impl GpuExecutor {
             wall_seconds: start.elapsed().as_secs_f64(),
         }
     }
-
-    /// Convenience wrapper for per-thread kernels that do not need warp
-    /// context: `f` is called once per logical thread id.
-    pub fn launch_threads<F>(&self, num_threads: usize, f: F) -> KernelStats
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.launch(num_threads, |warp| {
-            for (_lane, tid) in warp.lanes() {
-                f(tid);
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -214,16 +199,6 @@ mod tests {
         let exec = GpuExecutor::with_workers(GpuSpec::a100_80gb(), 2);
         let stats = exec.launch(0, |_| panic!("kernel must not run"));
         assert_eq!(stats.warps, 0);
-    }
-
-    #[test]
-    fn launch_threads_convenience() {
-        let exec = GpuExecutor::with_workers(GpuSpec::a100_80gb(), 3);
-        let sum = AtomicUsize::new(0);
-        exec.launch_threads(100, |tid| {
-            sum.fetch_add(tid, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 99 * 100 / 2);
     }
 
     #[test]

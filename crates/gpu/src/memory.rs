@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use bam_mem::{AllocError, BumpAllocator, ByteRegion, DevAddr, Pod, TypedSlice};
+use bam_mem::{AllocError, BumpAllocator, ByteRegion, DevAddr};
 
 use crate::spec::GpuSpec;
 
@@ -61,16 +61,6 @@ impl GpuMemory {
         self.allocator.alloc(size, align)
     }
 
-    /// Allocates a typed array of `len` elements and returns a view over it.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`AllocError`] when device memory is exhausted.
-    pub fn alloc_typed<T: Pod>(&self, len: usize) -> Result<TypedSlice<T>, AllocError> {
-        let base = self.alloc((len * T::SIZE) as u64, 8)?;
-        Ok(TypedSlice::new(self.region.clone(), base, len))
-    }
-
     /// Bytes of device memory still unallocated.
     pub fn free_bytes(&self) -> u64 {
         self.allocator.remaining()
@@ -80,11 +70,13 @@ impl GpuMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bam_mem::TypedSlice;
 
     #[test]
     fn typed_allocation_roundtrip() {
         let mem = GpuMemory::new(GpuSpec::a100_80gb(), 1 << 20);
-        let arr = mem.alloc_typed::<f32>(1000).unwrap();
+        let base = mem.alloc(1000 * 4, 8).unwrap();
+        let arr = TypedSlice::<f32>::new(mem.region(), base, 1000);
         arr.set(999, 3.5);
         assert_eq!(arr.get(999), 3.5);
         assert!(mem.free_bytes() < 1 << 20);

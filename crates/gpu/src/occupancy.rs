@@ -7,12 +7,10 @@
 //! limit performance. This module provides a static cost model that
 //! reproduces those counts and the resulting occupancy.
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::GpuSpec;
 
 /// Register usage of one application kernel with and without BaM.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegisterUsage {
     /// Application name as used in Figure 13.
     pub application: String,
@@ -26,7 +24,7 @@ pub struct RegisterUsage {
 }
 
 /// The register-cost model for BaM-augmented kernels.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OccupancyModel {
     /// Registers consumed by the inlined BaM cache-probe path.
     pub cache_probe_registers: u32,

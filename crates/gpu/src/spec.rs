@@ -1,10 +1,9 @@
 //! GPU hardware specifications.
 
 use bam_pcie::LinkSpec;
-use serde::{Deserialize, Serialize};
 
 /// Resource envelope of a GPU model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name.
     pub name: String,

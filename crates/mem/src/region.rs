@@ -24,8 +24,8 @@ const COPY_CHUNK: usize = 512;
 /// ```
 /// use bam_mem::ByteRegion;
 /// let r = ByteRegion::new(1024);
-/// r.write_u64(0, 0xDEAD_BEEF);
-/// assert_eq!(r.read_u64(0), 0xDEAD_BEEF);
+/// r.write_bytes(3, &0xDEAD_BEEFu32.to_le_bytes());
+/// assert_eq!(r.read_pod::<u32>(3), 0xDEAD_BEEF);
 /// ```
 pub struct ByteRegion {
     words: Box<[AtomicU64]>,
@@ -185,74 +185,6 @@ impl ByteRegion {
         T::from_bytes(&buf[..T::SIZE])
     }
 
-    /// Reads a little-endian `u64` at byte address `addr` (need not be aligned).
-    pub fn read_u64(&self, addr: DevAddr) -> u64 {
-        if addr.is_multiple_of(8) {
-            self.check(addr, 8);
-            return self.words[addr as usize / 8].load(Ordering::Relaxed);
-        }
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Writes a little-endian `u64` at byte address `addr` (need not be aligned).
-    pub fn write_u64(&self, addr: DevAddr, value: u64) {
-        if addr.is_multiple_of(8) {
-            self.check(addr, 8);
-            self.words[addr as usize / 8].store(value, Ordering::Relaxed);
-            return;
-        }
-        self.write_bytes(addr, &value.to_le_bytes());
-    }
-
-    /// Reads a little-endian `u32` at `addr`.
-    pub fn read_u32(&self, addr: DevAddr) -> u32 {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Writes a little-endian `u32` at `addr`.
-    pub fn write_u32(&self, addr: DevAddr, value: u32) {
-        self.write_bytes(addr, &value.to_le_bytes());
-    }
-
-    /// Atomically adds `delta` to the aligned `u64` word at `addr` and returns
-    /// the previous value. Models a device-memory atomic (e.g. `atomicAdd`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is not 8-byte aligned or out of bounds.
-    pub fn fetch_add_u64(&self, addr: DevAddr, delta: u64) -> u64 {
-        assert!(
-            addr.is_multiple_of(8),
-            "atomic access must be 8-byte aligned"
-        );
-        self.check(addr, 8);
-        self.words[addr as usize / 8].fetch_add(delta, Ordering::AcqRel)
-    }
-
-    /// Atomic compare-and-swap on the aligned `u64` word at `addr`.
-    /// Returns `Ok(previous)` on success and `Err(actual)` on failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is not 8-byte aligned or out of bounds.
-    pub fn compare_exchange_u64(&self, addr: DevAddr, expected: u64, new: u64) -> Result<u64, u64> {
-        assert!(
-            addr.is_multiple_of(8),
-            "atomic access must be 8-byte aligned"
-        );
-        self.check(addr, 8);
-        self.words[addr as usize / 8].compare_exchange(
-            expected,
-            new,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        )
-    }
-
     /// Copies `len` bytes from `src` in the region `from` to `dst` in this
     /// region, staged through a stack buffer (no allocation).
     ///
@@ -313,17 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn u64_and_u32_roundtrip() {
-        let r = ByteRegion::new(128);
-        r.write_u64(8, u64::MAX - 1);
-        assert_eq!(r.read_u64(8), u64::MAX - 1);
-        r.write_u64(13, 0x0123_4567_89AB_CDEF);
-        assert_eq!(r.read_u64(13), 0x0123_4567_89AB_CDEF);
-        r.write_u32(50, 0xCAFE_BABE);
-        assert_eq!(r.read_u32(50), 0xCAFE_BABE);
-    }
-
-    #[test]
     fn fill_and_copy_within() {
         let r = ByteRegion::new(4096);
         r.fill(100, 200, 0x5A);
@@ -359,33 +280,6 @@ mod tests {
         let mut out = vec![0u8; data.len()];
         b.read_bytes(77, &mut out);
         assert_eq!(out, data);
-    }
-
-    #[test]
-    fn atomics_are_atomic_across_threads() {
-        let r = Arc::new(ByteRegion::new(64));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let r = r.clone();
-            handles.push(thread::spawn(move || {
-                for _ in 0..10_000 {
-                    r.fetch_add_u64(0, 1);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(r.read_u64(0), 80_000);
-    }
-
-    #[test]
-    fn cas_success_and_failure() {
-        let r = ByteRegion::new(64);
-        r.write_u64(16, 7);
-        assert_eq!(r.compare_exchange_u64(16, 7, 9), Ok(7));
-        assert_eq!(r.compare_exchange_u64(16, 7, 11), Err(9));
-        assert_eq!(r.read_u64(16), 9);
     }
 
     #[test]

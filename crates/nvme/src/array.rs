@@ -10,7 +10,6 @@
 use std::sync::Arc;
 
 use bam_mem::{BumpAllocator, ByteRegion};
-use serde::{Deserialize, Serialize};
 
 use crate::device::SsdDevice;
 use crate::error::NvmeError;
@@ -20,7 +19,7 @@ use crate::stats::StatsSnapshot;
 use crate::{Lba, BLOCK_SIZE};
 
 /// How a dataset's blocks are distributed across the SSDs of an array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataLayout {
     /// Every SSD holds a complete copy of the dataset; requests may be sent
     /// to any SSD (the paper replicates data and round-robins requests).

@@ -5,15 +5,13 @@
 //! the BaM prototype, so here they are encoded to/decoded from a
 //! [`bam_mem::ByteRegion`].
 
-use serde::{Deserialize, Serialize};
-
 /// Size of a submission-queue entry in bytes.
 pub const SQ_ENTRY_BYTES: usize = 64;
 /// Size of a completion-queue entry in bytes.
 pub const CQ_ENTRY_BYTES: usize = 16;
 
 /// NVMe I/O opcode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NvmeOpcode {
     /// Read blocks from media into the host/GPU buffer.
     Read,
@@ -43,7 +41,7 @@ impl NvmeOpcode {
 }
 
 /// Completion status code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NvmeStatus {
     /// Command completed successfully.
     Success,
@@ -81,7 +79,7 @@ impl NvmeStatus {
 }
 
 /// An NVMe I/O submission command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NvmeCommand {
     /// I/O opcode.
     pub opcode: NvmeOpcode,
@@ -167,7 +165,7 @@ impl NvmeCommand {
 }
 
 /// An NVMe completion-queue entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NvmeCompletion {
     /// Command identifier of the completed command.
     pub cid: u16,

@@ -143,11 +143,6 @@ impl QueuePair {
         self.sq_tail_doorbell.write_count()
     }
 
-    /// Number of MMIO writes made to the CQ head doorbell.
-    pub fn cq_doorbell_writes(&self) -> u64 {
-        self.cq_head_doorbell.write_count()
-    }
-
     // ---- device (controller) side ----
 
     /// Reads the submission entry in slot `slot` (controller side).
@@ -226,7 +221,6 @@ mod tests {
         assert_eq!(qp.sq_tail(), 9);
         assert_eq!(qp.cq_head(), 2);
         assert_eq!(qp.sq_doorbell_writes(), 2);
-        assert_eq!(qp.cq_doorbell_writes(), 1);
     }
 
     #[test]

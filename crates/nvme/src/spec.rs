@@ -1,9 +1,7 @@
 //! SSD technology specifications (paper Table 2).
 
-use serde::{Deserialize, Serialize};
-
 /// The storage technology behind a device, ordered roughly by latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SsdTechnology {
     /// Host DRAM exposed as a pseudo block device (cost baseline only).
     Dram,
@@ -20,7 +18,7 @@ pub enum SsdTechnology {
 /// Numbers are taken from Table 2 of the paper and are used both to
 /// parameterize the analytical timing model and to regenerate Table 2
 /// itself.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsdSpec {
     /// Marketing name of the device.
     pub name: String,
@@ -161,16 +159,6 @@ impl SsdSpec {
             let t = ((access_bytes as f64).ln() - 512f64.ln()) / (4096f64.ln() - 512f64.ln());
             iops_512 + t * (iops_4k - iops_512)
         }
-    }
-
-    /// Peak sequential/read bandwidth in GB/s implied by the 4 KB IOPS point.
-    pub fn read_bandwidth_gbps(&self) -> f64 {
-        self.read_iops_4k * 4096.0 / 1e9
-    }
-
-    /// Peak write bandwidth in GB/s implied by the 4 KB IOPS point.
-    pub fn write_bandwidth_gbps(&self) -> f64 {
-        self.write_iops_4k * 4096.0 / 1e9
     }
 
     /// $/GB advantage relative to DRAM (Table 2 "Gain" column).

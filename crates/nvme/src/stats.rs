@@ -5,8 +5,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// Live counters maintained by a simulated controller.
 #[derive(Debug, Default)]
 pub struct ControllerStats {
@@ -21,7 +19,7 @@ pub struct ControllerStats {
 }
 
 /// A point-in-time copy of [`ControllerStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Read commands completed.
     pub read_commands: u64,

@@ -12,7 +12,7 @@
 //! nanosecond — blame attributes 100% of every request.
 //!
 //! A [`BlameAccumulator`] aggregates rows, one at a time, into per-stage
-//! service/wait histograms for the whole population and separately for the
+//! service/wait totals for the whole population and separately for the
 //! tail slice (requests above the population p99), and keeps a
 //! deterministic top-k exemplar list of the slowest requests with their
 //! full span waterfalls. It holds a row only while the row can still land
@@ -24,14 +24,12 @@
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::histo::{bucket_index, LatencyHisto};
 use crate::span::{Stage, STAGE_COUNT};
 
 /// One closed stage of one request: when it closed and how much of its
 /// dwell was active service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlameMark {
     /// The stage that closed.
     pub stage: Stage,
@@ -84,7 +82,7 @@ impl StageMarks {
 
 /// One request's complete blame record: arrival plus every stage mark in
 /// pipeline order. The marks tile `[arrive_ns, last mark]` exactly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlameRow {
     /// Global request index.
     pub id: u64,
@@ -104,91 +102,74 @@ impl BlameRow {
     }
 }
 
-/// Per-stage service and wait histograms: where requests spent their time,
-/// split by whether the resource was working or they were queued.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Per-stage service and wait totals: where requests spent their time, split
+/// by whether the resource was working or they were queued.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlameBreakdown {
-    service: Vec<LatencyHisto>,
-    wait: Vec<LatencyHisto>,
-}
-
-impl Default for BlameBreakdown {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Closed stages recorded, per stage: a stage is active once it has one,
+    /// even if its service and wait were both zero.
+    count: [u64; STAGE_COUNT],
+    service: [u64; STAGE_COUNT],
+    wait: [u64; STAGE_COUNT],
 }
 
 impl BlameBreakdown {
-    /// A breakdown with one empty service and wait histogram per stage.
+    /// A breakdown with nothing recorded.
     pub fn new() -> Self {
-        Self {
-            service: (0..STAGE_COUNT).map(|_| LatencyHisto::new()).collect(),
-            wait: (0..STAGE_COUNT).map(|_| LatencyHisto::new()).collect(),
-        }
+        Self::default()
     }
 
     /// Records one closed stage's service/wait split.
     pub fn record(&mut self, stage: Stage, service_ns: u64, wait_ns: u64) {
-        self.service[stage.index()].record(service_ns);
-        self.wait[stage.index()].record(wait_ns);
+        let i = stage.index();
+        self.count[i] += 1;
+        self.service[i] = self.service[i].saturating_add(service_ns);
+        self.wait[i] = self.wait[i].saturating_add(wait_ns);
     }
 
     /// Merges another breakdown stage-by-stage.
     pub fn merge(&mut self, other: &BlameBreakdown) {
-        for (a, b) in self.service.iter_mut().zip(&other.service) {
-            a.merge(b);
+        for i in 0..STAGE_COUNT {
+            self.count[i] += other.count[i];
+            self.service[i] = self.service[i].saturating_add(other.service[i]);
+            self.wait[i] = self.wait[i].saturating_add(other.wait[i]);
         }
-        for (a, b) in self.wait.iter_mut().zip(&other.wait) {
-            a.merge(b);
-        }
-    }
-
-    /// The service-time histogram of one stage.
-    pub fn service_histo(&self, stage: Stage) -> &LatencyHisto {
-        &self.service[stage.index()]
-    }
-
-    /// The wait-time histogram of one stage.
-    pub fn wait_histo(&self, stage: Stage) -> &LatencyHisto {
-        &self.wait[stage.index()]
     }
 
     /// Total service nanoseconds attributed to one stage.
     pub fn service_ns(&self, stage: Stage) -> u64 {
-        self.service[stage.index()].sum_ns()
+        self.service[stage.index()]
     }
 
     /// Total wait nanoseconds attributed to one stage.
     pub fn wait_ns(&self, stage: Stage) -> u64 {
-        self.wait[stage.index()].sum_ns()
+        self.wait[stage.index()]
     }
 
     /// Total wait nanoseconds across all stages.
     pub fn total_wait_ns(&self) -> u64 {
-        self.wait.iter().map(|h| h.sum_ns()).sum()
+        self.wait.iter().sum()
     }
 
     /// Total attributed nanoseconds (service + wait) across all stages —
     /// equals the summed end-to-end latency of the recorded requests.
     pub fn total_ns(&self) -> u64 {
-        self.service.iter().map(|h| h.sum_ns()).sum::<u64>() + self.total_wait_ns()
+        self.service.iter().sum::<u64>() + self.total_wait_ns()
     }
 
     /// True when no stage has any samples.
     pub fn is_empty(&self) -> bool {
-        self.service.iter().all(|h| h.is_empty())
+        self.count.iter().all(|&n| n == 0)
     }
 
     /// Stages that recorded at least one sample, in pipeline order.
     pub fn active_stages(&self) -> impl Iterator<Item = Stage> + '_ {
-        Stage::ALL
-            .into_iter()
-            .filter(|s| !self.service[s.index()].is_empty())
+        Stage::ALL.into_iter().filter(|s| self.count[s.index()] > 0)
     }
 }
 
 /// One step of an exemplar's span waterfall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaterfallStep {
     /// The stage.
     pub stage: Stage,
@@ -203,7 +184,7 @@ pub struct WaterfallStep {
 }
 
 /// One of the slowest requests, with its full per-stage waterfall.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Exemplar {
     /// Global request index.
     pub id: u64,
@@ -217,7 +198,7 @@ pub struct Exemplar {
 }
 
 /// The aggregated blame decomposition of one run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlameReport {
     /// Requests decomposed.
     pub requests: u64,
@@ -650,6 +631,21 @@ mod tests {
         assert_eq!(report.overall.service_ns(Stage::Media), 100);
         assert_eq!(report.overall.wait_ns(Stage::Media), 0);
         assert_eq!(report.overall.total_ns(), 100);
+    }
+
+    #[test]
+    fn a_zero_length_stage_is_still_active() {
+        let mut b = BlameBreakdown::new();
+        assert!(b.is_empty());
+        assert_eq!(b.active_stages().count(), 0);
+        b.record(Stage::Completion, 0, 0);
+        assert!(!b.is_empty());
+        assert_eq!(b.active_stages().collect::<Vec<_>>(), [Stage::Completion]);
+        assert_eq!(b.total_ns(), 0);
+        // Merging carries the count across, not just the nanoseconds.
+        let mut merged = BlameBreakdown::new();
+        merged.merge(&b);
+        assert_eq!(merged, b);
     }
 
     #[test]

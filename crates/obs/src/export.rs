@@ -40,11 +40,11 @@ pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
     out
 }
 
-/// Escapes a HELP string per the Prometheus text format: backslash,
-/// double quote, and newline become `\\`, `\"`, and `\n`.
-fn escape_help(help: &str) -> String {
-    let mut out = String::with_capacity(help.len());
-    for c in help.chars() {
+/// Escapes a HELP string or label value per the Prometheus text format:
+/// backslash, double quote, and newline become `\\`, `\"`, and `\n`.
+fn escape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
             '"' => out.push_str("\\\""),
@@ -55,11 +55,6 @@ fn escape_help(help: &str) -> String {
     out
 }
 
-/// Escapes a label value (same escape set as [`escape_help`]).
-fn escape_label(value: &str) -> String {
-    escape_help(value)
-}
-
 /// Renders a label set as `{k="v",...}` (empty string for no labels).
 fn render_labels(labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
@@ -67,7 +62,7 @@ fn render_labels(labels: &[(&str, &str)]) -> String {
     }
     let body: Vec<String> = labels
         .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
+        .map(|(k, v)| format!("{k}=\"{}\"", escape(v)))
         .collect();
     format!("{{{}}}", body.join(","))
 }
@@ -105,7 +100,7 @@ impl PromWriter {
     fn header(&mut self, name: &str, help: &str, kind: &str) {
         self.out.push_str(&format!(
             "# HELP {name} {}\n# TYPE {name} {kind}\n",
-            escape_help(help)
+            escape(help)
         ));
     }
 

@@ -13,8 +13,6 @@
 //! bucket *content*, so two histograms of the same samples are equal however
 //! their storage grew.
 
-use serde::{Deserialize, Serialize};
-
 /// Linear sub-buckets per power-of-two octave.
 const SUBBUCKETS: u64 = 64;
 /// Values strictly below this are exact (identity-bucketed).
@@ -63,7 +61,7 @@ fn bucket_width(idx: usize) -> u64 {
 /// answered from the bucket midpoint (clamped to the observed `[min, max]`
 /// range), so `value_at_quantile` is within ~0.8% of the exact
 /// nearest-rank answer.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct LatencyHisto {
     /// Logical index of `counts[0]`; a multiple of [`OCTAVE`].
     lo: usize,

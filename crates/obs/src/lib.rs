@@ -15,15 +15,15 @@
 //!   `chrome://tracing`).
 //! * [`WindowedSeries`] — fixed virtual-time telemetry windows with a
 //!   commutative merge, plus the SLO layer on top ([`SloSpec`],
-//!   [`evaluate_slo`]) and the functional stack's [`TelemetrySink`].
+//!   [`evaluate_slo`]).
 //! * [`BlameReport`] — per-resource service/wait decomposition of every
 //!   request's latency, tail-slice breakdowns, and deterministic slowest-
 //!   request exemplars, built in one streaming pass by a
 //!   [`BlameAccumulator`] that holds only the rows still able to reach the
 //!   tail.
 //!
-//! The crate deliberately depends on nothing but the serde markers: both
-//! stack layers and the bench harness can pull it in without cycles.
+//! The crate deliberately depends on nothing but `std`: both stack layers
+//! and the bench harness can pull it in without cycles.
 
 mod blame;
 mod export;
@@ -40,6 +40,4 @@ pub use span::{
     merge_indexed_spans, SpanEvent, SpanId, SpanRecorder, SpanSink, Stage, StageBreakdown,
     STAGE_COUNT,
 };
-pub use timeseries::{
-    evaluate_slo, SloReport, SloSpec, TelemetryHub, TelemetrySink, WindowStats, WindowedSeries,
-};
+pub use timeseries::{evaluate_slo, SloReport, SloSpec, WindowStats, WindowedSeries};

@@ -2,12 +2,11 @@
 //! and per-stage dwell-time breakdowns.
 
 use crate::histo::LatencyHisto;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Identifies one request across all of its stage events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
 /// A pipeline or functional-stack stage a request dwells in.
@@ -16,7 +15,7 @@ pub struct SpanId(pub u64);
 /// [`SpanRecorder`] step counts); the rest by the discrete-event simulator
 /// (timestamps are virtual nanoseconds). `SsdLink` and `GpuLink` together
 /// are the DMA portion of a request's life.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
     /// Cache line state probe (hit or start of a miss).
     CacheProbe,
@@ -101,7 +100,7 @@ impl Stage {
 /// `track` groups events into trace rows (queue-pair index in the sim,
 /// device index in the functional layer); `arg` carries a stage-specific
 /// detail (cache line, LBA, or byte count) into the exported trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     pub span: SpanId,
     pub stage: Stage,
@@ -297,7 +296,7 @@ impl SpanSink {
 }
 
 /// Per-stage dwell-time histograms: which stage the latency went to.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct StageBreakdown {
     histos: Vec<LatencyHisto>,
 }

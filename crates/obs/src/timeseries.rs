@@ -1,16 +1,15 @@
-//! Windowed telemetry: fixed virtual-time aggregation windows, the SLO
-//! evaluation layer on top of them, and a shareable telemetry sink for the
-//! functional stack.
+//! Windowed telemetry: fixed virtual-time aggregation windows and the SLO
+//! evaluation layer on top of them.
 //!
 //! A [`WindowedSeries`] cuts virtual time into fixed windows of
 //! `window_ns` nanoseconds and accumulates order-independent statistics per
 //! window: arrival/completion counters, a completion-latency histogram,
-//! per-stage dwell and wait sums, queue-depth and occupancy samples, cache
-//! hit/miss counters, and the journal backlog high-water mark. Every field
-//! is an integer add or max (the histogram is an element-wise counter sum),
-//! so [`WindowedSeries::merge`] is commutative and associative — per-SSD
-//! shards fold in any order and the result is bit-identical to a
-//! single-threaded recording of the same events.
+//! per-stage dwell and wait sums, queue-depth and occupancy samples, and
+//! admission deferrals and rejections. Every field is an integer add or max
+//! (the histogram is an element-wise counter sum), so
+//! [`WindowedSeries::merge`] is commutative and associative — per-SSD shards
+//! fold in any order and the result is bit-identical to a single-threaded
+//! recording of the same events.
 //!
 //! [`SloSpec`] + [`evaluate_slo`] turn a series into an [`SloReport`]: how
 //! many evaluation windows broke the tenant's p99 target, how many
@@ -19,10 +18,6 @@
 //! above 1.0 the budget depletes early).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-
-use serde::{Deserialize, Serialize};
 
 use crate::histo::LatencyHisto;
 use crate::span::{Stage, STAGE_COUNT};
@@ -30,7 +25,7 @@ use crate::span::{Stage, STAGE_COUNT};
 /// One window's worth of accumulated telemetry. Every field is either a sum
 /// or a max of `u64`s (the histogram is an element-wise counter sum), so
 /// merging two `WindowStats` is commutative and associative.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowStats {
     /// Requests that arrived in this window.
     pub arrivals: u64,
@@ -56,12 +51,6 @@ pub struct WindowStats {
     pub depth_samples: u64,
     /// Largest sampled in-flight depth.
     pub depth_max: u64,
-    /// Cache probe hits observed in this window.
-    pub cache_hits: u64,
-    /// Cache probe misses observed in this window.
-    pub cache_misses: u64,
-    /// Journal backlog (outstanding records) high-water mark.
-    pub journal_backlog_max: u64,
     /// Admission-controller deferrals issued in this window (a request may
     /// be deferred more than once; each backoff counts).
     pub deferrals: u64,
@@ -83,9 +72,6 @@ impl Default for WindowStats {
             depth_sum: 0,
             depth_samples: 0,
             depth_max: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            journal_backlog_max: 0,
             deferrals: 0,
             rejections: 0,
         }
@@ -109,21 +95,8 @@ impl WindowStats {
         self.depth_sum += other.depth_sum;
         self.depth_samples += other.depth_samples;
         self.depth_max = self.depth_max.max(other.depth_max);
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.journal_backlog_max = self.journal_backlog_max.max(other.journal_backlog_max);
         self.deferrals += other.deferrals;
         self.rejections += other.rejections;
-    }
-
-    /// Cache hit rate over the window's probes (0.0 when no probes).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let probes = self.cache_hits + self.cache_misses;
-        if probes == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / probes as f64
-        }
     }
 
     /// Mean sampled in-flight depth (0.0 when no samples).
@@ -152,7 +125,7 @@ impl WindowStats {
 /// A `window_ns` of zero disables the series: every `record_*` call is a
 /// no-op and the series stays empty (the engines use this for runs without
 /// telemetry so the record path costs one branch).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowedSeries {
     window_ns: u64,
     windows: BTreeMap<u64, WindowStats>,
@@ -238,25 +211,6 @@ impl WindowedSeries {
         }
     }
 
-    /// Records one cache probe outcome.
-    pub fn record_cache(&mut self, at_ns: u64, hit: bool) {
-        if let Some(w) = self.window(at_ns) {
-            if hit {
-                w.cache_hits += 1;
-            } else {
-                w.cache_misses += 1;
-            }
-        }
-    }
-
-    /// Records the journal backlog (outstanding records) observed at
-    /// `at_ns`; the window keeps the high-water mark.
-    pub fn record_journal_backlog(&mut self, at_ns: u64, records: u64) {
-        if let Some(w) = self.window(at_ns) {
-            w.journal_backlog_max = w.journal_backlog_max.max(records);
-        }
-    }
-
     /// Records one admission-controller deferral at `at_ns`.
     pub fn record_deferral(&mut self, at_ns: u64) {
         if let Some(w) = self.window(at_ns) {
@@ -300,7 +254,7 @@ impl WindowedSeries {
 
 /// A tenant's service-level objective: a p99 latency target checked over
 /// fixed evaluation windows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloSpec {
     /// Target 99th-percentile latency in microseconds.
     pub target_p99_us: f64,
@@ -309,7 +263,7 @@ pub struct SloSpec {
 }
 
 /// The outcome of evaluating an [`SloSpec`] over a [`WindowedSeries`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloReport {
     /// The evaluated target, echoed for reports.
     pub target_p99_us: f64,
@@ -392,105 +346,6 @@ pub fn evaluate_slo(series: &WindowedSeries, spec: &SloSpec) -> SloReport {
     }
 }
 
-/// A [`TelemetryHub`] timestamps functional-layer telemetry with its own
-/// step counter (the same virtual-time convention [`crate::SpanRecorder`]
-/// uses) and accumulates it into a [`WindowedSeries`].
-pub struct TelemetryHub {
-    series: Mutex<WindowedSeries>,
-    steps: AtomicU64,
-}
-
-impl TelemetryHub {
-    /// A hub windowing its step clock into `window_steps`-sized windows.
-    pub fn new(window_steps: u64) -> Self {
-        Self {
-            series: Mutex::new(WindowedSeries::new(window_steps)),
-            steps: AtomicU64::new(0),
-        }
-    }
-
-    /// Advances the virtual step clock and returns the new time.
-    pub fn tick(&self) -> u64 {
-        self.steps.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Current virtual step time without advancing it.
-    pub fn now(&self) -> u64 {
-        self.steps.load(Ordering::Relaxed)
-    }
-
-    /// Records one cache probe outcome at the next step instant.
-    pub fn cache_access(&self, hit: bool) {
-        let at = self.tick();
-        self.series.lock().unwrap().record_cache(at, hit);
-    }
-
-    /// Records the journal backlog observed at the next step instant.
-    pub fn journal_backlog(&self, records: u64) {
-        let at = self.tick();
-        self.series
-            .lock()
-            .unwrap()
-            .record_journal_backlog(at, records);
-    }
-
-    /// A snapshot of the accumulated series.
-    pub fn snapshot(&self) -> WindowedSeries {
-        self.series.lock().unwrap().clone()
-    }
-}
-
-#[derive(Default)]
-struct TelemetrySinkInner {
-    hub: RwLock<Option<Arc<TelemetryHub>>>,
-    installed: AtomicBool,
-}
-
-/// A shareable, optionally-populated handle to a [`TelemetryHub`] —
-/// the windowed-telemetry counterpart of [`crate::SpanSink`].
-///
-/// Hot paths check one relaxed atomic before touching the lock, so an
-/// uninstalled sink costs a single predictable branch. Cloning shares the
-/// same slot — install once on a system handle and every component holding
-/// a clone starts reporting.
-#[derive(Clone, Default)]
-pub struct TelemetrySink {
-    inner: Arc<TelemetrySinkInner>,
-}
-
-impl TelemetrySink {
-    /// An empty (uninstalled) sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Installs a hub; subsequent [`with`](Self::with) calls see it.
-    pub fn install(&self, hub: Arc<TelemetryHub>) {
-        *self.inner.hub.write().unwrap() = Some(hub);
-        self.inner.installed.store(true, Ordering::Release);
-    }
-
-    /// Removes the hub, returning the sink to its no-op state.
-    pub fn uninstall(&self) {
-        self.inner.installed.store(false, Ordering::Release);
-        *self.inner.hub.write().unwrap() = None;
-    }
-
-    /// True when a hub is installed (single relaxed load).
-    pub fn is_installed(&self) -> bool {
-        self.inner.installed.load(Ordering::Relaxed)
-    }
-
-    /// Runs `f` against the hub when installed; no-op otherwise.
-    pub fn with<R>(&self, f: impl FnOnce(&TelemetryHub) -> R) -> Option<R> {
-        if !self.is_installed() {
-            return None;
-        }
-        let guard = self.inner.hub.read().unwrap();
-        guard.as_ref().map(|h| f(h))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,9 +361,8 @@ mod tests {
         s.record_occupancy(100, 3);
         s.record_occupancy(150, 5);
         s.record_depth(100, 2);
-        s.record_cache(100, true);
-        s.record_cache(120, false);
-        s.record_journal_backlog(1_500, 7);
+        s.record_deferral(1_200);
+        s.record_rejection(1_300);
         s
     }
 
@@ -525,10 +379,8 @@ mod tests {
         assert_eq!(windows[0].1.stage_wait_ns[Stage::Media.index()], 100);
         assert_eq!(windows[0].1.occupancy_max, 5);
         assert_eq!(windows[0].1.occupancy_sum, 8);
-        assert_eq!(windows[0].1.cache_hits, 1);
-        assert_eq!(windows[0].1.cache_misses, 1);
-        assert!((windows[0].1.cache_hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(windows[1].1.journal_backlog_max, 7);
+        assert_eq!(windows[1].1.deferrals, 1);
+        assert_eq!(windows[1].1.rejections, 1);
     }
 
     #[test]
@@ -540,15 +392,14 @@ mod tests {
         a.record_completion(1_900, 1_600);
         a.record_stage(900, Stage::Media, 500, 100);
         a.record_occupancy(150, 5);
-        a.record_cache(120, false);
+        a.record_rejection(1_300);
         let mut b = WindowedSeries::new(1_000);
         b.record_arrival(1_100);
         b.record_completion(900, 800);
         b.record_stage(1_900, Stage::Media, 700, 300);
         b.record_occupancy(100, 3);
         b.record_depth(100, 2);
-        b.record_cache(100, true);
-        b.record_journal_backlog(1_500, 7);
+        b.record_deferral(1_200);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
@@ -617,26 +468,5 @@ mod tests {
         assert_eq!(report.burn_rate, 0.0);
         assert_eq!(report.worst_window_p99_us, 0.0);
         assert!(!report.burn_rate.is_nan());
-    }
-
-    #[test]
-    fn telemetry_sink_is_noop_until_installed() {
-        let sink = TelemetrySink::new();
-        assert!(!sink.is_installed());
-        assert_eq!(sink.with(|_| 1), None);
-        let hub = Arc::new(TelemetryHub::new(16));
-        sink.install(hub.clone());
-        let shared = sink.clone();
-        shared.with(|h| h.cache_access(true));
-        shared.with(|h| h.cache_access(false));
-        shared.with(|h| h.journal_backlog(5));
-        assert_eq!(hub.now(), 3);
-        let snap = hub.snapshot();
-        let (_, w) = snap.iter().next().unwrap();
-        assert_eq!(w.cache_hits, 1);
-        assert_eq!(w.cache_misses, 1);
-        assert_eq!(w.journal_backlog_max, 5);
-        sink.uninstall();
-        assert_eq!(shared.with(|_| 1), None);
     }
 }

@@ -19,8 +19,8 @@ fn apply(series: &mut WindowedSeries, ev: &(u8, u64, u64)) {
         2 => series.record_stage(at, Stage::ALL[(v % STAGE_COUNT as u64) as usize], v, v / 3),
         3 => series.record_occupancy(at, v % 1_000),
         4 => series.record_depth(at, (v % 10_000) as u32),
-        5 => series.record_cache(at, v % 2 == 0),
-        _ => series.record_journal_backlog(at, v % 100_000),
+        5 => series.record_deferral(at),
+        _ => series.record_rejection(at),
     }
 }
 

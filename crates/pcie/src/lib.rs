@@ -1,11 +1,9 @@
 //! # bam-pcie — PCIe interconnect model
 //!
 //! BaM's evaluation is shaped by PCIe ceilings: the GPU's Gen4 ×16 link
-//! (~26 GB/s measured), each SSD's Gen4 ×4 link (~6.5 GB/s), and the
-//! expansion-chassis switch topology that lets up to ten SSDs share a drawer
-//! with a GPU (§4.2, Table 1). This crate models link specifications, the
-//! switch topology of the prototype machine, and transfer-time accounting
-//! used by the analytical timing layer.
+//! (~26 GB/s measured) and each SSD's Gen4 ×4 link (~6.5 GB/s) (§4.2,
+//! Table 1). This crate models link specifications and the transfer-time
+//! accounting used by the analytical timing layer.
 //!
 //! ```
 //! use bam_pcie::LinkSpec;
@@ -14,21 +12,7 @@
 //! ```
 
 pub mod link;
-pub mod topology;
 pub mod transfer;
 
 pub use link::{LinkSpec, PcieGeneration};
-pub use topology::{DeviceId, DeviceKind, Topology, TopologyBuilder};
 pub use transfer::TransferModel;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn prototype_topology_builds() {
-        let topo = Topology::bam_prototype(4);
-        assert_eq!(topo.devices_of_kind(DeviceKind::Ssd).len(), 4);
-        assert_eq!(topo.devices_of_kind(DeviceKind::Gpu).len(), 1);
-    }
-}

@@ -1,9 +1,7 @@
 //! PCIe link specifications.
 
-use serde::{Deserialize, Serialize};
-
 /// PCIe generation (signalling rate per lane).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PcieGeneration {
     /// PCIe 3.0 — 8 GT/s per lane (~0.985 GB/s usable per lane).
     Gen3,
@@ -31,7 +29,7 @@ impl PcieGeneration {
 /// The paper measures ~26 GB/s on the A100's Gen4 ×16 link and ~25 GB/s
 /// delivered to the application (Fig 5); [`LinkSpec::gen4_x16`] reproduces
 /// that envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Link generation.
     pub generation: PcieGeneration,
@@ -62,16 +60,6 @@ impl LinkSpec {
         Self {
             generation: PcieGeneration::Gen4,
             lanes: 4,
-            efficiency: 0.82,
-            latency_us: 0.9,
-        }
-    }
-
-    /// A Gen3 ×16 link (used in sensitivity comparisons).
-    pub fn gen3_x16() -> Self {
-        Self {
-            generation: PcieGeneration::Gen3,
-            lanes: 16,
             efficiency: 0.82,
             latency_us: 0.9,
         }

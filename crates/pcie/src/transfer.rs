@@ -1,7 +1,5 @@
 //! Transfer-time accounting over a PCIe path.
 
-use serde::{Deserialize, Serialize};
-
 use crate::link::LinkSpec;
 
 /// An analytical model of data movement over a single PCIe path.
@@ -11,7 +9,7 @@ use crate::link::LinkSpec;
 /// that penalizes small transfers (the effect behind Fig 5: CPU-mediated GDS
 /// pays a large fixed cost per I/O, so small granularities cannot saturate
 /// the link).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TransferModel {
     /// The bottleneck link of the path.
     pub link: LinkSpec,

@@ -2,16 +2,12 @@
 
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, in nanoseconds since the start of the run.
 ///
 /// Nanoseconds in a `u64` cover ~584 years of simulated time — far beyond any
 /// run — while keeping ordering exact (no float comparison in the event
 /// queue).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -9,12 +9,11 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::SimError;
 
 /// A latency distribution over non-negative nanosecond durations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyDist {
     /// Always exactly `ns` nanoseconds.
     Fixed {
@@ -112,7 +111,7 @@ pub(crate) fn exp_gap_ns(rate_per_s: f64, rng: &mut StdRng) -> f64 {
 /// continuous-time Markov chain whose state dwell times are exponential with
 /// means `mean_calm_s` and `mean_burst_s`. The canonical bursty-tenant model:
 /// long quiet stretches punctuated by short, intense bursts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mmpp2 {
     /// Arrival rate while calm, in requests per second.
     pub calm_rate_per_s: f64,

@@ -22,7 +22,6 @@
 use bam_nvme_sim::{SsdSpec, SsdTechnology};
 use bam_pcie::LinkSpec;
 use bam_timing::ssd::PER_QUEUE_PAIR_IOPS;
-use serde::{Deserialize, Serialize};
 
 use crate::dist::LatencyDist;
 use crate::engine::SimError;
@@ -33,7 +32,7 @@ const QP_FORWARD_NS: u64 = 200;
 
 /// How the array's queue pairs are allocated among tenants in a multi-tenant
 /// run ([`crate::engine::Run::tenants`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum QueuePairPolicy {
     /// Free-for-all: every tenant round-robins across every queue pair, so a
     /// bursty tenant's backlog sits in front of everyone else's commands.
@@ -115,7 +114,7 @@ pub fn fair_shares(total: u32, weights: &[u32]) -> Result<Vec<u32>, SimError> {
 }
 
 /// Stage parameters of one SSD's request pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineParams {
     /// Latency a request spends winning its queue pair (protocol window).
     pub qp_forward_ns: u64,

@@ -5,7 +5,6 @@ use bam_obs::{
     BlameAccumulator, BlameReport, LatencyHisto, PromWriter, SloReport, StageBreakdown,
     WindowedSeries,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::clock::SimTime;
 
@@ -13,7 +12,7 @@ use crate::clock::SimTime;
 ///
 /// Percentiles are answered from a [`LatencyHisto`] (log-linear buckets,
 /// ≤ ~1.6% relative error); `count`, `mean_us` and `max_us` stay exact.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
     /// Number of completed requests.
     pub count: u64,
@@ -51,7 +50,7 @@ impl LatencySummary {
 }
 
 /// The number of requests in flight over time, as a change list.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DepthTimeline {
     /// `(instant, depth-after-change)` points, in time order.
     points: Vec<(SimTime, u32)>,
@@ -145,7 +144,7 @@ impl DepthTimeline {
 }
 
 /// Everything a simulation run produces.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimReport {
     /// Latency summary over completed requests.
     pub latency: LatencySummary,
@@ -218,12 +217,6 @@ impl SimReport {
         }
     }
 
-    /// Latency at quantile `q` (`0 < q <= 1`) in microseconds, answered
-    /// from the run's histogram (≤ ~1.6% relative bucket error).
-    pub fn latency_percentile_us(&self, q: f64) -> f64 {
-        self.histogram.value_at_quantile(q) as f64 / 1e3
-    }
-
     /// The Little's-law reading of this run: `throughput × mean latency`,
     /// which must agree with the measured steady-state mean in-flight depth
     /// (`self.depth.steady_state_mean()`) — the same identity
@@ -238,7 +231,7 @@ impl SimReport {
 /// requests; `offered` counts each request once regardless of how many times
 /// it was re-offered after deferral, so
 /// `offered == admitted + rejected`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionReport {
     /// Requests offered to the controller (first offers only).
     pub offered: u64,
@@ -256,7 +249,7 @@ pub struct AdmissionReport {
 /// One synthetic member's share of a tenant class, attributed by
 /// deterministic thinning (see [`crate::TenantClass::member_of`]). Present
 /// only on class runs that requested attribution.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemberSummary {
     /// The member's index within its class (`0..members`).
     pub member: u32,
@@ -270,7 +263,7 @@ pub struct MemberSummary {
 }
 
 /// Per-tenant accounting of one multi-tenant run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantSummary {
     /// The tenant's stable identifier.
     pub id: u32,
@@ -309,7 +302,7 @@ pub struct TenantSummary {
 
 /// Everything a multi-tenant simulation run produces: the merged view plus
 /// one [`TenantSummary`] per tenant.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MultiTenantReport {
     /// The run seen as one merged stream (overall percentiles, throughput,
     /// depth timeline, queue occupancy).

@@ -27,7 +27,6 @@
 use bam_obs::SloSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::arrivals::ArrivalMerge;
 use crate::clock::SimTime;
@@ -35,7 +34,7 @@ use crate::dist::Mmpp2;
 use crate::engine::SimError;
 
 /// How one tenant's requests arrive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Deterministic arrivals at a fixed rate (the legacy open loop).
     FixedRate {
@@ -91,7 +90,7 @@ impl ArrivalProcess {
 }
 
 /// One independent traffic source in a multi-tenant run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Stable identifier; also salts the tenant's private RNG stream.
     pub id: u32,
@@ -176,7 +175,7 @@ impl From<&TenantSpec> for TenantClass {
 /// `defer_ns` (re-offered later, its wait surfaced as the
 /// [`bam_obs::Stage::Admission`] dwell) at most `max_defers` times, then
 /// rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionSpec {
     /// Token-bucket capacity: over-budget admissions a burst may borrow.
     pub burst: u32,
@@ -200,7 +199,7 @@ pub struct AdmissionSpec {
 ///
 /// [`merged_arrival`]: TenantClass::merged_arrival
 /// [`member_of`]: TenantClass::member_of
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantClass {
     /// Stable identifier; also salts the class's RNG streams. A class and a
     /// [`TenantSpec`] with the same id draw identical arrival times for the

@@ -7,10 +7,8 @@
 //! storage latency with compute from other threads, so the exposed storage
 //! time is what remains after that overlap.
 
-use serde::{Deserialize, Serialize};
-
 /// An execution time decomposed the way the paper's Figure 7 reports it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ExecutionBreakdown {
     /// Seconds of pure GPU compute (dataset resident in HBM, no cache).
     pub compute_s: f64,

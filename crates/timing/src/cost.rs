@@ -1,11 +1,10 @@
 //! Cost model behind Table 2 and the "21.7× cheaper than DRAM" headline.
 
 use bam_nvme_sim::SsdSpec;
-use serde::{Deserialize, Serialize};
 
 /// Hardware cost model for provisioning a given dataset capacity either in
 /// host DRAM (the DRAM-only baselines) or on an SSD array (BaM).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     /// DRAM price per GB (Table 2).
     pub dram_cost_per_gb: f64,
@@ -70,7 +69,7 @@ impl CostModel {
 }
 
 /// One row of the regenerated Table 2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Device name.
     pub name: String,

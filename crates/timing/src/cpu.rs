@@ -4,10 +4,8 @@
 //! handful of CPU-side rate limits; each constant here is tied to the paper
 //! measurement it reproduces.
 
-use serde::{Deserialize, Serialize};
-
 /// Rates and overheads of the host CPU software stack.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuStackModel {
     /// Maximum UVM/far-fault page-fault handling rate, faults/s. The paper
     /// measures the UVM fault handler saturating at ~500 K IOPS with the CPU

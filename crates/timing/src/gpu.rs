@@ -6,10 +6,8 @@
 //! (Fig 6) and the 2–45 % cache-API overhead observed in the Fig 7
 //! breakdown.
 
-use serde::{Deserialize, Serialize};
-
 /// Service rates of the GPU executing BaM's software cache and I/O stack.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GpuRateModel {
     /// Peak HBM bandwidth in GB/s (A100-80GB: ~2,039 GB/s).
     pub hbm_bandwidth_gbps: f64,
@@ -51,11 +49,6 @@ impl GpuRateModel {
     /// Time to deliver `bytes` from cache lines resident in GPU memory.
     pub fn hot_delivery_time_s(&self, bytes: u64) -> f64 {
         bytes as f64 / (self.hbm_bandwidth_gbps * 1e9)
-    }
-
-    /// Time spent in the I/O stack software for `requests` submissions.
-    pub fn io_stack_time_s(&self, requests: u64) -> f64 {
-        requests as f64 / self.io_submission_rate_per_s
     }
 
     /// Time to execute `ops` units of workload compute.

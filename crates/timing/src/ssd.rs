@@ -2,7 +2,6 @@
 
 use bam_nvme_sim::SsdSpec;
 use bam_pcie::LinkSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::littles::achievable_throughput;
 
@@ -16,7 +15,7 @@ pub const PER_QUEUE_PAIR_IOPS: f64 = 150.0e3;
 
 /// Analytical throughput model of `num_ssds` identical SSDs attached to a GPU
 /// through per-device ×4 links and a shared GPU-side ×16 link.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SsdArrayModel {
     /// Device specification (Table 2 row).
     pub spec: SsdSpec,
@@ -96,11 +95,6 @@ impl SsdArrayModel {
             self.spec.write_latency_us,
             self.peak_write_iops(access_bytes),
         )
-    }
-
-    /// Read bandwidth (GB/s) achieved for the given pattern.
-    pub fn read_bandwidth_gbps(&self, access_bytes: u64, in_flight: u64) -> f64 {
-        self.read_iops(access_bytes, in_flight) * access_bytes as f64 / 1e9
     }
 
     /// Time in seconds to serve `num_requests` random reads of `access_bytes`

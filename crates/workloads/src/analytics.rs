@@ -13,7 +13,6 @@ use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use bam_baselines::rapids::RapidsQuery;
 use bam_core::{BamArray, BamError, BamSystem};
@@ -22,40 +21,13 @@ use bam_gpu_sim::GpuExecutor;
 /// The distance threshold of the paper's query family, in miles.
 pub const MIN_DISTANCE_MILES: f64 = 30.0;
 
-/// Column identifiers of the taxi-trip table, in the order queries add them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TaxiColumn {
-    /// Trip distance in miles (the filter column, scanned by every query).
-    Distance,
-    /// Total fare amount (added by Q1).
-    TotalAmount,
-    /// Surcharges (added by Q2).
-    Surcharge,
-    /// Hail fee (added by Q3).
-    HailFee,
-    /// Tolls (added by Q4).
-    Tolls,
-    /// Taxes (added by Q5).
-    Taxes,
-}
-
-impl TaxiColumn {
-    /// The columns a query `Q<n>` touches: the distance column plus the first
-    /// `n` dependent metrics.
-    pub fn for_query(q: usize) -> Vec<TaxiColumn> {
-        use TaxiColumn::*;
-        let all = [Distance, TotalAmount, Surcharge, HailFee, Tolls, Taxes];
-        all[..=q.min(5)].to_vec()
-    }
-}
-
 /// The host-resident taxi table (ground truth and RAPIDS input).
 #[derive(Debug, Clone)]
 pub struct TaxiTable {
     /// Trip distance column.
     pub distance: Vec<f64>,
-    /// Dependent metric columns, indexed by `TaxiColumn` order (total,
-    /// surcharge, hail fee, tolls, taxes).
+    /// Dependent metric columns in the order queries add them: Q1 adds the
+    /// total fare, Q2 surcharges, Q3 the hail fee, Q4 tolls and Q5 taxes.
     pub metrics: [Vec<f64>; 5],
 }
 
@@ -121,7 +93,7 @@ impl TaxiTable {
 }
 
 /// Output of one query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryOutput {
     /// Sum over selected rows of the dependent metrics (for Q0: count of
     /// selected rows as a float).

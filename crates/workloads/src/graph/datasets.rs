@@ -1,12 +1,10 @@
 //! The graph datasets of Table 3, reproduced as scaled synthetic generators.
 
-use serde::{Deserialize, Serialize};
-
 use super::csr::CsrGraph;
 use super::generate::{rmat, uniform_random, web_crawl, RmatParams};
 
 /// Which Table 3 dataset a descriptor stands in for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// GAP-kron (K): synthetic Kronecker, heavy skew.
     GapKron,
@@ -22,7 +20,7 @@ pub enum DatasetKind {
 
 /// A Table 3 row: the original sizes plus the generator that reproduces its
 /// structure at a chosen scale.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetDescriptor {
     /// Which dataset this stands in for.
     pub kind: DatasetKind,

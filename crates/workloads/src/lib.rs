@@ -18,7 +18,7 @@ pub mod graph;
 pub mod micro;
 pub mod vectoradd;
 
-pub use analytics::{query_bam, query_reference, BamTaxiTable, QueryOutput, TaxiColumn, TaxiTable};
+pub use analytics::{query_bam, query_reference, BamTaxiTable, QueryOutput, TaxiTable};
 pub use graph::{
     bfs_bam, bfs_reference, cc_bam, cc_reference, graph_demand, upload_edge_list, BfsResult,
     CcResult, CsrGraph, DatasetDescriptor, DatasetKind,
