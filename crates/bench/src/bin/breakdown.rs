@@ -5,11 +5,9 @@
 //! dwells tile each request's end-to-end latency exactly, so every table's
 //! shares sum to 100%. Pass `--json` to also write `BENCH_breakdown.json`,
 //! `--trace-out <path>` to export the Optane run's spans as Chrome
-//! trace-event JSON (loadable in Perfetto or `chrome://tracing`),
+//! trace-event JSON (loadable in Perfetto or `chrome://tracing`), and
 //! `--timeline-out <path>` to export the Optane run's full timeline
-//! document (windowed telemetry + per-resource blame decomposition), and
-//! `--workers N` to run the engine's accounting on N shard threads (default
-//! 1 = inline; the output is bit-identical at every worker count).
+//! document (windowed telemetry + per-resource blame decomposition).
 
 use bam_bench::breakdown_exp::{
     breakdown, traced_events, BREAKDOWN_ACCESS_BYTES, BREAKDOWN_IN_FLIGHT,
@@ -17,12 +15,11 @@ use bam_bench::breakdown_exp::{
 };
 use bam_bench::jsonout::{emit_bench_json, json_array, json_mode, JsonObject};
 use bam_bench::timeline_exp::{breakdown_timeline_body, observed_breakdown_run};
-use bam_bench::{flag_value, print_table, workers_arg};
+use bam_bench::{flag_value, print_table};
 use bam_sim::chrome_trace_json;
 
 fn main() {
-    let workers = workers_arg();
-    let results = breakdown(BREAKDOWN_SEED, workers);
+    let results = breakdown(BREAKDOWN_SEED);
     for (spec, report, rows) in &results {
         let table: Vec<Vec<String>> = rows
             .iter()
@@ -59,12 +56,12 @@ fn main() {
          submission slots, not media, are the bottleneck."
     );
     if let Some(path) = flag_value("--trace-out") {
-        let trace = chrome_trace_json(&traced_events(BREAKDOWN_SEED, workers));
+        let trace = chrome_trace_json(&traced_events(BREAKDOWN_SEED));
         std::fs::write(&path, trace).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("wrote {path}");
     }
     if let Some(path) = flag_value("--timeline-out") {
-        let (report, telemetry) = observed_breakdown_run(BREAKDOWN_SEED, workers);
+        let (report, telemetry) = observed_breakdown_run(BREAKDOWN_SEED);
         let body = breakdown_timeline_body(BREAKDOWN_SEED, &report, &telemetry);
         std::fs::write(&path, format!("{body}\n")).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("wrote {path}");

@@ -5,11 +5,9 @@
 //! distribution is reported alongside the analytic envelope it must agree
 //! with in the mean — the dynamics behind the Fig 9 slowdowns. Pass `--json`
 //! to also write `BENCH_latency_cdf.json`, `--trace-out <path>` to export
-//! the Optane 1×-depth cell's spans as Chrome trace-event JSON, and
-//! `--workers N` to run the engine's accounting on N shard threads (default
-//! 1 = inline; the output is bit-identical at every worker count).
+//! the Optane 1×-depth cell's spans as Chrome trace-event JSON.
 use bam_bench::jsonout::{emit_bench_json, json_array, json_mode, JsonObject};
-use bam_bench::{flag_value, print_table, sim_exp, workers_arg};
+use bam_bench::{flag_value, print_table, sim_exp};
 use bam_sim::chrome_trace_json;
 
 /// Access granularity of the sweep (the graph experiments' 4 KB lines).
@@ -17,8 +15,7 @@ const ACCESS_BYTES: u64 = 4096;
 const SEED: u64 = 9;
 
 fn main() {
-    let workers = workers_arg();
-    let rows = sim_exp::latency_cdf(4, ACCESS_BYTES, SEED, workers);
+    let rows = sim_exp::latency_cdf(4, ACCESS_BYTES, SEED);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -63,7 +60,7 @@ fn main() {
          roughly doubles — latency bought nothing."
     );
     if let Some(path) = flag_value("--trace-out") {
-        let events = sim_exp::latency_cdf_traced_events(4, ACCESS_BYTES, SEED, workers);
+        let events = sim_exp::latency_cdf_traced_events(4, ACCESS_BYTES, SEED);
         std::fs::write(&path, chrome_trace_json(&events))
             .unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("wrote {path}");

@@ -8,18 +8,15 @@
 //! Pass `--json` to also write `BENCH_tenants.json`, `--timeline-out
 //! <path>` to export the flagship bursty-shared run's full timeline
 //! document (windowed telemetry, per-resource blame decomposition, and
-//! per-tenant SLO outcomes — see `bam_bench::timeline_exp`), and
-//! `--workers N` to run the engine's accounting on N shard threads
-//! (default 1 = inline; the output is bit-identical at every worker count).
+//! per-tenant SLO outcomes — see `bam_bench::timeline_exp`).
 use bam_bench::jsonout::{emit_bench_json, json_array, json_mode, JsonObject};
 use bam_bench::timeline_exp::{timeline_body, timeline_run, TIMELINE_SEED};
-use bam_bench::{flag_value, print_table, sim_exp, workers_arg};
+use bam_bench::{flag_value, print_table, sim_exp};
 
 const SEED: u64 = 13;
 
 fn main() {
-    let workers = workers_arg();
-    let rows = sim_exp::tenant_matrix(SEED, workers);
+    let rows = sim_exp::tenant_matrix(SEED);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -64,7 +61,7 @@ fn main() {
          in the antagonist's own partition and steady interference sits near 1.0x."
     );
     if let Some(path) = flag_value("--timeline-out") {
-        let (report, telemetry) = timeline_run(TIMELINE_SEED, workers);
+        let (report, telemetry) = timeline_run(TIMELINE_SEED);
         let body = timeline_body(TIMELINE_SEED, &report, &telemetry);
         std::fs::write(&path, format!("{body}\n")).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("wrote {path}");

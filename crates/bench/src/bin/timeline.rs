@@ -7,19 +7,16 @@
 //! decomposition shows *which resource's queueing* produced it (service
 //! vs. wait per stage, population and tail slice); the SLO table shows what
 //! it cost each tenant in violations and error-budget burn. Pass `--json`
-//! to also write `BENCH_timeline.json`, `--timeline-out <path>` to export
-//! the full timeline document to a file, and `--workers N` to run the
-//! engine's accounting on N shard threads (default 1 = inline; every output
-//! is bit-identical at any worker count).
+//! to also write `BENCH_timeline.json` and `--timeline-out <path>` to export
+//! the full timeline document to a file.
 
 use bam_bench::jsonout::{emit_bench_json, json_mode};
 use bam_bench::timeline_exp::{dominant_stage, timeline_body, timeline_run, TIMELINE_SEED};
-use bam_bench::{flag_value, print_table, workers_arg};
+use bam_bench::{flag_value, print_table};
 use bam_sim::Stage;
 
 fn main() {
-    let workers = workers_arg();
-    let (report, telemetry) = timeline_run(TIMELINE_SEED, workers);
+    let (report, telemetry) = timeline_run(TIMELINE_SEED);
 
     // Window-by-window: when did the tail happen, and was it queueing?
     let table: Vec<Vec<String>> = telemetry

@@ -72,21 +72,14 @@ pub fn breakdown_config(spec: &SsdSpec, seed: u64) -> SimConfig {
 }
 
 /// Runs one device's seeded breakdown workload, optionally recording every
-/// stage interval as span events (the `--trace-out` export). `workers`
-/// places the engine's accounting ([`Run::workers`]); the report and spans
-/// are bit-identical at every count.
-pub fn breakdown_report(
-    spec: &SsdSpec,
-    seed: u64,
-    recorder: Option<&SpanRecorder>,
-    workers: usize,
-) -> SimReport {
+/// stage interval as span events (the `--trace-out` export).
+pub fn breakdown_report(spec: &SsdSpec, seed: u64, recorder: Option<&SpanRecorder>) -> SimReport {
     let config = breakdown_config(spec, seed);
     let reqs = engine::mixed_requests(&config, BREAKDOWN_REQUESTS, BREAKDOWN_WRITES);
     let workload = Workload::ClosedLoop {
         in_flight: BREAKDOWN_IN_FLIGHT,
     };
-    let run = Run::new(&config).workers(workers);
+    let run = Run::new(&config);
     let run = recorder.map_or(run, |rec| run.trace(rec));
     run.single(workload, &reqs).expect("valid workload").0
 }
@@ -119,7 +112,7 @@ pub fn stage_rows(device: &str, report: &SimReport) -> Vec<BreakdownRow> {
 
 /// The full breakdown: the three Table-2 devices, each returning its run
 /// report and stage table.
-pub fn breakdown(seed: u64, workers: usize) -> Vec<(SsdSpec, SimReport, Vec<BreakdownRow>)> {
+pub fn breakdown(seed: u64) -> Vec<(SsdSpec, SimReport, Vec<BreakdownRow>)> {
     [
         SsdSpec::intel_optane_p5800x(),
         SsdSpec::samsung_pm1735(),
@@ -127,7 +120,7 @@ pub fn breakdown(seed: u64, workers: usize) -> Vec<(SsdSpec, SimReport, Vec<Brea
     ]
     .into_iter()
     .map(|spec| {
-        let report = breakdown_report(&spec, seed, None, workers);
+        let report = breakdown_report(&spec, seed, None);
         let rows = stage_rows(&spec.name, &report);
         (spec, report, rows)
     })
@@ -136,9 +129,9 @@ pub fn breakdown(seed: u64, workers: usize) -> Vec<(SsdSpec, SimReport, Vec<Brea
 
 /// The Optane run's span events (what `breakdown --trace-out` exports):
 /// bounded to the recorder's default capacity, deterministic per seed.
-pub fn traced_events(seed: u64, workers: usize) -> Vec<SpanEvent> {
+pub fn traced_events(seed: u64) -> Vec<SpanEvent> {
     let rec = SpanRecorder::new();
-    breakdown_report(&SsdSpec::intel_optane_p5800x(), seed, Some(&rec), workers);
+    breakdown_report(&SsdSpec::intel_optane_p5800x(), seed, Some(&rec));
     rec.events()
 }
 
@@ -151,8 +144,8 @@ mod tests {
         // The acceptance bar is >= 95% of each request's end-to-end latency
         // attributed to named stages; the engine's marks tile the latency
         // exactly, so the attribution is in fact 100%.
-        for (spec, report, rows) in breakdown(BREAKDOWN_SEED, 1) {
-            let latency_total: u64 = report.sorted_latencies_ns.iter().sum();
+        for (spec, report, rows) in breakdown(BREAKDOWN_SEED) {
+            let latency_total = report.histogram.sum_ns();
             let attributed = report.stages.total_ns();
             assert!(
                 attributed as f64 >= latency_total as f64 * 0.95,
@@ -176,8 +169,8 @@ mod tests {
 
     #[test]
     fn breakdown_and_trace_are_deterministic() {
-        let a = breakdown(BREAKDOWN_SEED, 1);
-        let b = breakdown(BREAKDOWN_SEED, 1);
+        let a = breakdown(BREAKDOWN_SEED);
+        let b = breakdown(BREAKDOWN_SEED);
         for ((_, ra, rows_a), (_, rb, rows_b)) in a.iter().zip(&b) {
             assert_eq!(ra.stages, rb.stages);
             for (x, y) in rows_a.iter().zip(rows_b) {
@@ -186,8 +179,8 @@ mod tests {
                 assert!(x.share_pct == y.share_pct);
             }
         }
-        let ta = traced_events(BREAKDOWN_SEED, 1);
-        let tb = traced_events(BREAKDOWN_SEED, 1);
+        let ta = traced_events(BREAKDOWN_SEED);
+        let tb = traced_events(BREAKDOWN_SEED);
         assert!(!ta.is_empty());
         assert_eq!(ta, tb, "trace must be bit-identical per seed");
     }

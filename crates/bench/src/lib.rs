@@ -50,8 +50,7 @@ pub mod sim_exp;
 pub mod slo_exp;
 pub mod timeline_exp;
 
-/// The value following flag `name` (`--workers`, `--trace-out`,
-/// `--timeline-out`, …) in the process arguments, or `None` when the flag is
+/// The value following flag `name` (`--trace-out`, `--timeline-out`, …) in the process arguments, or `None` when the flag is
 /// absent.
 ///
 /// # Panics
@@ -63,18 +62,6 @@ pub fn flag_value(name: &str) -> Option<String> {
         args.next()
             .unwrap_or_else(|| panic!("{name} needs a value"))
     })
-}
-
-/// The worker count following `--workers`, or 1 when absent — what the
-/// event-driven binaries hand to [`bam_sim::Run::workers`]: up to one worker
-/// accounts inline on the engine's own thread, more run that many accounting
-/// shards. Output is byte-identical at every count.
-///
-/// # Panics
-///
-/// Panics if the value is not an integer.
-pub fn workers_arg() -> usize {
-    flag_value("--workers").map_or(1, |v| v.parse().expect("--workers must be an integer"))
 }
 
 /// Prints a table of rows as aligned columns on stdout (shared by the

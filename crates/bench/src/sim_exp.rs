@@ -59,15 +59,8 @@ pub struct LatencyCdfRow {
 
 /// Tail-latency CDFs for the three Table-2 SSD technologies behind a 4-SSD
 /// array at `access_bytes` granularity, each at 0.5×, 1×, and 2× its
-/// bandwidth-latency product (Fig 9 / Table 2, event-driven). `workers`
-/// places the engine's accounting ([`Run::workers`]); the rows are
-/// bit-identical at every count.
-pub fn latency_cdf(
-    num_ssds: usize,
-    access_bytes: u64,
-    seed: u64,
-    workers: usize,
-) -> Vec<LatencyCdfRow> {
+/// bandwidth-latency product (Fig 9 / Table 2, event-driven).
+pub fn latency_cdf(num_ssds: usize, access_bytes: u64, seed: u64) -> Vec<LatencyCdfRow> {
     let mut rows = Vec::new();
     for spec in [
         SsdSpec::intel_optane_p5800x(),
@@ -92,7 +85,6 @@ pub fn latency_cdf(
             };
             let reqs = engine::uniform_reads(&config, SAMPLE_REQUESTS);
             let (report, _) = Run::new(&config)
-                .workers(workers)
                 .single(Workload::ClosedLoop { in_flight }, &reqs)
                 .expect("valid sweep cell");
             rows.push(LatencyCdfRow {
@@ -118,14 +110,8 @@ pub fn latency_cdf(
 /// Span events of one representative `latency_cdf` cell — Optane at 1× its
 /// bandwidth-latency product — re-run under tracing (which changes nothing:
 /// the report is identical to the untraced cell's). This is what
-/// `latency_cdf --trace-out` exports; deterministic per seed and
-/// bit-identical at every `workers` count.
-pub fn latency_cdf_traced_events(
-    num_ssds: usize,
-    access_bytes: u64,
-    seed: u64,
-    workers: usize,
-) -> Vec<SpanEvent> {
+/// `latency_cdf --trace-out` exports; deterministic per seed.
+pub fn latency_cdf_traced_events(num_ssds: usize, access_bytes: u64, seed: u64) -> Vec<SpanEvent> {
     let spec = SsdSpec::intel_optane_p5800x();
     let model = SsdArrayModel::prototype(spec.clone(), num_ssds);
     let qd = required_queue_depth(model.peak_read_iops(access_bytes), spec.read_latency_us).max(1);
@@ -146,7 +132,6 @@ pub fn latency_cdf_traced_events(
         in_flight: qd as u32,
     };
     Run::new(&config)
-        .workers(workers)
         .trace(&recorder)
         .single(workload, &reqs)
         .expect("valid sweep cell");
@@ -336,15 +321,13 @@ fn scenario_tenants(n: usize, bursty: bool, steady_requests: u64) -> Vec<TenantS
 /// The full multi-tenant sweep: 1/2/4/8 tenants × (all-steady, bursty
 /// antagonist) × shared vs weighted-fair queue pairs × the three Table-2
 /// devices, with each tenant's solo p99 as the interference baseline.
-/// `workers` places the engine's accounting ([`Run::workers`]); rows are
-/// bit-identical at every count.
-pub fn tenant_matrix(seed: u64, workers: usize) -> Vec<TenantRow> {
-    tenant_matrix_scaled(seed, TENANT_STEADY_REQUESTS, workers)
+pub fn tenant_matrix(seed: u64) -> Vec<TenantRow> {
+    tenant_matrix_scaled(seed, TENANT_STEADY_REQUESTS)
 }
 
 /// [`tenant_matrix`] with an explicit per-steady-tenant request count (the
 /// unit tests run a reduced scale; the `tenants` binary runs the full one).
-pub fn tenant_matrix_scaled(seed: u64, steady_requests: u64, workers: usize) -> Vec<TenantRow> {
+pub fn tenant_matrix_scaled(seed: u64, steady_requests: u64) -> Vec<TenantRow> {
     let mut rows = Vec::new();
     // Solo-run p99 baselines, keyed by (device, policy, tenant id).
     let mut solo_p99: HashMap<(String, &'static str, u32), f64> = HashMap::new();
@@ -354,7 +337,7 @@ pub fn tenant_matrix_scaled(seed: u64, steady_requests: u64, workers: usize) -> 
         SsdSpec::samsung_980pro(),
     ] {
         let config = tenant_config(&spec, seed);
-        let run = Run::new(&config).workers(workers);
+        let run = Run::new(&config);
         for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
             for num_tenants in [1usize, 2, 4, 8] {
                 for bursty in [false, true] {
@@ -404,7 +387,7 @@ mod tests {
 
     #[test]
     fn latency_cdf_shapes_match_table2() {
-        let rows = latency_cdf(4, 4096, 11, 1);
+        let rows = latency_cdf(4, 4096, 11);
         assert_eq!(rows.len(), 9, "3 devices x 3 depths");
         let at = |device: &str, mult: f64| {
             rows.iter()
@@ -439,8 +422,8 @@ mod tests {
 
     #[test]
     fn latency_cdf_is_deterministic() {
-        let a = latency_cdf(4, 4096, 5, 1);
-        let b = latency_cdf(4, 4096, 5, 1);
+        let a = latency_cdf(4, 4096, 5);
+        let b = latency_cdf(4, 4096, 5);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.p999_us, y.p999_us);
             assert_eq!(x.achieved_miops, y.achieved_miops);
@@ -506,10 +489,10 @@ mod tests {
 
     #[test]
     fn tenant_matrix_covers_the_sweep_and_is_deterministic() {
-        let rows = tenant_matrix_scaled(19, 800, 1);
+        let rows = tenant_matrix_scaled(19, 800);
         // 3 devices × 2 policies × (1+2+4+8 tenants) × 2 scenarios.
         assert_eq!(rows.len(), 3 * 2 * 15 * 2);
-        let again = tenant_matrix_scaled(19, 800, 1);
+        let again = tenant_matrix_scaled(19, 800);
         for (a, b) in rows.iter().zip(&again) {
             assert_eq!(a.p99_us, b.p99_us);
             assert_eq!(a.throughput_per_s, b.throughput_per_s);

@@ -133,12 +133,11 @@ fn slo_class(members: u32, load: f64, controlled: bool) -> TenantClass {
     }
 }
 
-/// Runs the full sweep, with the engine's accounting placed by `workers`
-/// ([`Run::workers`]). The rows are byte-identical at every worker count and
-/// contain no wall-clock values.
-pub fn slo_sweep(seed: u64, workers: usize) -> Vec<SloRow> {
+/// Runs the full sweep. The rows are deterministic per seed and contain no
+/// wall-clock values.
+pub fn slo_sweep(seed: u64) -> Vec<SloRow> {
     let cfg = slo_config(seed);
-    let run = Run::new(&cfg).workers(workers);
+    let run = Run::new(&cfg);
     let mut rows = Vec::new();
     for &members in &SLO_MEMBER_SCALES {
         for &load in &SLO_LOAD_MULTIPLIERS {

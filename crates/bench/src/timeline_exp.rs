@@ -60,13 +60,11 @@ pub fn timeline_spec() -> TelemetrySpec {
     TelemetrySpec::full(TIMELINE_WINDOW_NS, TIMELINE_TOP_K)
 }
 
-/// Runs the flagship observed scenario (`workers` as in [`Run::workers`];
-/// the report and telemetry are bit-identical at every count).
-pub fn timeline_run(seed: u64, workers: usize) -> (MultiTenantReport, RunTelemetry) {
+/// Runs the flagship observed scenario.
+pub fn timeline_run(seed: u64) -> (MultiTenantReport, RunTelemetry) {
     let spec = bam_nvme_sim::SsdSpec::intel_optane_p5800x();
     let config = sim_exp::tenant_config(&spec, seed);
     Run::new(&config)
-        .workers(workers)
         .telemetry(timeline_spec())
         .tenants(&timeline_tenants(), QueuePairPolicy::Shared)
         .expect("valid scenario")
@@ -75,7 +73,7 @@ pub fn timeline_run(seed: u64, workers: usize) -> (MultiTenantReport, RunTelemet
 /// The observed single-tenant breakdown run (what `breakdown
 /// --timeline-out` exports): the Optane stage-attribution workload with
 /// full telemetry.
-pub fn observed_breakdown_run(seed: u64, workers: usize) -> (SimReport, RunTelemetry) {
+pub fn observed_breakdown_run(seed: u64) -> (SimReport, RunTelemetry) {
     let spec = bam_nvme_sim::SsdSpec::intel_optane_p5800x();
     let config = breakdown_exp::breakdown_config(&spec, seed);
     let reqs = engine::mixed_requests(
@@ -87,7 +85,6 @@ pub fn observed_breakdown_run(seed: u64, workers: usize) -> (SimReport, RunTelem
         in_flight: breakdown_exp::BREAKDOWN_IN_FLIGHT,
     };
     Run::new(&config)
-        .workers(workers)
         .telemetry(timeline_spec())
         .single(workload, &reqs)
         .expect("valid workload")
@@ -239,9 +236,9 @@ mod tests {
 
     #[test]
     fn timeline_run_attributes_and_violates_as_designed() {
-        let (report, tel) = timeline_run(TIMELINE_SEED, 1);
+        let (report, tel) = timeline_run(TIMELINE_SEED);
         // Blame tiles the whole run's latency to the nanosecond.
-        let total: u64 = report.overall.sorted_latencies_ns.iter().sum();
+        let total = report.overall.histogram.sum_ns();
         assert_eq!(tel.blame.overall.total_ns(), total);
         assert_eq!(tel.blame.requests, report.overall.completed);
         // The tail's wait is queue-pair-dominated: the antagonist's backlog
@@ -272,9 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn timeline_is_deterministic_and_worker_invariant() {
-        let (ra, ta) = timeline_run(TIMELINE_SEED, 1);
-        let (rb, tb) = timeline_run(TIMELINE_SEED, 4);
+    fn timeline_is_deterministic() {
+        let (ra, ta) = timeline_run(TIMELINE_SEED);
+        let (rb, tb) = timeline_run(TIMELINE_SEED);
         assert_eq!(ra, rb);
         assert_eq!(ta, tb);
         assert_eq!(
@@ -286,7 +283,7 @@ mod tests {
 
     #[test]
     fn exported_documents_parse_and_carry_every_section() {
-        let (report, tel) = timeline_run(TIMELINE_SEED, 1);
+        let (report, tel) = timeline_run(TIMELINE_SEED);
         let body = timeline_body(TIMELINE_SEED, &report, &tel);
         let doc = drift::parse(&body).expect("timeline JSON must parse");
         let drift::JsonValue::Object(fields) = doc else {
@@ -296,10 +293,9 @@ mod tests {
             assert!(fields.iter().any(|(k, _)| k == key), "missing {key}");
         }
 
-        let (sreport, stel) = observed_breakdown_run(breakdown_exp::BREAKDOWN_SEED, 1);
+        let (sreport, stel) = observed_breakdown_run(breakdown_exp::BREAKDOWN_SEED);
         let sbody = breakdown_timeline_body(breakdown_exp::BREAKDOWN_SEED, &sreport, &stel);
         drift::parse(&sbody).expect("breakdown timeline JSON must parse");
-        let total: u64 = sreport.sorted_latencies_ns.iter().sum();
-        assert_eq!(stel.blame.overall.total_ns(), total);
+        assert_eq!(stel.blame.overall.total_ns(), sreport.histogram.sum_ns());
     }
 }

@@ -36,8 +36,5 @@ pub use blame::{
 };
 pub use export::{chrome_trace_json, PromWriter};
 pub use histo::{LatencyHisto, HISTO_BUCKETS};
-pub use span::{
-    merge_indexed_spans, SpanEvent, SpanId, SpanRecorder, SpanSink, Stage, StageBreakdown,
-    STAGE_COUNT,
-};
+pub use span::{SpanEvent, SpanId, SpanRecorder, SpanSink, Stage, StageBreakdown, STAGE_COUNT};
 pub use timeseries::{evaluate_slo, SloReport, SloSpec, WindowStats, WindowedSeries};

@@ -229,22 +229,6 @@ impl SpanRecorder {
     }
 }
 
-/// Merges per-shard span buffers back into one stream ordered by global
-/// emission index.
-///
-/// A parallel engine hands each shard an index-tagged slice of the span
-/// stream; because every index is assigned once by the sequential spine,
-/// sorting the concatenation by index reconstructs the exact sequence a
-/// single-threaded run would have recorded — replaying it through
-/// [`SpanRecorder::record`] reproduces ring-buffer wrap and drop counts bit
-/// for bit. Each shard's buffer is already index-sorted, so the sort is a
-/// near-linear merge of sorted runs.
-pub fn merge_indexed_spans(parts: Vec<Vec<(u64, SpanEvent)>>) -> Vec<SpanEvent> {
-    let mut all: Vec<(u64, SpanEvent)> = parts.into_iter().flatten().collect();
-    all.sort_unstable_by_key(|&(idx, _)| idx);
-    all.into_iter().map(|(_, event)| event).collect()
-}
-
 #[derive(Default)]
 struct SinkInner {
     recorder: RwLock<Option<Arc<SpanRecorder>>>,
@@ -437,30 +421,6 @@ mod tests {
         assert_eq!(a.histo(Stage::Media).count(), 3);
         let active: Vec<Stage> = a.active_stages().collect();
         assert_eq!(active, vec![Stage::JournalFlush, Stage::Media]);
-    }
-
-    #[test]
-    fn merge_indexed_spans_restores_global_order() {
-        // Three shards each hold an index-sorted slice of one global stream.
-        let shard_a = vec![
-            (0u64, ev(0, Stage::Media, 0, 5)),
-            (3, ev(3, Stage::Media, 30, 35)),
-        ];
-        let shard_b = vec![(1u64, ev(1, Stage::SsdLink, 10, 15))];
-        let shard_c = vec![(2u64, ev(2, Stage::GpuLink, 20, 25))];
-        let merged = merge_indexed_spans(vec![shard_a, shard_b, shard_c]);
-        let spans: Vec<u64> = merged.iter().map(|e| e.span.0).collect();
-        assert_eq!(spans, vec![0, 1, 2, 3]);
-        // Replaying the merged stream into a small ring reproduces the
-        // sequential recorder's wrap behavior (oldest overwritten).
-        let rec = SpanRecorder::with_capacity(2);
-        for e in &merged {
-            rec.record(*e);
-        }
-        assert_eq!(rec.dropped(), 2);
-        let kept: Vec<u64> = rec.events().iter().map(|e| e.span.0).collect();
-        assert_eq!(kept, vec![2, 3]);
-        assert!(merge_indexed_spans(Vec::new()).is_empty());
     }
 
     #[test]

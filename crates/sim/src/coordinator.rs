@@ -19,9 +19,7 @@
 
 use std::sync::mpsc;
 
-use bam_obs::{
-    merge_indexed_spans, BlameAccumulator, LatencyHisto, SpanEvent, SpanRecorder, WindowedSeries,
-};
+use bam_obs::{BlameAccumulator, LatencyHisto, WindowedSeries};
 
 use crate::arrivals::ArrivalMerge;
 use crate::clock::SimTime;
@@ -32,7 +30,7 @@ use crate::engine::stream::Stream;
 use crate::engine::SimConfig;
 use crate::pipeline::PipelineParams;
 use crate::shard::{
-    merge_tenants, occupancy_stats, Accounting, ObsPlan, OccupancyMeter, Rec, ShardMap, SpanOut,
+    merge_tenants, occupancy_stats, Accounting, ObsPlan, OccupancyMeter, Rec, ShardMap,
 };
 
 /// Records a shard batch may accumulate before it is flushed regardless of
@@ -80,20 +78,19 @@ impl ShardLink {
 }
 
 /// Runs the spine with `min(workers, num_ssds)` accounting shards and merges
-/// their results into the same [`EngineOutput`] inline accounting produces.
+/// their results into the same [`EngineOutput`] inline accounting produces
+/// (span tracing is inline-only, so shards record no spans).
 pub(crate) fn run_sharded_core(
     config: &SimConfig,
     streams: &mut [Stream<'_>],
     arrivals: &mut ArrivalMerge,
     admission: &mut AdmissionState,
-    recorder: Option<&SpanRecorder>,
     workers: usize,
     plan: &ObsPlan<'_>,
 ) -> EngineOutput {
     let mut map = ShardMap::new(workers, config.num_ssds, config.queue_pairs_per_ssd);
     let shards = map.shards;
     let total_qps = config.total_queue_pairs();
-    let traced = recorder.is_some();
     let epsilon = lookahead_epsilon(&config.pipeline);
 
     let (spine, mut accts) = std::thread::scope(|scope| {
@@ -107,16 +104,7 @@ pub(crate) fn run_sharded_core(
                 batches,
                 spares,
             });
-            let mut acct = Accounting::new(
-                0,
-                total_qps,
-                plan,
-                if traced {
-                    SpanOut::Buffered(Vec::new())
-                } else {
-                    SpanOut::None
-                },
-            );
+            let mut acct = Accounting::new(total_qps, plan, None);
             handles.push(scope.spawn(move || {
                 for mut batch in inbox {
                     for rec in batch.drain(..) {
@@ -159,38 +147,17 @@ pub(crate) fn run_sharded_core(
         .collect();
     let (occupancy_mean, occupancy_max) = occupancy_stats(&meters, spine.end);
 
-    // Histograms merge exactly; the exact-sample vectors concatenate in
-    // shard order (the report builder sorts them). The first shard's vector
-    // is grown in place to the exact total and each other part is freed as
-    // soon as it is copied, so at most one part is live beside the whole.
+    // Fold the latency histograms, shard series and blame accumulators. All
+    // three merges are commutative and a finished accumulator is a pure
+    // function of the row set, so every output is bit-identical to the
+    // inline engine's at any shard count.
     let mut read_latency = LatencyHisto::new();
     let mut write_latency = LatencyHisto::new();
-    let total: usize = accts.iter().map(|a| a.latencies.len()).sum();
-    let mut latencies = std::mem::take(&mut accts[0].latencies);
-    latencies.reserve_exact(total - latencies.len());
-    for acct in &mut accts {
-        read_latency.merge(&acct.read_latency);
-        write_latency.merge(&acct.write_latency);
-        latencies.extend_from_slice(&std::mem::take(&mut acct.latencies));
-    }
-
-    // Replay the merged span stream into the caller's recorder in global
-    // emission order — the same sequence of `record` calls the inline engine
-    // makes, so ring-buffer wrap and drop counts match exactly too.
-    if let Some(rec) = recorder {
-        let parts: Vec<Vec<(u64, SpanEvent)>> = accts.iter_mut().map(|a| a.take_spans()).collect();
-        for event in merge_indexed_spans(parts) {
-            rec.record(event);
-        }
-    }
-
-    // Fold the shard series and blame accumulators. Both merges are
-    // commutative and a finished accumulator is a pure function of the row
-    // set, so both outputs are bit-identical to the inline engine's at any
-    // shard count.
     let mut series = WindowedSeries::new(plan.telemetry.window_ns);
     let mut blame: Option<BlameAccumulator> = None;
     for acct in &mut accts {
+        read_latency.merge(&acct.read_latency);
+        write_latency.merge(&acct.write_latency);
         series.merge(&acct.series);
         if let Some(part) = acct.take_blame() {
             match &mut blame {
@@ -210,7 +177,6 @@ pub(crate) fn run_sharded_core(
         peak_slots: spine.peak_slots,
         occupancy_mean,
         occupancy_max,
-        latencies,
         read_latency,
         write_latency,
         tenants,

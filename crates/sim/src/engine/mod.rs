@@ -19,12 +19,14 @@
 //! the engine owns per request is proportional to the requests *in flight*,
 //! never to the run length (asserted at the end of every run), the
 //! closed-form request streams (`stream`) and the per-class admission
-//! controller (`admission`). The only thing [`Run::shards`] changes is where
-//! the spine's accounting records are applied: inline in the event loop, or
-//! on per-SSD shard threads (the private `shard` and `coordinator` modules)
-//! whose merged results are bit-identical at any shard count.
+//! controller (`admission`). The engine itself chooses where the spine's
+//! accounting records are applied — inline in the event loop, or on per-SSD
+//! shard threads (the private `shard` and `coordinator` modules) for
+//! observed runs — and the merged results are bit-identical either way.
 
 pub(crate) mod admission;
+#[cfg(test)]
+mod equivalence;
 pub(crate) mod run;
 pub(crate) mod spine;
 pub(crate) mod stream;
@@ -259,56 +261,49 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// One simulation run over a [`SimConfig`]: set where accounting runs, an
-/// optional span recorder and the telemetry to collect, then finish with the
-/// terminal matching the input. Every terminal returns the report together
-/// with the run's [`RunTelemetry`] (empty under [`TelemetrySpec::disabled`]).
+/// One simulation run over a [`SimConfig`]: set an optional span recorder
+/// and the telemetry to collect, then finish with the terminal matching the
+/// input. Every terminal returns the report together with the run's
+/// [`RunTelemetry`] (empty under [`TelemetrySpec::disabled`]).
 ///
-/// None of the settings changes a result: the report, the recorded spans and
-/// the telemetry are bit-identical at any shard count, and tracing or
-/// observing a run perturbs nothing.
+/// Tracing or observing a run perturbs nothing. Where the accounting runs is
+/// the engine's choice (observed runs shard it, everything else applies it
+/// inline) and changes no result.
 ///
 /// The terminals report every bad input as a [`SimError`], before any
 /// simulation runs.
 #[derive(Clone, Copy)]
 pub struct Run<'a> {
     config: &'a SimConfig,
-    shards: usize,
+    /// Forced accounting placement (tests only); `None` lets the engine
+    /// choose.
+    shards: Option<usize>,
     recorder: Option<&'a SpanRecorder>,
     telemetry: TelemetrySpec,
 }
 
 impl<'a> Run<'a> {
-    /// A run of `config` with accounting inline, no tracing, no telemetry.
+    /// A run of `config` with no tracing and no telemetry.
     pub fn new(config: &'a SimConfig) -> Self {
         Self {
             config,
-            shards: 0,
+            shards: None,
             recorder: None,
             telemetry: TelemetrySpec::disabled(),
         }
     }
 
-    /// Applies the spine's accounting records on `min(shards, num_ssds)`
-    /// per-SSD shard threads; `0` (the default) applies them inline on the
-    /// spine's own thread.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+    /// Forces the accounting onto `min(shards, num_ssds)` per-SSD shard
+    /// threads, or inline on the spine's own thread for `0`: the seam the
+    /// equivalence tests compare placements through.
+    #[cfg(test)]
+    pub(crate) fn shards(mut self, shards: usize) -> Self {
+        self.shards = Some(shards);
         self
     }
 
-    /// [`Run::shards`] from a worker count, the way the bench binaries'
-    /// `--workers` flag means it: up to one worker is the spine alone
-    /// (inline accounting), anything larger is that many shards.
-    pub fn workers(self, workers: usize) -> Self {
-        self.shards(if workers <= 1 { 0 } else { workers })
-    }
-
     /// Records every request's stage intervals into `recorder` as
-    /// [`bam_obs::SpanEvent`]s with virtual-nanosecond timestamps. Shards
-    /// buffer their events and the coordinator replays them in global
-    /// emission order, so the recorder's contents (ring wrap and drop counts
-    /// included) do not depend on the shard count.
+    /// [`bam_obs::SpanEvent`]s with virtual-nanosecond timestamps.
     pub fn trace(mut self, recorder: &'a SpanRecorder) -> Self {
         self.recorder = Some(recorder);
         self
@@ -406,9 +401,9 @@ impl<'a> Run<'a> {
 
 // The frozen surface. `benchmark/` (its own package, not edited between
 // benchmark re-cuts) links against exactly these six functions, so they keep
-// their signatures, panics and accounting placement as one-expression
-// spellings of `Run`; nothing in this workspace calls them, and they go when
-// the benchmark is next re-cut.
+// their signatures and panics as one-expression spellings of `Run`; nothing
+// in this workspace calls them, and they go when the benchmark is next
+// re-cut.
 
 fn or_panic<T>(result: Result<T, SimError>) -> T {
     result.unwrap_or_else(|e| panic!("{e}"))
@@ -428,8 +423,8 @@ pub fn run_tenants(
     or_panic(Run::new(config).tenants(tenants, policy)).0
 }
 
-/// [`run_tenants`] on `workers` accounting shards ([`Run::shards`]: one
-/// worker is one shard thread, not inline).
+/// [`run_tenants`]; `workers` is ignored (the engine places its own
+/// accounting).
 ///
 /// # Panics
 ///
@@ -441,7 +436,7 @@ pub fn run_tenants_sharded(
     workers: usize,
 ) -> MultiTenantReport {
     assert!(workers > 0, "need at least one worker");
-    or_panic(Run::new(config).shards(workers).tenants(tenants, policy)).0
+    run_tenants(config, tenants, policy)
 }
 
 /// [`run_tenants`] with span tracing into `recorder` ([`Run::trace`]).
@@ -454,27 +449,31 @@ pub fn run_tenants_traced(
     or_panic(Run::new(config).trace(recorder).tenants(tenants, policy)).0
 }
 
-/// [`run_tenants`] with `telemetry`, placed by worker count
-/// ([`Run::workers`]).
+/// [`run_tenants`] with `telemetry`; `workers` is ignored (the engine places
+/// its own accounting).
 pub fn run_tenants_observed(
     config: &SimConfig,
     tenants: &[TenantSpec],
     policy: QueuePairPolicy,
-    workers: usize,
+    _workers: usize,
     telemetry: TelemetrySpec,
 ) -> (MultiTenantReport, RunTelemetry) {
-    let run = Run::new(config).workers(workers).telemetry(telemetry);
-    or_panic(run.tenants(tenants, policy))
+    or_panic(
+        Run::new(config)
+            .telemetry(telemetry)
+            .tenants(tenants, policy),
+    )
 }
 
-/// [`run_tenants`] placed by worker count ([`Run::workers`]).
+/// [`run_tenants`]; `workers` is ignored (the engine places its own
+/// accounting).
 pub fn run_tenants_with_workers(
     config: &SimConfig,
     tenants: &[TenantSpec],
     policy: QueuePairPolicy,
-    workers: usize,
+    _workers: usize,
 ) -> MultiTenantReport {
-    or_panic(Run::new(config).workers(workers).tenants(tenants, policy)).0
+    run_tenants(config, tenants, policy)
 }
 
 /// Convenience: `n` identical round-robin reads of the pipeline's access
@@ -608,7 +607,7 @@ pub(crate) mod tests {
             Workload::ClosedLoop { in_flight: 256 },
             &reqs,
         );
-        assert_ne!(a.sorted_latencies_ns, c.sorted_latencies_ns);
+        assert_ne!(a.histogram, c.histogram);
     }
 
     #[test]
@@ -691,8 +690,7 @@ pub(crate) mod tests {
         };
         let reqs = mixed_requests(&cfg, 5_000, 1_500);
         let report = single(&cfg, Workload::ClosedLoop { in_flight: 128 }, &reqs);
-        let total_latency_ns: u64 = report.sorted_latencies_ns.iter().sum();
-        assert_eq!(report.stages.total_ns(), total_latency_ns);
+        assert_eq!(report.stages.total_ns(), report.histogram.sum_ns());
         // Every pipeline stage saw every request; journal flush only writes.
         for stage in [
             Stage::QueuePair,
@@ -740,23 +738,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn sharded_report_matches_inline_bit_for_bit() {
-        // The full differential suite lives in tests/parallel_equivalence.rs;
-        // this is the in-crate smoke check on a mixed closed-loop run.
-        let cfg = optane_config(2, 16, 4096, 42);
-        let reqs = mixed_requests(&cfg, 10_000, 1_000);
-        let workload = Workload::ClosedLoop { in_flight: 256 };
-        let inline = single(&cfg, workload, &reqs);
-        for shards in [1, 2, 4] {
-            let (sharded, _) = Run::new(&cfg)
-                .shards(shards)
-                .single(workload, &reqs)
-                .unwrap();
-            assert_eq!(inline, sharded, "shards={shards}");
-        }
-    }
-
-    #[test]
     fn writes_are_slower_than_reads_on_optane_512b() {
         // Optane 512B write IOPS (1M) is 5x below read (5.1M); a write-heavy
         // closed loop must take longer.
@@ -788,11 +769,16 @@ pub(crate) mod tests {
         let policy = QueuePairPolicy::Shared;
         let (expected, _) = Run::new(&cfg).tenants(&tenants, policy).unwrap();
         assert_eq!(run_tenants(&cfg, &tenants, policy), expected);
-        assert_eq!(run_tenants_sharded(&cfg, &tenants, policy, 1), expected);
-        assert_eq!(
-            run_tenants_with_workers(&cfg, &tenants, policy, 4),
-            expected
-        );
+        for workers in [1, 4] {
+            assert_eq!(
+                run_tenants_sharded(&cfg, &tenants, policy, workers),
+                expected
+            );
+            assert_eq!(
+                run_tenants_with_workers(&cfg, &tenants, policy, workers),
+                expected
+            );
+        }
         let recorder = SpanRecorder::with_capacity(1 << 16);
         assert_eq!(
             run_tenants_traced(&cfg, &tenants, policy, &recorder),
@@ -800,9 +786,12 @@ pub(crate) mod tests {
         );
         assert!(!recorder.is_empty());
         let spec = TelemetrySpec::full(100_000, 4);
-        let observed = run_tenants_observed(&cfg, &tenants, policy, 2, spec);
-        let via_run = Run::new(&cfg).shards(2).telemetry(spec);
-        assert_eq!(observed, via_run.tenants(&tenants, policy).unwrap());
+        let via_run = Run::new(&cfg).telemetry(spec);
+        let via_run = via_run.tenants(&tenants, policy).unwrap();
+        for workers in [1, 2] {
+            let observed = run_tenants_observed(&cfg, &tenants, policy, workers, spec);
+            assert_eq!(observed, via_run);
+        }
         let reqs = uniform_reads(&cfg, 500);
         let workload = Workload::ClosedLoop { in_flight: 16 };
         assert_eq!(run(&cfg, workload, &reqs), single(&cfg, workload, &reqs));

@@ -1,13 +1,14 @@
 //! The one driver behind every [`Run`] terminal: validate the input, build
-//! the scenario (streams, arrival merge, admission state, SLO windows), call
-//! [`execute`] once, and assemble the report.
+//! the scenario (streams, arrival merge, admission state, SLO windows), pick
+//! the accounting's [`placement`], call [`execute`] once, and assemble the
+//! report.
 
 use bam_obs::{evaluate_slo, LatencyHisto, SloSpec, SpanRecorder, StageBreakdown, WindowedSeries};
 
 use super::admission::{AdmissionCtl, AdmissionState};
 use super::spine::drive_events;
 use super::stream::{block_bases, queue_pair_shares, Shape, Stream};
-use super::{RequestDesc, Run, SimConfig, SimError, Workload};
+use super::{RequestDesc, Run, SimConfig, SimError, TelemetrySpec, Workload};
 use crate::arrivals::ArrivalMerge;
 use crate::clock::SimTime;
 use crate::coordinator;
@@ -16,7 +17,7 @@ use crate::report::{
     build_run_telemetry, AdmissionReport, DepthTimeline, LatencySummary, MemberSummary,
     MultiTenantReport, RunTelemetry, SimReport, TenantSummary,
 };
-use crate::shard::{occupancy_stats, Accounting, ObsPlan, SpanOut, TenantAcc};
+use crate::shard::{occupancy_stats, Accounting, ObsPlan, TenantAcc};
 use crate::tenant::{ArrivalProcess, TenantClass, TenantSpec};
 
 /// What a run hands back to the report builders, identical wherever the
@@ -34,10 +35,6 @@ pub(crate) struct EngineOutput {
     pub(crate) peak_slots: usize,
     pub(crate) occupancy_mean: f64,
     pub(crate) occupancy_max: u64,
-    /// Every completed request's latency (completion order inline,
-    /// shard-concatenated on shards — the report builder sorts): the one
-    /// exact-sample vector, behind `SimReport::sorted_latencies_ns`.
-    pub(crate) latencies: Vec<u64>,
     /// Latency histogram over completed reads.
     pub(crate) read_latency: LatencyHisto,
     /// Latency histogram over completed writes. Includes the journal-flush
@@ -52,9 +49,36 @@ pub(crate) struct EngineOutput {
     pub(crate) blame: Option<bam_obs::BlameAccumulator>,
 }
 
+/// How many accounting shards a run gets (0 = inline on the spine's thread).
+///
+/// Observed runs (a windowed series or blame) shard onto
+/// `min(cpus, num_ssds)` threads; everything else runs inline — plain runs,
+/// traced runs (spans are recorded in emission order, which only the inline
+/// engine has) and hosts with one CPU. Measured on the benchmark's 8-tenant
+/// scenario on 2 vCPUs: telemetry off, inline accounting runs 11.2–14.0 M
+/// requests/s against two shards' 9.5–10.5 M; with full telemetry, two shards
+/// run 9.2–12.2 M against inline's 7.7–8.2 M. `cpus` is only asked for when
+/// the run would shard.
+fn placement(
+    telemetry: TelemetrySpec,
+    traced: bool,
+    num_ssds: u32,
+    cpus: impl FnOnce() -> usize,
+) -> usize {
+    let observed = telemetry.window_ns > 0 || telemetry.blame;
+    if !observed || traced {
+        return 0;
+    }
+    match cpus() {
+        0 | 1 => 0,
+        cpus => cpus.min(num_ssds as usize),
+    }
+}
+
 /// Runs the spine over `streams` with accounting applied inline on the
 /// spine's thread (`shards == 0`) or on that many accounting shards (see
-/// [`crate::coordinator`]), returning identical output either way.
+/// [`crate::coordinator`]), returning identical output either way. Only an
+/// inline run records spans.
 pub(crate) fn execute(
     config: &SimConfig,
     streams: &mut [Stream<'_>],
@@ -65,17 +89,10 @@ pub(crate) fn execute(
     plan: &ObsPlan<'_>,
 ) -> EngineOutput {
     if shards > 0 {
-        return coordinator::run_sharded_core(
-            config, streams, arrivals, admission, recorder, shards, plan,
-        );
+        assert!(recorder.is_none(), "span tracing runs inline");
+        return coordinator::run_sharded_core(config, streams, arrivals, admission, shards, plan);
     }
-    let spans = recorder.map_or(SpanOut::None, SpanOut::Direct);
-    let mut acct = Accounting::new(
-        usize::try_from(plan.requests).expect("run fits in memory"),
-        config.total_queue_pairs(),
-        plan,
-        spans,
-    );
+    let mut acct = Accounting::new(config.total_queue_pairs(), plan, recorder);
     let spine = drive_events(config, streams, arrivals, admission, &mut |rec| {
         acct.apply(rec)
     });
@@ -89,7 +106,6 @@ pub(crate) fn execute(
         peak_slots: spine.peak_slots,
         occupancy_mean,
         occupancy_max,
-        latencies: acct.latencies,
         read_latency: acct.read_latency,
         write_latency: acct.write_latency,
         tenants: acct.tenants,
@@ -268,13 +284,22 @@ impl Run<'_> {
             tenant_slo_windows: &slo_windows,
             attribution,
         };
+        let shards = self.shards.unwrap_or_else(|| {
+            let cpus = || std::thread::available_parallelism().map_or(1, usize::from);
+            placement(
+                self.telemetry,
+                self.recorder.is_some(),
+                config.num_ssds,
+                cpus,
+            )
+        });
         let outcome = execute(
             config,
             &mut streams,
             &mut arrivals,
             &mut admission,
             self.recorder,
-            self.shards,
+            shards,
             &plan,
         );
         Ok(Simulated {
@@ -355,7 +380,6 @@ fn take_run_telemetry(outcome: &mut EngineOutput) -> RunTelemetry {
 /// The run seen as one merged stream.
 fn build_report(outcome: EngineOutput, stages: StageBreakdown) -> SimReport {
     SimReport::build(
-        outcome.latencies,
         &outcome.read_latency,
         &outcome.write_latency,
         outcome.depth,
@@ -707,10 +731,23 @@ mod tests {
     }
 
     #[test]
-    fn worker_counts_up_to_one_account_inline() {
-        let cfg = optane_config(1, 8, 512, 27);
-        let run = Run::new(&cfg);
-        assert_eq!([0, 1, 2, 8].map(|w| run.workers(w).shards), [0, 0, 2, 8]);
+    fn only_observed_untraced_runs_on_a_multicore_host_shard() {
+        let (off, full) = (TelemetrySpec::disabled(), TelemetrySpec::full(100_000, 8));
+        let series_only = TelemetrySpec {
+            window_ns: 100_000,
+            ..off
+        };
+        let blame_only = TelemetrySpec { blame: true, ..off };
+        let no_cpus = || -> usize { panic!("an inline run needs no CPU count") };
+        assert_eq!(placement(off, false, 4, no_cpus), 0, "plain");
+        assert_eq!(placement(off, true, 4, no_cpus), 0, "traced");
+        assert_eq!(placement(full, true, 4, no_cpus), 0, "traced and observed");
+        assert_eq!(placement(full, false, 4, || 1), 0, "one CPU");
+        for spec in [full, series_only, blame_only] {
+            assert_eq!(placement(spec, false, 4, || 2), 2, "{spec:?}");
+            assert_eq!(placement(spec, false, 4, || 16), 4, "{spec:?}");
+            assert_eq!(placement(spec, false, 1, || 2), 1, "{spec:?}");
+        }
     }
 
     /// Two overloaded classes, one behind an armed controller that both
@@ -836,8 +873,8 @@ mod tests {
 
     /// Every completed request closes its Completion stage exactly once and
     /// its stage spans tile `[arrival, completion]` without a gap (their
-    /// dwells are the run's latencies); a request that never completed — a
-    /// rejection — left no span at all.
+    /// dwells are the run's latencies, bucket for bucket); a request that
+    /// never completed — a rejection — left no span at all.
     fn assert_spans_tile_latencies(recorder: &SpanRecorder, out: &EngineOutput, requests: u64) {
         let mut completions = vec![0u32; requests as usize];
         let mut dwell_ns = vec![0u64; requests as usize];
@@ -854,19 +891,19 @@ mod tests {
             dwell_ns[id] += span.end_ns - span.start_ns;
         }
         assert_eq!(recorder.dropped(), 0);
-        let mut dwell_ns: Vec<u64> = (0..requests as usize)
-            .filter(|&id| last_end[id].is_some())
-            .map(|id| {
-                assert_eq!(completions[id], 1, "request {id}");
-                dwell_ns[id]
-            })
-            .collect();
-        let mut latencies = out.latencies.clone();
-        latencies.sort_unstable();
-        dwell_ns.sort_unstable();
-        assert_eq!(dwell_ns, latencies);
+        let dwells = LatencyHisto::from_samples(
+            (0..requests as usize)
+                .filter(|&id| last_end[id].is_some())
+                .map(|id| {
+                    assert_eq!(completions[id], 1, "request {id}");
+                    dwell_ns[id]
+                }),
+        );
+        let mut latencies = out.read_latency.clone();
+        latencies.merge(&out.write_latency);
+        assert_eq!(dwells, latencies);
         let attributed: u64 = out.tenants.iter().map(|t| t.stages.total_ns()).sum();
-        assert_eq!(attributed, latencies.iter().sum::<u64>());
+        assert_eq!(attributed, latencies.sum_ns());
     }
 
     #[test]
@@ -883,37 +920,44 @@ mod tests {
         assert!(n > 64 * u64::from(window));
         let reqs = mixed_requests(&cfg, n, 1_500);
         let closed = Workload::ClosedLoop { in_flight: window };
-
-        // With a controller armed, deferred admissions add
-        // `Stage::Admission` spans and rejections leave none.
-        let classes = controlled_classes();
         for shards in [0, 4] {
-            let recorder = SpanRecorder::with_capacity(1 << 20);
-            let run = Run::new(&cfg).shards(shards).trace(&recorder);
-            let out = probe(run, closed, &reqs);
+            let out = probe(Run::new(&cfg).shards(shards), closed, &reqs);
             assert_eq!(out.peak_slots, window as usize, "shards={shards}");
-            assert_eq!(out.latencies.len() as u64, n);
-            assert_spans_tile_latencies(&recorder, &out, n);
-
-            let recorder = SpanRecorder::with_capacity(1 << 20);
-            let run = Run::new(&cfg).shards(shards).trace(&recorder);
-            let out = run
-                .simulate(Input::Classes, &classes, QueuePairPolicy::Shared, PLAIN)
-                .unwrap()
-                .outcome;
-            let controlled = &out.tenants[0];
-            assert!(controlled.rejected > 0, "shards={shards}");
-            let admitted_late = controlled.stages.histo(Stage::Admission).count();
-            assert!(admitted_late > 0, "shards={shards}");
-            let admission_spans = recorder
-                .events()
-                .iter()
-                .filter(|span| span.stage == Stage::Admission)
-                .count() as u64;
-            assert_eq!(admission_spans, admitted_late, "shards={shards}");
-            assert_eq!(out.latencies.len() as u64 + controlled.rejected, 6_000);
-            assert_spans_tile_latencies(&recorder, &out, 6_000);
+            let completed = out.read_latency.count() + out.write_latency.count();
+            assert_eq!(completed, n, "shards={shards}");
         }
+
+        // Traced (so inline): every request's spans tile its latency. With a
+        // controller armed, deferred admissions add `Stage::Admission` spans
+        // and rejections leave none.
+        let recorder = SpanRecorder::with_capacity(1 << 20);
+        let out = probe(Run::new(&cfg).trace(&recorder), closed, &reqs);
+        assert_spans_tile_latencies(&recorder, &out, n);
+
+        let recorder = SpanRecorder::with_capacity(1 << 20);
+        let out = Run::new(&cfg)
+            .trace(&recorder)
+            .simulate(
+                Input::Classes,
+                &controlled_classes(),
+                QueuePairPolicy::Shared,
+                PLAIN,
+            )
+            .unwrap()
+            .outcome;
+        let controlled = &out.tenants[0];
+        assert!(controlled.rejected > 0);
+        let admitted_late = controlled.stages.histo(Stage::Admission).count();
+        assert!(admitted_late > 0);
+        let admission_spans = recorder
+            .events()
+            .iter()
+            .filter(|span| span.stage == Stage::Admission)
+            .count() as u64;
+        assert_eq!(admission_spans, admitted_late);
+        let completed = out.read_latency.count() + out.write_latency.count();
+        assert_eq!(completed + controlled.rejected, 6_000);
+        assert_spans_tile_latencies(&recorder, &out, 6_000);
     }
 
     #[test]
@@ -953,20 +997,21 @@ mod tests {
         let classes = controlled_classes();
         let shared = QueuePairPolicy::Shared;
         let spec = TelemetrySpec::full(100_000, 8);
+        let run = Run::new(&cfg);
+        let (plain, _) = run.classes(&classes, shared).unwrap();
+        let traced_rec = SpanRecorder::with_capacity(1 << 20);
+        let (traced, _) = run.trace(&traced_rec).classes(&classes, shared).unwrap();
+        let both_rec = SpanRecorder::with_capacity(1 << 20);
+        let both = run.trace(&both_rec).telemetry(spec);
+        let (report, both_telemetry) = both.classes(&classes, shared).unwrap();
+        assert_eq!(report, plain);
+        assert_eq!(report, traced);
+        assert!(!both_rec.is_empty());
+        assert_eq!(both_rec.events(), traced_rec.events());
         for shards in [0, 4] {
-            let run = Run::new(&cfg).shards(shards);
-            let (plain, _) = run.classes(&classes, shared).unwrap();
-            let traced_rec = SpanRecorder::with_capacity(1 << 20);
-            let (traced, _) = run.trace(&traced_rec).classes(&classes, shared).unwrap();
-            let (observed, telemetry) = run.telemetry(spec).classes(&classes, shared).unwrap();
-            let both_rec = SpanRecorder::with_capacity(1 << 20);
-            let both = run.trace(&both_rec).telemetry(spec);
-            let (report, both_telemetry) = both.classes(&classes, shared).unwrap();
-            assert_eq!(report, plain, "shards={shards}");
-            assert_eq!(report, traced, "shards={shards}");
+            let observed = run.shards(shards).telemetry(spec);
+            let (observed, telemetry) = observed.classes(&classes, shared).unwrap();
             assert_eq!(report, observed, "shards={shards}");
-            assert!(!both_rec.is_empty());
-            assert_eq!(both_rec.events(), traced_rec.events(), "shards={shards}");
             assert!(!telemetry.series.is_empty());
             assert_eq!(both_telemetry, telemetry, "shards={shards}");
         }

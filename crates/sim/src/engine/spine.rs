@@ -196,7 +196,6 @@ pub(crate) fn drive_events(
     let mut depth: u32 = 0;
     let mut now = SimTime::ZERO;
     let mut processed: u64 = 0;
-    let mut rec_idx: u64 = 0;
 
     // Closes one stage of the request in `slot` at the current instant
     // (dwell measured from the request's previous boundary — the shard owns
@@ -205,17 +204,14 @@ pub(crate) fn drive_events(
     // splits the dwell into service vs wait without re-deriving any timing
     // decision.
     macro_rules! mark {
-        ($slot:expr, $stage:expr, $service:expr) => {{
-            let idx = rec_idx;
-            rec_idx += 1;
+        ($slot:expr, $stage:expr, $service:expr) => {
             sink(Rec::Stage {
                 slot: $slot,
                 stage: $stage,
                 at: now,
-                idx,
                 service_ns: $service,
-            });
-        }};
+            })
+        };
     }
     macro_rules! meter {
         ($qp:expr) => {
@@ -375,12 +371,9 @@ pub(crate) fn drive_events(
                 events.schedule(now + p.completion_ns, Event::Complete { slot });
             }
             Event::Complete { slot } => {
-                let idx = rec_idx;
-                rec_idx += 1;
                 sink(Rec::Complete {
                     slot,
                     at: now,
-                    idx,
                     service_ns: p.completion_ns,
                 });
                 let stream = slots[slot].stream;

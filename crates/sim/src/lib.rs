@@ -20,9 +20,9 @@
 //!   driver and one timing spine; the spine pulls arrivals lazily and keys
 //!   per-request state by a recycled in-flight slot, so the engine's own
 //!   memory follows the requests in flight, not the run length (asserted
-//!   at the end of every run). [`engine::Run::shards`] only moves the
-//!   spine's accounting onto per-SSD shard threads; results are
-//!   bit-identical. Bad input is a typed [`engine::SimError`].
+//!   at the end of every run). Observed runs apply the spine's accounting
+//!   on per-SSD shard threads, everything else inline; results are
+//!   bit-identical either way. Bad input is a typed [`engine::SimError`].
 //! * [`tenant`] — multi-tenant workloads: [`tenant::TenantSpec`] arrival
 //!   sources (fixed-rate, Poisson, closed-loop, and [`dist::Mmpp2`] bursts)
 //!   superposed lazily into one stream ([`tenant::Superposition`] is the

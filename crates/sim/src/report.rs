@@ -170,8 +170,6 @@ pub struct SimReport {
     /// Latency summary over the run's writes alone (includes the
     /// journal-flush stage when enabled — the durability cost lands here).
     pub write_latency: LatencySummary,
-    /// Ascending per-request latencies in nanoseconds (for CDFs).
-    pub sorted_latencies_ns: Vec<u64>,
     /// End-to-end latency histogram over all completed requests.
     pub histogram: LatencyHisto,
     /// Per-stage dwell-time histograms: where each request's latency went.
@@ -181,7 +179,6 @@ pub struct SimReport {
 impl SimReport {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn build(
-        mut latencies_ns: Vec<u64>,
         read_latency: &LatencyHisto,
         write_latency: &LatencyHisto,
         mut depth: DepthTimeline,
@@ -191,11 +188,11 @@ impl SimReport {
         queue_occupancy_max: u64,
         stages: StageBreakdown,
     ) -> Self {
-        latencies_ns.sort_unstable();
         depth.close(end);
         let sim_time_s = end.as_secs_f64();
-        let completed = latencies_ns.len() as u64;
-        let histogram = LatencyHisto::from_samples(latencies_ns.iter().copied());
+        let mut histogram = read_latency.clone();
+        histogram.merge(write_latency);
+        let completed = histogram.count();
         Self {
             latency: LatencySummary::from_histo(&histogram),
             completed,
@@ -211,7 +208,6 @@ impl SimReport {
             queue_occupancy_max,
             read_latency: LatencySummary::from_histo(read_latency),
             write_latency: LatencySummary::from_histo(write_latency),
-            sorted_latencies_ns: latencies_ns,
             histogram,
             stages,
         }
@@ -580,7 +576,6 @@ mod tests {
         let mut depth = DepthTimeline::default();
         depth.record(SimTime::from_ns(0), 1);
         let r = SimReport::build(
-            vec![10_000; 100],
             &LatencyHisto::from_samples(vec![10_000; 80]),
             &LatencyHisto::from_samples(vec![10_000; 20]),
             depth,
@@ -597,5 +592,6 @@ mod tests {
         assert!((r.littles_in_flight() - 1.0).abs() < 1e-9);
         assert_eq!(r.read_latency.count, 80);
         assert_eq!(r.write_latency.count, 20);
+        assert_eq!(r.histogram, LatencyHisto::from_samples(vec![10_000; 100]));
     }
 }

@@ -4,9 +4,9 @@
 //! the one seeded RNG — the global RNG draw order is part of the engine's
 //! determinism contract, so timing decisions stay sequential. What *can*
 //! parallelize is everything downstream of a timing decision: stage-dwell
-//! histograms, span events, latency histograms, and occupancy meters are all
-//! order-independent merges (integer histograms, min/max folds, one sorted
-//! sample vector). The spine therefore emits a compact [`Rec`] stream,
+//! histograms, latency histograms, windowed series, blame rows and occupancy
+//! meters are all order-independent merges (integer histograms, min/max
+//! folds). The spine therefore emits a compact [`Rec`] stream,
 //! partitioned by owning device, and each shard applies its slice
 //! independently.
 //!
@@ -20,9 +20,8 @@
 //! shard's footprint follows the in-flight population, not the run length:
 //! [`Rec::Arrive`] carries every static fact of the request
 //! ([`RequestInfo`]), and each later record names only the slot. Completed
-//! latencies stream straight into [`bam_obs::LatencyHisto`]s; the one
-//! exact-sample vector kept is the one `SimReport::sorted_latencies_ns`
-//! exposes.
+//! latencies stream straight into [`bam_obs::LatencyHisto`]s. Span events are
+//! the one order-dependent output, so only inline accounting records them.
 
 use bam_obs::{
     BlameAccumulator, BlameMark, LatencyHisto, SpanEvent, SpanId, SpanRecorder, Stage,
@@ -108,8 +107,7 @@ pub(crate) struct RequestInfo {
 }
 
 /// One accounting fact from the timing spine. `slot` is the request's
-/// recycled in-flight slot; `idx` is the record's global emission index —
-/// the total order that reconstructs the span stream after a parallel run.
+/// recycled in-flight slot.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Rec {
     /// The request described by `info` entered the system at `at` and took
@@ -127,7 +125,6 @@ pub(crate) enum Rec {
         slot: u32,
         stage: Stage,
         at: SimTime,
-        idx: u64,
         service_ns: u64,
     },
     /// The request in `slot` completed at `at` (closes the Completion stage
@@ -135,7 +132,6 @@ pub(crate) enum Rec {
     Complete {
         slot: u32,
         at: SimTime,
-        idx: u64,
         service_ns: u64,
     },
     /// Queue pair `qp` changed occupancy at `at`.
@@ -286,15 +282,6 @@ pub(crate) fn merge_tenants(parts: Vec<Vec<TenantAcc>>) -> Vec<TenantAcc> {
     merged
 }
 
-/// Where a shard's span events go: straight into the caller's recorder
-/// (inline engine), into an index-tagged buffer for the post-run merge
-/// (sharded engine), or nowhere (untraced).
-pub(crate) enum SpanOut<'a> {
-    None,
-    Direct(&'a SpanRecorder),
-    Buffered(Vec<(u64, SpanEvent)>),
-}
-
 /// Accounting state of one in-flight slot: the request's static facts plus
 /// the two instants dwell and latency are measured from.
 #[derive(Debug, Clone, Copy, Default)]
@@ -327,10 +314,8 @@ pub(crate) struct Accounting<'a> {
     /// Latency histogram over completed writes. Includes the journal-flush
     /// stage when enabled — latency is measured from arrival.
     pub(crate) write_latency: LatencyHisto,
-    /// Every completed request's latency, in completion order: the exact
-    /// samples behind `SimReport::sorted_latencies_ns`.
-    pub(crate) latencies: Vec<u64>,
-    pub(crate) spans: SpanOut<'a>,
+    /// Where span events go (inline accounting of a traced run only).
+    spans: Option<&'a SpanRecorder>,
     /// Run-level windowed telemetry (disabled — window 0 — when the plan
     /// asks for none; every record is then a single branch).
     pub(crate) series: WindowedSeries,
@@ -340,14 +325,9 @@ pub(crate) struct Accounting<'a> {
 }
 
 impl<'a> Accounting<'a> {
-    /// A shard expecting about `requests` completions (the inline engine
-    /// knows its exact total; shards pass 0 and grow).
-    pub(crate) fn new(
-        requests: usize,
-        total_qps: u32,
-        plan: &ObsPlan<'_>,
-        spans: SpanOut<'a>,
-    ) -> Self {
+    /// Accounting for `plan` over `total_qps` queue pairs, recording span
+    /// events into `spans` when given.
+    pub(crate) fn new(total_qps: u32, plan: &ObsPlan<'_>, spans: Option<&'a SpanRecorder>) -> Self {
         let blame = plan
             .telemetry
             .blame
@@ -364,7 +344,6 @@ impl<'a> Accounting<'a> {
                 .collect(),
             read_latency: LatencyHisto::new(),
             write_latency: LatencyHisto::new(),
-            latencies: Vec::with_capacity(requests),
             spans,
             series: WindowedSeries::new(plan.telemetry.window_ns),
             blame,
@@ -379,7 +358,7 @@ impl<'a> Accounting<'a> {
     /// stage's pure service time from the spine; the dwell's remainder is
     /// queueing wait, recorded into the windowed series and (when blame is
     /// on) the slot's blame scratch.
-    fn mark(&mut self, slot: u32, stage: Stage, now: SimTime, idx: u64, service_ns: u64) {
+    fn mark(&mut self, slot: u32, stage: Stage, now: SimTime, service_ns: u64) {
         let acc = &mut self.slots[slot as usize];
         let start = std::mem::replace(&mut acc.last_mark, now);
         let info = acc.info;
@@ -396,18 +375,15 @@ impl<'a> Accounting<'a> {
                 service_ns,
             });
         }
-        let event = || SpanEvent {
-            span: SpanId(info.req),
-            stage,
-            start_ns: start.as_ns(),
-            end_ns: now.as_ns(),
-            track: info.qp,
-            arg: info.bytes,
-        };
-        match &mut self.spans {
-            SpanOut::None => {}
-            SpanOut::Direct(rec) => rec.record(event()),
-            SpanOut::Buffered(buf) => buf.push((idx, event())),
+        if let Some(rec) = self.spans {
+            rec.record(SpanEvent {
+                span: SpanId(info.req),
+                stage,
+                start_ns: start.as_ns(),
+                end_ns: now.as_ns(),
+                track: info.qp,
+                arg: info.bytes,
+            });
         }
     }
 
@@ -455,16 +431,14 @@ impl<'a> Accounting<'a> {
                 slot,
                 stage,
                 at,
-                idx,
                 service_ns,
-            } => self.mark(slot, stage, at, idx, service_ns),
+            } => self.mark(slot, stage, at, service_ns),
             Rec::Complete {
                 slot,
                 at,
-                idx,
                 service_ns,
             } => {
-                self.mark(slot, Stage::Completion, at, idx, service_ns);
+                self.mark(slot, Stage::Completion, at, service_ns);
                 self.settle_blame(slot);
                 let SlotAcc {
                     info, arrive_at, ..
@@ -487,7 +461,6 @@ impl<'a> Accounting<'a> {
                 } else {
                     self.read_latency.record(latency);
                 }
-                self.latencies.push(latency);
             }
             Rec::Meter { qp, at, occupancy } => {
                 self.meters[qp as usize].update(at, occupancy);
@@ -506,14 +479,6 @@ impl<'a> Accounting<'a> {
                 tenant.slo_series.record_rejection(at.as_ns());
                 self.series.record_rejection(at.as_ns());
             }
-        }
-    }
-
-    /// The shard's buffered `(emission index, span event)` pairs, if any.
-    pub(crate) fn take_spans(&mut self) -> Vec<(u64, SpanEvent)> {
-        match std::mem::replace(&mut self.spans, SpanOut::None) {
-            SpanOut::Buffered(buf) => buf,
-            _ => Vec::new(),
         }
     }
 
@@ -556,7 +521,6 @@ mod tests {
         let complete = Rec::Complete {
             slot: 5,
             at,
-            idx: 0,
             service_ns: 0,
         };
         assert_eq!(map.route(&complete), 0);

@@ -13,19 +13,18 @@
 //! 2. **Thinned attribution is consistent.** Per-member histograms from
 //!    `Run::classes_attributed` must equal the oracle's per-member accounts
 //!    and merge exactly back to the class aggregate.
-//! 3. **Admission control is deterministic and actually works.** Reports
-//!    are bit-identical at any shard count, and under sustained overload
-//!    the controller holds the class's p99 burn rate under budget while the
-//!    uncontrolled run blows through it.
+//! 3. **Admission control actually works.** Under sustained overload the
+//!    controller holds the class's p99 burn rate under budget while the
+//!    uncontrolled run blows through it. (That class runs are bit-identical
+//!    at any shard count is checked in-crate, where the shard count can be
+//!    forced.)
 
 use bam_nvme_sim::SsdSpec;
 use bam_pcie::LinkSpec;
 use bam_sim::{
     AdmissionSpec, ArrivalProcess, LatencyHisto, Mmpp2, PipelineParams, QueuePairPolicy, Run,
-    Stage, TelemetrySpec, TenantClass, TenantSpec,
+    TenantClass, TenantSpec,
 };
-
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn optane_config(
     num_ssds: u32,
@@ -183,80 +182,6 @@ fn thinned_member_attribution_equals_the_oracle_accounts() {
             assert_eq!(row.latency, latency, "class {} member {m}", class.id);
         }
         assert!(members.next().is_none(), "class {}", class.id);
-    }
-}
-
-#[test]
-fn class_runs_are_identical_across_worker_counts() {
-    // Classes with SLOs and an armed controller: the report, telemetry, and
-    // Prometheus exposition must be bit-identical at any shard count.
-    let cfg = optane_config(4, 2, 4096, 21);
-    let classes = vec![
-        TenantClass::new(
-            0,
-            "steady",
-            10_000,
-            ArrivalProcess::Poisson { rate_per_s: 150.0 },
-            20_000,
-        )
-        .with_slo(30.0, 1_000_000)
-        .with_admission(AdmissionSpec {
-            burst: 8,
-            refill_per_s: 1_000.0,
-            defer_ns: 200_000,
-            max_defers: 2,
-        }),
-        TenantClass::new(
-            5,
-            "background",
-            1_000,
-            ArrivalProcess::Poisson { rate_per_s: 50.0 },
-            2_000,
-        )
-        .with_slo(60.0, 1_000_000),
-    ];
-    let spec = TelemetrySpec::full(100_000, 8);
-    for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
-        let run = Run::new(&cfg).telemetry(spec);
-        let (inline, inline_tel) = run.classes(&classes, policy).unwrap();
-        let adm = inline.tenants[0]
-            .admission
-            .expect("armed class must report admission");
-        assert_eq!(adm.offered, 20_000, "{policy:?}");
-        assert_eq!(adm.admitted + adm.rejected, adm.offered, "{policy:?}");
-        assert_eq!(inline.tenants[0].completed, adm.admitted, "{policy:?}");
-        assert!(adm.deferrals > 0, "{policy:?}: overload must defer");
-        // Admit-after-deferral surfaces as the admission stage.
-        assert!(
-            inline.tenants[0].stages.histo(Stage::Admission).count() > 0,
-            "{policy:?}: deferred admissions must carry the admission stage"
-        );
-        assert!(inline.tenants[1].admission.is_none(), "{policy:?}");
-        for workers in SHARD_COUNTS {
-            let (sharded, sharded_tel) = run.shards(workers).classes(&classes, policy).unwrap();
-            assert_eq!(inline, sharded, "{policy:?}: report, workers={workers}");
-            assert_eq!(
-                inline_tel, sharded_tel,
-                "{policy:?}: telemetry, workers={workers}"
-            );
-            assert_eq!(
-                inline.prom_export(),
-                sharded.prom_export(),
-                "{policy:?}: prom export, workers={workers}"
-            );
-        }
-        // Attribution at every shard count matches inline exactly.
-        let run = Run::new(&cfg);
-        let attributed = run.classes_attributed(&classes, policy).unwrap();
-        for workers in SHARD_COUNTS {
-            assert_eq!(
-                attributed,
-                run.shards(workers)
-                    .classes_attributed(&classes, policy)
-                    .unwrap(),
-                "{policy:?}: attribution, workers={workers}"
-            );
-        }
     }
 }
 

@@ -1,8 +1,9 @@
-//! Integration tests of the observed engine: telemetry must be a pure
-//! observer (bit-identical reports with and without it), blame must
-//! attribute 100% of every request's latency against the engine's own
-//! latency population, windowed series must reconcile with the run
-//! aggregates, and per-tenant SLO evaluation must follow the specs.
+//! Integration tests of the observed engine: blame must attribute 100% of
+//! every request's latency against the engine's own latency population,
+//! windowed series must reconcile with the run aggregates, and per-tenant
+//! SLO evaluation must follow the specs. (That telemetry is a pure observer,
+//! inline or sharded, is checked in-crate, where the placement can be
+//! forced.)
 
 use bam_nvme_sim::SsdSpec;
 use bam_pcie::LinkSpec;
@@ -28,23 +29,6 @@ fn optane_config(num_ssds: u32, queue_pairs_per_ssd: u32, seed: u64) -> SimConfi
 }
 
 #[test]
-fn observation_does_not_perturb_the_report() {
-    let cfg = optane_config(4, 8, 11);
-    let reqs = engine::uniform_reads(&cfg, 6_000);
-    let workload = Workload::ClosedLoop { in_flight: 256 };
-    let (plain, _) = Run::new(&cfg).single(workload, &reqs).unwrap();
-    for shards in [0, 4] {
-        let observed = Run::new(&cfg)
-            .shards(shards)
-            .telemetry(TelemetrySpec::full(WINDOW_NS, 8));
-        let (observed, telemetry) = observed.single(workload, &reqs).unwrap();
-        assert_eq!(plain, observed, "telemetry must be a pure observer");
-        assert!(!telemetry.series.is_empty(), "series must have recorded");
-        assert_eq!(telemetry.blame.requests, plain.completed);
-    }
-}
-
-#[test]
 fn blame_attributes_every_request_latency_exactly() {
     // Journalled write-heavy mix so every pipeline stage (journal flush
     // included) appears in the decomposition; top_k covers the whole
@@ -61,10 +45,13 @@ fn blame_attributes_every_request_latency_exactly() {
 
     // The decomposition's total equals the engine's own latency population
     // to the nanosecond: blame attributes 100% of every request.
-    let total: u64 = report.sorted_latencies_ns.iter().sum();
     let blame = &telemetry.blame;
     assert_eq!(blame.requests, report.completed);
-    assert_eq!(blame.overall.total_ns(), total, "blame must tile the run");
+    assert_eq!(
+        blame.overall.total_ns(),
+        report.histogram.sum_ns(),
+        "blame must tile the run"
+    );
 
     // Every request's waterfall is gapless from arrival to completion and
     // its service + wait steps tile the latency exactly.
@@ -78,11 +65,12 @@ fn blame_attributes_every_request_latency_exactly() {
         }
     }
 
-    // The tail slice sits strictly above the population p99 cut.
-    let above: u64 = report
-        .sorted_latencies_ns
+    // The tail slice sits strictly above the population p99 cut (every
+    // request is an exemplar here, so the exemplars are the population).
+    let above = blame
+        .exemplars
         .iter()
-        .filter(|&&l| l > blame.p99_cut_ns)
+        .filter(|ex| ex.latency_ns > blame.p99_cut_ns)
         .count() as u64;
     assert_eq!(blame.tail_requests, above);
     assert!(blame.tail_requests > 0, "a 4k-request run must have a tail");
@@ -112,8 +100,7 @@ fn windowed_series_reconciles_with_run_aggregates() {
     assert_eq!(completions, report.completed);
     // Stage dwells tile every request, so their sum equals the summed
     // end-to-end latency — the same population blame tiles.
-    let total: u64 = report.sorted_latencies_ns.iter().sum();
-    assert_eq!(stage_dwell, total);
+    assert_eq!(stage_dwell, report.histogram.sum_ns());
     assert_eq!(depth_max, u64::from(report.depth.max_depth()));
     // Wait never exceeds dwell in any window.
     for (_, w) in telemetry.series.iter() {
@@ -157,27 +144,6 @@ fn slo_reports_follow_tenant_specs() {
     assert_eq!(loose.violations, 0);
     assert_eq!(loose.over_target, 0);
     assert_eq!(loose.burn_rate, 0.0);
-}
-
-#[test]
-fn slo_evaluation_is_identical_inline_and_sharded() {
-    let cfg = optane_config(4, 2, 29);
-    let arrival = ArrivalProcess::Poisson {
-        rate_per_s: 200.0e3,
-    };
-    let tenants = vec![
-        TenantSpec::new(0, "a", arrival, 1_500).with_slo(20.0, 500_000),
-        TenantSpec::new(1, "b", arrival, 1_500).with_slo(15.0, 250_000),
-        TenantSpec::new(2, "c", arrival, 1_500),
-    ];
-    let run = Run::new(&cfg).telemetry(TelemetrySpec::full(WINDOW_NS, 8));
-    let policy = QueuePairPolicy::WeightedFair;
-    let (inline, inline_tel) = run.tenants(&tenants, policy).unwrap();
-    for workers in [2, 4, 8] {
-        let (sharded, sharded_tel) = run.shards(workers).tenants(&tenants, policy).unwrap();
-        assert_eq!(inline, sharded, "workers={workers}");
-        assert_eq!(inline_tel, sharded_tel, "telemetry, workers={workers}");
-    }
 }
 
 #[test]

@@ -6,11 +6,9 @@
 # byte-identical across runs. CI used to copy-paste the same
 # run-twice-and-diff block for each binary; this helper is that block.
 #
-#   scripts/determinism-diff.sh <bin> [--keep FILE] [--out FILE] [-- ARGS...]
+#   scripts/determinism-diff.sh <bin> [--out FILE] [-- ARGS...]
 #
 #   <bin>        binary name under `cargo run --release -p bam-bench --bin`
-#   --keep FILE  save the first run's stdout to FILE (for cross-run diffs,
-#                e.g. workers=1 vs workers=4, done by the caller)
 #   --out FILE   the binary writes FILE (a BENCH_*.json or an --*-out path);
 #                snapshot it between runs and require byte-identity too
 #   -- ARGS...   arguments passed through to the binary on both runs
@@ -19,21 +17,16 @@
 set -euo pipefail
 
 usage() {
-  echo "usage: $0 <bin> [--keep FILE] [--out FILE] [-- ARGS...]" >&2
+  echo "usage: $0 <bin> [--out FILE] [-- ARGS...]" >&2
   exit 2
 }
 
 [ $# -ge 1 ] || usage
 bin=$1
 shift
-keep=""
 out=""
 while [ $# -gt 0 ]; do
   case $1 in
-    --keep)
-      keep=${2:?--keep needs a path}
-      shift 2
-      ;;
     --out)
       out=${2:?--out needs a path}
       shift 2
@@ -67,8 +60,5 @@ if [ -n "$out" ]; then
     echo "determinism-diff: $bin output file $out differs between runs" >&2
     exit 1
   }
-fi
-if [ -n "$keep" ]; then
-  cp "$tmp/first.out" "$keep"
 fi
 echo "determinism-diff: $bin OK"
