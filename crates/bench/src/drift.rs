@@ -12,7 +12,9 @@
 use std::fmt;
 
 /// A parsed JSON value. Number literals keep their shape: an integer literal
-/// parses as `Int`, anything with a fraction or exponent as `Float`.
+/// parses as `Int`, anything with a fraction or exponent as `Float`. `Int` is
+/// wide enough for every integer the writer emits (`jsonout::JsonObject::int`
+/// takes any `u64`), so the gate compares all of them exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -20,8 +22,8 @@ pub enum JsonValue {
     /// `true` / `false`.
     Bool(bool),
     /// An integer literal.
-    Int(i64),
-    /// A fractional or exponent literal (or an integer too large for `i64`).
+    Int(i128),
+    /// A fractional or exponent literal (or an integer too large for `i128`).
     Float(f64),
     /// A string literal.
     Str(String),
@@ -187,8 +189,8 @@ impl<'a> Parser<'a> {
                 .map(JsonValue::Float)
                 .map_err(|_| self.error("invalid number"))
         } else {
-            // Integer literals too large for i64 degrade to float.
-            text.parse::<i64>().map(JsonValue::Int).or_else(|_| {
+            // Integer literals too large for i128 degrade to float.
+            text.parse::<i128>().map(JsonValue::Int).or_else(|_| {
                 text.parse::<f64>()
                     .map(JsonValue::Float)
                     .map_err(|_| self.error("invalid number"))
@@ -483,5 +485,128 @@ mod tests {
         let b = obj("{\"x\": 1e-14}");
         let c = obj("{\"x\": 3e-14}");
         assert!(compare(&b, &c, 0.05).is_empty(), "below the noise floor");
+    }
+
+    mod properties {
+        use super::super::*;
+        use crate::jsonout::{json_array, JsonObject};
+        use proptest::prelude::*;
+
+        /// Integers and floats at the edges of what the writer emits.
+        const EDGE_INTS: [u64; 4] = [0, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX];
+        const EDGE_FLOATS: [f64; 6] = [0.0, -0.0, f64::MIN_POSITIVE, 5e-324, f64::MAX, -1e-7];
+
+        /// A string drawn from `words`, biased toward what an escaper gets
+        /// wrong: control characters, quotes and backslashes, then non-ASCII
+        /// scalars from the BMP and the astral planes.
+        fn text(words: &[u32]) -> String {
+            words
+                .iter()
+                .map(|&w| {
+                    let x = w >> 2;
+                    match w & 3 {
+                        0 => char::from_u32(x % 0x20).unwrap(),
+                        1 => ['"', '\\', '/', 'u', 'a', ' ', '\u{7f}'][x as usize % 7],
+                        2 => char::from_u32(0x80 + x % 0xd780).unwrap(),
+                        _ => char::from_u32(x % 0x11_0000).unwrap_or('\u{fffd}'),
+                    }
+                })
+                .collect()
+        }
+
+        /// `bits` as a finite `f64` (a non-finite pattern loses the top
+        /// exponent bit).
+        fn finite(bits: u64) -> f64 {
+            let v = f64::from_bits(bits);
+            if v.is_finite() {
+                v
+            } else {
+                f64::from_bits(bits & !(1 << 62))
+            }
+        }
+
+        fn exact_int(v: &JsonValue) -> Option<u64> {
+            match *v {
+                JsonValue::Int(i) => u64::try_from(i).ok(),
+                _ => None,
+            }
+        }
+
+        fn float_bits(v: &JsonValue) -> Option<u64> {
+            match *v {
+                JsonValue::Float(f) => Some(f.to_bits()),
+                _ => None,
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn writer_output_parses_back_exactly(
+                key in prop::collection::vec(any::<u32>(), 0..12),
+                value in prop::collection::vec(any::<u32>(), 0..24),
+                int in any::<u64>(),
+                bits in any::<u64>(),
+                edge in 0usize..24,
+            ) {
+                let (key, value, float) = (text(&key), text(&value), finite(bits));
+                let edge_int = EDGE_INTS[edge % EDGE_INTS.len()];
+                let edge_float = EDGE_FLOATS[edge % EDGE_FLOATS.len()];
+                let row = JsonObject::new().int("i", edge_int).num("f", edge_float);
+                let doc = JsonObject::new()
+                    .str(&key, &value)
+                    .int("int", int)
+                    .num("float", float)
+                    .raw("rows", json_array([row.build()]))
+                    .build();
+                let parsed = parse(&doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
+                let JsonValue::Object(fields) = &parsed else {
+                    panic!("{doc}: not an object")
+                };
+                prop_assert_eq!(&fields[0], &(key, JsonValue::Str(value)), "{}", doc);
+                prop_assert_eq!(exact_int(&fields[1].1), Some(int), "{}", doc);
+                prop_assert_eq!(float_bits(&fields[2].1), Some(float.to_bits()), "{}", doc);
+                let JsonValue::Array(rows) = &fields[3].1 else {
+                    panic!("{doc}: rows not an array")
+                };
+                let JsonValue::Object(row) = &rows[0] else {
+                    panic!("{doc}: row not an object")
+                };
+                prop_assert_eq!(exact_int(&row[0].1), Some(edge_int), "{}", doc);
+                prop_assert_eq!(float_bits(&row[1].1), Some(edge_float.to_bits()), "{}", doc);
+                prop_assert!(compare(&parsed, &parsed, 0.05).is_empty(), "{}", doc);
+            }
+
+            #[test]
+            fn integer_fields_compare_exactly(a in any::<u64>(), delta in 0u64..3) {
+                // The gate's own tolerance must never swallow an integer
+                // change, however large the integer.
+                let b = a.wrapping_add(delta);
+                let doc = |v| parse(&JsonObject::new().int("n", v).build()).unwrap();
+                prop_assert_eq!(compare(&doc(a), &doc(b), 0.05).is_empty(), a == b, "{} vs {}", a, b);
+            }
+
+            #[test]
+            fn parse_never_panics(
+                words in prop::collection::vec(any::<u32>(), 0..48),
+                cut in any::<usize>(),
+            ) {
+                // JSON-shaped soup, and every prefix of a writer document.
+                const TOKENS: [&str; 16] = [
+                    "{", "}", "[", "]", "\"", ":", ",", "-", "0", "9", ".", "e", "\\", "\\u", "null",
+                    "true",
+                ];
+                let soup: String = words
+                    .iter()
+                    .map(|&w| match w & 1 {
+                        0 => TOKENS[(w >> 1) as usize % TOKENS.len()].to_string(),
+                        _ => text(&[w >> 1]),
+                    })
+                    .collect();
+                let _ = parse(&soup);
+                let doc = JsonObject::new().str("s", &text(&words)).int("n", u64::MAX).build();
+                let ends: Vec<usize> = doc.char_indices().map(|(i, _)| i).collect();
+                let _ = parse(&doc[..ends[cut % ends.len()]]);
+            }
+        }
     }
 }

@@ -434,7 +434,7 @@ impl CacheBacking for IoStack {
 mod tests {
     use super::*;
     use bam_mem::{BumpAllocator, ByteRegion};
-    use bam_nvme_sim::{SsdDevice, SsdSpec};
+    use bam_nvme_sim::SsdSpec;
 
     fn build(
         num_ssds: usize,
@@ -627,8 +627,4 @@ mod tests {
         assert_eq!(retry_backoff_us(1, 65), MAX_FETCH_BACKOFF_US);
         assert_eq!(retry_backoff_us(u64::MAX, 200), MAX_FETCH_BACKOFF_US);
     }
-
-    // Keep `SsdDevice` import used even though tests go through `SsdArray`.
-    #[allow(dead_code)]
-    fn _unused(_: &SsdDevice) {}
 }

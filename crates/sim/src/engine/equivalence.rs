@@ -302,18 +302,6 @@ fn class_runs_are_identical_across_worker_counts() {
                 "{policy:?}: prom export, workers={workers}"
             );
         }
-        // Attribution at every shard count matches inline exactly.
-        let run = Run::new(&cfg);
-        let attributed = run.classes_attributed(&classes, policy).unwrap();
-        for workers in SHARD_COUNTS {
-            assert_eq!(
-                attributed,
-                run.shards(workers)
-                    .classes_attributed(&classes, policy)
-                    .unwrap(),
-                "{policy:?}: attribution, workers={workers}"
-            );
-        }
     }
 }
 

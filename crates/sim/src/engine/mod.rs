@@ -37,7 +37,7 @@ use crate::dist::LatencyDist;
 use crate::pipeline::{PipelineParams, QueuePairPolicy};
 use crate::report::{MultiTenantReport, RunTelemetry, SimReport};
 use crate::tenant::{TenantClass, TenantSpec};
-use run::{single_class, ClassGranularity, Input};
+use run::{single_class, Input};
 
 /// What run-level telemetry a run collects.
 ///
@@ -178,7 +178,7 @@ pub enum SimError {
     NoRequests,
     /// [`Run::tenants`] was given no tenants.
     NoTenants,
-    /// A class terminal was given no classes.
+    /// [`Run::classes`] was given no classes.
     NoClasses,
     /// The configuration has zero queue pairs.
     NoQueuePairs,
@@ -212,10 +212,6 @@ pub enum SimError {
     /// This class arms admission control on a closed loop, which has no
     /// open-loop offered rate to project from.
     AdmissionOnClosedLoop(u32),
-    /// [`Run::class_members`] was given this closed-loop or
-    /// admission-controlled class; the oracle covers open, uncontrolled
-    /// streams.
-    OracleOnControlledClass(u32),
 }
 
 impl std::fmt::Display for SimError {
@@ -251,10 +247,6 @@ impl std::fmt::Display for SimError {
             SimError::AdmissionOnClosedLoop(id) => {
                 write!(f, "class {id} arms admission on a closed loop")
             }
-            SimError::OracleOnControlledClass(id) => write!(
-                f,
-                "the member oracle covers open, uncontrolled classes (class {id})"
-            ),
         }
     }
 }
@@ -323,12 +315,8 @@ impl<'a> Run<'a> {
         requests: &[RequestDesc],
     ) -> Result<(SimReport, RunTelemetry), SimError> {
         let class = single_class(workload, requests.len() as u64);
-        let (report, telemetry) = self.drive(
-            Input::Requests(requests),
-            &[class],
-            QueuePairPolicy::Shared,
-            ClassGranularity::Class { attribution: false },
-        )?;
+        let (report, telemetry) =
+            self.drive(Input::Requests(requests), &[class], QueuePairPolicy::Shared)?;
         Ok((report.overall, telemetry))
     }
 
@@ -349,8 +337,7 @@ impl<'a> Run<'a> {
         policy: QueuePairPolicy,
     ) -> Result<(MultiTenantReport, RunTelemetry), SimError> {
         let classes: Vec<TenantClass> = tenants.iter().map(TenantClass::from).collect();
-        let granularity = ClassGranularity::Class { attribution: false };
-        self.drive(Input::Tenants, &classes, policy, granularity)
+        self.drive(Input::Tenants, &classes, policy)
     }
 
     /// Runs the closed-form-merged streams of `classes`: one engine-level
@@ -363,39 +350,7 @@ impl<'a> Run<'a> {
         classes: &[TenantClass],
         policy: QueuePairPolicy,
     ) -> Result<(MultiTenantReport, RunTelemetry), SimError> {
-        let granularity = ClassGranularity::Class { attribution: false };
-        self.drive(Input::Classes, classes, policy, granularity)
-    }
-
-    /// [`Run::classes`] with thinned per-member attribution: each class's
-    /// [`crate::TenantSummary::members`] carries one
-    /// [`crate::MemberSummary`] per synthetic member that completed a
-    /// request. The report is otherwise bit-identical to [`Run::classes`]'s —
-    /// attribution reads the thinning stream, never the arrival stream.
-    pub fn classes_attributed(
-        &self,
-        classes: &[TenantClass],
-        policy: QueuePairPolicy,
-    ) -> Result<(MultiTenantReport, RunTelemetry), SimError> {
-        let granularity = ClassGranularity::Class { attribution: true };
-        self.drive(Input::Classes, classes, policy, granularity)
-    }
-
-    /// The equivalence oracle: runs the *same* merged streams as
-    /// [`Run::classes`], but accounts each logical member as its own engine
-    /// tenant (one [`crate::TenantSummary`] per member, in `(class, member)`
-    /// order). The overall report is bit-identical to [`Run::classes`]'s, and
-    /// each member's latencies equal its [`Run::classes_attributed`]
-    /// histogram — the property `tests/class_equivalence.rs` asserts.
-    ///
-    /// O(total members) accounting: meant for small oracle runs over open,
-    /// uncontrolled classes, not the million-tenant path.
-    pub fn class_members(
-        &self,
-        classes: &[TenantClass],
-        policy: QueuePairPolicy,
-    ) -> Result<(MultiTenantReport, RunTelemetry), SimError> {
-        self.drive(Input::Classes, classes, policy, ClassGranularity::Member)
+        self.drive(Input::Classes, classes, policy)
     }
 }
 

@@ -3,7 +3,7 @@
 //! the accounting's [`placement`], call [`execute`] once, and assemble the
 //! report.
 
-use bam_obs::{evaluate_slo, LatencyHisto, SloSpec, SpanRecorder, StageBreakdown, WindowedSeries};
+use bam_obs::{evaluate_slo, LatencyHisto, SpanRecorder, StageBreakdown, WindowedSeries};
 
 use super::admission::{AdmissionCtl, AdmissionState};
 use super::spine::drive_events;
@@ -14,8 +14,8 @@ use crate::clock::SimTime;
 use crate::coordinator;
 use crate::pipeline::QueuePairPolicy;
 use crate::report::{
-    build_run_telemetry, AdmissionReport, DepthTimeline, LatencySummary, MemberSummary,
-    MultiTenantReport, RunTelemetry, SimReport, TenantSummary,
+    build_run_telemetry, AdmissionReport, DepthTimeline, LatencySummary, MultiTenantReport,
+    RunTelemetry, SimReport, TenantSummary,
 };
 use crate::shard::{occupancy_stats, Accounting, ObsPlan, TenantAcc};
 use crate::tenant::{ArrivalProcess, TenantClass, TenantSpec};
@@ -122,22 +122,8 @@ pub(super) enum Input<'a> {
     Requests(&'a [RequestDesc]),
     /// [`Run::tenants`]: each class is one explicit tenant.
     Tenants,
-    /// The class terminals.
+    /// [`Run::classes`].
     Classes,
-}
-
-/// Accounting granularity of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum ClassGranularity {
-    /// One engine tenant per class — the production mode, O(classes)
-    /// accounting regardless of member count. With `attribution` the
-    /// thinned per-member histograms are collected too.
-    Class { attribution: bool },
-    /// One engine tenant per logical member: the *oracle* mode the
-    /// equivalence suite compares against. The merged stream, routing and
-    /// request table are identical to `Class` mode — only accounting
-    /// granularity changes — so the overall report must match bit for bit.
-    Member,
 }
 
 /// The single stream of [`Run::single`] as a one-member class: the legacy
@@ -154,12 +140,7 @@ pub(super) fn single_class(workload: Workload, requests: u64) -> TenantClass {
 
 /// The one input check: everything a caller can get wrong that the engine
 /// would otherwise trip over mid-run.
-fn validate(
-    config: &SimConfig,
-    input: Input<'_>,
-    classes: &[TenantClass],
-    granularity: ClassGranularity,
-) -> Result<(), SimError> {
+fn validate(config: &SimConfig, input: Input<'_>, classes: &[TenantClass]) -> Result<(), SimError> {
     match input {
         Input::Requests([]) => return Err(SimError::NoRequests),
         Input::Tenants if classes.is_empty() => return Err(SimError::NoTenants),
@@ -188,10 +169,6 @@ fn validate(
                 return Err(SimError::AdmissionOnClosedLoop(c.id));
             }
         }
-        let open = !matches!(c.member_arrival, ArrivalProcess::ClosedLoop { .. });
-        if granularity == ClassGranularity::Member && !(open && c.admission.is_none()) {
-            return Err(SimError::OracleOnControlledClass(c.id));
-        }
     }
     Ok(())
 }
@@ -208,34 +185,27 @@ pub(super) struct Simulated {
 impl Run<'_> {
     /// Validates the input, builds its scenario and runs it — the only
     /// caller of [`execute`]. Each class is one engine-level stream owning a
-    /// contiguous block of global request indices; what a request looks like
-    /// and where it routes is a closed form of the stream's own arrival
-    /// counter, so the schedule is independent of accounting granularity.
+    /// contiguous block of global request indices and one accounting tenant;
+    /// what a request looks like and where it routes is a closed form of the
+    /// stream's own arrival counter.
     pub(super) fn simulate(
         &self,
         input: Input<'_>,
         classes: &[TenantClass],
         policy: QueuePairPolicy,
-        granularity: ClassGranularity,
     ) -> Result<Simulated, SimError> {
         let config = self.config;
-        validate(config, input, classes, granularity)?;
-        let per_member = granularity == ClassGranularity::Member;
-        let attribution = granularity == ClassGranularity::Class { attribution: true };
+        validate(config, input, classes)?;
 
         let weights: Vec<u32> = classes.iter().map(|c| c.weight).collect();
         let (shares, routes) = queue_pair_shares(config, policy, &weights)?;
         let bases = block_bases(classes.iter().map(|c| c.requests));
         let specs: Vec<TenantSpec> = classes.iter().map(TenantClass::merged_spec).collect();
 
-        // One accounting tenant per class — or, for the member oracle, one
-        // per logical member in (class, member) order.
-        let mut accounts = 0u32;
-        let mut streams: Vec<Stream> = classes
-            .iter()
+        let mut streams: Vec<Stream> = (0u32..)
             .zip(&specs)
             .zip(bases.iter().zip(&routes))
-            .map(|((c, spec), (&base, &route))| {
+            .map(|((tenant, spec), (&base, &route))| {
                 let shape = match input {
                     Input::Requests(requests) => Shape::Explicit(requests),
                     _ => Shape::Mixed {
@@ -244,25 +214,15 @@ impl Run<'_> {
                         route,
                     },
                 };
-                let stream = Stream::new(base, spec.requests, spec.arrival, shape, accounts);
-                accounts += if per_member { c.members } else { 1 };
-                if per_member || attribution {
-                    stream.thinned(c, config.seed, per_member)
-                } else {
-                    stream
-                }
+                Stream::new(base, spec.requests, spec.arrival, shape, tenant)
             })
             .collect();
         let mut arrivals = ArrivalMerge::of_tenants(config.seed, &specs);
 
-        let slo_windows: Vec<u64> = if per_member {
-            vec![0; accounts as usize]
-        } else {
-            classes
-                .iter()
-                .map(|c| c.slo.map_or(0, |s| s.window_ns))
-                .collect()
-        };
+        let slo_windows: Vec<u64> = classes
+            .iter()
+            .map(|c| c.slo.map_or(0, |s| s.window_ns))
+            .collect();
         let mut admission = AdmissionState::new(
             classes
                 .iter()
@@ -282,7 +242,6 @@ impl Run<'_> {
             telemetry: self.telemetry,
             requests: streams.iter().map(|s| s.count).sum(),
             tenant_slo_windows: &slo_windows,
-            attribution,
         };
         let shards = self.shards.unwrap_or_else(|| {
             let cpus = || std::thread::available_parallelism().map_or(1, usize::from);
@@ -309,36 +268,25 @@ impl Run<'_> {
         })
     }
 
-    /// [`Run::simulate`] plus report assembly: one summary row per class (or
-    /// per member, for the oracle) and the merged overall view.
+    /// [`Run::simulate`] plus report assembly: one summary row per class and
+    /// the merged overall view.
     pub(super) fn drive(
         &self,
         input: Input<'_>,
         classes: &[TenantClass],
         policy: QueuePairPolicy,
-        granularity: ClassGranularity,
     ) -> Result<(MultiTenantReport, RunTelemetry), SimError> {
         let Simulated {
             mut outcome,
             shares,
             admission,
-        } = self.simulate(input, classes, policy, granularity)?;
+        } = self.simulate(input, classes, policy)?;
         let run_telemetry = take_run_telemetry(&mut outcome);
 
         let mut overall_stages = StageBreakdown::new();
-        let mut summaries: Vec<TenantSummary> = Vec::new();
-        let mut accounts = std::mem::take(&mut outcome.tenants).into_iter();
-        for (ci, (c, &share)) in classes.iter().zip(&shares).enumerate() {
-            if granularity == ClassGranularity::Member {
-                for m in 0..c.members {
-                    let acc = accounts.next().expect("one account per member");
-                    overall_stages.merge(&acc.stages);
-                    let name = format!("{}#{m}", c.name);
-                    summaries.push(tenant_summary(m, name, c.weight, share, None, acc));
-                }
-                continue;
-            }
-            let mut acc = accounts.next().expect("one account per class");
+        let accounts = std::mem::take(&mut outcome.tenants);
+        let mut summaries: Vec<TenantSummary> = Vec::with_capacity(classes.len());
+        for (ci, ((c, &share), acc)) in classes.iter().zip(&shares).zip(accounts).enumerate() {
             overall_stages.merge(&acc.stages);
             let admission_report = c.admission.map(|_| AdmissionReport {
                 offered: acc.offered,
@@ -347,19 +295,9 @@ impl Run<'_> {
                 rejected: acc.rejected,
                 depth_limit: admission.depth_limit(ci),
             });
-            let members = std::mem::take(&mut acc.members)
-                .into_iter()
-                .map(|(member, histo)| MemberSummary {
-                    member,
-                    completed: histo.count(),
-                    latency: LatencySummary::from_histo(&histo),
-                    histogram: histo,
-                })
-                .collect();
             summaries.push(TenantSummary {
                 admission: admission_report,
-                members,
-                ..tenant_summary(c.id, c.name.clone(), c.weight, share, c.slo.as_ref(), acc)
+                ..tenant_summary(c, share, acc)
             });
         }
         let report = MultiTenantReport {
@@ -391,23 +329,16 @@ fn build_report(outcome: EngineOutput, stages: StageBreakdown) -> SimReport {
     )
 }
 
-/// One summary row from a merged account (`admission` and `members` start
-/// empty; class rows fill them in).
-fn tenant_summary(
-    id: u32,
-    name: String,
-    weight: u32,
-    queue_pairs: u32,
-    slo: Option<&SloSpec>,
-    acc: TenantAcc,
-) -> TenantSummary {
+/// The summary row of class `c` from its merged account (`admission` starts
+/// empty; armed classes fill it in).
+fn tenant_summary(c: &TenantClass, queue_pairs: u32, acc: TenantAcc) -> TenantSummary {
     let first_arrival = acc.first_arrival.unwrap_or(SimTime::ZERO);
     let span_s = (acc.last_completion - first_arrival) as f64 / 1e9;
     let completed = acc.latency.count();
     TenantSummary {
-        id,
-        name,
-        weight,
+        id: c.id,
+        name: c.name.clone(),
+        weight: c.weight,
         queue_pairs,
         latency: LatencySummary::from_histo(&acc.latency),
         completed,
@@ -418,10 +349,9 @@ fn tenant_summary(
         },
         first_arrival_s: first_arrival.as_secs_f64(),
         last_completion_s: acc.last_completion.as_secs_f64(),
-        slo: slo.map(|spec| evaluate_slo(&acc.slo_series, spec)),
+        slo: c.slo.map(|spec| evaluate_slo(&acc.slo_series, &spec)),
         stages: acc.stages,
         admission: None,
-        members: Vec::new(),
     }
 }
 
@@ -433,8 +363,6 @@ mod tests {
     use crate::engine::{mixed_requests, uniform_reads, TelemetrySpec};
     use crate::tenant::AdmissionSpec;
     use bam_obs::Stage;
-
-    const PLAIN: ClassGranularity = ClassGranularity::Class { attribution: false };
 
     fn steady(id: u32, rate_per_s: f64, requests: u64) -> TenantSpec {
         TenantSpec::new(
@@ -687,8 +615,6 @@ mod tests {
             defer_ns: 1,
             max_defers: 0,
         };
-        let closed_class =
-            TenantClass::new(3, "cl", 2, ArrivalProcess::ClosedLoop { in_flight: 1 }, 10);
         let cases = [
             (vec![], SimError::NoClasses),
             (
@@ -705,24 +631,16 @@ mod tests {
                 SimError::AdmissionWithoutSlo(5),
             ),
             (
-                vec![closed_class
-                    .clone()
-                    .with_slo(30.0, 1_000)
-                    .with_admission(admission)],
+                vec![
+                    TenantClass::new(3, "cl", 2, ArrivalProcess::ClosedLoop { in_flight: 1 }, 10)
+                        .with_slo(30.0, 1_000)
+                        .with_admission(admission),
+                ],
                 SimError::AdmissionOnClosedLoop(3),
             ),
         ];
         for (classes, error) in cases {
             assert_eq!(run.classes(&classes, shared).err(), Some(error));
-            assert_eq!(run.classes_attributed(&classes, shared).err(), Some(error));
-            assert_eq!(run.class_members(&classes, shared).err(), Some(error));
-        }
-        let controlled = class(6, 2).with_slo(30.0, 1_000).with_admission(admission);
-        for (class, id) in [(closed_class, 3), (controlled, 6)] {
-            assert_eq!(
-                run.class_members(&[class], shared).err(),
-                Some(SimError::OracleOnControlledClass(id))
-            );
         }
         assert_eq!(
             SimError::DuplicateTenantId(7).to_string(),
@@ -773,7 +691,7 @@ mod tests {
     fn probe(run: Run<'_>, workload: Workload, requests: &[RequestDesc]) -> EngineOutput {
         let class = single_class(workload, requests.len() as u64);
         let input = Input::Requests(requests);
-        run.simulate(input, &[class], QueuePairPolicy::Shared, PLAIN)
+        run.simulate(input, &[class], QueuePairPolicy::Shared)
             .expect("valid input")
             .outcome
     }
@@ -850,7 +768,7 @@ mod tests {
         });
         let classes = std::slice::from_ref(&class);
         let out = Run::new(&cfg)
-            .simulate(Input::Classes, classes, QueuePairPolicy::Shared, PLAIN)
+            .simulate(Input::Classes, classes, QueuePairPolicy::Shared)
             .unwrap()
             .outcome;
         let acc = &out.tenants[0];
@@ -941,7 +859,6 @@ mod tests {
                 Input::Classes,
                 &controlled_classes(),
                 QueuePairPolicy::Shared,
-                PLAIN,
             )
             .unwrap()
             .outcome;
@@ -976,7 +893,7 @@ mod tests {
                 .shards(shards)
                 .telemetry(TelemetrySpec::full(100_000, 8));
             let blame = run
-                .simulate(Input::Tenants, &classes, QueuePairPolicy::Shared, PLAIN)
+                .simulate(Input::Tenants, &classes, QueuePairPolicy::Shared)
                 .unwrap()
                 .outcome
                 .blame

@@ -2,13 +2,10 @@
 //! they route, and how the queue-pair space is divided among them. Every
 //! per-request fact is a closed form of the stream's own arrival counter.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-
 use super::{RequestDesc, SimConfig, SimError};
 use crate::pipeline::{fair_shares, QueuePairPolicy};
 use crate::shard::RequestInfo;
-use crate::tenant::{ArrivalProcess, TenantClass};
+use crate::tenant::ArrivalProcess;
 
 /// `k mod m` as a `u32` (lossless: the remainder is below `m`).
 fn rem_u32(k: u64, m: u32) -> u32 {
@@ -50,18 +47,6 @@ pub(crate) enum Shape<'a> {
     },
 }
 
-/// Thinned member attribution of a class stream: each arrival draws its
-/// synthetic member from the class's dedicated thinning RNG, in arrival
-/// order — the sequence [`TenantClass::member_of`] lists.
-#[derive(Debug)]
-pub(crate) struct Thinning {
-    rng: StdRng,
-    members: u32,
-    /// Account each member as its own tenant (`tenant + member`): the
-    /// member-oracle granularity.
-    per_member_tenants: bool,
-}
-
 /// Spine-side state of one engine-level stream (an explicit tenant, a
 /// merged class, or the single workload of `Run::single`): which requests
 /// exist, how closed-loop completions refill them, and the closed forms
@@ -84,7 +69,6 @@ pub(crate) struct Stream<'a> {
     shape: Shape<'a>,
     /// Accounting tenant of the stream's requests.
     tenant: u32,
-    thinning: Option<Thinning>,
 }
 
 impl<'a> Stream<'a> {
@@ -103,23 +87,7 @@ impl<'a> Stream<'a> {
             closed_loop: matches!(arrival, ArrivalProcess::ClosedLoop { .. }),
             shape,
             tenant,
-            thinning: None,
         }
-    }
-
-    /// Draws each arrival's member from `class`'s thinning stream.
-    pub(super) fn thinned(
-        mut self,
-        class: &TenantClass,
-        run_seed: u64,
-        per_member_tenants: bool,
-    ) -> Self {
-        self.thinning = Some(Thinning {
-            rng: class.thinning_rng(run_seed),
-            members: class.members,
-            per_member_tenants,
-        });
-        self
     }
 
     /// Closed-loop refill on a completion: whether the stream launches its
@@ -165,20 +133,11 @@ impl<'a> Stream<'a> {
                 (is_mixed_write(k, self.count, writes), bytes, qp)
             }
         };
-        let mut tenant = self.tenant;
-        let member = self.thinning.as_mut().map_or(0, |t| {
-            let member = t.rng.gen_range(0..t.members);
-            if t.per_member_tenants {
-                tenant += member;
-            }
-            member
-        });
         RequestInfo {
             req: self.base + k,
             bytes,
             qp,
-            tenant,
-            member,
+            tenant: self.tenant,
             write,
         }
     }

@@ -30,8 +30,8 @@
 //!   pairs allocated shared or weighted-fair
 //!   ([`pipeline::QueuePairPolicy`]); [`tenant::TenantClass`] merges
 //!   millions of statistically identical logical tenants in closed form
-//!   (O(classes) event-loop cost) with thinned member attribution and
-//!   optional SLO admission control ([`tenant::AdmissionSpec`]).
+//!   (O(classes) event-loop cost) with optional SLO admission control
+//!   ([`tenant::AdmissionSpec`]).
 //! * [`report::SimReport`] — percentiles, depth timelines, occupancy, and
 //!   the Little's-law cross-check against `bam_timing::littles`;
 //!   [`report::MultiTenantReport`] adds per-tenant accounting and the
@@ -78,8 +78,8 @@ pub use dist::{LatencyDist, Mmpp2, MmppDwellStats};
 pub use engine::{uniform_reads, RequestDesc, Run, SimConfig, SimError, TelemetrySpec, Workload};
 pub use pipeline::{fair_shares, tail_sigma, PipelineParams, QueuePairPolicy};
 pub use report::{
-    interference_ratio, AdmissionReport, DepthTimeline, LatencySummary, MemberSummary,
-    MultiTenantReport, RunTelemetry, SimReport, TenantSummary,
+    interference_ratio, AdmissionReport, DepthTimeline, LatencySummary, MultiTenantReport,
+    RunTelemetry, SimReport, TenantSummary,
 };
 pub use tenant::{AdmissionSpec, ArrivalProcess, Superposition, TenantClass, TenantSpec};
 pub use trace::{IoTrace, TraceRecorder};

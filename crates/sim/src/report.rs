@@ -242,22 +242,6 @@ pub struct AdmissionReport {
     pub depth_limit: u64,
 }
 
-/// One synthetic member's share of a tenant class, attributed by
-/// deterministic thinning (see [`crate::TenantClass::member_of`]). Present
-/// only on class runs that requested attribution.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MemberSummary {
-    /// The member's index within its class (`0..members`).
-    pub member: u32,
-    /// Requests attributed to this member that completed.
-    pub completed: u64,
-    /// Latency summary over the member's completions.
-    pub latency: LatencySummary,
-    /// The member's full latency histogram; member histograms merge exactly
-    /// to the class's aggregate.
-    pub histogram: LatencyHisto,
-}
-
 /// Per-tenant accounting of one multi-tenant run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantSummary {
@@ -290,10 +274,6 @@ pub struct TenantSummary {
     /// The class's admission-controller accounting, when this summary row is
     /// a [`crate::TenantClass`] with an [`crate::AdmissionSpec`] armed.
     pub admission: Option<AdmissionReport>,
-    /// Thinned per-member attribution, when this summary row is a class run
-    /// through [`crate::engine::Run::classes_attributed`]. Sorted by member
-    /// index; members with no completions are absent.
-    pub members: Vec<MemberSummary>,
 }
 
 /// Everything a multi-tenant simulation run produces: the merged view plus
@@ -458,7 +438,7 @@ impl MultiTenantReport {
 /// blame decomposition described by the run's
 /// [`crate::engine::TelemetrySpec`]. Bit-identical between inline and
 /// sharded accounting at any shard count — the property
-/// `tests/parallel_equivalence.rs` asserts.
+/// `crates/sim/src/engine/equivalence.rs` asserts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunTelemetry {
     /// Fixed-window counters and samples over virtual time.

@@ -41,9 +41,6 @@ pub(crate) struct ObsPlan<'a> {
     /// every shard's [`BlameAccumulator`] is sized for.
     pub(crate) requests: u64,
     pub(crate) tenant_slo_windows: &'a [u64],
-    /// Thinned member attribution for class runs: collect one histogram per
-    /// [`RequestInfo::member`]. `false` skips per-member accounting entirely.
-    pub(crate) attribution: bool,
 }
 
 /// Time-weighted occupancy accounting for one queue pair.
@@ -99,9 +96,6 @@ pub(crate) struct RequestInfo {
     pub(crate) qp: u32,
     /// Accounting tenant.
     pub(crate) tenant: u32,
-    /// Thinned synthetic member within the request's class (0 unless the
-    /// run thins).
-    pub(crate) member: u32,
     /// `true` for a write.
     pub(crate) write: bool,
 }
@@ -234,9 +228,6 @@ pub(crate) struct TenantAcc {
     pub(crate) deferrals: u64,
     /// Requests the admission controller rejected outright.
     pub(crate) rejected: u64,
-    /// Per-member completion histograms for class runs with thinned
-    /// attribution (empty unless `ObsPlan::attribution` is set).
-    pub(crate) members: std::collections::BTreeMap<u32, LatencyHisto>,
 }
 
 impl TenantAcc {
@@ -250,7 +241,6 @@ impl TenantAcc {
             offered: 0,
             deferrals: 0,
             rejected: 0,
-            members: std::collections::BTreeMap::new(),
         }
     }
 }
@@ -274,9 +264,6 @@ pub(crate) fn merge_tenants(parts: Vec<Vec<TenantAcc>>) -> Vec<TenantAcc> {
             into.offered += from.offered;
             into.deferrals += from.deferrals;
             into.rejected += from.rejected;
-            for (member, histo) in from.members {
-                into.members.entry(member).or_default().merge(&histo);
-            }
         }
     }
     merged
@@ -301,8 +288,6 @@ struct SlotAcc {
 /// demand, so it costs memory proportional to the peak in-flight population
 /// (slots are recycled), not the run length.
 pub(crate) struct Accounting<'a> {
-    /// Collect per-member histograms (see [`ObsPlan::attribution`]).
-    attribution: bool,
     slots: Vec<SlotAcc>,
     /// Per-slot blame scratch: the marks of the request currently in the
     /// slot (empty when blame is disabled).
@@ -333,7 +318,6 @@ impl<'a> Accounting<'a> {
             .blame
             .then(|| BlameAccumulator::new(plan.requests, plan.telemetry.blame_top_k));
         Self {
-            attribution: plan.attribution,
             slots: Vec::new(),
             marks: Vec::new(),
             meters: vec![OccupancyMeter::default(); total_qps as usize],
@@ -449,13 +433,6 @@ impl<'a> Accounting<'a> {
                 tenant.latency.record(latency);
                 tenant.last_completion = at;
                 tenant.slo_series.record_completion(at.as_ns(), latency);
-                if self.attribution {
-                    tenant
-                        .members
-                        .entry(info.member)
-                        .or_default()
-                        .record(latency);
-                }
                 if info.write {
                     self.write_latency.record(latency);
                 } else {

@@ -16,17 +16,13 @@
 //! statistically identical logical tenants whose merged stream is superposed
 //! in *closed form* — M independent Poisson(λ) sources merge to one
 //! Poisson(Mλ) source, exactly — so a million logical tenants cost one
-//! engine-level stream. Individual arrivals are attributed back to synthetic
-//! member ids by *thinning*: a dedicated per-class RNG (separate from the
-//! arrival-time stream, so attribution never perturbs timing) draws each
-//! arrival's member uniformly, which is precisely the decomposition theorem
-//! for a Poisson superposition. On top, an optional [`AdmissionSpec`] arms
-//! the engine's per-class SLO admission controller (see
-//! [`crate::engine::Run::classes`]).
+//! engine-level stream, accounted as one tenant. On top, an optional
+//! [`AdmissionSpec`] arms the engine's per-class SLO admission controller
+//! (see [`crate::engine::Run::classes`]).
 
 use bam_obs::SloSpec;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::arrivals::ArrivalMerge;
 use crate::clock::SimTime;
@@ -191,17 +187,13 @@ pub struct AdmissionSpec {
 /// into one engine-level stream in closed form.
 ///
 /// `member_arrival` is the process of *one* member; [`merged_arrival`]
-/// (closed-form superposition) is what the engine actually schedules, so
-/// event-loop cost is O(classes) regardless of `members`. Sampled requests
-/// are attributed back to synthetic member ids by deterministic thinning
-/// ([`member_of`]) from a dedicated RNG stream, preserving the engine's
-/// bit-identity contract at any worker count.
+/// (closed-form superposition) is what the engine actually schedules and
+/// accounts, so event-loop cost is O(classes) regardless of `members`.
 ///
 /// [`merged_arrival`]: TenantClass::merged_arrival
-/// [`member_of`]: TenantClass::member_of
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantClass {
-    /// Stable identifier; also salts the class's RNG streams. A class and a
+    /// Stable identifier; also salts the class's RNG stream. A class and a
     /// [`TenantSpec`] with the same id draw identical arrival times for the
     /// same process — a class of one member *is* its explicit tenant.
     pub id: u32,
@@ -327,33 +319,6 @@ impl TenantClass {
             slo: self.slo,
         }
     }
-
-    /// Deterministic thinning: the synthetic member id of each of the
-    /// class's `requests` arrivals, drawn uniformly from a dedicated
-    /// per-class RNG stream.
-    ///
-    /// The thinning RNG is salted differently from the arrival-time RNG
-    /// (`TenantSpec::rng`), so attribution consumes no arrival draws —
-    /// the class's merged schedule is bit-identical whether or not member
-    /// attribution is requested. The engine takes the same draws one at a
-    /// time as the class's requests arrive on the sequential spine (arrival
-    /// `i` gets element `i` of this list), so attribution is invariant under
-    /// the engine's worker count.
-    pub fn member_of(&self, run_seed: u64) -> Vec<u32> {
-        assert!(self.members > 0, "a class needs at least one member");
-        let mut rng = self.thinning_rng(run_seed);
-        (0..self.requests)
-            .map(|_| rng.gen_range(0..self.members))
-            .collect()
-    }
-
-    /// The class's private thinning RNG; the salt constant differs from
-    /// [`TenantSpec::rng`]'s so the two per-id streams never collide.
-    pub(crate) fn thinning_rng(&self, run_seed: u64) -> StdRng {
-        StdRng::seed_from_u64(
-            run_seed ^ (u64::from(self.id) + 1).wrapping_mul(0xBF58_476D_1CE4_E5B9),
-        )
-    }
 }
 
 /// The merged arrival schedule of N tenants: every open-stream arrival with
@@ -394,30 +359,6 @@ impl Superposition {
             })
             .collect();
         Self { arrivals }
-    }
-
-    /// Generates the merged streams of `classes` — one engine-level stream
-    /// per class regardless of member count — together with each request's
-    /// thinned member attribution.
-    ///
-    /// Returns the superposition plus `member_of`, indexed by global request
-    /// id: `member_of[base + i]` is the synthetic member (within its class)
-    /// of the class's `i`-th request. Cost is O(total requests), never
-    /// O(logical tenants).
-    pub fn generate_classes(
-        run_seed: u64,
-        classes: &[TenantClass],
-        bases: &[u64],
-    ) -> (Self, Vec<u32>) {
-        let specs: Vec<TenantSpec> = classes.iter().map(TenantClass::merged_spec).collect();
-        let merged = Self::generate(run_seed, &specs, bases);
-        let total: u64 = classes.iter().map(|c| c.requests).sum();
-        let mut member_of = vec![0u32; total as usize];
-        for (class, &base) in classes.iter().zip(bases) {
-            let thinned = class.member_of(run_seed);
-            member_of[base as usize..(base + class.requests) as usize].copy_from_slice(&thinned);
-        }
-        (merged, member_of)
     }
 
     /// Arrivals a tenant contributes before the engine starts (everything for
@@ -483,11 +424,9 @@ mod tests {
             },
             400,
         );
-        let (via_class, member_of) = Superposition::generate_classes(9, &[class], &[0]);
+        let via_class = Superposition::generate(9, &[class.merged_spec()], &[0]);
         let via_spec = Superposition::generate(9, &[explicit], &[0]);
         assert_eq!(via_class, via_spec);
-        assert_eq!(member_of.len(), 400);
-        assert!(member_of.iter().all(|&m| m < 1000));
     }
 
     #[test]
@@ -500,21 +439,9 @@ mod tests {
             64,
         );
         let spec = TenantSpec::new(1, "solo", ArrivalProcess::Poisson { rate_per_s: 2.0e5 }, 64);
-        let (via_class, member_of) = Superposition::generate_classes(5, &[class], &[0]);
+        let via_class = Superposition::generate(5, &[class.merged_spec()], &[0]);
         let via_spec = Superposition::generate(5, &[spec], &[0]);
         assert_eq!(via_class, via_spec);
-        assert!(member_of.iter().all(|&m| m == 0));
-    }
-
-    #[test]
-    fn thinning_is_deterministic_and_separate_from_arrival_draws() {
-        let class = TenantClass::new(2, "c", 7, ArrivalProcess::Poisson { rate_per_s: 10.0 }, 200);
-        assert_eq!(class.member_of(11), class.member_of(11));
-        assert_ne!(class.member_of(11), class.member_of(12));
-        // Arrival times must not depend on whether thinning ran.
-        let (a, _) = Superposition::generate_classes(11, std::slice::from_ref(&class), &[0]);
-        let b = Superposition::generate(11, &[class.merged_spec()], &[0]);
-        assert_eq!(a, b);
     }
 
     #[test]

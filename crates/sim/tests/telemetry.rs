@@ -178,83 +178,3 @@ fn prom_export_carries_slo_metrics_for_spec_tenants_only() {
         );
     }
 }
-
-// ---------------------------------------------------------------------------
-// Property: thinned member attribution is exact, for arbitrary class shapes.
-// ---------------------------------------------------------------------------
-
-mod attribution_properties {
-    use super::optane_config;
-    use bam_sim::{
-        ArrivalProcess, LatencyHisto, LatencySummary, QueuePairPolicy, Run, TenantClass,
-    };
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
-
-        /// For any member count and seed, the thinned per-member accounts of
-        /// `Run::classes_attributed` sum exactly to the class aggregate: the
-        /// completed counts add up, and merging the member latency histograms
-        /// reproduces the class's latency summary bit for bit.
-        #[test]
-        fn thinned_attribution_sums_to_the_class_aggregate(
-            members in 1u32..48,
-            seed in any::<u64>(),
-            requests in 300u64..900,
-        ) {
-            let cfg = optane_config(2, 2, seed);
-            // Fixed aggregate rate: the class stream (and run length) stays
-            // the same while the thinning fan-out varies.
-            let class = TenantClass::new(
-                0,
-                "pool",
-                members,
-                ArrivalProcess::Poisson { rate_per_s: 4.0e5 / f64::from(members) },
-                requests,
-            );
-            let (report, _) = Run::new(&cfg)
-                .classes_attributed(std::slice::from_ref(&class), QueuePairPolicy::Shared)
-                .unwrap();
-            let class_row = &report.tenants[0];
-            prop_assert_eq!(class_row.completed, requests);
-
-            let mut merged = LatencyHisto::new();
-            let mut total = 0u64;
-            for m in &class_row.members {
-                prop_assert!(m.member < members, "member id out of range");
-                prop_assert!(m.completed > 0, "attributed member must have work");
-                prop_assert_eq!(m.histogram.count(), m.completed);
-                prop_assert_eq!(&LatencySummary::from_histo(&m.histogram), &m.latency);
-                merged.merge(&m.histogram);
-                total += m.completed;
-            }
-            prop_assert_eq!(total, class_row.completed, "member counts must sum to the class");
-            prop_assert_eq!(merged.count(), class_row.completed);
-            prop_assert_eq!(
-                &LatencySummary::from_histo(&merged),
-                &class_row.latency,
-                "merged member histograms must reproduce the class aggregate"
-            );
-
-            // The thinning stream itself is a pure function of (class, seed):
-            // recomputing it yields the same per-member counts the engine
-            // attributed.
-            let assignment = class.member_of(cfg.seed);
-            prop_assert_eq!(assignment.len(), requests as usize);
-            let mut counts = vec![0u64; members as usize];
-            for &m in &assignment {
-                prop_assert!(m < members);
-                counts[m as usize] += 1;
-            }
-            for m in &class_row.members {
-                prop_assert_eq!(counts[m.member as usize], m.completed);
-            }
-            prop_assert_eq!(
-                counts.iter().sum::<u64>(),
-                class_row.completed,
-                "every request must be attributed to exactly one member"
-            );
-        }
-    }
-}
