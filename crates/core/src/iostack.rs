@@ -450,14 +450,13 @@ mod tests {
     ) -> (Arc<ByteRegion>, BumpAllocator, Arc<SsdArray>, IoStack) {
         let region = Arc::new(ByteRegion::new(32 << 20));
         let alloc = BumpAllocator::new(region.len() as u64);
-        let mut array = SsdArray::new(
+        let array = SsdArray::new(
             SsdSpec::intel_optane_p5800x(),
             num_ssds,
             region.clone(),
             8 << 20,
             layout,
         );
-        array.start();
         let array = Arc::new(array);
         let raw_queues = array.create_queues(&alloc, queues_per_device, 32).unwrap();
         let queues: Vec<Vec<Arc<BamQueuePair>>> = raw_queues
@@ -566,6 +565,14 @@ mod tests {
         assert_eq!(stack.total_submissions(), 8);
         assert_eq!(stack.total_doorbell_writes(), 1, "one batch, one doorbell");
         assert_eq!(stack.metrics.snapshot().read_requests, 8);
+        // The waiter runs the device, so it observes every ring exactly once
+        // and executes exactly the commands the stack submitted.
+        let device = || array.device(0).stats();
+        assert_eq!(
+            device().doorbell_observations,
+            stack.total_doorbell_writes()
+        );
+        assert_eq!(device().read_commands, stack.total_submissions());
 
         // A line out of range fails alone; the rest of its batch is read.
         let mut outcomes = vec![Ok(()), Ok(()), Ok(())];
@@ -578,6 +585,11 @@ mod tests {
             [Ok(()), Err(BamError::IndexOutOfBounds { .. }), Ok(())]
         ));
         assert_eq!(stack.total_doorbell_writes(), 2);
+        assert_eq!(
+            device().doorbell_observations,
+            stack.total_doorbell_writes()
+        );
+        assert_eq!(device().read_commands, stack.total_submissions());
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   completions for dequeue, and one thread sweeps the marks, advances the
 //!   CQ head, rings the CQ doorbell, and — using the SQ-head field the
 //!   controller placed in the completion — frees the corresponding SQ
-//!   entries by bumping their `turn_counter` to the next even value.
+//!   entries by bumping their `turn_counter` to the next even value;
+//! * a waiter whose completion is not posted runs the (simulated) SSD's
+//!   controller on its own pair ([`QueuePair::service`]) and polls again.
 //!
 //! The implementation below follows that design literally; the unit tests and
 //! the property tests in `tests/` check the protocol invariants (no lost or
@@ -295,6 +297,8 @@ impl BamQueuePair {
 
     /// Phase 2: poll the CQ (lock-free) for the completion whose cid matches
     /// our entry. Returns the completion and its unwrapped CQ position.
+    /// While ours is not posted, the waiter runs the controller on this pair
+    /// itself; a waiter whose pair another one is servicing backs off.
     fn poll_completion(&self, entry: u32) -> (NvmeCompletion, u64) {
         let mut spins = 0u64;
         loop {
@@ -315,7 +319,9 @@ impl BamQueuePair {
                     return (c, pos);
                 }
             }
-            spin_wait(&mut spins);
+            if self.qp.service() == 0 {
+                spin_wait(&mut spins);
+            }
         }
     }
 
@@ -369,9 +375,8 @@ impl BamQueuePair {
     }
 }
 
-/// Backoff for spin loops: busy-spin briefly, then yield to let controller
-/// and peer threads run (the simulation has far fewer hardware threads than
-/// a GPU has warps).
+/// Backoff for spin loops: busy-spin briefly, then yield to let peer threads
+/// run (the simulation has far fewer hardware threads than a GPU has warps).
 #[inline]
 fn spin_wait(spins: &mut u64) {
     *spins += 1;
@@ -435,9 +440,8 @@ mod tests {
     fn rig(queue_entries: u32) -> Rig {
         let region = Arc::new(ByteRegion::new(16 << 20));
         let alloc = BumpAllocator::new(region.len() as u64);
-        let mut ssd = SsdDevice::new(SsdSpec::intel_optane_p5800x(), region.clone(), 8 << 20);
+        let ssd = SsdDevice::new(SsdSpec::intel_optane_p5800x(), region.clone(), 8 << 20);
         let qp = ssd.create_queue_pair(&alloc, queue_entries).unwrap();
-        ssd.start();
         Rig {
             region,
             alloc,

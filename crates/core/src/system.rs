@@ -3,8 +3,9 @@
 //!
 //! [`BamSystem::new`] performs everything the prototype's initialization does
 //! (§3.5, §4.1): it allocates the cache, queue rings, and I/O buffers out of
-//! GPU memory once, creates and registers the NVMe queue pairs, and starts
-//! the (simulated) SSD controllers. Applications then carve storage-backed
+//! GPU memory once and creates and registers the NVMe queue pairs (the
+//! simulated SSD controllers need no starting: the threads that wait for
+//! their completions run them). Applications then carve storage-backed
 //! [`BamArray`]s out of the logical namespace and launch kernels against
 //! them.
 
@@ -205,8 +206,7 @@ pub struct BamSystem {
 
 impl BamSystem {
     /// Builds a system from `config`: allocates GPU memory, creates the SSD
-    /// array and its queue pairs, starts the controllers, and builds the
-    /// software cache.
+    /// array and its queue pairs, and builds the software cache.
     ///
     /// # Errors
     ///
@@ -233,15 +233,13 @@ impl BamSystem {
     fn build(config: BamConfig, crash: Option<Arc<CrashPoint>>) -> Result<Self, BamError> {
         config.validate()?;
         let gpu = GpuMemory::new(GpuSpec::a100_80gb(), config.gpu_memory_bytes as usize);
-        let mut ssd_array = SsdArray::new(
+        let ssd_array = Arc::new(SsdArray::new(
             config.ssd_spec.clone(),
             config.num_ssds,
             gpu.region(),
             config.ssd_capacity_bytes,
             config.layout,
-        );
-        ssd_array.start();
-        let ssd_array = Arc::new(ssd_array);
+        ));
 
         // Queue pairs live in GPU memory (§4.1).
         let raw_queues = ssd_array.create_queues(

@@ -35,14 +35,13 @@ fn line_byte(line: u64) -> u8 {
 fn rig(queue_pairs: usize, queue_depth: u32, fetch_retries: u32) -> Rig {
     let region = Arc::new(ByteRegion::new(8 << 20));
     let alloc = BumpAllocator::new(region.len() as u64);
-    let mut array = SsdArray::new(
+    let array = SsdArray::new(
         SsdSpec::intel_optane_p5800x(),
         1,
         region.clone(),
         LINES * LINE,
         DataLayout::Replicated,
     );
-    array.start();
     let array = Arc::new(array);
     for line in 0..LINES {
         array

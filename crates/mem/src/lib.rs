@@ -4,10 +4,11 @@
 //! in *GPU memory* that is concurrently accessed by thousands of GPU threads
 //! and, via GPUDirect RDMA, by the SSD controllers performing DMA. This crate
 //! provides the equivalent substrate for the simulation: a thread-safe
-//! byte region ([`ByteRegion`]) that simulated GPU threads and simulated SSD
-//! controller threads can read and write concurrently, plus a simple bump
-//! allocator ([`BumpAllocator`]) used to carve that region into device
-//! allocations the way `cudaMalloc` would.
+//! byte region ([`ByteRegion`]) that simulated GPU threads read and write
+//! concurrently — directly, and through the DMA of the simulated SSD
+//! controllers, which those threads run while they wait for completions —
+//! plus a simple bump allocator ([`BumpAllocator`]) used to carve that
+//! region into device allocations the way `cudaMalloc` would.
 //!
 //! The region is backed by `AtomicU64` words and accessed with relaxed
 //! ordering: exactly like real device memory, it provides no synchronization

@@ -96,19 +96,10 @@ impl SsdArray {
         self.devices.iter()
     }
 
-    /// Starts every device's controller thread.
-    pub fn start(&mut self) {
-        for d in &mut self.devices {
-            d.start();
-        }
-    }
-
-    /// Stops every device's controller thread.
-    pub fn stop(&mut self) {
-        for d in &mut self.devices {
-            d.stop();
-        }
-    }
+    /// Does nothing, like [`SsdDevice::start`]: no device runs a thread of
+    /// its own. Kept for callers written against the former service
+    /// threads.
+    pub fn start(&mut self) {}
 
     /// Creates `queues_per_device` queue pairs of `entries` entries on every
     /// device, returning them grouped per device.

@@ -5,10 +5,13 @@
 //! GPU memory (Ⓑ), processes each command against the media (Ⓒ), DMA-writes
 //! read data into the GPU I/O buffer (Ⓓ), and finally writes a completion
 //! entry — carrying the new SQ head — into the CQ in GPU memory (Ⓔ).
+//!
+//! No thread of its own runs this firmware: the thread waiting on a queue
+//! pair for a completion runs it on that pair ([`QueuePair::service`]).
 
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use bam_mem::ByteRegion;
 
@@ -23,9 +26,10 @@ use crate::stats::ControllerStats;
 /// status without touching the media.
 pub type FaultInjector = dyn Fn(&NvmeCommand) -> Option<NvmeStatus> + Send + Sync;
 
-/// Device-side state of one queue pair.
+/// Device-side state of one queue pair. It lives in the [`QueuePair`],
+/// beside the rings it describes, under the pair's device lock.
 #[derive(Debug, Default)]
-struct DeviceQueueState {
+pub(crate) struct DeviceQueueState {
     /// Next SQ slot the controller will consume.
     sq_head: u32,
     /// Next CQ slot the controller will fill.
@@ -36,79 +40,27 @@ struct DeviceQueueState {
     last_seen_tail: u32,
 }
 
-/// The controller: owns the media, serves the registered queue pairs, and
-/// moves data to and from the shared (GPU) memory region.
-pub struct NvmeController {
+/// The part of a controller that executes commands: media, DMA region,
+/// counters, fault injector and sim hook. It holds no queues, so each queue
+/// pair it serves can hold it without a reference cycle.
+pub(crate) struct Firmware {
     store: Arc<BlockStore>,
     region: Arc<ByteRegion>,
-    queues: RwLock<Vec<(Arc<QueuePair>, Mutex<DeviceQueueState>)>>,
     stats: Arc<ControllerStats>,
     fault_injector: RwLock<Option<Arc<FaultInjector>>>,
     /// Event-simulation hook plus the device index reported in its events.
     sim_hook: RwLock<Option<(Arc<dyn SimHook>, u32)>>,
 }
 
-impl std::fmt::Debug for NvmeController {
+impl std::fmt::Debug for Firmware {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NvmeController")
-            .field("queues", &self.queues.read().len())
+        f.debug_struct("Firmware")
             .field("store", &self.store)
             .finish()
     }
 }
 
-impl NvmeController {
-    /// Creates a controller serving `store`, performing DMA against `region`.
-    pub fn new(store: Arc<BlockStore>, region: Arc<ByteRegion>) -> Self {
-        Self {
-            store,
-            region,
-            queues: RwLock::new(Vec::new()),
-            stats: Arc::new(ControllerStats::new()),
-            fault_injector: RwLock::new(None),
-            sim_hook: RwLock::new(None),
-        }
-    }
-
-    /// The media served by this controller.
-    pub fn store(&self) -> &Arc<BlockStore> {
-        &self.store
-    }
-
-    /// The DMA-visible region this controller reads from and writes to (the
-    /// simulated GPU memory).
-    pub fn dma_region(&self) -> Arc<ByteRegion> {
-        self.region.clone()
-    }
-
-    /// Shared statistics handle.
-    pub fn stats(&self) -> Arc<ControllerStats> {
-        self.stats.clone()
-    }
-
-    /// Installs (or clears) a fault injector.
-    pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
-        *self.fault_injector.write() = injector;
-    }
-
-    /// Installs (or clears) a [`SimHook`]. Events emitted by this controller
-    /// carry `device_index` so arrays can tell their devices apart.
-    pub fn set_sim_hook(&self, hook: Option<Arc<dyn SimHook>>, device_index: u32) {
-        *self.sim_hook.write() = hook.map(|h| (h, device_index));
-    }
-
-    /// Registers a queue pair with the controller.
-    pub fn register_queue(&self, qp: Arc<QueuePair>) {
-        self.queues
-            .write()
-            .push((qp, Mutex::new(DeviceQueueState::default())));
-    }
-
-    /// Number of registered queue pairs.
-    pub fn num_queues(&self) -> usize {
-        self.queues.read().len()
-    }
-
+impl Firmware {
     fn execute(&self, cmd: &NvmeCommand) -> NvmeStatus {
         if let Some(injector) = self.fault_injector.read().as_ref() {
             if let Some(status) = injector(cmd) {
@@ -153,13 +105,12 @@ impl NvmeController {
 
     /// Services one queue pair: consumes every command between the internal
     /// SQ head and the doorbell tail, posting completions. Returns the number
-    /// of commands processed.
+    /// of commands processed. The caller holds the pair's device lock.
     ///
     /// Completion posting respects CQ flow control: if the CQ is full (the
     /// host has not advanced the CQ head doorbell), processing stops until
     /// space is available.
-    fn service_queue(&self, qp: &QueuePair, state: &Mutex<DeviceQueueState>) -> usize {
-        let mut st = state.lock();
+    pub(crate) fn service_queue(&self, qp: &QueuePair, st: &mut DeviceQueueState) -> usize {
         let tail = qp.sq_tail();
         if tail != st.last_seen_tail {
             st.last_seen_tail = tail;
@@ -230,17 +181,87 @@ impl NvmeController {
         }
         processed
     }
+}
 
-    /// Polls every registered queue once. Returns the total number of
-    /// commands processed. Intended to be called in a loop by the device
-    /// thread, or directly by single-threaded tests.
-    pub fn process_once(&self) -> usize {
-        let queues = self.queues.read();
-        let mut n = 0;
-        for (qp, state) in queues.iter() {
-            n += self.service_queue(qp, state);
+/// The controller: owns the media and the registered queue pairs, and moves
+/// data to and from the shared (GPU) memory region on behalf of whichever
+/// thread services a pair.
+pub struct NvmeController {
+    firmware: Arc<Firmware>,
+    queues: RwLock<Vec<Arc<QueuePair>>>,
+}
+
+impl std::fmt::Debug for NvmeController {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NvmeController")
+            .field("queues", &self.queues.read().len())
+            .field("store", &self.firmware.store)
+            .finish()
+    }
+}
+
+impl NvmeController {
+    /// Creates a controller serving `store`, performing DMA against `region`.
+    pub fn new(store: Arc<BlockStore>, region: Arc<ByteRegion>) -> Self {
+        Self {
+            firmware: Arc::new(Firmware {
+                store,
+                region,
+                stats: Arc::new(ControllerStats::new()),
+                fault_injector: RwLock::new(None),
+                sim_hook: RwLock::new(None),
+            }),
+            queues: RwLock::new(Vec::new()),
         }
-        n
+    }
+
+    /// The media served by this controller.
+    pub fn store(&self) -> &Arc<BlockStore> {
+        &self.firmware.store
+    }
+
+    /// The DMA-visible region this controller reads from and writes to (the
+    /// simulated GPU memory).
+    pub fn dma_region(&self) -> Arc<ByteRegion> {
+        self.firmware.region.clone()
+    }
+
+    /// Shared statistics handle.
+    pub fn stats(&self) -> Arc<ControllerStats> {
+        self.firmware.stats.clone()
+    }
+
+    /// Installs (or clears) a fault injector.
+    pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
+        *self.firmware.fault_injector.write() = injector;
+    }
+
+    /// Installs (or clears) a [`SimHook`]. Events emitted by this controller
+    /// carry `device_index` so arrays can tell their devices apart.
+    pub fn set_sim_hook(&self, hook: Option<Arc<dyn SimHook>>, device_index: u32) {
+        *self.firmware.sim_hook.write() = hook.map(|h| (h, device_index));
+    }
+
+    /// Registers a queue pair with the controller. From then on
+    /// [`QueuePair::service`] runs this controller on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qp` is already registered with a controller.
+    pub fn register_queue(&self, qp: Arc<QueuePair>) {
+        qp.attach(self.firmware.clone());
+        self.queues.write().push(qp);
+    }
+
+    /// Number of registered queue pairs.
+    pub fn num_queues(&self) -> usize {
+        self.queues.read().len()
+    }
+
+    /// Services every registered queue once ([`QueuePair::service`]), for
+    /// raw rings driven by hand. Returns the number of commands processed.
+    pub fn process_once(&self) -> usize {
+        self.queues.read().iter().map(|qp| qp.service()).sum()
     }
 }
 

@@ -1,8 +1,7 @@
-//! A complete simulated SSD: spec + media + controller + service thread.
+//! A complete simulated SSD: spec + media + controller.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use bam_mem::{BumpAllocator, ByteRegion};
 
@@ -17,10 +16,11 @@ use crate::BLOCK_SIZE;
 /// A simulated NVMe SSD.
 ///
 /// `SsdDevice` ties together the device [`SsdSpec`], the media
-/// ([`BlockStore`]), and the [`NvmeController`], and optionally runs the
-/// controller on a dedicated background thread so that GPU threads submitting
-/// requests see a fully asynchronous device — the same structure as the
-/// prototype, where the SSD firmware runs concurrently with the GPU kernel.
+/// ([`BlockStore`]), and the [`NvmeController`]. It runs no thread: the
+/// thread waiting on one of its queue pairs for a completion runs the
+/// controller on that pair ([`QueuePair::service`]), so the GPU thread that
+/// rang the doorbell and polls its completion entry drives the firmware
+/// itself, with no hand-off to another thread.
 ///
 /// # Examples
 ///
@@ -38,15 +38,13 @@ use crate::BLOCK_SIZE;
 pub struct SsdDevice {
     spec: SsdSpec,
     controller: Arc<NvmeController>,
-    service_thread: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
-    next_queue_id: std::sync::atomic::AtomicU16,
+    next_queue_id: AtomicU16,
 }
 
 impl std::fmt::Debug for SsdDevice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SsdDevice")
             .field("spec", &self.spec.name)
-            .field("running", &self.service_thread.is_some())
             .finish()
     }
 }
@@ -64,8 +62,7 @@ impl SsdDevice {
         Self {
             spec,
             controller,
-            service_thread: None,
-            next_queue_id: std::sync::atomic::AtomicU16::new(1),
+            next_queue_id: AtomicU16::new(1),
         }
     }
 
@@ -96,8 +93,9 @@ impl SsdDevice {
         self.controller.set_sim_hook(hook, device_index);
     }
 
-    /// Allocates and registers an I/O queue pair of `entries` entries whose
-    /// rings live in `alloc`'s region (the GPU memory).
+    /// Allocates an I/O queue pair of `entries` entries whose rings live in
+    /// `alloc`'s region (the GPU memory) and registers it with the
+    /// controller, so that whoever waits on it services it.
     ///
     /// # Errors
     ///
@@ -120,98 +118,15 @@ impl SsdDevice {
         Ok(qp)
     }
 
-    /// Starts the controller service thread. Idempotent.
-    pub fn start(&mut self) {
-        if self.service_thread.is_some() {
-            return;
-        }
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let ctrl = self.controller.clone();
-        let flag = shutdown.clone();
-        let name = format!("nvme-ctrl-{}", self.spec.name);
-        let handle = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || {
-                let mut idle_spins = 0u32;
-                while !flag.load(Ordering::Acquire) {
-                    let n = ctrl.process_once();
-                    if n == 0 {
-                        idle_spins += 1;
-                        if idle_spins > 64 {
-                            std::thread::yield_now();
-                        }
-                        if idle_spins > 4096 {
-                            std::thread::sleep(std::time::Duration::from_micros(20));
-                        }
-                    } else {
-                        idle_spins = 0;
-                    }
-                }
-            })
-            .expect("failed to spawn controller thread");
-        self.service_thread = Some((shutdown, handle));
-    }
-
-    /// Stops the controller service thread, if running.
-    pub fn stop(&mut self) {
-        if let Some((flag, handle)) = self.service_thread.take() {
-            flag.store(true, Ordering::Release);
-            let _ = handle.join();
-        }
-    }
-
-    /// Whether the background service thread is running.
-    pub fn is_running(&self) -> bool {
-        self.service_thread.is_some()
-    }
-}
-
-impl Drop for SsdDevice {
-    fn drop(&mut self) {
-        self.stop();
-    }
+    /// Does nothing: the controller runs on the threads that wait for its
+    /// completions, so there is no thread to start. Kept for callers
+    /// written against the former service thread.
+    pub fn start(&mut self) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::NvmeCommand;
-
-    #[test]
-    fn background_thread_services_requests() {
-        let region = Arc::new(ByteRegion::new(8 << 20));
-        let alloc = BumpAllocator::new(region.len() as u64);
-        let mut ssd = SsdDevice::new(SsdSpec::intel_optane_p5800x(), region.clone(), 1 << 20);
-        ssd.media().write_blocks(7, &[0xEEu8; 512]).unwrap();
-        let qp = ssd.create_queue_pair(&alloc, 64).unwrap();
-        ssd.start();
-        assert!(ssd.is_running());
-
-        let dst = alloc.alloc(512, 512).unwrap();
-        qp.write_sq_entry(0, &NvmeCommand::read(11, 7, 1, dst));
-        qp.ring_sq_tail(1);
-
-        // Poll for the completion the way a GPU thread would.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let c = qp.read_cq_entry(0);
-            if c.phase {
-                assert_eq!(c.cid, 11);
-                assert!(c.status.is_success());
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "timed out waiting for completion"
-            );
-            std::hint::spin_loop();
-        }
-        let mut out = [0u8; 512];
-        region.read_bytes(dst, &mut out);
-        assert!(out.iter().all(|&b| b == 0xEE));
-        ssd.stop();
-        assert!(!ssd.is_running());
-    }
 
     #[test]
     fn queue_depth_limited_by_spec() {
@@ -219,16 +134,5 @@ mod tests {
         let alloc = BumpAllocator::new(region.len() as u64);
         let ssd = SsdDevice::new(SsdSpec::samsung_980pro(), region, 1 << 20);
         assert!(ssd.create_queue_pair(&alloc, 4096).is_err());
-    }
-
-    #[test]
-    fn start_stop_idempotent() {
-        let region = Arc::new(ByteRegion::new(1 << 20));
-        let mut ssd = SsdDevice::new(SsdSpec::samsung_pm1735(), region, 1 << 20);
-        ssd.start();
-        ssd.start();
-        ssd.stop();
-        ssd.stop();
-        assert!(!ssd.is_running());
     }
 }

@@ -29,8 +29,9 @@ pub struct IoEvent {
 /// Observer of the submission→fetch→completion pipeline.
 ///
 /// All methods default to no-ops; implementations override only what they
-/// need. Hooks run on the submitting / controller threads, so they must be
-/// cheap and must not call back into the stack.
+/// need. Hooks run on the waiting threads (the thread waiting on a queue
+/// pair runs its controller), so they must be cheap and must not call back
+/// into the stack.
 ///
 /// Ordering caveat: [`SimHook::on_submit`] is deliberately withheld until the
 /// stack has waited for the command and seen it succeed, so that trace length

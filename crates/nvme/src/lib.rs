@@ -16,9 +16,10 @@
 //! * [`block::BlockStore`] — the SSD media: a sparse, thread-safe block
 //!   store.
 //! * [`controller::NvmeController`] / [`device::SsdDevice`] — the SSD
-//!   controller: fetches submission entries when a doorbell is rung,
-//!   moves data between the media and GPU memory (peer-to-peer DMA in the
-//!   prototype), and posts completion entries carrying the new SQ head —
+//!   controller, run on the thread that waits on a queue pair rather than
+//!   on a thread of its own: fetches submission entries when a doorbell is
+//!   rung, moves data between the media and GPU memory (peer-to-peer DMA in
+//!   the prototype), and posts completion entries carrying the new SQ head —
 //!   the exact mechanism BaM's queue protocol relies on (§3.3).
 //! * [`array::SsdArray`] — multi-SSD aggregation with the replication and
 //!   striping layouts used in the evaluation.

@@ -4,13 +4,17 @@
 //! the SSD with GPUDirect RDMA) and the doorbells live in the SSD BAR mapped
 //! into the GPU address space (§4.1). Here both sides — GPU threads and the
 //! simulated controller — address the same [`ByteRegion`] and the same
-//! [`Doorbell`] objects.
+//! [`Doorbell`] objects, and the controller side runs on whichever GPU
+//! thread waits on the pair ([`QueuePair::service`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+use parking_lot::Mutex;
 
 use bam_mem::{BumpAllocator, ByteRegion, DevAddr};
 
 use crate::command::{NvmeCommand, NvmeCompletion, CQ_ENTRY_BYTES, SQ_ENTRY_BYTES};
+use crate::controller::{DeviceQueueState, Firmware};
 use crate::doorbell::Doorbell;
 use crate::error::NvmeError;
 
@@ -18,13 +22,13 @@ use crate::error::NvmeError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueueId(pub u16);
 
-/// An NVMe I/O queue pair: a submission ring, a completion ring, and their
-/// tail/head doorbells.
+/// An NVMe I/O queue pair: a submission ring, a completion ring, their
+/// tail/head doorbells, and the controller's side of the pair (its ring
+/// state and, once registered, the firmware [`QueuePair::service`] runs).
 ///
-/// `QueuePair` itself is just the shared-memory layout plus raw accessors; it
-/// performs no synchronization. The BaM queue protocol (`bam-core`) layers
-/// the ticket/turn/mark machinery on top of these accessors, and the
-/// controller uses the device-side accessors.
+/// The host-side accessors perform no synchronization. The BaM queue
+/// protocol (`bam-core`) layers the ticket/turn/mark machinery on top of
+/// them, and the controller uses the device-side accessors.
 #[derive(Debug)]
 pub struct QueuePair {
     /// Queue id on its controller.
@@ -36,6 +40,10 @@ pub struct QueuePair {
     cq_base: DevAddr,
     sq_tail_doorbell: Doorbell,
     cq_head_doorbell: Doorbell,
+    /// Firmware of the controller this pair is registered with.
+    firmware: OnceLock<Arc<Firmware>>,
+    /// The controller's SQ head, CQ tail and phase for this pair.
+    device: Mutex<DeviceQueueState>,
 }
 
 impl QueuePair {
@@ -84,6 +92,8 @@ impl QueuePair {
             cq_base,
             sq_tail_doorbell: Doorbell::new(),
             cq_head_doorbell: Doorbell::new(),
+            firmware: OnceLock::new(),
+            device: Mutex::new(DeviceQueueState::default()),
         })
     }
 
@@ -144,6 +154,22 @@ impl QueuePair {
     }
 
     // ---- device (controller) side ----
+
+    /// Runs the controller on this pair and returns how many commands it
+    /// completed: 0 also when no controller has registered the pair or
+    /// another thread is servicing it right now (the caller polls again).
+    pub fn service(&self) -> usize {
+        match (self.firmware.get(), self.device.try_lock()) {
+            (Some(firmware), Some(mut state)) => firmware.service_queue(self, &mut state),
+            _ => 0,
+        }
+    }
+
+    /// Hands the pair to the firmware of the controller registering it.
+    pub(crate) fn attach(&self, firmware: Arc<Firmware>) {
+        let fresh = self.firmware.set(firmware).is_ok();
+        assert!(fresh, "queue pair {} is already registered", self.id.0);
+    }
 
     /// Reads the submission entry in slot `slot` (controller side).
     ///
@@ -252,5 +278,24 @@ mod tests {
         };
         q1.write_sq_entry(0, &cmd);
         assert_eq!(q2.read_sq_entry(0), None);
+    }
+
+    #[test]
+    fn service_runs_the_registered_controller_unless_another_thread_is() {
+        let region = Arc::new(ByteRegion::new(1 << 20));
+        let alloc = BumpAllocator::new(region.len() as u64);
+        let qp =
+            Arc::new(QueuePair::allocate(region.clone(), &alloc, QueueId(1), 8, 1024).unwrap());
+        let dst = alloc.alloc(512, 512).unwrap();
+        qp.write_sq_entry(0, &NvmeCommand::read(0, 3, 1, dst));
+        qp.ring_sq_tail(1);
+        assert_eq!(qp.service(), 0, "no controller registered yet");
+        let ctrl = crate::NvmeController::new(Arc::new(crate::BlockStore::new(512, 64)), region);
+        ctrl.register_queue(qp.clone());
+        let busy = qp.device.lock();
+        assert_eq!(qp.service(), 0, "another thread holds the device state");
+        drop(busy);
+        assert_eq!(qp.service(), 1);
+        assert!(qp.read_cq_entry(0).phase);
     }
 }

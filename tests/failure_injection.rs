@@ -17,7 +17,7 @@ use bam::nvme::{NvmeCommand, NvmeStatus, SsdDevice, SsdSpec};
 fn injected_device_errors_are_delivered_to_the_right_thread() {
     let region = Arc::new(ByteRegion::new(8 << 20));
     let alloc = BumpAllocator::new(region.len() as u64);
-    let mut ssd = SsdDevice::new(SsdSpec::intel_optane_p5800x(), region.clone(), 4 << 20);
+    let ssd = SsdDevice::new(SsdSpec::intel_optane_p5800x(), region.clone(), 4 << 20);
     // Fail every command whose LBA is in the "poisoned" range.
     ssd.controller()
         .set_fault_injector(Some(Arc::new(|cmd: &NvmeCommand| {
@@ -26,7 +26,6 @@ fn injected_device_errors_are_delivered_to_the_right_thread() {
     let qp = Arc::new(BamQueuePair::new(
         ssd.create_queue_pair(&alloc, 32).unwrap(),
     ));
-    ssd.start();
 
     let failures = AtomicU64::new(0);
     let successes = AtomicU64::new(0);

@@ -300,20 +300,24 @@ proptest! {
     }
 
     /// The queue protocol delivers every command exactly once with correct
-    /// data, for arbitrary block patterns and thread counts.
+    /// data, for arbitrary block patterns, thread counts and ring sizes, with
+    /// nobody but the waiters to drive the device. On a 2-entry ring
+    /// (capacity 1) a submission waits for a credit that only another
+    /// thread's `wait` returns.
     #[test]
     fn queue_protocol_never_loses_commands(
         lbas in prop::collection::vec(0u64..512, 8..64),
         threads in 1usize..6,
+        small_ring in any::<bool>(),
     ) {
         let region = Arc::new(ByteRegion::new(8 << 20));
         let alloc = BumpAllocator::new(region.len() as u64);
-        let mut ssd = SsdDevice::new(SsdSpec::intel_optane_p5800x(), region.clone(), 4 << 20);
+        let ssd = SsdDevice::new(SsdSpec::intel_optane_p5800x(), region.clone(), 4 << 20);
         for lba in 0..512u64 {
             ssd.media().write_blocks(lba, &vec![(lba % 251) as u8; 512]).unwrap();
         }
-        let qp = Arc::new(BamQueuePair::new(ssd.create_queue_pair(&alloc, 16).unwrap()));
-        ssd.start();
+        let entries = if small_ring { 2 } else { 16 };
+        let qp = Arc::new(BamQueuePair::new(ssd.create_queue_pair(&alloc, entries).unwrap()));
         let per_thread: Vec<Vec<u64>> =
             (0..threads).map(|t| lbas.iter().skip(t).step_by(threads).copied().collect()).collect();
         std::thread::scope(|s| {
