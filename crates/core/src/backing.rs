@@ -4,7 +4,9 @@
 //! NVMe storage in the headline configuration, or host/GPU memory in the
 //! paper's "Target" and cache-overhead measurement configurations. The
 //! [`CacheBacking`] trait abstracts that, so the same cache is exercised in
-//! every configuration of Figures 6–8.
+//! every configuration of Figures 6–8. A store has one fetch,
+//! [`CacheBacking::fetch_lines`]: the cache's miss fill passes it every line
+//! it has claimed — one for a lone miss, up to a warp's worth for a batch.
 
 use std::sync::Arc;
 
@@ -21,27 +23,16 @@ pub trait CacheBacking: Send + Sync {
     /// Number of cache lines the backing store holds.
     fn num_lines(&self) -> u64;
 
-    /// Reads line `line` into GPU memory at `dst`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the line is out of range or the device fails.
-    fn fetch_line(&self, line: u64, dst: DevAddr) -> Result<(), BamError>;
-
-    /// Fetches every `(line, dst)` of `requests`, issued in slice order, and
-    /// leaves each one's result in the matching element of `outcomes`. One
-    /// failed fetch does not fail the others. The default fetches one line
-    /// after another; a store with queues overlaps them.
+    /// Reads every `(line, dst)` of `requests` into GPU memory, issued in
+    /// slice order, and leaves each one's result in the matching element of
+    /// `outcomes`: the out-of-range or failed fetch of one line does not fail
+    /// the others. A cache miss of one line is a one-request call; a store
+    /// with queues overlaps the requests of a longer one.
     ///
     /// # Panics
     ///
     /// Panics if the two slices differ in length.
-    fn fetch_lines(&self, requests: &[(u64, DevAddr)], outcomes: &mut [Result<(), BamError>]) {
-        assert_eq!(requests.len(), outcomes.len(), "one outcome per request");
-        for (&(line, dst), outcome) in requests.iter().zip(outcomes) {
-            *outcome = self.fetch_line(line, dst);
-        }
-    }
+    fn fetch_lines(&self, requests: &[(u64, DevAddr)], outcomes: &mut [Result<(), BamError>]);
 
     /// Writes line `line` back from GPU memory at `src`.
     ///
@@ -98,20 +89,24 @@ impl CacheBacking for MemoryBacking {
         self.num_lines
     }
 
-    fn fetch_line(&self, line: u64, dst: DevAddr) -> Result<(), BamError> {
-        if line >= self.num_lines {
-            return Err(BamError::IndexOutOfBounds {
-                index: line,
-                len: self.num_lines,
-            });
+    fn fetch_lines(&self, requests: &[(u64, DevAddr)], outcomes: &mut [Result<(), BamError>]) {
+        assert_eq!(requests.len(), outcomes.len(), "one outcome per request");
+        for (&(line, dst), outcome) in requests.iter().zip(outcomes) {
+            *outcome = if line < self.num_lines {
+                self.gpu.copy_from(
+                    dst,
+                    &self.data,
+                    self.base + line * self.line_bytes,
+                    self.line_bytes as usize,
+                );
+                Ok(())
+            } else {
+                Err(BamError::IndexOutOfBounds {
+                    index: line,
+                    len: self.num_lines,
+                })
+            };
         }
-        self.gpu.copy_from(
-            dst,
-            &self.data,
-            self.base + line * self.line_bytes,
-            self.line_bytes as usize,
-        );
-        Ok(())
     }
 
     fn writeback_line(&self, line: u64, src: DevAddr) -> Result<(), BamError> {
@@ -165,13 +160,6 @@ impl CacheBacking for CrashBacking {
         self.inner.num_lines()
     }
 
-    fn fetch_line(&self, line: u64, dst: DevAddr) -> Result<(), BamError> {
-        if self.crash.is_crashed() {
-            return Err(BamError::Crashed);
-        }
-        self.inner.fetch_line(line, dst)
-    }
-
     fn fetch_lines(&self, requests: &[(u64, DevAddr)], outcomes: &mut [Result<(), BamError>]) {
         if self.crash.is_crashed() {
             outcomes.fill_with(|| Err(BamError::Crashed));
@@ -188,6 +176,20 @@ impl CacheBacking for CrashBacking {
     }
 }
 
+/// Fetches `line` into GPU memory at `dst`: a one-request
+/// [`CacheBacking::fetch_lines`].
+#[cfg(test)]
+pub(crate) fn fetch_one(
+    backing: &dyn CacheBacking,
+    line: u64,
+    dst: DevAddr,
+) -> Result<(), BamError> {
+    let mut outcome = [Ok(())];
+    backing.fetch_lines(&[(line, dst)], &mut outcome);
+    let [outcome] = outcome;
+    outcome
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,7 +200,7 @@ mod tests {
         let gpu = Arc::new(ByteRegion::new(4096));
         data.write_bytes(512, &[7u8; 512]);
         let b = MemoryBacking::new(data.clone(), 0, gpu.clone(), 512, 8);
-        b.fetch_line(1, 1024).unwrap();
+        fetch_one(&b, 1, 1024).unwrap();
         let mut out = [0u8; 512];
         gpu.read_bytes(1024, &mut out);
         assert!(out.iter().all(|&x| x == 7));
@@ -215,7 +217,7 @@ mod tests {
         let gpu = Arc::new(ByteRegion::new(4096));
         let b = MemoryBacking::new(data, 0, gpu, 512, 8);
         assert!(matches!(
-            b.fetch_line(8, 0),
+            fetch_one(&b, 8, 0),
             Err(BamError::IndexOutOfBounds { .. })
         ));
         assert!(matches!(
@@ -242,14 +244,14 @@ mod tests {
         data.read_bytes(512, &mut out);
         assert!(out.iter().all(|&x| x == 0));
         // ...and while down, everything fails.
-        assert_eq!(b.fetch_line(0, 1024), Err(BamError::Crashed));
+        assert_eq!(fetch_one(&b, 0, 1024), Err(BamError::Crashed));
         let mut outcomes = [Ok(()), Ok(())];
         b.fetch_lines(&[(0, 1024), (1, 1536)], &mut outcomes);
         assert_eq!(outcomes, [Err(BamError::Crashed), Err(BamError::Crashed)]);
         assert_eq!(b.writeback_line(0, 0), Err(BamError::Crashed));
         // The reboot restores service.
         cp.reset();
-        assert!(b.fetch_line(0, 1024).is_ok());
+        assert!(fetch_one(&b, 0, 1024).is_ok());
         data.read_bytes(0, &mut out);
         assert!(out.iter().all(|&x| x == 5));
     }

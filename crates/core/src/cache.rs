@@ -8,6 +8,13 @@
 //! slots in parallel. Reference counts pin lines while in use; dirty bits
 //! drive write-back.
 //!
+//! Both entry points — [`BamCache::acquire`] (one line, held by a
+//! [`LineGuard`]) and [`BamCache::acquire_each`] (a batch, each line visited
+//! in place) — take the same two steps: one probe of the line's state word,
+//! and, for the lines it claimed, one fill that hands them to a single
+//! [`CacheBacking::fetch_lines`] call and then publishes each line VALID or
+//! rolls it back.
+//!
 //! Per-line state is a packed 64-bit word:
 //!
 //! ```text
@@ -32,6 +39,7 @@ use crate::error::BamError;
 use crate::fixed::{FixedVec, MAX_BATCH};
 use crate::journal::CacheJournal;
 use crate::metrics::BamMetrics;
+use crate::queue::spin_wait;
 
 const STATE_INVALID: u64 = 0;
 const STATE_BUSY: u64 = 1;
@@ -87,8 +95,19 @@ pub struct LineGuard<'a> {
     fetched: bool,
 }
 
-/// A miss of [`BamCache::acquire_each`] whose line is claimed BUSY and holds
-/// a slot, its read not yet issued.
+/// What one [`BamCache::probe`] of a line's state word found.
+enum Probe {
+    /// The line was VALID in this slot and is now pinned.
+    Hit(u64),
+    /// Another thread is fetching or evicting the line.
+    Busy,
+    /// The line was INVALID and the caller now holds it BUSY: it must fill
+    /// the line or roll it back.
+    Claimed,
+}
+
+/// A miss whose line is claimed BUSY and holds a slot, its read not yet
+/// issued ([`BamCache::fill`]).
 #[derive(Clone, Copy)]
 struct PendingMiss<R> {
     line: u64,
@@ -296,8 +315,9 @@ impl BamCache {
     ///
     /// This is the cache-probe path of Figure 2: probe the line state ❹; on a
     /// hit bump the reference count; on a miss lock the line (busy), find a
-    /// victim with the clock hand, fetch from backing ❺–❼, publish, and
-    /// return.
+    /// victim with the clock hand, fetch from backing ❺–❼ and publish, and
+    /// return. Probe and fill are the steps [`BamCache::acquire_each`] takes
+    /// too; a miss here is a one-line fill.
     ///
     /// # Errors
     ///
@@ -305,75 +325,81 @@ impl BamCache {
     /// store, [`BamError::CacheThrashing`] if every slot stays pinned, or a
     /// storage error from the fetch.
     pub fn acquire(&self, line: u64) -> Result<LineGuard<'_>, BamError> {
+        self.check_line(line)?;
+        self.metrics.record_probe();
+        let probe_start = self.spans.with(|rec| rec.tick()).unwrap_or(0);
+        let mut spins = 0u64;
+        let (slot, fetched) = loop {
+            match self.probe(line) {
+                Probe::Hit(slot) => {
+                    self.metrics.record_hit();
+                    self.emit_span(Stage::CacheProbe, probe_start, line);
+                    break (slot, false);
+                }
+                // Another thread is fetching or evicting this line; the lock
+                // on the line prevents duplicate storage requests.
+                Probe::Busy => spin_wait(&mut spins),
+                Probe::Claimed => {
+                    self.metrics.record_miss();
+                    self.emit_span(Stage::CacheProbe, probe_start, line);
+                    let fetch_start = self.spans.with(|rec| rec.tick()).unwrap_or(0);
+                    let slot = self.find_victim(line, self.victim_patience(), || Ok(()))?;
+                    let mut miss = FixedVec::<_, 1>::new();
+                    miss.push(PendingMiss {
+                        line,
+                        slot,
+                        tag: (),
+                        fetch_start,
+                    });
+                    self.fill(&mut miss, |_, _| {})?;
+                    break (slot, true);
+                }
+            }
+        };
+        Ok(LineGuard {
+            cache: self,
+            line,
+            slot,
+            fetched,
+        })
+    }
+
+    fn check_line(&self, line: u64) -> Result<(), BamError> {
         if line >= self.num_lines() {
             return Err(BamError::IndexOutOfBounds {
                 index: line,
                 len: self.num_lines(),
             });
         }
-        self.metrics.record_probe();
-        let probe_start = self.spans.with(|rec| rec.tick()).unwrap_or(0);
+        Ok(())
+    }
+
+    /// One probe of `line`'s state word ❹: pins a VALID line, reports a BUSY
+    /// one, or claims an INVALID one BUSY. Only a lost CAS is retried.
+    #[inline]
+    fn probe(&self, line: u64) -> Probe {
         let state = &self.line_state[line as usize];
-        let mut spins = 0u64;
         loop {
             let cur = state.load(Ordering::Acquire);
             match state_of(cur) {
                 STATE_VALID => {
-                    let next = pack(STATE_VALID, is_dirty(cur), refs_of(cur) + 1, slot_of(cur));
+                    let pinned = pack(STATE_VALID, is_dirty(cur), refs_of(cur) + 1, slot_of(cur));
                     if state
-                        .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
+                        .compare_exchange_weak(cur, pinned, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                     {
-                        self.metrics.record_hit();
-                        self.emit_span(Stage::CacheProbe, probe_start, line);
-                        return Ok(LineGuard {
-                            cache: self,
-                            line,
-                            slot: slot_of(cur),
-                            fetched: false,
-                        });
+                        return Probe::Hit(slot_of(cur));
                     }
                 }
-                STATE_BUSY => {
-                    // Another thread is fetching or evicting this line; the
-                    // lock on the line prevents duplicate storage requests.
-                    spin(&mut spins);
-                }
+                STATE_BUSY => return Probe::Busy,
                 _ => {
-                    // INVALID: try to become the fetching thread.
                     let busy = pack(STATE_BUSY, false, 0, 0);
                     if state
                         .compare_exchange_weak(cur, busy, Ordering::AcqRel, Ordering::Acquire)
-                        .is_err()
+                        .is_ok()
                     {
-                        continue;
+                        return Probe::Claimed;
                     }
-                    self.metrics.record_miss();
-                    self.emit_span(Stage::CacheProbe, probe_start, line);
-                    let fetch_start = self.spans.with(|rec| rec.tick()).unwrap_or(0);
-                    let slot = match self.find_victim(self.victim_patience(), || Ok(())) {
-                        Ok(s) => s,
-                        Err(e) => {
-                            // Roll back so other threads are not stuck behind
-                            // a permanently busy line.
-                            state.store(pack(STATE_INVALID, false, 0, 0), Ordering::Release);
-                            return Err(e);
-                        }
-                    };
-                    if let Err(e) = self.backing.fetch_line(line, self.slot_addr(slot)) {
-                        self.slot_to_line[slot as usize].store(0, Ordering::Release);
-                        state.store(pack(STATE_INVALID, false, 0, 0), Ordering::Release);
-                        return Err(e);
-                    }
-                    self.emit_span(Stage::MissFetch, fetch_start, line);
-                    self.slot_to_line[slot as usize].store(line + 1, Ordering::Release);
-                    state.store(pack(STATE_VALID, false, 1, slot), Ordering::Release);
-                    return Ok(LineGuard {
-                        cache: self,
-                        line,
-                        slot,
-                        fetched: true,
-                    });
                 }
             }
         }
@@ -388,9 +414,10 @@ impl BamCache {
     /// claims the line BUSY and a clock victim but does not fetch yet; a
     /// later request for a line this call has already claimed counts as the
     /// hit it would have been and is visited with it. Only then are all the
-    /// claimed lines fetched together ([`CacheBacking::fetch_lines`]),
-    /// published VALID, visited and released — so visits do *not* happen in
-    /// request order; `tag` tells the visitor which request it is serving.
+    /// claimed lines filled together — one [`CacheBacking::fetch_lines`]
+    /// call, then each line published VALID, as an [`BamCache::acquire`]
+    /// miss is — visited and released, so visits do *not* happen in request
+    /// order; `tag` tells the visitor which request it is serving.
     ///
     /// With one thread the lines probed, every hit/miss classification, every
     /// victim and the order of storage commands are those of acquiring the
@@ -403,7 +430,8 @@ impl BamCache {
     /// spinning on a line someone else is fetching, and before a dirty
     /// victim's synchronous write-back, it completes its own claimed lines;
     /// a victim search that finds nothing quickly ends the batch early and
-    /// the request takes the [`BamCache::acquire`] path.
+    /// the request is acquired alone ([`BamCache::acquire`]), holding
+    /// nothing while it searches patiently.
     ///
     /// # Errors
     ///
@@ -439,32 +467,19 @@ impl BamCache {
         batch: &mut Batch<R>,
         visit: &mut impl FnMut(R, DevAddr),
     ) -> Result<(), BamError> {
-        if line >= self.num_lines() {
-            return Err(BamError::IndexOutOfBounds {
-                index: line,
-                len: self.num_lines(),
-            });
-        }
+        self.check_line(line)?;
         let probe_start = self.spans.with(|rec| rec.tick()).unwrap_or(0);
-        let state = &self.line_state[line as usize];
         loop {
-            let cur = state.load(Ordering::Acquire);
-            match state_of(cur) {
-                STATE_VALID => {
-                    let next = pack(STATE_VALID, is_dirty(cur), refs_of(cur) + 1, slot_of(cur));
-                    if state
-                        .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        self.metrics.record_probe();
-                        self.metrics.record_hit();
-                        self.emit_span(Stage::CacheProbe, probe_start, line);
-                        visit(tag, self.slot_addr(slot_of(cur)));
-                        self.release(line);
-                        return Ok(());
-                    }
+            match self.probe(line) {
+                Probe::Hit(slot) => {
+                    self.metrics.record_probe();
+                    self.metrics.record_hit();
+                    self.emit_span(Stage::CacheProbe, probe_start, line);
+                    visit(tag, self.slot_addr(slot));
+                    self.release(line);
+                    return Ok(());
                 }
-                STATE_BUSY => {
+                Probe::Busy => {
                     if !batch.pending.iter().any(|p| p.line == line) {
                         // Someone else is fetching or evicting the line.
                         // Holding BUSY lines while spinning on theirs could
@@ -482,14 +497,7 @@ impl BamCache {
                     batch.waiters.push((tag, line));
                     return Ok(());
                 }
-                _ => {
-                    let busy = pack(STATE_BUSY, false, 0, 0);
-                    if state
-                        .compare_exchange_weak(cur, busy, Ordering::AcqRel, Ordering::Acquire)
-                        .is_err()
-                    {
-                        continue;
-                    }
+                Probe::Claimed => {
                     let fetch_start = self.spans.with(|rec| rec.tick()).unwrap_or(0);
                     // With lines claimed, look for a victim only briefly:
                     // whole sweeps, which leave the hand where it was.
@@ -498,10 +506,10 @@ impl BamCache {
                     } else {
                         2 * self.num_slots
                     };
-                    let slot = match self.find_victim(patience, || self.complete(batch, visit)) {
+                    let victim = self.find_victim(line, patience, || self.complete(batch, visit));
+                    let slot = match victim {
                         Ok(slot) => slot,
                         Err(e) => {
-                            state.store(pack(STATE_INVALID, false, 0, 0), Ordering::Release);
                             if e != BamError::CacheThrashing || batch.pending.is_empty() {
                                 return Err(e);
                             }
@@ -528,7 +536,7 @@ impl BamCache {
         }
     }
 
-    /// The ordinary path for one request of a batch that holds nothing.
+    /// [`BamCache::acquire`]s one request of a batch that holds nothing.
     fn acquire_one<R: Copy>(
         &self,
         line: u64,
@@ -543,10 +551,9 @@ impl BamCache {
         Ok(())
     }
 
-    /// Fetches every claimed line of `batch` together, then publishes,
-    /// visits (for the claiming request and its waiters) and releases each;
-    /// a failed fetch frees its slot and leaves its line INVALID. Returns the
-    /// first fetch error.
+    /// Fills every claimed line of `batch` ([`BamCache::fill`]), then
+    /// visits each one published, for the claiming request and its waiters,
+    /// and releases it. Returns the first fetch error.
     fn complete<R: Copy>(
         &self,
         batch: &mut Batch<R>,
@@ -555,16 +562,38 @@ impl BamCache {
         if batch.pending.is_empty() {
             return Ok(());
         }
-        let mut requests = [(0u64, 0 as DevAddr); MAX_BATCH];
-        let mut outcomes: [Result<(), BamError>; MAX_BATCH] = std::array::from_fn(|_| Ok(()));
-        let n = batch.pending.len();
-        for (request, miss) in requests.iter_mut().zip(batch.pending.iter()) {
+        let waiters = &batch.waiters;
+        let filled = self.fill(&mut batch.pending, |miss, addr| {
+            visit(miss.tag, addr);
+            for &(tag, _) in waiters.iter().filter(|(_, line)| *line == miss.line) {
+                visit(tag, addr);
+            }
+            self.release(miss.line);
+        });
+        batch.waiters.clear();
+        filled
+    }
+
+    /// The one miss fill: fetches the lines of `misses` — each claimed BUSY
+    /// and holding a slot — with one [`CacheBacking::fetch_lines`] call,
+    /// then, in order, publishes each line VALID with one pin and calls
+    /// `published(miss, addr)`, or rolls it back (slot freed, line INVALID).
+    /// Leaves `misses` empty and returns the first fetch error.
+    fn fill<R: Copy, const N: usize>(
+        &self,
+        misses: &mut FixedVec<PendingMiss<R>, N>,
+        mut published: impl FnMut(PendingMiss<R>, DevAddr),
+    ) -> Result<(), BamError> {
+        let n = misses.len();
+        let mut requests = [(0u64, 0 as DevAddr); N];
+        let mut outcomes = [const { Ok(()) }; N];
+        for (request, miss) in requests.iter_mut().zip(misses.iter()) {
             *request = (miss.line, self.slot_addr(miss.slot));
         }
         self.backing.fetch_lines(&requests[..n], &mut outcomes[..n]);
 
         let mut first_error = None;
-        for (miss, outcome) in batch.pending.drain().zip(outcomes) {
+        for (miss, outcome) in misses.drain().zip(outcomes) {
             let state = &self.line_state[miss.line as usize];
             if let Err(e) = outcome {
                 self.slot_to_line[miss.slot as usize].store(0, Ordering::Release);
@@ -575,14 +604,8 @@ impl BamCache {
             self.emit_span(Stage::MissFetch, miss.fetch_start, miss.line);
             self.slot_to_line[miss.slot as usize].store(miss.line + 1, Ordering::Release);
             state.store(pack(STATE_VALID, false, 1, miss.slot), Ordering::Release);
-            let addr = self.slot_addr(miss.slot);
-            visit(miss.tag, addr);
-            for &(tag, _) in batch.waiters.iter().filter(|(_, line)| *line == miss.line) {
-                visit(tag, addr);
-            }
-            self.release(miss.line);
+            published(miss, self.slot_addr(miss.slot));
         }
-        batch.waiters.clear();
         first_error.map_or(Ok(()), Err)
     }
 
@@ -684,16 +707,19 @@ impl BamCache {
         self.num_slots * 4096 + 65_536
     }
 
-    /// Finds a slot to hold a newly fetched line, evicting an unpinned valid
-    /// line if necessary (clock replacement, §3.4), within `patience` clock
-    /// steps. `before_writeback` runs before a dirty victim is synchronously
-    /// written back — the one place the search blocks on storage; its error
-    /// abandons the eviction.
+    /// Finds a slot to hold `claimed`, a line the caller holds BUSY, evicting
+    /// an unpinned valid line if necessary (clock replacement, §3.4), within
+    /// `patience` clock steps. `before_writeback` runs before a dirty victim
+    /// is synchronously written back — the one place the search blocks on
+    /// storage; its error abandons the eviction. A search that fails returns
+    /// `claimed` to INVALID, so no thread is stuck behind a line left BUSY.
     fn find_victim(
         &self,
+        claimed: u64,
         patience: u64,
         mut before_writeback: impl FnMut() -> Result<(), BamError>,
     ) -> Result<u64, BamError> {
+        let mut error = BamError::CacheThrashing;
         // Yield between sweeps so concurrent threads get to drop their pins.
         for attempt in 0..patience {
             if attempt > 0 && attempt % self.num_slots == 0 {
@@ -737,7 +763,8 @@ impl BamCache {
                     // unpinned, same slot) so the line is neither wedged busy
                     // nor silently stripped of its dirty data.
                     vstate.store(cur, Ordering::Release);
-                    return Err(e);
+                    error = e;
+                    break;
                 }
                 self.metrics.record_writeback();
             }
@@ -746,7 +773,9 @@ impl BamCache {
             self.metrics.record_eviction();
             return Ok(slot);
         }
-        Err(BamError::CacheThrashing)
+        self.line_state[claimed as usize]
+            .store(pack(STATE_INVALID, false, 0, 0), Ordering::Release);
+        Err(error)
     }
 
     /// Writes back every dirty line (the cache is write-back; the paper's API
@@ -793,20 +822,10 @@ impl BamCache {
     }
 }
 
-#[inline]
-fn spin(spins: &mut u64) {
-    *spins += 1;
-    if *spins < 64 {
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backing::MemoryBacking;
+    use crate::backing::{fetch_one, MemoryBacking};
     use bam_mem::ByteRegion;
 
     /// 64 lines of 512 bytes in "storage", an 8-slot cache in "GPU memory".
@@ -978,19 +997,19 @@ mod tests {
             self.inner.num_lines()
         }
 
-        fn fetch_line(&self, line: u64, dst: DevAddr) -> Result<(), BamError> {
+        fn fetch_lines(&self, requests: &[(u64, DevAddr)], outcomes: &mut [Result<(), BamError>]) {
             if let Some((dirty_line, expected)) = self.expectation.lock().expect("poisoned").take()
             {
                 let mut media = [0u8; 512];
                 self.data.read_bytes(dirty_line * 512, &mut media);
                 assert!(
                     media.iter().all(|&b| b == expected),
-                    "slot reused for line {line} before line {dirty_line} reached the media"
+                    "slot reused for {requests:?} before line {dirty_line} reached the media"
                 );
                 self.verified
                     .store(true, std::sync::atomic::Ordering::Release);
             }
-            self.inner.fetch_line(line, dst)
+            self.inner.fetch_lines(requests, outcomes);
         }
 
         fn writeback_line(&self, line: u64, src: DevAddr) -> Result<(), BamError> {
@@ -1069,8 +1088,8 @@ mod tests {
             self.inner.num_lines()
         }
 
-        fn fetch_line(&self, line: u64, dst: DevAddr) -> Result<(), BamError> {
-            self.inner.fetch_line(line, dst)
+        fn fetch_lines(&self, requests: &[(u64, DevAddr)], outcomes: &mut [Result<(), BamError>]) {
+            self.inner.fetch_lines(requests, outcomes);
         }
 
         fn writeback_line(&self, line: u64, src: DevAddr) -> Result<(), BamError> {
@@ -1119,7 +1138,7 @@ mod tests {
         let g = cache.acquire(9).unwrap();
         drop(g);
         let mut media = [0u8; 512];
-        backing.inner.fetch_line(3, 4096).unwrap();
+        fetch_one(&backing.inner, 3, 4096).unwrap();
         gpu.read_bytes(4096, &mut media);
         assert!(media.iter().all(|&b| b == 0xBB));
     }
@@ -1142,7 +1161,7 @@ mod tests {
             .store(false, std::sync::atomic::Ordering::Release);
         assert_eq!(cache.flush().unwrap(), 1);
         let mut media = [0u8; 512];
-        backing.inner.fetch_line(5, 4096).unwrap();
+        fetch_one(&backing.inner, 5, 4096).unwrap();
         gpu.read_bytes(4096, &mut media);
         assert!(media.iter().all(|&b| b == 0xCC));
     }

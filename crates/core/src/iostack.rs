@@ -4,13 +4,16 @@
 //! Requests are spread across SSDs (round-robin under replication, by address
 //! under striping) and across each SSD's queue pairs round-robin, exactly as
 //! the prototype distributes its microbenchmark traffic (§4.3).
+//!
+//! Every read goes through [`IoStack::read_lines`], which overlaps the
+//! commands of one batch; [`IoStack::read_line`] is its one-request form.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use bam_mem::DevAddr;
-use bam_nvme_sim::{DataLayout, IoEvent, NvmeCommand, SimHook, SsdArray, BLOCK_SIZE};
+use bam_nvme_sim::{IoEvent, NvmeCommand, SimHook, SsdArray, BLOCK_SIZE};
 use bam_obs::{SpanEvent, SpanSink, Stage};
 
 use crate::backing::CacheBacking;
@@ -212,11 +215,6 @@ impl IoStack {
             .sum()
     }
 
-    /// The SSD array behind this stack.
-    pub fn array(&self) -> &Arc<SsdArray> {
-        &self.array
-    }
-
     fn pick_queue(&self, device: usize) -> &BamQueuePair {
         let qs = &self.queues[device];
         let idx = self.rr_queue.fetch_add(1, Ordering::Relaxed) as usize % qs.len();
@@ -253,27 +251,26 @@ impl IoStack {
         self.metrics.record_read_request(self.line_bytes);
     }
 
-    /// Reads cache line `line` from storage into GPU memory at `dst`.
+    /// Reads cache line `line` from storage into GPU memory at `dst`: a
+    /// one-request [`IoStack::read_lines`].
     ///
     /// # Errors
     ///
     /// Returns [`BamError::IndexOutOfBounds`] or a storage failure.
     pub fn read_line(&self, line: u64, dst: DevAddr) -> Result<(), BamError> {
-        self.check_line(line)?;
-        let (device, lba, qp) = self.route_read(line);
-        let start_step = self.spans.with(|rec| rec.tick());
-        qp.submit_and_wait(NvmeCommand::read(0, lba, self.blocks_per_line(), dst))?;
-        self.read_completed(start_step, device, qp.queue_id(), lba);
-        Ok(())
+        let mut outcome = [Ok(())];
+        self.read_lines(&[(line, dst)], &mut outcome);
+        let [outcome] = outcome;
+        outcome
     }
 
     /// Reads every `(line, dst)` of `requests` with the commands overlapped:
-    /// they are routed and staged in slice order (the same devices, queues
-    /// and order [`IoStack::read_line`] would have used one after another),
-    /// each queue's doorbell is rung once, and only then are the completions
-    /// awaited, in order. Each request's result lands in the matching element
-    /// of `outcomes`; a failed command does not fail the others, and none is
-    /// left in flight on return.
+    /// they are routed and staged in slice order (round-robin across devices
+    /// and queues, as one request after another would be), each queue's
+    /// doorbell is rung once, and only then are the completions awaited, in
+    /// order. Each request's result lands in the matching element of
+    /// `outcomes`; a failed command does not fail the others, and none is left
+    /// in flight on return.
     ///
     /// Deadlock rule: a thread holding un-waited submissions never blocks on
     /// queue credit — their credits, and everything queued behind them in a
@@ -357,9 +354,9 @@ impl IoStack {
         Ok(())
     }
 
-    /// The cache-miss retry loop, entered with the outcome of the fetch's
-    /// first attempt (made alone or as part of a batch): a transient device
-    /// failure is retried with [`IoStack::read_line`] after a backoff, up to
+    /// The cache-miss retry loop, entered with the outcome of the line's
+    /// command in [`IoStack::read_lines`]: a transient device failure is
+    /// retried on its own with [`IoStack::read_line`] after a backoff, up to
     /// the configured budget; a fetch that ends well records its latency.
     fn fetch_with_retry(
         &self,
@@ -387,11 +384,6 @@ impl IoStack {
         }
         outcome
     }
-
-    /// The data layout of the underlying array.
-    pub fn layout(&self) -> DataLayout {
-        self.array.layout()
-    }
 }
 
 impl CacheBacking for IoStack {
@@ -403,16 +395,11 @@ impl CacheBacking for IoStack {
         self.num_lines
     }
 
-    fn fetch_line(&self, line: u64, dst: DevAddr) -> Result<(), BamError> {
-        let started = Instant::now();
-        self.fetch_with_retry(line, dst, self.read_line(line, dst), started)
-    }
-
     fn fetch_lines(&self, requests: &[(u64, DevAddr)], outcomes: &mut [Result<(), BamError>]) {
         let started = Instant::now();
         self.read_lines(requests, outcomes);
-        // A failed command re-enters the single-line retry loop on its own;
-        // each line's latency sample runs from the batch's issue.
+        // A failed command is retried on its own; each line's latency sample
+        // runs from the batch's issue.
         for (&(line, dst), outcome) in requests.iter().zip(outcomes) {
             let first_attempt = std::mem::replace(outcome, Ok(()));
             *outcome = self.fetch_with_retry(line, dst, first_attempt, started);
@@ -433,8 +420,9 @@ impl CacheBacking for IoStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backing::fetch_one;
     use bam_mem::{BumpAllocator, ByteRegion};
-    use bam_nvme_sim::SsdSpec;
+    use bam_nvme_sim::{DataLayout, SsdSpec};
 
     fn build(
         num_ssds: usize,
@@ -612,7 +600,7 @@ mod tests {
                 .then_some(bam_nvme_sim::NvmeStatus::InternalError)
             })));
         let dst = alloc.alloc(1024, 512).unwrap();
-        stack.fetch_line(4, dst).unwrap();
+        fetch_one(&stack, 4, dst).unwrap();
         let mut out = vec![0u8; 1024];
         region.read_bytes(dst, &mut out);
         assert!(out.iter().all(|&b| b == 0x77));
@@ -621,7 +609,7 @@ mod tests {
         // With the budget exhausted the typed error still surfaces.
         strikes.store(10, Ordering::Release);
         assert!(matches!(
-            stack.fetch_line(4, dst),
+            fetch_one(&stack, 4, dst),
             Err(BamError::Storage(_))
         ));
         assert_eq!(stack.metrics.snapshot().storage_retries, 2 + 3);

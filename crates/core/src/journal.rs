@@ -671,7 +671,10 @@ pub fn recover_observed(
             continue;
         }
         let start_step = recorder.map(|rec| rec.tick()).unwrap_or(0);
-        backing.fetch_line(*line, scratch)?;
+        let mut fetched = [Ok(())];
+        backing.fetch_lines(&[(*line, scratch)], &mut fetched);
+        let [fetched] = fetched;
+        fetched?;
         for (_, offset, payload) in &pending {
             gpu.write_bytes(scratch + offset, payload);
         }

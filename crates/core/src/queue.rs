@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use bam_nvme_sim::{NvmeCommand, NvmeCompletion, NvmeStatus, QueuePair};
+use bam_nvme_sim::{NvmeCommand, NvmeCompletion, QueuePair};
 
 use crate::error::BamError;
 
@@ -375,10 +375,11 @@ impl BamQueuePair {
     }
 }
 
-/// Backoff for spin loops: busy-spin briefly, then yield to let peer threads
-/// run (the simulation has far fewer hardware threads than a GPU has warps).
+/// Backoff for every spin loop in the crate: busy-spin briefly, then yield to
+/// let peer threads run (the simulation has far fewer hardware threads than a
+/// GPU has warps).
 #[inline]
-fn spin_wait(spins: &mut u64) {
+pub(crate) fn spin_wait(spins: &mut u64) {
     *spins += 1;
     if *spins < 64 {
         std::hint::spin_loop();
@@ -416,12 +417,6 @@ impl BamQueuePair {
     ) -> Result<NvmeCompletion, BamError> {
         self.submit_and_wait(NvmeCommand::write(0, slba, nlb, dptr))
     }
-}
-
-/// Returns `true` if `status` is a success (tiny helper re-exported for
-/// harnesses that inspect raw completions).
-pub fn is_success(status: NvmeStatus) -> bool {
-    status.is_success()
 }
 
 #[cfg(test)]

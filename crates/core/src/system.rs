@@ -88,34 +88,35 @@ impl SystemInner {
     /// Runs `f` with a view of the given cache line's bytes.
     ///
     /// With the cache enabled, the line is acquired (pinned) for the duration
-    /// of `f`; in uncached mode the line is read into a scratch buffer first
-    /// (every call is a storage request — the Fig 8 "no cache" configuration).
+    /// of `f`; in uncached mode this is a one-request
+    /// [`SystemInner::with_lines`].
     #[inline]
     pub(crate) fn with_line<R>(
         &self,
         line: u64,
-        f: impl FnOnce(LineView<'_>) -> R,
+        mut f: impl FnMut(LineView<'_>) -> R,
     ) -> Result<R, BamError> {
-        let region = &*self.region;
-        if let Some(cache) = &self.cache {
-            let guard = cache.acquire(line)?;
-            Ok(f(LineView {
-                region,
-                base: guard.addr(),
-            }))
-        } else {
-            let (_slot_guard, base) = self.lock_scratch();
-            self.iostack.read_line(line, base)?;
-            Ok(f(LineView { region, base }))
-        }
+        let Some(cache) = &self.cache else {
+            let mut out = None;
+            self.with_lines([(line, ())], |(), view| out = Some(f(view)))?;
+            return Ok(out.expect("one request, one visit"));
+        };
+        let guard = cache.acquire(line)?;
+        Ok(f(LineView {
+            region: &self.region,
+            base: guard.addr(),
+        }))
     }
 
-    /// Calls `visit(tag, view)` once for each `(line, tag)` of `requests`,
-    /// with the misses among them fetched together
+    /// Calls `visit(tag, view)` once for each `(line, tag)` of `requests` and
+    /// returns the number of lines fetched from storage.
+    ///
+    /// With the cache enabled the misses among them are fetched together
     /// ([`BamCache::acquire_each`]): visits come in no particular order, and
-    /// `tag` says which request one serves. Returns the number of lines
-    /// fetched from storage. Uncached, every request is its own storage read,
-    /// one after another.
+    /// `tag` says which request one serves. Uncached, nothing overlaps: each
+    /// request in turn is read into one scratch buffer and visited there
+    /// (every access is a storage request — the Fig 8 "no cache"
+    /// configuration).
     pub(crate) fn with_lines<R: Copy>(
         &self,
         requests: impl IntoIterator<Item = (u64, R)>,

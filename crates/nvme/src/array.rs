@@ -67,11 +67,6 @@ impl SsdArray {
         Self { devices, layout }
     }
 
-    /// The layout policy of this array.
-    pub fn layout(&self) -> DataLayout {
-        self.layout
-    }
-
     /// Number of devices.
     pub fn len(&self) -> usize {
         self.devices.len()

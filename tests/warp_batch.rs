@@ -1,8 +1,9 @@
-//! Differential test of the warp-scope run reader: on one thread,
+//! Differential tests of the element readers: on one thread,
 //! `BamArray::read_runs_warp` must be indistinguishable from one
-//! `BamArray::read_run` per lane — same data, same counters, same storage
-//! command stream, same journal — because single-worker functional counters
-//! are a behavioural pin (the `BENCH_*.json` trajectories are built on them).
+//! `BamArray::read_run` per lane, and `BamArray::read_run` of one element
+//! from `BamArray::read` — same data, same counters, same storage command
+//! stream, same journal — because single-worker functional counters are a
+//! behavioural pin (the `BENCH_*.json` trajectories are built on them).
 
 use std::sync::Arc;
 
@@ -84,5 +85,36 @@ proptest! {
         );
         prop_assert_eq!(batched.sys.total_submissions(), serial.sys.total_submissions());
         prop_assert!(batched.sys.total_doorbell_writes() <= serial.sys.total_doorbell_writes());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+    /// The guard path (`read` → `BamCache::acquire`) and the visitor path
+    /// (`read_run` → `BamCache::acquire_each`) fill a missed line through the
+    /// same steps, so one element read either way is the same access.
+    #[test]
+    fn element_reader_is_indistinguishable_from_one_element_read_run(
+        cache_slots in 4u64..48,
+        ops in prop::collection::vec((any::<bool>(), 0u64..LEN), 1..300),
+    ) {
+        let (element, run) = (twin(cache_slots), twin(cache_slots));
+        for &(write, i) in &ops {
+            if write {
+                element.arr.write(i, !(i as u32)).unwrap();
+                run.arr.write(i, !(i as u32)).unwrap();
+            } else {
+                prop_assert_eq!(vec![element.arr.read(i).unwrap()], run.arr.read_run(i, 1).unwrap());
+            }
+            prop_assert_eq!(element.sys.metrics(), run.sys.metrics());
+        }
+        prop_assert_eq!(element.trace.take_trace(), run.trace.take_trace());
+        prop_assert_eq!(
+            element.sys.journal().unwrap().snapshot(),
+            run.sys.journal().unwrap().snapshot()
+        );
+        prop_assert_eq!(element.sys.total_submissions(), run.sys.total_submissions());
+        prop_assert_eq!(element.sys.total_doorbell_writes(), run.sys.total_doorbell_writes());
     }
 }
