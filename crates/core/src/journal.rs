@@ -18,7 +18,8 @@
 //!
 //! Every record is length-prefixed with an *authenticated header*: a 40-byte
 //! header whose final 8 bytes checksum the first 32, followed by the payload
-//! and a whole-record checksum (FNV-1a 64). Authenticating the header makes
+//! and a whole-record checksum (FNV-1a 64, resumed from the header checksum
+//! rather than rehashing the header). Authenticating the header makes
 //! the length field trustworthy, which cleanly separates the two failure
 //! modes decoding must distinguish:
 //!
@@ -76,10 +77,14 @@ const KIND_WRITE: u8 = 1;
 const KIND_INTENT: u8 = 2;
 const KIND_COMMIT: u8 = 3;
 
-/// FNV-1a 64-bit over `bytes` (no external dependency needed, and one byte
-/// flip anywhere always changes the digest).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+/// FNV-1a 64-bit offset basis: the digest of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit over `bytes`, continuing from the digest `h` of the bytes
+/// before them (no external dependency needed, and one byte flip anywhere
+/// always changes the digest). The header checksum is the state after a
+/// record's first 32 bytes, so the record checksum resumes from it.
+fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100_0000_01b3);
@@ -144,10 +149,10 @@ fn encode_record(buf: &mut Vec<u8>, kind: u8, lsn: u64, line: u64, aux: u64, pay
     buf.extend_from_slice(&lsn.to_le_bytes());
     buf.extend_from_slice(&line.to_le_bytes());
     buf.extend_from_slice(&aux.to_le_bytes());
-    let hdr_cksum = fnv1a64(&buf[start..start + 32]);
+    let hdr_cksum = fnv1a64(FNV_OFFSET, &buf[start..start + 32]);
     buf.extend_from_slice(&hdr_cksum.to_le_bytes());
     buf.extend_from_slice(payload);
-    let cksum = fnv1a64(&buf[start..]);
+    let cksum = fnv1a64(hdr_cksum, &buf[start + 32..]);
     buf.extend_from_slice(&cksum.to_le_bytes());
 }
 
@@ -189,7 +194,8 @@ pub fn decode_records(bytes: &[u8]) -> Result<DecodedJournal, BamError> {
             });
         }
         let header = &rest[..HEADER_BYTES];
-        if le_u64(&header[32..40]) != fnv1a64(&header[..32]) {
+        let hdr_cksum = fnv1a64(FNV_OFFSET, &header[..32]);
+        if le_u64(&header[32..40]) != hdr_cksum {
             return corrupt;
         }
         // The header is authenticated from here on: its length field is
@@ -206,7 +212,7 @@ pub fn decode_records(bytes: &[u8]) -> Result<DecodedJournal, BamError> {
                 torn_tail: true,
             });
         }
-        if le_u64(&rest[total - 8..total]) != fnv1a64(&rest[..total - 8]) {
+        if le_u64(&rest[total - 8..total]) != fnv1a64(hdr_cksum, &rest[32..total - 8]) {
             return corrupt;
         }
         let lsn = le_u64(&header[8..16]);
@@ -733,6 +739,25 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn checksums_are_fnv_over_the_header_and_over_the_whole_record() {
+        let j = CacheJournal::new();
+        j.append_write(5, 8, &[0xC3; 8]).unwrap();
+        j.append_writeback_intent(5, 1).unwrap();
+        let bytes = j.snapshot();
+        for record in [
+            &bytes[..RECORD_OVERHEAD_BYTES + 8],
+            &bytes[RECORD_OVERHEAD_BYTES + 8..],
+        ] {
+            let n = record.len();
+            assert_eq!(le_u64(&record[32..40]), fnv1a64(FNV_OFFSET, &record[..32]));
+            assert_eq!(
+                le_u64(&record[n - 8..]),
+                fnv1a64(FNV_OFFSET, &record[..n - 8])
+            );
+        }
     }
 
     #[test]

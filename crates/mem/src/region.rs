@@ -5,8 +5,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::view::{Pod, MAX_POD_BYTES};
 use crate::DevAddr;
 
-/// Stack staging buffer of the fill and region-to-region copy loops.
+/// Stack staging buffer of the region-to-region copy when the two ranges sit
+/// at different offsets within their words.
 const COPY_CHUNK: usize = 512;
+
+/// Splits `len` bytes starting at byte `start` into `(head, words, tail)`:
+/// `head` bytes up to the first word boundary, `words` whole words, then
+/// `tail` bytes. `head` and `tail` are each at most 7.
+#[inline]
+fn split(start: usize, len: usize) -> (usize, usize, usize) {
+    let head = (start.wrapping_neg() % 8).min(len);
+    let words = (len - head) / 8;
+    (head, words, len - head - words * 8)
+}
+
+/// The panic of a failed bounds check, kept out of line so that the checks
+/// in inlined accessors such as [`ByteRegion::read_pod`] stay small.
+#[cold]
+#[inline(never)]
+fn out_of_bounds(addr: DevAddr, len: usize, capacity: usize) -> ! {
+    panic!("out-of-bounds device access: addr={addr:#x} len={len} capacity={capacity}")
+}
 
 /// A fixed-size, thread-safe byte region.
 ///
@@ -16,8 +35,14 @@ const COPY_CHUNK: usize = 512;
 /// memory-safe byte values, the same guarantee device memory gives racing
 /// agents. Higher-level protocols are responsible for ordering.
 ///
-/// Internally the region is an array of `AtomicU64` words; sub-word accesses
-/// are performed with read-modify-write loops on the containing word.
+/// Internally the region is an array of `AtomicU64` words, and every access
+/// walks its words in ascending order. A byte range splits into a head (the
+/// up to 7 bytes before the first word boundary), a body of whole words and
+/// a tail (the up to 7 bytes after the last one). The body moves one relaxed
+/// `load` or `store` per word; the head and tail load the containing word,
+/// or update it with a compare-exchange loop so that neighbouring bytes
+/// written concurrently are kept. Every word therefore changes atomically:
+/// a racing reader sees each word either before or after a write to it.
 ///
 /// # Examples
 ///
@@ -68,14 +93,43 @@ impl ByteRegion {
         self.len == 0
     }
 
+    /// Asserts that `[addr, addr + len)` lies inside the region and returns
+    /// `addr` as a byte offset.
     #[inline]
-    fn check(&self, addr: DevAddr, len: usize) {
-        let end = addr as usize + len;
-        assert!(
-            end <= self.len,
-            "out-of-bounds device access: addr={addr:#x} len={len} capacity={}",
-            self.len
-        );
+    fn check(&self, addr: DevAddr, len: usize) -> usize {
+        match addr.checked_add(len as u64) {
+            Some(end) if end <= self.len as u64 => addr as usize,
+            _ => out_of_bounds(addr, len, self.len),
+        }
+    }
+
+    /// Copies the bytes `[off, off + out.len())` of word `idx` into `out`.
+    #[inline]
+    fn load_part(&self, idx: usize, off: usize, out: &mut [u8]) {
+        let word = self.words[idx].load(Ordering::Relaxed).to_le_bytes();
+        out.copy_from_slice(&word[off..off + out.len()]);
+    }
+
+    /// Replaces the bytes `[off, off + data.len())` of word `idx` with `data`,
+    /// keeping the word's other bytes even under concurrent writers.
+    /// `data` must be shorter than a word.
+    #[inline]
+    fn store_part(&self, idx: usize, off: usize, data: &[u8]) {
+        debug_assert!(data.len() < 8 && off + data.len() <= 8);
+        let mask = ((1u64 << (data.len() * 8)) - 1) << (off * 8);
+        let mut bytes = [0u8; 8];
+        bytes[off..off + data.len()].copy_from_slice(data);
+        let new = u64::from_le_bytes(bytes);
+        let word = &self.words[idx];
+        let mut cur = word.load(Ordering::Relaxed);
+        while let Err(actual) = word.compare_exchange_weak(
+            cur,
+            (cur & !mask) | new,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
+            cur = actual;
+        }
     }
 
     /// Reads `buf.len()` bytes starting at `addr` into `buf`.
@@ -84,18 +138,20 @@ impl ByteRegion {
     ///
     /// Panics if the range `[addr, addr + buf.len())` is out of bounds.
     pub fn read_bytes(&self, addr: DevAddr, buf: &mut [u8]) {
-        self.check(addr, buf.len());
-        let mut pos = addr as usize;
-        let mut out = 0usize;
-        while out < buf.len() {
-            let word_idx = pos / 8;
-            let byte_in_word = pos % 8;
-            let avail = (8 - byte_in_word).min(buf.len() - out);
-            let word = self.words[word_idx].load(Ordering::Relaxed);
-            let bytes = word.to_le_bytes();
-            buf[out..out + avail].copy_from_slice(&bytes[byte_in_word..byte_in_word + avail]);
-            pos += avail;
-            out += avail;
+        let start = self.check(addr, buf.len());
+        let (head, nwords, _) = split(start, buf.len());
+        let (head_buf, rest) = buf.split_at_mut(head);
+        if head > 0 {
+            self.load_part(start / 8, start % 8, head_buf);
+        }
+        let first = (start + head) / 8;
+        let mut body = rest.chunks_exact_mut(8);
+        for (chunk, word) in (&mut body).zip(&self.words[first..first + nwords]) {
+            chunk.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+        }
+        let tail = body.into_remainder();
+        if !tail.is_empty() {
+            self.load_part(first + nwords, 0, tail);
         }
     }
 
@@ -105,45 +161,21 @@ impl ByteRegion {
     ///
     /// Panics if the range `[addr, addr + data.len())` is out of bounds.
     pub fn write_bytes(&self, addr: DevAddr, data: &[u8]) {
-        self.check(addr, data.len());
-        let mut pos = addr as usize;
-        let mut consumed = 0usize;
-        while consumed < data.len() {
-            let word_idx = pos / 8;
-            let byte_in_word = pos % 8;
-            let avail = (8 - byte_in_word).min(data.len() - consumed);
-            if avail == 8 {
-                // Fast path: whole aligned word.
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&data[consumed..consumed + 8]);
-                self.words[word_idx].store(u64::from_le_bytes(b), Ordering::Relaxed);
-            } else {
-                // Partial word: read-modify-write loop on the containing word.
-                let mask_bytes: u64 = if avail == 8 {
-                    u64::MAX
-                } else {
-                    ((1u64 << (avail * 8)) - 1) << (byte_in_word * 8)
-                };
-                let mut new_bytes = [0u8; 8];
-                new_bytes[byte_in_word..byte_in_word + avail]
-                    .copy_from_slice(&data[consumed..consumed + avail]);
-                let new_val = u64::from_le_bytes(new_bytes) & mask_bytes;
-                let mut cur = self.words[word_idx].load(Ordering::Relaxed);
-                loop {
-                    let next = (cur & !mask_bytes) | new_val;
-                    match self.words[word_idx].compare_exchange_weak(
-                        cur,
-                        next,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break,
-                        Err(actual) => cur = actual,
-                    }
-                }
-            }
-            pos += avail;
-            consumed += avail;
+        let start = self.check(addr, data.len());
+        let (head, nwords, _) = split(start, data.len());
+        let (head_data, rest) = data.split_at(head);
+        if head > 0 {
+            self.store_part(start / 8, start % 8, head_data);
+        }
+        let first = (start + head) / 8;
+        let mut body = rest.chunks_exact(8);
+        for (chunk, word) in (&mut body).zip(&self.words[first..first + nwords]) {
+            let bytes: [u8; 8] = chunk.try_into().expect("chunks_exact(8)");
+            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+        }
+        let tail = body.remainder();
+        if !tail.is_empty() {
+            self.store_part(first + nwords, 0, tail);
         }
     }
 
@@ -153,12 +185,19 @@ impl ByteRegion {
     ///
     /// Panics if the range is out of bounds.
     pub fn fill(&self, addr: DevAddr, len: usize, value: u8) {
-        let chunk = [value; COPY_CHUNK];
-        let mut done = 0usize;
-        while done < len {
-            let n = (len - done).min(COPY_CHUNK);
-            self.write_bytes(addr + done as u64, &chunk[..n]);
-            done += n;
+        let start = self.check(addr, len);
+        let (head, nwords, tail) = split(start, len);
+        let bytes = [value; 8];
+        if head > 0 {
+            self.store_part(start / 8, start % 8, &bytes[..head]);
+        }
+        let first = (start + head) / 8;
+        let whole = u64::from_le_bytes(bytes);
+        for word in &self.words[first..first + nwords] {
+            word.store(whole, Ordering::Relaxed);
+        }
+        if tail > 0 {
+            self.store_part(first + nwords, 0, &bytes[..tail]);
         }
     }
 
@@ -175,8 +214,8 @@ impl ByteRegion {
         assert!(T::SIZE <= MAX_POD_BYTES, "element wider than MAX_POD_BYTES");
         let byte_in_word = addr as usize % 8;
         if byte_in_word + T::SIZE <= 8 {
-            self.check(addr, T::SIZE);
-            let word = self.words[addr as usize / 8].load(Ordering::Relaxed);
+            let start = self.check(addr, T::SIZE);
+            let word = self.words[start / 8].load(Ordering::Relaxed);
             let bytes = (word >> (byte_in_word * 8)).to_le_bytes();
             return T::from_bytes(&bytes[..T::SIZE]);
         }
@@ -186,29 +225,47 @@ impl ByteRegion {
     }
 
     /// Copies `len` bytes from `src` in the region `from` to `dst` in this
-    /// region, staged through a stack buffer (no allocation).
+    /// region, without allocating. When `src` and `dst` sit at the same
+    /// offset within their words the copy moves word to word; otherwise it is
+    /// staged through a stack buffer.
     ///
     /// # Panics
     ///
-    /// Panics if either range is out of bounds.
+    /// Panics if either range is out of bounds, or if `from` is this region
+    /// and the two ranges overlap.
     pub fn copy_from(&self, dst: DevAddr, from: &ByteRegion, src: DevAddr, len: usize) {
-        let mut buf = [0u8; COPY_CHUNK];
-        let mut done = 0usize;
-        while done < len {
-            let n = (len - done).min(COPY_CHUNK);
-            from.read_bytes(src + done as u64, &mut buf[..n]);
-            self.write_bytes(dst + done as u64, &buf[..n]);
-            done += n;
+        let d = self.check(dst, len);
+        let s = from.check(src, len);
+        assert!(
+            !std::ptr::eq(self, from) || d + len <= s || s + len <= d,
+            "overlapping copy within one region: src={src:#x} dst={dst:#x} len={len}"
+        );
+        if d % 8 != s % 8 {
+            let mut buf = [0u8; COPY_CHUNK];
+            for done in (0..len).step_by(COPY_CHUNK) {
+                let n = (len - done).min(COPY_CHUNK);
+                from.read_bytes(src + done as u64, &mut buf[..n]);
+                self.write_bytes(dst + done as u64, &buf[..n]);
+            }
+            return;
         }
-    }
-
-    /// Copies `len` bytes within this region from `src` to `dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either range is out of bounds.
-    pub fn copy_within(&self, src: DevAddr, dst: DevAddr, len: usize) {
-        self.copy_from(dst, self, src, len);
+        let (head, nwords, tail) = split(d, len);
+        let mut bytes = [0u8; 8];
+        if head > 0 {
+            from.load_part(s / 8, s % 8, &mut bytes[..head]);
+            self.store_part(d / 8, d % 8, &bytes[..head]);
+        }
+        let (dw, sw) = ((d + head) / 8, (s + head) / 8);
+        for (to, word) in self.words[dw..dw + nwords]
+            .iter()
+            .zip(&from.words[sw..sw + nwords])
+        {
+            to.store(word.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        if tail > 0 {
+            from.load_part(sw + nwords, 0, &mut bytes[..tail]);
+            self.store_part(dw + nwords, 0, &bytes[..tail]);
+        }
     }
 }
 
@@ -245,15 +302,15 @@ mod tests {
     }
 
     #[test]
-    fn fill_and_copy_within() {
+    fn fill_covers_exactly_its_range() {
         let r = ByteRegion::new(4096);
         r.fill(100, 200, 0x5A);
-        let mut out = vec![0u8; 200];
-        r.read_bytes(100, &mut out);
-        assert!(out.iter().all(|&b| b == 0x5A));
-        r.copy_within(100, 1000, 200);
-        r.read_bytes(1000, &mut out);
-        assert!(out.iter().all(|&b| b == 0x5A));
+        let mut out = vec![0u8; 4096];
+        r.read_bytes(0, &mut out);
+        for (i, &b) in out.iter().enumerate() {
+            let want = if (100..300).contains(&i) { 0x5A } else { 0 };
+            assert_eq!(b, want, "byte {i}");
+        }
     }
 
     #[test]
@@ -283,11 +340,68 @@ mod tests {
     }
 
     #[test]
+    fn copy_from_moves_word_to_word_at_equal_offsets() {
+        let a = ByteRegion::new(2048);
+        let b = ByteRegion::new(2048);
+        b.fill(0, 2048, 0xEE);
+        for (src, dst, len) in [(3, 75, 1500), (0, 8, 512), (5, 13, 2), (6, 14, 9)] {
+            let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            a.write_bytes(src, &data);
+            b.copy_from(dst, &a, src, len);
+            let mut out = vec![0u8; len + 2];
+            b.read_bytes(dst - 1, &mut out);
+            assert_eq!(out[0], 0xEE, "byte before dst={dst}");
+            assert_eq!(&out[1..=len], &data[..], "src={src} dst={dst}");
+            assert_eq!(out[len + 1], 0xEE, "byte after dst={dst}");
+            b.fill(0, 2048, 0xEE);
+        }
+    }
+
+    #[test]
+    fn copy_from_within_one_region_copies_disjoint_ranges() {
+        let r = ByteRegion::new(4096);
+        r.fill(100, 200, 0x5A);
+        r.copy_from(1004, &r, 100, 200);
+        let mut out = vec![0u8; 200];
+        r.read_bytes(1004, &mut out);
+        assert!(out.iter().all(|&b| b == 0x5A));
+    }
+
+    #[test]
+    #[should_panic(expected = "overlapping copy")]
+    fn copy_from_within_one_region_rejects_overlap() {
+        let r = ByteRegion::new(64);
+        r.copy_from(8, &r, 0, 16);
+    }
+
+    #[test]
     #[should_panic(expected = "out-of-bounds")]
     fn out_of_bounds_read_panics() {
         let r = ByteRegion::new(16);
         let mut b = [0u8; 8];
         r.read_bytes(12, &mut b);
+    }
+
+    #[test]
+    #[should_panic(expected = "out-of-bounds")]
+    fn read_bytes_near_address_space_end_panics() {
+        let r = ByteRegion::new(16);
+        let mut b = [0u8; 8];
+        r.read_bytes(u64::MAX - 3, &mut b);
+    }
+
+    #[test]
+    #[should_panic(expected = "out-of-bounds")]
+    fn write_bytes_near_address_space_end_panics() {
+        let r = ByteRegion::new(16);
+        r.write_bytes(u64::MAX - 3, &[1u8; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out-of-bounds")]
+    fn fill_near_address_space_end_panics() {
+        let r = ByteRegion::new(16);
+        r.fill(u64::MAX - 3, 8, 1);
     }
 
     #[test]
@@ -311,6 +425,36 @@ mod tests {
             let mut buf = vec![0u8; 1024];
             r.read_bytes(t as u64 * 1024, &mut buf);
             assert!(buf.iter().all(|&b| b == t + 1), "lane {t}");
+        }
+    }
+
+    #[test]
+    fn concurrent_unaligned_writes_sharing_words_keep_neighbours() {
+        // Each 16-byte group holds four writers' ranges, [0,3) [3,5) [5,11)
+        // [11,16), so every word is shared by two or three of them and each
+        // range has a ragged head, tail, or both.
+        const CUTS: [usize; 5] = [0, 3, 5, 11, 16];
+        const GROUPS: usize = 64;
+        let r = ByteRegion::new(GROUPS * 16);
+        thread::scope(|s| {
+            for part in 0..4 {
+                let r = &r;
+                s.spawn(move || {
+                    let (lo, hi) = (CUTS[part], CUTS[part + 1]);
+                    for round in 0..200u8 {
+                        for g in 0..GROUPS {
+                            let value = (part as u8 + 1) << 4 | (round & 0xF);
+                            r.write_bytes((g * 16 + lo) as u64, &[value; 8][..hi - lo]);
+                        }
+                    }
+                });
+            }
+        });
+        let mut out = vec![0u8; GROUPS * 16];
+        r.read_bytes(0, &mut out);
+        for (i, &b) in out.iter().enumerate() {
+            let part = CUTS.iter().rposition(|&c| c <= i % 16).unwrap();
+            assert_eq!(b, (part as u8 + 1) << 4 | (199 & 0xF), "byte {i}");
         }
     }
 }

@@ -113,6 +113,80 @@ proptest! {
     }
 }
 
+/// Bytes of the byte-region model test's regions: every address below 200
+/// plus every length below 600 fits.
+const MODEL_REGION: usize = 800;
+
+/// Asserts that `region` holds exactly `model`.
+fn assert_region_matches(region: &ByteRegion, model: &[u8], after: &str) {
+    let mut whole = vec![0u8; model.len()];
+    region.read_bytes(0, &mut whole);
+    assert!(
+        whole == model,
+        "region diverged from its model after {after}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
+
+    /// `ByteRegion`'s byte, fill, copy and pod accesses behave exactly like
+    /// the same operations on a `Vec<u8>`, at every start and end offset
+    /// within a word and across multi-word bodies. Op kinds: 0 write, 1 read,
+    /// 2 fill, 3 copy between the regions (direction by `seed`'s low bit),
+    /// 4 `read_pod::<u32>`, 5 `read_pod::<u64>`.
+    #[test]
+    fn byte_region_matches_vec_model(
+        ops in prop::collection::vec((0u8..6, 0u64..200, 0usize..600, (0u64..200, any::<u8>())), 1..60),
+    ) {
+        let a = ByteRegion::new(MODEL_REGION);
+        let b = ByteRegion::new(MODEL_REGION);
+        let mut ma = vec![0u8; MODEL_REGION];
+        let mut mb: Vec<u8> = (0..MODEL_REGION).map(|i| (i * 7 + 1) as u8).collect();
+        b.write_bytes(0, &mb);
+        for (kind, addr, len, (src, seed)) in ops {
+            let at = addr as usize;
+            match kind {
+                0 => {
+                    let data: Vec<u8> = (0..len).map(|i| seed.wrapping_add(i as u8)).collect();
+                    a.write_bytes(addr, &data);
+                    ma[at..at + len].copy_from_slice(&data);
+                }
+                1 => {
+                    let mut out = vec![0u8; len];
+                    a.read_bytes(addr, &mut out);
+                    prop_assert_eq!(&out[..], &ma[at..at + len], "read at {} len {}", addr, len);
+                }
+                2 => {
+                    a.fill(addr, len, seed);
+                    ma[at..at + len].fill(seed);
+                }
+                3 => {
+                    let from = src as usize;
+                    if seed & 1 == 0 {
+                        a.copy_from(addr, &b, src, len);
+                        ma[at..at + len].copy_from_slice(&mb[from..from + len]);
+                    } else {
+                        b.copy_from(addr, &a, src, len);
+                        mb[at..at + len].copy_from_slice(&ma[from..from + len]);
+                    }
+                }
+                4 => {
+                    let want = u32::from_le_bytes(ma[at..at + 4].try_into().unwrap());
+                    prop_assert_eq!(a.read_pod::<u32>(addr), want, "u32 at {}", addr);
+                }
+                _ => {
+                    let want = u64::from_le_bytes(ma[at..at + 8].try_into().unwrap());
+                    prop_assert_eq!(a.read_pod::<u64>(addr), want, "u64 at {}", addr);
+                }
+            }
+            let op = format!("op {kind} addr {addr} len {len} src {src}");
+            assert_region_matches(&a, &ma, &op);
+            assert_region_matches(&b, &mb, &op);
+        }
+    }
+}
+
 /// Line geometry of the journal-property rig: 16 lines of 64 bytes.
 const JLINES: u64 = 16;
 const JLINE_BYTES: u64 = 64;
