@@ -5,18 +5,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::view::{Pod, MAX_POD_BYTES};
 use crate::DevAddr;
 
-/// Stack staging buffer of the region-to-region copy when the two ranges sit
-/// at different offsets within their words.
+/// Stack staging buffer of the fill and region-to-region copy loops.
 const COPY_CHUNK: usize = 512;
 
-/// Splits `len` bytes starting at byte `start` into `(head, words, tail)`:
-/// `head` bytes up to the first word boundary, `words` whole words, then
-/// `tail` bytes. `head` and `tail` are each at most 7.
+/// Splits `len` bytes starting at byte `start` into `(head, words)`: `head`
+/// bytes (at most 7) up to the first word boundary, then `words` whole words;
+/// the rest (at most 7 bytes) is the tail.
 #[inline]
-fn split(start: usize, len: usize) -> (usize, usize, usize) {
+fn split(start: usize, len: usize) -> (usize, usize) {
     let head = (start.wrapping_neg() % 8).min(len);
-    let words = (len - head) / 8;
-    (head, words, len - head - words * 8)
+    (head, (len - head) / 8)
 }
 
 /// The panic of a failed bounds check, kept out of line so that the checks
@@ -139,7 +137,7 @@ impl ByteRegion {
     /// Panics if the range `[addr, addr + buf.len())` is out of bounds.
     pub fn read_bytes(&self, addr: DevAddr, buf: &mut [u8]) {
         let start = self.check(addr, buf.len());
-        let (head, nwords, _) = split(start, buf.len());
+        let (head, nwords) = split(start, buf.len());
         let (head_buf, rest) = buf.split_at_mut(head);
         if head > 0 {
             self.load_part(start / 8, start % 8, head_buf);
@@ -162,7 +160,7 @@ impl ByteRegion {
     /// Panics if the range `[addr, addr + data.len())` is out of bounds.
     pub fn write_bytes(&self, addr: DevAddr, data: &[u8]) {
         let start = self.check(addr, data.len());
-        let (head, nwords, _) = split(start, data.len());
+        let (head, nwords) = split(start, data.len());
         let (head_data, rest) = data.split_at(head);
         if head > 0 {
             self.store_part(start / 8, start % 8, head_data);
@@ -185,19 +183,11 @@ impl ByteRegion {
     ///
     /// Panics if the range is out of bounds.
     pub fn fill(&self, addr: DevAddr, len: usize, value: u8) {
-        let start = self.check(addr, len);
-        let (head, nwords, tail) = split(start, len);
-        let bytes = [value; 8];
-        if head > 0 {
-            self.store_part(start / 8, start % 8, &bytes[..head]);
-        }
-        let first = (start + head) / 8;
-        let whole = u64::from_le_bytes(bytes);
-        for word in &self.words[first..first + nwords] {
-            word.store(whole, Ordering::Relaxed);
-        }
-        if tail > 0 {
-            self.store_part(first + nwords, 0, &bytes[..tail]);
+        self.check(addr, len);
+        let chunk = [value; COPY_CHUNK];
+        for done in (0..len).step_by(COPY_CHUNK) {
+            let n = (len - done).min(COPY_CHUNK);
+            self.write_bytes(addr + done as u64, &chunk[..n]);
         }
     }
 
@@ -225,9 +215,7 @@ impl ByteRegion {
     }
 
     /// Copies `len` bytes from `src` in the region `from` to `dst` in this
-    /// region, without allocating. When `src` and `dst` sit at the same
-    /// offset within their words the copy moves word to word; otherwise it is
-    /// staged through a stack buffer.
+    /// region, staged through a stack buffer: no allocation.
     ///
     /// # Panics
     ///
@@ -240,31 +228,11 @@ impl ByteRegion {
             !std::ptr::eq(self, from) || d + len <= s || s + len <= d,
             "overlapping copy within one region: src={src:#x} dst={dst:#x} len={len}"
         );
-        if d % 8 != s % 8 {
-            let mut buf = [0u8; COPY_CHUNK];
-            for done in (0..len).step_by(COPY_CHUNK) {
-                let n = (len - done).min(COPY_CHUNK);
-                from.read_bytes(src + done as u64, &mut buf[..n]);
-                self.write_bytes(dst + done as u64, &buf[..n]);
-            }
-            return;
-        }
-        let (head, nwords, tail) = split(d, len);
-        let mut bytes = [0u8; 8];
-        if head > 0 {
-            from.load_part(s / 8, s % 8, &mut bytes[..head]);
-            self.store_part(d / 8, d % 8, &bytes[..head]);
-        }
-        let (dw, sw) = ((d + head) / 8, (s + head) / 8);
-        for (to, word) in self.words[dw..dw + nwords]
-            .iter()
-            .zip(&from.words[sw..sw + nwords])
-        {
-            to.store(word.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        if tail > 0 {
-            from.load_part(sw + nwords, 0, &mut bytes[..tail]);
-            self.store_part(dw + nwords, 0, &bytes[..tail]);
+        let mut buf = [0u8; COPY_CHUNK];
+        for done in (0..len).step_by(COPY_CHUNK) {
+            let n = (len - done).min(COPY_CHUNK);
+            from.read_bytes(src + done as u64, &mut buf[..n]);
+            self.write_bytes(dst + done as u64, &buf[..n]);
         }
     }
 }
@@ -340,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_moves_word_to_word_at_equal_offsets() {
+    fn copy_from_keeps_the_bytes_around_its_range() {
         let a = ByteRegion::new(2048);
         let b = ByteRegion::new(2048);
         b.fill(0, 2048, 0xEE);
