@@ -109,10 +109,17 @@ impl<T: Pod> BamArray<T> {
         self.inner.preload_bytes(self.base, &bytes)
     }
 
-    /// Bounds-checks the run `[start, start + count)`, `count > 0`.
+    /// Bounds-checks the run `[start, start + count)`, `count > 0`, without
+    /// computing its end (which can overflow).
     fn check_run(&self, start: u64, count: u64) -> Result<(), BamError> {
         self.check(start)?;
-        self.check(start + count - 1)
+        if count > self.len - start {
+            return Err(BamError::IndexOutOfBounds {
+                index: start.saturating_add(count - 1),
+                len: self.len,
+            });
+        }
+        Ok(())
     }
 
     /// Splits the run `[start, start + count)` at cache-line boundaries,
@@ -400,6 +407,31 @@ mod tests {
         arr.write(500, 123_456).unwrap();
         assert_eq!(arr.read(500).unwrap(), 123_456);
         assert!(arr.read(1000).is_err());
+    }
+
+    #[test]
+    fn runs_past_the_end_are_out_of_bounds_not_wrapped() {
+        let sys = system();
+        let arr = sys.create_array::<u64>(1000).unwrap();
+        arr.preload(&(0..1000u64).collect::<Vec<_>>()).unwrap();
+        let oob = |r: Result<(), BamError>| matches!(r, Err(BamError::IndexOutOfBounds { .. }));
+        assert!(oob(arr.read_run(5, u64::MAX).map(drop)));
+        assert!(oob(arr.prefetch(5, u64::MAX).map(drop)));
+        let warp = WarpCtx {
+            warp_id: 0,
+            base_thread: 0,
+            active: LaneMask::MAX,
+        };
+        let mut runs = [None; WARP_SIZE];
+        runs[0] = Some((0, 4));
+        runs[1] = Some((5, u64::MAX));
+        let visited = arr.read_runs_warp(&warp, &runs, |_, _| panic!("visited a lane"));
+        assert!(oob(visited));
+        // A write run's count is a slice length, so it cannot reach
+        // u64::MAX; one element past the end is the same check.
+        assert!(oob(arr.write_run(999, &[1, 2])));
+        // Nothing was written, and the last element is still readable.
+        assert_eq!(arr.read_run(995, 5).unwrap(), vec![995, 996, 997, 998, 999]);
     }
 
     #[test]

@@ -189,6 +189,12 @@ pub struct BamCache {
     /// recovery, so a flush racing with a write can never seal a commit
     /// claiming bytes the media never saw.
     applied_lsn: Vec<AtomicU64>,
+    /// Per-line newest write LSN a committed write-back in the journal
+    /// covers (0 = none): the journal's checkpoint drops write records at or
+    /// below it. Raised only after the commit is appended, so it never runs
+    /// ahead of the journal; a stale horizon only keeps more records. Sized
+    /// when a journal is attached.
+    durable_lsn: Vec<AtomicU64>,
     /// Striped per-line write locks held across journal-append + data-apply
     /// in [`BamCache::journalled_write`], keeping `applied_lsn` monotone in
     /// LSN order under concurrent same-line writers.
@@ -250,6 +256,7 @@ impl BamCache {
             batch_cap: MAX_BATCH.min((num_slots / 4).max(1) as usize),
             journal: None,
             applied_lsn,
+            durable_lsn: Vec::new(),
             write_locks,
             spans: SpanSink::new(),
         }
@@ -283,6 +290,8 @@ impl BamCache {
     /// [`crate::journal::recover`].
     pub fn with_journal(mut self, journal: Arc<CacheJournal>) -> Self {
         self.journal = Some(journal);
+        self.durable_lsn
+            .resize_with(self.line_state.len(), || AtomicU64::new(0));
         self
     }
 
@@ -652,8 +661,10 @@ impl BamCache {
     }
 
     /// Writes `line` back to the backing store under write-ahead journalling:
-    /// intent before the media write, commit after it succeeded. Without a
-    /// journal this is a plain write-back.
+    /// intent before the media write, commit after it succeeded, then the
+    /// line's durable horizon rises to what the intent covered and, once the
+    /// journal has grown enough, a checkpoint cuts away the records no
+    /// recovery needs. Without a journal this is a plain write-back.
     fn journalled_writeback(&self, line: u64, src: DevAddr) -> Result<(), BamError> {
         let Some(journal) = &self.journal else {
             return self.backing.writeback_line(line, src);
@@ -668,6 +679,14 @@ impl BamCache {
         self.backing.writeback_line(line, src)?;
         let commit = journal.append_writeback_commit(line, intent.lsn)?;
         self.metrics.record_journal_append(commit.bytes);
+        self.durable_lsn[line as usize].fetch_max(covered, Ordering::AcqRel);
+        if journal.checkpoint_due() {
+            journal.checkpoint(|l| {
+                self.durable_lsn
+                    .get(l as usize)
+                    .map_or(0, |d| d.load(Ordering::Acquire))
+            })?;
+        }
         Ok(())
     }
 
@@ -681,7 +700,8 @@ impl BamCache {
     /// made every journalled write durable on the media, so each horizon
     /// still lower-bounds the write coverage of any freshly fetched line
     /// image (a conservative horizon only ever causes idempotent re-replay,
-    /// never a lost write).
+    /// never a lost write). The durable horizons are kept too: the commits
+    /// that raised them are still in the journal.
     pub fn reset_after_crash(&self) {
         for state in &self.line_state {
             state.store(pack(STATE_INVALID, false, 0, 0), Ordering::Release);
@@ -1260,6 +1280,102 @@ mod tests {
             media, [0x22; 16],
             "acknowledged write lost across the crash"
         );
+    }
+
+    /// Writes `payload` at `offset` within `line` through the journal.
+    fn write(cache: &BamCache, gpu: &ByteRegion, line: u64, offset: u64, payload: &[u8]) {
+        let g = cache.acquire(line).unwrap();
+        let addr = g.addr() + offset;
+        cache
+            .journalled_write(line, offset, payload, || gpu.write_bytes(addr, payload))
+            .unwrap();
+    }
+
+    #[test]
+    fn the_live_journal_stays_bounded_by_the_flush_interval() {
+        use crate::journal::{decode_records, CHECKPOINT_FLOOR_BYTES, RECORD_OVERHEAD_BYTES};
+        let (_data, gpu, cache) = rig(8);
+        let journal = Arc::new(CacheJournal::new());
+        let cache = cache.with_journal(journal.clone());
+        // Flush every K ops. One op appends at most a 512-byte write record
+        // plus the intent and commit of one write-back (of a line dirtied in
+        // the same interval: the flush ending the previous one cleaned every
+        // line), so an interval appends at most `interval` bytes.
+        const K: u64 = 256;
+        let per_op = (RECORD_OVERHEAD_BYTES + 512 + 2 * RECORD_OVERHEAD_BYTES) as u64;
+        let interval = K * per_op;
+        // A checkpoint during an interval keeps at most that interval and its
+        // own record, so the trigger never exceeds the floor or twice that;
+        // the journal exceeds the trigger by at most what was appended since
+        // the last commit, which is within the current interval.
+        let checkpoint_bytes = RECORD_OVERHEAD_BYTES as u64;
+        let bound = CHECKPOINT_FLOOR_BYTES.max(2 * (interval + checkpoint_bytes)) + interval;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let (mut checkpoints, mut retired) = (0, 0);
+        for op in 1..=12_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let line = x % 64;
+            if x.is_multiple_of(3) {
+                write(&cache, &gpu, line, (x >> 8) % 64 * 8, &x.to_le_bytes());
+            } else {
+                write(&cache, &gpu, line, 0, &[op as u8; 512]);
+            }
+            let flushed = op.is_multiple_of(K);
+            if flushed {
+                cache.flush().unwrap();
+            }
+            let live = journal.live_bytes();
+            assert!(live <= bound, "op {op}: {live} live bytes > {bound}");
+            let checkpointed = journal.appended_bytes() - live > retired;
+            if checkpointed {
+                retired = journal.appended_bytes() - live;
+                checkpoints += 1;
+            }
+            // Decoding every op's image is slow unoptimised; every image a
+            // checkpoint or a flush produced is decoded.
+            if checkpointed || flushed {
+                let decoded = decode_records(&journal.snapshot()).unwrap();
+                assert!(!decoded.torn_tail, "op {op}: torn snapshot");
+            }
+        }
+        assert!(checkpoints >= 3, "only {checkpoints} checkpoints");
+        assert!(journal.appended_bytes() > 3 * bound);
+    }
+
+    #[test]
+    fn a_failed_write_back_never_lets_a_checkpoint_drop_its_writes() {
+        use crate::journal::{decode_records, recover};
+        use std::sync::atomic::Ordering::Release;
+        let (gpu, backing, cache) = flaky_rig(8);
+        let journal = Arc::new(CacheJournal::new());
+        let cache = cache.with_journal(journal.clone());
+        // A committed write first, so the checkpoint has a prefix to cut.
+        write(&cache, &gpu, 1, 0, &[0x11; 512]);
+        cache.flush().unwrap();
+        // Line 3's write-back fails at the media: no commit covers it.
+        write(&cache, &gpu, 3, 0, &[0xA5; 512]);
+        backing.broken.store(true, Release);
+        assert_eq!(cache.flush().unwrap_err(), BamError::Crashed);
+        backing.broken.store(false, Release);
+        // Pinned, line 3 stays dirty while write-backs of other lines push
+        // the journal through a checkpoint.
+        let _pinned = cache.acquire(3).unwrap();
+        for op in 0.. {
+            assert!(op < 10_000, "no checkpoint ran");
+            if journal.appended_bytes() > journal.live_bytes() {
+                break;
+            }
+            write(&cache, &gpu, 10 + op % 40, 0, &[op as u8; 512]);
+        }
+        let image = journal.snapshot();
+        assert!(decode_records(&image).unwrap().base_lsn > 0);
+        recover(&image, &backing.inner, &gpu, 16 * 512).unwrap();
+        let mut media = [0u8; 512];
+        fetch_one(&backing.inner, 3, 8192).unwrap();
+        gpu.read_bytes(8192, &mut media);
+        assert_eq!(media, [0xA5; 512], "the checkpoint dropped a live write");
     }
 
     #[test]
