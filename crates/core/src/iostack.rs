@@ -137,22 +137,6 @@ impl IoStack {
         &self.spans
     }
 
-    /// Records one closed doorbell span: `start_step` was taken before the
-    /// submit, the end step is taken now, `track` is the device index and
-    /// `arg` the device-local LBA.
-    fn emit_doorbell_span(&self, start_step: u64, device: usize, lba: u64) {
-        self.spans.with(|rec| {
-            rec.record(SpanEvent {
-                span: rec.next_span_id(),
-                stage: Stage::Doorbell,
-                start_ns: start_step,
-                end_ns: rec.tick(),
-                track: device as u32,
-                arg: lba,
-            });
-        });
-    }
-
     /// Enables bounded retry with exponential backoff for cache-miss fetches
     /// that fail with a transient [`BamError::Storage`] error: up to
     /// `retries` extra attempts, sleeping `base_us · 2^(attempt-1)`
@@ -166,34 +150,13 @@ impl IoStack {
         self
     }
 
-    /// Installs `hook` on this stack *and* on every device controller of the
-    /// underlying array, so one call instruments the whole submission→fetch→
-    /// completion pipeline. `None` uninstruments everything.
+    /// Installs `hook` as the stack's one tap on the command stream, or
+    /// clears it with `None`. Every command the stack completes is reported
+    /// to it once, after the wait, in step with the request metrics.
     pub fn set_sim_hook(&self, hook: Option<Arc<dyn SimHook>>) {
-        self.array.set_sim_hook(hook.clone());
         let installed = hook.is_some();
         *self.sim_hook.write().expect("sim hook lock poisoned") = hook;
         self.sim_hook_installed.store(installed, Ordering::Release);
-    }
-
-    fn emit_submit(&self, device: usize, queue: u16, write: bool, lba: u64) {
-        if !self.sim_hook_installed.load(Ordering::Acquire) {
-            return;
-        }
-        if let Some(hook) = self
-            .sim_hook
-            .read()
-            .expect("sim hook lock poisoned")
-            .as_ref()
-        {
-            hook.on_submit(&IoEvent {
-                device: device as u32,
-                queue,
-                write,
-                bytes: self.line_bytes,
-                lba,
-            });
-        }
     }
 
     /// Blocks per cache line.
@@ -240,15 +203,51 @@ impl IoStack {
         (device, lba, self.pick_queue(device))
     }
 
-    /// Accounts one successfully completed read: doorbell span, sim-hook
-    /// submit event and request counters. Emitted together so trace length
-    /// and request counters agree 1:1 (failed commands appear in neither).
-    fn read_completed(&self, start_step: Option<u64>, device: usize, queue: u16, lba: u64) {
+    /// Accounts one successfully completed command: the doorbell span (from
+    /// `start_step`, taken before the submit, to now; `track` is the device
+    /// index and `arg` the device-local LBA), the sim-hook submit event and
+    /// the request counter. Emitted together so trace length and request
+    /// counters agree 1:1 (failed commands appear in neither).
+    fn completed(
+        &self,
+        start_step: Option<u64>,
+        device: usize,
+        qp: &BamQueuePair,
+        write: bool,
+        lba: u64,
+    ) {
         if let Some(start) = start_step {
-            self.emit_doorbell_span(start, device, lba);
+            self.spans.with(|rec| {
+                rec.record(SpanEvent {
+                    span: rec.next_span_id(),
+                    stage: Stage::Doorbell,
+                    start_ns: start,
+                    end_ns: rec.tick(),
+                    track: device as u32,
+                    arg: lba,
+                });
+            });
         }
-        self.emit_submit(device, queue, false, lba);
-        self.metrics.record_read_request(self.line_bytes);
+        if self.sim_hook_installed.load(Ordering::Acquire) {
+            if let Some(hook) = self
+                .sim_hook
+                .read()
+                .expect("sim hook lock poisoned")
+                .as_ref()
+            {
+                hook.on_submit(&IoEvent {
+                    device: device as u32,
+                    queue: qp.queue_id(),
+                    write,
+                    bytes: self.line_bytes,
+                });
+            }
+        }
+        if write {
+            self.metrics.record_write_request(self.line_bytes);
+        } else {
+            self.metrics.record_read_request(self.line_bytes);
+        }
     }
 
     /// Reads cache line `line` from storage into GPU memory at `dst`: a
@@ -325,7 +324,7 @@ impl IoStack {
         }
         for read in staged.drain() {
             outcomes[read.index] = read.qp.wait(read.submission).map(|_| {
-                self.read_completed(read.start_step, read.device, read.qp.queue_id(), read.lba);
+                self.completed(read.start_step, read.device, read.qp, false, read.lba);
             });
         }
     }
@@ -345,11 +344,7 @@ impl IoStack {
             let qp = self.pick_queue(device);
             let start_step = self.spans.with(|rec| rec.tick());
             qp.submit_and_wait(NvmeCommand::write(0, lba, self.blocks_per_line(), src))?;
-            if let Some(start) = start_step {
-                self.emit_doorbell_span(start, device, lba);
-            }
-            self.emit_submit(device, qp.queue_id(), true, lba);
-            self.metrics.record_write_request(self.line_bytes);
+            self.completed(start_step, device, qp, true, lba);
         }
         Ok(())
     }

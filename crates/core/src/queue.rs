@@ -403,20 +403,6 @@ impl BamQueuePair {
     ) -> Result<NvmeCompletion, BamError> {
         self.submit_and_wait(NvmeCommand::read(0, slba, nlb, dptr))
     }
-
-    /// Submits a write of `nlb` blocks at `slba` from `dptr` and waits.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device command failures.
-    pub fn write_and_wait(
-        &self,
-        slba: u64,
-        nlb: u32,
-        dptr: u64,
-    ) -> Result<NvmeCompletion, BamError> {
-        self.submit_and_wait(NvmeCommand::write(0, slba, nlb, dptr))
-    }
 }
 
 #[cfg(test)]
@@ -510,7 +496,8 @@ mod tests {
                     for i in 0..20u64 {
                         let lba = t * 100 + i;
                         region.write_bytes(buf, &vec![(t * 31 + i) as u8; 512]);
-                        qp.write_and_wait(lba, 1, buf).unwrap();
+                        qp.submit_and_wait(NvmeCommand::write(0, lba, 1, buf))
+                            .unwrap();
                         region.write_bytes(buf, &[0u8; 512]);
                         qp.read_and_wait(lba, 1, buf).unwrap();
                         let mut out = [0u8; 512];

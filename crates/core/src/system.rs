@@ -66,8 +66,6 @@ pub(crate) struct SystemInner {
     journal: Option<Arc<CacheJournal>>,
     /// The injected crash point (when built via `with_crash_point`).
     crash: Option<Arc<CrashPoint>>,
-    /// The installed span recorder (see [`BamSystem::set_span_recorder`]).
-    span_recorder: Mutex<Option<Arc<SpanRecorder>>>,
     scratch: Vec<Mutex<DevAddr>>,
     scratch_rr: AtomicU64,
     dataset_cursor: AtomicU64,
@@ -322,7 +320,6 @@ impl BamSystem {
                 coalescing,
                 journal,
                 crash,
-                span_recorder: Mutex::new(None),
                 scratch,
                 scratch_rr: AtomicU64::new(0),
                 dataset_cursor: AtomicU64::new(0),
@@ -356,19 +353,25 @@ impl BamSystem {
                 ),
             });
         }
-        let bytes = len * T::SIZE as u64;
-        let reserved = bytes.next_multiple_of(self.inner.line_bytes);
-        let offset = self
+        let bytes = len.checked_mul(T::SIZE as u64);
+        let capacity = self.inner.logical_capacity;
+        // The cursor advances only when the whole extent fits, so a rejected
+        // request reserves nothing.
+        let reserve = |offset: u64| {
+            let bytes = bytes.filter(|&b| b <= capacity.saturating_sub(offset))?;
+            offset.checked_add(bytes.checked_next_multiple_of(self.inner.line_bytes)?)
+        };
+        match self
             .inner
             .dataset_cursor
-            .fetch_add(reserved, Ordering::AcqRel);
-        if offset + bytes > self.inner.logical_capacity {
-            return Err(BamError::OutOfStorageCapacity {
-                requested: bytes,
-                available: self.inner.logical_capacity.saturating_sub(offset),
-            });
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, reserve)
+        {
+            Ok(offset) => Ok(BamArray::new(self.inner.clone(), offset, len)),
+            Err(offset) => Err(BamError::OutOfStorageCapacity {
+                requested: bytes.unwrap_or(u64::MAX),
+                available: capacity.saturating_sub(offset),
+            }),
         }
-        Ok(BamArray::new(self.inner.clone(), offset, len))
     }
 
     /// A snapshot of the BaM software metrics (cache and I/O counters).
@@ -387,10 +390,11 @@ impl BamSystem {
     }
 
     /// Installs (or, with `None`, removes) a [`bam_nvme_sim::SimHook`] on the
-    /// I/O stack and every SSD controller, so an event-driven simulation
-    /// (`bam-sim`) can observe the submission→fetch→completion stream of a
-    /// functional run. The default is no hook; the functional path is
-    /// unaffected either way.
+    /// I/O stack, so an event-driven simulation (`bam-sim`) can observe the
+    /// command stream of a functional run: one event per command the stack
+    /// completes, 1:1 with [`MetricsSnapshot::total_requests`]. The
+    /// device-side view of the same stream is [`BamSystem::ssd_stats`]. The
+    /// default is no hook; the functional path is unaffected either way.
     pub fn set_sim_hook(&self, hook: Option<Arc<dyn bam_nvme_sim::SimHook>>) {
         self.inner.iostack.set_sim_hook(hook);
     }
@@ -403,11 +407,11 @@ impl BamSystem {
     /// request; with no recorder installed the probes are single-branch
     /// no-ops.
     pub fn set_span_recorder(&self, recorder: Option<Arc<SpanRecorder>>) {
-        match &recorder {
+        match recorder {
             Some(rec) => {
                 self.inner.iostack.spans().install(rec.clone());
                 if let Some(cache) = &self.inner.cache {
-                    cache.spans().install(rec.clone());
+                    cache.spans().install(rec);
                 }
             }
             None => {
@@ -417,12 +421,11 @@ impl BamSystem {
                 }
             }
         }
-        *self.inner.span_recorder.lock() = recorder;
     }
 
     /// The installed span recorder, if any.
     pub fn span_recorder(&self) -> Option<Arc<SpanRecorder>> {
-        self.inner.span_recorder.lock().clone()
+        self.inner.iostack.spans().recorder()
     }
 
     /// Renders every recorded span as Chrome trace-event JSON (loadable in
@@ -590,7 +593,7 @@ impl BamSystem {
         // lost with the crashed host, and the reboot is behind us.
         let region = &self.inner.region;
         let (_slot_guard, scratch) = self.inner.lock_scratch();
-        let recorder = self.inner.span_recorder.lock().clone();
+        let recorder = self.span_recorder();
         let report = journal::recover_observed(
             journal_bytes,
             self.inner.iostack.as_ref(),
@@ -648,8 +651,50 @@ mod tests {
         // 1 MiB namespace cannot hold a 2 MiB array.
         assert!(matches!(
             sys.create_array::<u64>(256 * 1024),
-            Err(BamError::OutOfStorageCapacity { .. })
+            Err(BamError::OutOfStorageCapacity {
+                requested: 2097152,
+                available: 1048576
+            })
         ));
+        // The rejection reserved nothing: the whole namespace is still free.
+        let a = sys.create_array::<u64>(128 * 1024).unwrap();
+        assert_eq!(a.base_offset(), 0);
+        assert!(matches!(
+            sys.create_array::<u64>(16),
+            Err(BamError::OutOfStorageCapacity {
+                requested: 128,
+                available: 0
+            })
+        ));
+    }
+
+    #[test]
+    fn array_sizes_that_overflow_are_rejected_not_wrapped() {
+        let sys = BamSystem::new(BamConfig::test_scale()).unwrap();
+        let a = sys.create_array::<u64>(64).unwrap();
+        for len in [1u64 << 61, u64::MAX / 8 + 1, u64::MAX] {
+            assert!(
+                matches!(
+                    sys.create_array::<u64>(len),
+                    Err(BamError::OutOfStorageCapacity {
+                        requested: u64::MAX,
+                        ..
+                    })
+                ),
+                "len {len}"
+            );
+        }
+        // A size that fits in u64 but not the namespace is rejected too.
+        assert!(matches!(
+            sys.create_array::<u8>(u64::MAX),
+            Err(BamError::OutOfStorageCapacity {
+                requested: u64::MAX,
+                ..
+            })
+        ));
+        // Nothing was reserved: the next array follows the first.
+        let b = sys.create_array::<u64>(64).unwrap();
+        assert_eq!(b.base_offset(), a.base_offset() + 512);
     }
 
     #[test]
@@ -746,6 +791,10 @@ mod tests {
         arr.preload(&(0..1024u64).collect::<Vec<_>>()).unwrap();
         let rec = Arc::new(SpanRecorder::new());
         sys.set_span_recorder(Some(rec.clone()));
+        // The stack and the cache share the one installed recorder.
+        let cache = sys.inner.cache.as_ref().unwrap();
+        assert!(Arc::ptr_eq(&sys.span_recorder().unwrap(), &rec));
+        assert!(Arc::ptr_eq(&cache.spans().recorder().unwrap(), &rec));
         for i in (0..1024u64).step_by(64) {
             arr.read(i).unwrap();
         }
@@ -759,6 +808,8 @@ mod tests {
         assert!(export.contains("\"name\":\"cache_probe\""));
         assert!(export.ends_with("]}\n"));
         sys.set_span_recorder(None);
+        assert!(sys.span_recorder().is_none());
+        assert!(cache.spans().recorder().is_none());
         let before = rec.len();
         arr.read(0).unwrap();
         assert_eq!(rec.len(), before, "uninstalled recorder sees nothing");

@@ -70,15 +70,14 @@ impl GpuMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bam_mem::TypedSlice;
 
     #[test]
     fn typed_allocation_roundtrip() {
         let mem = GpuMemory::new(GpuSpec::a100_80gb(), 1 << 20);
         let base = mem.alloc(1000 * 4, 8).unwrap();
-        let arr = TypedSlice::<f32>::new(mem.region(), base, 1000);
-        arr.set(999, 3.5);
-        assert_eq!(arr.get(999), 3.5);
+        let last = base + 999 * 4;
+        mem.region().write_bytes(last, &3.5f32.to_le_bytes());
+        assert_eq!(mem.region().read_pod::<f32>(last), 3.5);
         assert!(mem.free_bytes() < 1 << 20);
     }
 

@@ -32,7 +32,7 @@ pub mod view;
 
 pub use alloc::{AllocError, BumpAllocator};
 pub use region::ByteRegion;
-pub use view::{Pod, TypedSlice, MAX_POD_BYTES};
+pub use view::{Pod, MAX_POD_BYTES};
 
 /// A device address: a byte offset into a [`ByteRegion`].
 ///

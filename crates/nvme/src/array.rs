@@ -189,14 +189,6 @@ impl SsdArray {
         }
     }
 
-    /// Installs `hook` on every device's controller (device indices follow
-    /// array order), or clears all hooks when `hook` is `None`.
-    pub fn set_sim_hook(&self, hook: Option<Arc<dyn crate::hook::SimHook>>) {
-        for (idx, d) in self.devices.iter().enumerate() {
-            d.set_sim_hook(hook.clone(), idx as u32);
-        }
-    }
-
     /// Aggregated statistics across all devices.
     pub fn stats(&self) -> Vec<StatsSnapshot> {
         self.devices.iter().map(|d| d.stats()).collect()

@@ -17,7 +17,6 @@ use bam_mem::ByteRegion;
 
 use crate::block::BlockStore;
 use crate::command::{NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus};
-use crate::hook::{IoEvent, SimHook};
 use crate::queue::QueuePair;
 use crate::stats::ControllerStats;
 
@@ -41,15 +40,13 @@ pub(crate) struct DeviceQueueState {
 }
 
 /// The part of a controller that executes commands: media, DMA region,
-/// counters, fault injector and sim hook. It holds no queues, so each queue
-/// pair it serves can hold it without a reference cycle.
+/// counters and fault injector. It holds no queues, so each queue pair it
+/// serves can hold it without a reference cycle.
 pub(crate) struct Firmware {
     store: Arc<BlockStore>,
     region: Arc<ByteRegion>,
     stats: Arc<ControllerStats>,
     fault_injector: RwLock<Option<Arc<FaultInjector>>>,
-    /// Event-simulation hook plus the device index reported in its events.
-    sim_hook: RwLock<Option<(Arc<dyn SimHook>, u32)>>,
 }
 
 impl std::fmt::Debug for Firmware {
@@ -119,8 +116,6 @@ impl Firmware {
         if st.sq_head == tail {
             return 0;
         }
-        let hook = self.sim_hook.read();
-        let block_bytes = self.store.block_size() as u64;
         let entries = qp.entries;
         let mut processed = 0usize;
         while st.sq_head != tail {
@@ -135,23 +130,6 @@ impl Firmware {
                 // retry later without advancing.
                 break;
             };
-            let sim_event = hook.as_ref().map(|(h, device)| {
-                let ev = IoEvent {
-                    device: *device,
-                    queue: qp.id.0,
-                    write: cmd.opcode != NvmeOpcode::Read,
-                    bytes: match cmd.opcode {
-                        NvmeOpcode::Flush => 0,
-                        _ => u64::from(cmd.nlb) * block_bytes,
-                    },
-                    lba: match cmd.opcode {
-                        NvmeOpcode::Flush => 0,
-                        _ => cmd.slba,
-                    },
-                };
-                h.on_device_fetch(&ev);
-                (h, ev)
-            });
             let status = self.execute(&cmd);
             st.sq_head = (st.sq_head + 1) % entries;
             // Publish the DMA'd data before the completion entry becomes
@@ -168,9 +146,6 @@ impl Firmware {
                 phase: !st.phase, // the *new* entry carries the inverted phase of the previous lap
             };
             qp.write_cq_entry(st.cq_tail, &completion);
-            if let Some((h, ev)) = sim_event {
-                h.on_complete(&ev);
-            }
             self.stats.record_completion();
             st.cq_tail += 1;
             if st.cq_tail == entries {
@@ -209,7 +184,6 @@ impl NvmeController {
                 region,
                 stats: Arc::new(ControllerStats::new()),
                 fault_injector: RwLock::new(None),
-                sim_hook: RwLock::new(None),
             }),
             queues: RwLock::new(Vec::new()),
         }
@@ -234,12 +208,6 @@ impl NvmeController {
     /// Installs (or clears) a fault injector.
     pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
         *self.firmware.fault_injector.write() = injector;
-    }
-
-    /// Installs (or clears) a [`SimHook`]. Events emitted by this controller
-    /// carry `device_index` so arrays can tell their devices apart.
-    pub fn set_sim_hook(&self, hook: Option<Arc<dyn SimHook>>, device_index: u32) {
-        *self.firmware.sim_hook.write() = hook.map(|h| (h, device_index));
     }
 
     /// Registers a queue pair with the controller. From then on

@@ -87,12 +87,6 @@ impl SsdDevice {
         self.controller.stats().snapshot()
     }
 
-    /// Installs (or clears) a [`crate::hook::SimHook`] on this device's
-    /// controller; events it emits carry `device_index`.
-    pub fn set_sim_hook(&self, hook: Option<Arc<dyn crate::hook::SimHook>>, device_index: u32) {
-        self.controller.set_sim_hook(hook, device_index);
-    }
-
     /// Allocates an I/O queue pair of `entries` entries whose rings live in
     /// `alloc`'s region (the GPU memory) and registers it with the
     /// controller, so that whoever waits on it services it.

@@ -23,9 +23,11 @@
 //!   the exact mechanism BaM's queue protocol relies on (§3.3).
 //! * [`array::SsdArray`] — multi-SSD aggregation with the replication and
 //!   striping layouts used in the evaluation.
-//! * [`hook::SimHook`] — no-op-by-default instrumentation points
-//!   (submission, controller fetch, completion) through which `bam-sim`
-//!   captures I/O streams for event-driven latency simulation.
+//! * [`hook::SimHook`] — the one tap on the I/O stream: the GPU-side I/O
+//!   stack reports each command it completes through it, and `bam-sim`
+//!   captures that stream for event-driven latency simulation. The
+//!   controllers emit nothing; their device-side counts are
+//!   [`stats::ControllerStats`].
 //!
 //! The controller is *functionally* accurate (real data movement, real
 //! queue-protocol interactions); performance is modelled analytically by
@@ -51,7 +53,7 @@ pub use controller::{FaultInjector, NvmeController};
 pub use device::SsdDevice;
 pub use doorbell::Doorbell;
 pub use error::NvmeError;
-pub use hook::{IoEvent, NopSimHook, SimHook};
+pub use hook::{IoEvent, SimHook};
 pub use queue::{QueueId, QueuePair};
 pub use spec::{SsdSpec, SsdTechnology};
 pub use stats::{ControllerStats, StatsSnapshot};

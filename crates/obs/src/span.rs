@@ -264,14 +264,15 @@ impl SpanSink {
         *self.inner.recorder.write().unwrap() = None;
     }
 
-    /// True when a recorder is installed (single relaxed load).
-    pub fn is_installed(&self) -> bool {
-        self.inner.installed.load(Ordering::Relaxed)
+    /// The installed recorder, if any.
+    pub fn recorder(&self) -> Option<Arc<SpanRecorder>> {
+        self.inner.recorder.read().unwrap().clone()
     }
 
-    /// Runs `f` against the recorder when installed; no-op otherwise.
+    /// Runs `f` against the recorder when installed; no-op otherwise (one
+    /// relaxed load).
     pub fn with<R>(&self, f: impl FnOnce(&SpanRecorder) -> R) -> Option<R> {
-        if !self.is_installed() {
+        if !self.inner.installed.load(Ordering::Relaxed) {
             return None;
         }
         let guard = self.inner.recorder.read().unwrap();
@@ -396,14 +397,16 @@ mod tests {
     #[test]
     fn sink_is_noop_until_installed() {
         let sink = SpanSink::new();
-        assert!(!sink.is_installed());
+        assert!(sink.recorder().is_none());
         assert_eq!(sink.with(|_| 1), None);
         let rec = Arc::new(SpanRecorder::new());
         sink.install(rec.clone());
         let shared = sink.clone();
+        assert!(Arc::ptr_eq(&shared.recorder().unwrap(), &rec));
         assert_eq!(shared.with(|r| r.tick()), Some(1));
         assert_eq!(rec.now(), 1);
         sink.uninstall();
+        assert!(shared.recorder().is_none());
         assert_eq!(shared.with(|_| 1), None);
     }
 

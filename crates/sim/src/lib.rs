@@ -37,7 +37,9 @@
 //!   [`report::MultiTenantReport`] adds per-tenant accounting and the
 //!   interference metric.
 //! * [`trace`] — a [`bam_nvme_sim::SimHook`] implementation that captures
-//!   the I/O stream of a functional run for replay under the engine.
+//!   the I/O stream of a functional run at its one tap, the I/O stack
+//!   (one entry per completed command, 1:1 with the stack's request
+//!   metrics), for replay under the engine.
 //!
 //! ## Example: the paper's §2.2 worked example, event-driven
 //!

@@ -2,12 +2,11 @@
 //! event engine.
 //!
 //! [`TraceRecorder`] implements [`bam_nvme_sim::SimHook`]: installed on a
-//! `BamSystem`/`IoStack` (or a raw controller) it records every submitted
-//! command. The resulting [`IoTrace`] preserves per-request routing (device,
-//! queue pair) and direction, so [`IoTrace::replay`] reproduces the *measured*
-//! traffic mix — not a synthetic approximation — under any arrival process.
+//! `BamSystem`/`IoStack` it records every command the stack completes. The
+//! resulting [`IoTrace`] preserves per-request routing (device, queue pair)
+//! and direction, so [`IoTrace::replay`] reproduces the *measured* traffic
+//! mix — not a synthetic approximation — under any arrival process.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bam_nvme_sim::{IoEvent, SimHook};
@@ -49,28 +48,16 @@ impl IoTrace {
     }
 }
 
-/// A [`SimHook`] that records submissions and counts pipeline milestones.
+/// A [`SimHook`] that records submissions.
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     submits: Mutex<Vec<RequestDesc>>,
-    device_fetches: AtomicU64,
-    completions: AtomicU64,
 }
 
 impl TraceRecorder {
     /// An empty recorder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Commands the controllers fetched so far.
-    pub fn device_fetches(&self) -> u64 {
-        self.device_fetches.load(Ordering::Relaxed)
-    }
-
-    /// Completions the controllers posted so far.
-    pub fn completions(&self) -> u64 {
-        self.completions.load(Ordering::Relaxed)
     }
 
     /// Takes the captured trace, leaving the recorder empty.
@@ -93,14 +80,6 @@ impl SimHook for TraceRecorder {
                 queue: Some(u32::from(ev.queue)),
             });
     }
-
-    fn on_device_fetch(&self, _ev: &IoEvent) {
-        self.device_fetches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_complete(&self, _ev: &IoEvent) {
-        self.completions.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +92,6 @@ mod tests {
             queue,
             write,
             bytes,
-            lba: 0,
         }
     }
 
@@ -122,15 +100,11 @@ mod tests {
         let rec = TraceRecorder::new();
         rec.on_submit(&ev(0, 1, false, 512));
         rec.on_submit(&ev(1, 2, true, 1024));
-        rec.on_device_fetch(&ev(0, 1, false, 512));
-        rec.on_complete(&ev(0, 1, false, 512));
         let trace = rec.take_trace();
         assert_eq!(trace.len(), 2);
         assert!(!trace.requests[0].write && trace.requests[1].write);
         assert_eq!(trace.requests[1].bytes, 1024);
         assert_eq!(trace.requests[1].device, Some(1));
-        assert_eq!(rec.device_fetches(), 1);
-        assert_eq!(rec.completions(), 1);
         assert!(rec.take_trace().is_empty(), "take drains the buffer");
     }
 
