@@ -216,20 +216,17 @@ impl<T: Pod> BamArray<T> {
         indices: &[Option<u64>; WARP_SIZE],
     ) -> Result<[Option<T>; WARP_SIZE], BamError> {
         let mut out: [Option<T>; WARP_SIZE] = [None; WARP_SIZE];
-        // Validate up front so errors do not depend on group iteration order.
-        for idx in indices.iter().flatten() {
-            self.check(*idx)?;
-        }
-        // Build the per-lane cache-line keys for match_any; lanes with no
-        // access are excluded from the participation mask.
+        // Build the per-lane cache-line keys for match_any; inactive lanes
+        // and lanes with no access are excluded from the participation mask.
+        // Every participating index is validated before any probe, so errors
+        // do not depend on group iteration order.
         let mut keys = [u64::MAX; WARP_SIZE];
         let mut participate: LaneMask = 0;
-        for lane in 0..WARP_SIZE {
-            if warp.is_active(lane) {
-                if let Some(idx) = indices[lane] {
-                    keys[lane] = self.line_of(idx).0;
-                    participate |= 1 << lane;
-                }
+        for (lane, _) in warp.lanes() {
+            if let Some(idx) = indices[lane] {
+                self.check(idx)?;
+                keys[lane] = self.line_of(idx).0;
+                participate |= 1 << lane;
             }
         }
         // Without coalescing every lane is a group of its own.
@@ -467,6 +464,38 @@ mod tests {
             m.coalesced_accesses > 0,
             "consecutive tids in a warp share cache lines"
         );
+    }
+
+    #[test]
+    fn inactive_lanes_are_not_read_or_validated() {
+        let sys = system();
+        let arr = sys.create_array::<u64>(1024).unwrap();
+        arr.preload(&(0..1024u64).collect::<Vec<_>>()).unwrap();
+        let warp = WarpCtx {
+            warp_id: 0,
+            base_thread: 0,
+            active: 0b1,
+        };
+        let mut indices = [None; WARP_SIZE];
+        indices[0] = Some(7);
+        indices[5] = Some(1 << 40);
+        let vals = arr.gather_warp(&warp, &indices).unwrap();
+        assert_eq!(vals[0], Some(7));
+        assert!(vals[1..].iter().all(Option::is_none));
+        // The run reader treats the same lanes the same way.
+        let mut runs = [None; WARP_SIZE];
+        runs[0] = Some((7, 1));
+        runs[5] = Some((1 << 40, 1));
+        let mut visited = Vec::new();
+        arr.read_runs_warp(&warp, &runs, |lane, run| visited.push((lane, run.to_vec())))
+            .unwrap();
+        assert_eq!(visited, vec![(0, vec![7])]);
+        // An active lane out of range still fails the warp.
+        indices[0] = Some(1 << 40);
+        assert!(matches!(
+            arr.gather_warp(&warp, &indices),
+            Err(BamError::IndexOutOfBounds { .. })
+        ));
     }
 
     #[test]

@@ -2,15 +2,17 @@
 //! array through the BaM queue protocol.
 //!
 //! Requests are spread across SSDs (round-robin under replication, by address
-//! under striping) and across each SSD's queue pairs round-robin, exactly as
-//! the prototype distributes its microbenchmark traffic (§4.3).
+//! under striping). On the chosen SSD every command goes to the issuing
+//! thread's home queue pair, as the prototype picks a thread's queue pair
+//! from its SM id: an OS worker plays an SM here, so while threads are no
+//! more than queue pairs, no two threads share a ring.
 //!
 //! Every read goes through [`IoStack::read_lines`], which overlaps the
 //! commands of one batch; [`IoStack::read_line`] is its one-request form.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
 
 use bam_mem::DevAddr;
 use bam_nvme_sim::{IoEvent, NvmeCommand, SimHook, SsdArray, BLOCK_SIZE};
@@ -34,6 +36,26 @@ fn retry_backoff_us(base_us: u64, attempt: u32) -> u64 {
     base_us.saturating_mul(factor).min(MAX_FETCH_BACKOFF_US)
 }
 
+/// Source of home indices: each OS thread takes the next one at its first
+/// command, through any stack.
+static NEXT_HOME: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's home index, `usize::MAX` until its first command.
+    static HOME: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// The calling thread's home index; its queue pair on a device with `n`
+/// pairs is pair `home % n`.
+fn home_index() -> usize {
+    HOME.with(|home| {
+        if home.get() == usize::MAX {
+            home.set(NEXT_HOME.fetch_add(1, Ordering::Relaxed));
+        }
+        home.get()
+    })
+}
+
 /// One read command of a [`IoStack::read_lines`] batch, staged and not yet
 /// waited for.
 struct StagedRead<'a> {
@@ -54,8 +76,6 @@ pub struct IoStack {
     queues: Vec<Vec<Arc<BamQueuePair>>>,
     /// Round-robin counter for device selection under replication.
     rr_device: AtomicU64,
-    /// Round-robin counter for queue selection within a device.
-    rr_queue: AtomicU64,
     line_bytes: u64,
     num_lines: u64,
     metrics: Arc<BamMetrics>,
@@ -119,7 +139,6 @@ impl IoStack {
             array,
             queues,
             rr_device: AtomicU64::new(0),
-            rr_queue: AtomicU64::new(0),
             line_bytes,
             num_lines,
             metrics,
@@ -142,8 +161,9 @@ impl IoStack {
     /// `retries` extra attempts, sleeping `base_us · 2^(attempt-1)`
     /// microseconds (saturating at `MAX_FETCH_BACKOFF_US`) before each.
     /// Under replication the round-robin device
-    /// selector naturally steers each attempt at the next replica. Every
-    /// retry is counted in [`crate::MetricsSnapshot::storage_retries`].
+    /// selector naturally steers each attempt at the next replica (on that
+    /// replica, the thread's home queue pair). Every retry is counted in
+    /// [`crate::MetricsSnapshot::storage_retries`].
     pub fn with_fetch_retry(mut self, retries: u32, base_us: u64) -> Self {
         self.fetch_retries = retries;
         self.fetch_retry_base_us = base_us;
@@ -178,10 +198,10 @@ impl IoStack {
             .sum()
     }
 
+    /// The calling thread's home queue pair on `device`.
     fn pick_queue(&self, device: usize) -> &BamQueuePair {
         let qs = &self.queues[device];
-        let idx = self.rr_queue.fetch_add(1, Ordering::Relaxed) as usize % qs.len();
-        &qs[idx]
+        &qs[home_index() % qs.len()]
     }
 
     fn check_line(&self, line: u64) -> Result<(), BamError> {
@@ -195,7 +215,7 @@ impl IoStack {
     }
 
     /// Routes a read of `line`: the device and device-local LBA (round-robin
-    /// across replicas) and the queue pair (round-robin within the device).
+    /// across replicas) and the thread's home queue pair on that device.
     fn route_read(&self, line: u64) -> (usize, u64, &BamQueuePair) {
         let logical_lba = line * u64::from(self.blocks_per_line());
         let rr = self.rr_device.fetch_add(1, Ordering::Relaxed) as usize;
@@ -264,10 +284,10 @@ impl IoStack {
     }
 
     /// Reads every `(line, dst)` of `requests` with the commands overlapped:
-    /// they are routed and staged in slice order (round-robin across devices
-    /// and queues, as one request after another would be), each queue's
-    /// doorbell is rung once, and only then are the completions awaited, in
-    /// order. Each request's result lands in the matching element of
+    /// they are routed and staged in slice order (round-robin across devices,
+    /// as one request after another would be, each to the thread's home
+    /// queue pair on its device), each queue's doorbell is rung once, and
+    /// only then are the completions awaited, in order. Each request's result lands in the matching element of
     /// `outcomes`; a failed command does not fail the others, and none is left
     /// in flight on return.
     ///
@@ -352,13 +372,12 @@ impl IoStack {
     /// The cache-miss retry loop, entered with the outcome of the line's
     /// command in [`IoStack::read_lines`]: a transient device failure is
     /// retried on its own with [`IoStack::read_line`] after a backoff, up to
-    /// the configured budget; a fetch that ends well records its latency.
+    /// the configured budget.
     fn fetch_with_retry(
         &self,
         line: u64,
         dst: DevAddr,
         first_attempt: Result<(), BamError>,
-        started: Instant,
     ) -> Result<(), BamError> {
         let mut outcome = first_attempt;
         let mut attempt = 0u32;
@@ -372,10 +391,6 @@ impl IoStack {
                 std::thread::sleep(std::time::Duration::from_micros(backoff));
             }
             outcome = self.read_line(line, dst);
-        }
-        if outcome.is_ok() {
-            self.metrics
-                .record_fetch_latency(started.elapsed().as_nanos() as u64);
         }
         outcome
     }
@@ -391,24 +406,16 @@ impl CacheBacking for IoStack {
     }
 
     fn fetch_lines(&self, requests: &[(u64, DevAddr)], outcomes: &mut [Result<(), BamError>]) {
-        let started = Instant::now();
         self.read_lines(requests, outcomes);
-        // A failed command is retried on its own; each line's latency sample
-        // runs from the batch's issue.
+        // A failed command is retried on its own.
         for (&(line, dst), outcome) in requests.iter().zip(outcomes) {
             let first_attempt = std::mem::replace(outcome, Ok(()));
-            *outcome = self.fetch_with_retry(line, dst, first_attempt, started);
+            *outcome = self.fetch_with_retry(line, dst, first_attempt);
         }
     }
 
     fn writeback_line(&self, line: u64, src: DevAddr) -> Result<(), BamError> {
-        let started = Instant::now();
-        let outcome = self.write_line(line, src);
-        if outcome.is_ok() {
-            self.metrics
-                .record_writeback_latency(started.elapsed().as_nanos() as u64);
-        }
-        outcome
+        self.write_line(line, src)
     }
 }
 
@@ -530,7 +537,7 @@ mod tests {
 
     #[test]
     fn one_threads_batch_on_one_queue_rings_the_doorbell_once() {
-        let (region, alloc, array, stack) = build_with_queues(1, DataLayout::Replicated, 1);
+        let (region, alloc, array, stack) = build_with_queues(1, DataLayout::Replicated, 4);
         for line in 0..8u64 {
             array.preload(line * 1024, &[line as u8 + 1; 1024]).unwrap();
         }
@@ -546,6 +553,13 @@ mod tests {
             assert!(out.iter().all(|&b| b == line as u8 + 1), "line {line}");
         }
         assert_eq!(stack.total_submissions(), 8);
+        // Of the four pairs, the thread's home pair took the whole batch.
+        let busy: Vec<u64> = stack.queues[0]
+            .iter()
+            .map(|q| q.submissions())
+            .filter(|&n| n > 0)
+            .collect();
+        assert_eq!(busy, [8], "one thread, one queue pair");
         assert_eq!(stack.total_doorbell_writes(), 1, "one batch, one doorbell");
         assert_eq!(stack.metrics.snapshot().read_requests, 8);
         // The waiter runs the device, so it observes every ring exactly once

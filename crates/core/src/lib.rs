@@ -16,7 +16,8 @@
 //!   cache-line reference reuse, and warp-scope readers that issue all of a
 //!   warp's misses before waiting for any.
 //! * [`iostack::IoStack`] — routes line fetches/write-backs to the SSD array
-//!   through the BaM queues, round-robining across devices and queue pairs.
+//!   through the BaM queues, round-robining across devices and sending each
+//!   thread's commands to its home queue pair.
 //! * [`system::BamSystem`] — one-call initialization that allocates
 //!   everything in GPU memory up front, mirroring the prototype's setup.
 //!

@@ -2,15 +2,9 @@
 //!
 //! Every count the experiment harnesses need — cache hits and misses, I/O
 //! requests issued, bytes moved, doorbell writes, coalescing savings — is
-//! collected here with relaxed atomics so the hot paths stay cheap. Two
-//! latency-valued metrics (miss-fetch and writeback wall time) accumulate
-//! into [`LatencyHisto`]s behind a mutex — they are off the per-access hot
-//! path, recorded once per storage round trip.
+//! collected here with relaxed atomics so the hot paths stay cheap.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use bam_obs::LatencyHisto;
 
 /// Live counters for one BaM system instance.
 #[derive(Debug, Default)]
@@ -34,10 +28,6 @@ pub struct BamMetrics {
     storage_retries: AtomicU64,
     journal_appends: AtomicU64,
     journal_bytes: AtomicU64,
-    // Latency-valued metrics (wall-clock nanoseconds; sample counts are
-    // deterministic, the values are not — they never enter drift gates).
-    fetch_latency_ns: Mutex<LatencyHisto>,
-    writeback_latency_ns: Mutex<LatencyHisto>,
 }
 
 /// A point-in-time copy of [`BamMetrics`].
@@ -193,38 +183,6 @@ impl BamMetrics {
         self.journal_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_fetch_latency(&self, ns: u64) {
-        self.fetch_latency_ns
-            .lock()
-            .expect("metrics lock poisoned")
-            .record(ns);
-    }
-
-    pub(crate) fn record_writeback_latency(&self, ns: u64) {
-        self.writeback_latency_ns
-            .lock()
-            .expect("metrics lock poisoned")
-            .record(ns);
-    }
-
-    /// Wall-clock latency histogram of cache-miss fetches (whole retry
-    /// loops, storage round trip included). A copy — the live histogram
-    /// keeps accumulating.
-    pub fn fetch_latency(&self) -> LatencyHisto {
-        self.fetch_latency_ns
-            .lock()
-            .expect("metrics lock poisoned")
-            .clone()
-    }
-
-    /// Wall-clock latency histogram of dirty-line writebacks.
-    pub fn writeback_latency(&self) -> LatencyHisto {
-        self.writeback_latency_ns
-            .lock()
-            .expect("metrics lock poisoned")
-            .clone()
-    }
-
     /// Copies the current counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -267,11 +225,6 @@ impl BamMetrics {
             &self.journal_bytes,
         ] {
             c.store(0, Ordering::Relaxed);
-        }
-        // Cleared in place: a histogram keeps the bucket range it grew to, so
-        // a repeated phase records into it without allocating again.
-        for histo in [&self.fetch_latency_ns, &self.writeback_latency_ns] {
-            histo.lock().expect("metrics lock poisoned").clear();
         }
     }
 }
@@ -323,22 +276,6 @@ mod tests {
         m.record_retry();
         m.record_journal_append(48);
         m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
-    }
-
-    #[test]
-    fn latency_histograms_accumulate_and_reset() {
-        let m = BamMetrics::new();
-        m.record_fetch_latency(1_000);
-        m.record_fetch_latency(5_000);
-        m.record_writeback_latency(2_000);
-        assert_eq!(m.fetch_latency().count(), 2);
-        assert_eq!(m.fetch_latency().sum_ns(), 6_000);
-        assert_eq!(m.writeback_latency().count(), 1);
-        m.reset();
-        assert!(m.fetch_latency().is_empty());
-        assert!(m.writeback_latency().is_empty());
-        // The Copy snapshot stays latency-free and comparable.
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
 

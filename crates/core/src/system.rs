@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use bam_gpu_sim::{GpuMemory, GpuSpec};
 use bam_mem::{ByteRegion, DevAddr, Pod};
 use bam_nvme_sim::{DataLayout, FaultInjector, SsdArray, StatsSnapshot};
-use bam_obs::{chrome_trace_json, PromWriter, SpanRecorder};
+use bam_obs::{chrome_trace_json, SpanRecorder};
 
 use crate::array::BamArray;
 use crate::backing::{CacheBacking, CrashBacking};
@@ -439,96 +439,6 @@ impl BamSystem {
         chrome_trace_json(&events)
     }
 
-    /// Renders the software metrics in the Prometheus text exposition
-    /// format: every cache / storage / journal counter, the hit-rate and
-    /// I/O-amplification gauges, and the wall-clock fetch and writeback
-    /// latency histograms.
-    pub fn metrics_export(&self) -> String {
-        let snap = self.metrics();
-        let mut w = PromWriter::new();
-        w.counter(
-            "bam_cache_hits_total",
-            "Cache probes that hit a valid line.",
-            snap.cache_hits,
-        );
-        w.counter(
-            "bam_cache_misses_total",
-            "Cache probes that fetched the line from storage.",
-            snap.cache_misses,
-        );
-        w.counter(
-            "bam_cache_evictions_total",
-            "Lines evicted to make room.",
-            snap.cache_evictions,
-        );
-        w.counter(
-            "bam_cache_writebacks_total",
-            "Dirty lines written back to storage.",
-            snap.cache_writebacks,
-        );
-        w.counter(
-            "bam_coalesced_accesses_total",
-            "Accesses satisfied by another lane's probe.",
-            snap.coalesced_accesses,
-        );
-        w.counter(
-            "bam_read_requests_total",
-            "Read commands submitted to storage.",
-            snap.read_requests,
-        );
-        w.counter(
-            "bam_write_requests_total",
-            "Write commands submitted to storage.",
-            snap.write_requests,
-        );
-        w.counter(
-            "bam_bytes_read_total",
-            "Bytes read from storage.",
-            snap.bytes_read,
-        );
-        w.counter(
-            "bam_bytes_written_total",
-            "Bytes written to storage.",
-            snap.bytes_written,
-        );
-        w.counter(
-            "bam_storage_retries_total",
-            "Transient storage failures retried on the fetch path.",
-            snap.storage_retries,
-        );
-        w.counter(
-            "bam_journal_appends_total",
-            "Records appended to the write-ahead journal.",
-            snap.journal_appends,
-        );
-        w.counter(
-            "bam_journal_bytes_total",
-            "Bytes appended to the write-ahead journal.",
-            snap.journal_bytes,
-        );
-        w.gauge(
-            "bam_cache_hit_rate",
-            "Cache hit rate in [0, 1].",
-            snap.hit_rate(),
-        );
-        w.gauge(
-            "bam_io_amplification",
-            "Bytes moved from storage per byte the application requested.",
-            snap.io_amplification(),
-        );
-        w.histogram(
-            "bam_fetch_latency_ns",
-            "Wall-clock cache-miss fetch latency (retry loop included).",
-            &self.inner.metrics.fetch_latency(),
-        );
-        w.histogram(
-            "bam_writeback_latency_ns",
-            "Wall-clock dirty-line writeback latency.",
-            &self.inner.metrics.writeback_latency(),
-        );
-        w.finish()
-    }
-
     /// Total NVMe commands submitted through the BaM queues.
     pub fn total_submissions(&self) -> u64 {
         self.inner.iostack.total_submissions()
@@ -841,23 +751,6 @@ mod tests {
         assert!(report
             .to_string()
             .contains("replayed 2 writes across 2 lines"));
-    }
-
-    #[test]
-    fn metrics_export_is_a_prometheus_exposition() {
-        let sys = BamSystem::new(BamConfig::test_scale()).unwrap();
-        let arr = sys.create_array::<u64>(1024).unwrap();
-        arr.preload(&(0..1024u64).collect::<Vec<_>>()).unwrap();
-        arr.read(0).unwrap();
-        arr.read(0).unwrap();
-        let text = sys.metrics_export();
-        assert!(text.contains("# TYPE bam_cache_hits_total counter"));
-        assert!(text.contains("# TYPE bam_cache_hit_rate gauge"));
-        assert!(text.contains("# TYPE bam_fetch_latency_ns histogram"));
-        assert!(text.contains("bam_fetch_latency_ns_bucket{le=\"+Inf\"}"));
-        let m = sys.metrics();
-        assert!(text.contains(&format!("bam_cache_misses_total {}\n", m.cache_misses)));
-        assert!(text.contains(&format!("bam_read_requests_total {}\n", m.read_requests)));
     }
 
     #[test]

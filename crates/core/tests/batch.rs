@@ -7,9 +7,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bam_core::{
-    recover, BamCache, BamError, BamMetrics, BamQueuePair, CacheBacking, CacheJournal,
-    CrashBacking, CrashPoint, IoStack,
+    recover, BamCache, BamConfig, BamError, BamMetrics, BamQueuePair, BamSystem, CacheBacking,
+    CacheJournal, CrashBacking, CrashPoint, IoStack,
 };
+use bam_gpu_sim::exec::WarpCtx;
+use bam_gpu_sim::warp::{LaneMask, WARP_SIZE};
 use bam_mem::{BumpAllocator, ByteRegion};
 use bam_nvme_sim::{DataLayout, NvmeCommand, NvmeStatus, SsdArray, SsdSpec};
 
@@ -167,6 +169,62 @@ fn four_threads_of_32_line_batches_share_a_4_entry_queue_and_a_16_slot_cache() {
     assert_eq!(m.cache_hits + m.cache_misses, 4 * 40 * 32);
     assert_eq!(m.read_requests, m.cache_misses);
     assert_quiescent(&cache, SLOTS);
+}
+
+#[test]
+fn four_threads_of_warp_run_reads_share_one_4_entry_queue_pair() {
+    // More threads than queue pairs: all four homes land on the one pair,
+    // and every batch wants ten times its three credits, so the threads
+    // share the ring through the ticket/turn protocol throughout.
+    const ELEMS: u64 = 1 << 15;
+    const RUN: u64 = 8;
+    let system = BamSystem::new(BamConfig {
+        num_ssds: 1,
+        queue_pairs_per_ssd: 1,
+        queue_depth: 4,
+        cache_bytes: 64 * 512,
+        ..BamConfig::test_scale()
+    })
+    .unwrap();
+    let arr = system.create_array::<u64>(ELEMS).unwrap();
+    arr.preload(&(0..ELEMS).collect::<Vec<_>>()).unwrap();
+    let warp = WarpCtx {
+        warp_id: 0,
+        base_thread: 0,
+        active: LaneMask::MAX,
+    };
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let (arr, warp) = (&arr, &warp);
+            s.spawn(move || {
+                for round in 0..20u64 {
+                    // 32 runs on 32 different lines; threads meet on lines.
+                    let runs = std::array::from_fn(|lane| {
+                        let line = (t * 131 + round * 37 + lane as u64 * 16) % (ELEMS / 64);
+                        Some((line * 64 + (lane as u64 % 7) * RUN, RUN))
+                    });
+                    let mut visited = 0;
+                    arr.read_runs_warp(warp, &runs, |lane, elements| {
+                        let (start, _) = runs[lane].unwrap();
+                        assert!(
+                            elements.iter().copied().eq(start..start + RUN),
+                            "lane {lane}"
+                        );
+                        visited += 1;
+                    })
+                    .unwrap();
+                    assert_eq!(visited, WARP_SIZE, "every lane is visited once");
+                }
+            });
+        }
+    });
+    let m = system.metrics();
+    assert!(
+        m.read_requests > 4 * 3,
+        "the threads missed past the credits"
+    );
+    assert_eq!(system.total_submissions(), m.read_requests);
+    assert_eq!(m.write_requests, 0);
 }
 
 #[test]

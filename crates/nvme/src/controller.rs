@@ -9,6 +9,7 @@
 //! No thread of its own runs this firmware: the thread waiting on a queue
 //! pair for a completion runs it on that pair ([`QueuePair::service`]).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -47,6 +48,11 @@ pub(crate) struct Firmware {
     region: Arc<ByteRegion>,
     stats: Arc<ControllerStats>,
     fault_injector: RwLock<Option<Arc<FaultInjector>>>,
+    /// Fast-path flag mirroring `fault_injector.is_some()`: with no injector
+    /// installed (the default) a command pays one atomic load, not a read
+    /// of the lock every queue pair of the device shares. Stored (Release)
+    /// after the slot is written, loaded (Acquire) before it is read.
+    fault_injector_installed: AtomicBool,
 }
 
 impl std::fmt::Debug for Firmware {
@@ -59,10 +65,12 @@ impl std::fmt::Debug for Firmware {
 
 impl Firmware {
     fn execute(&self, cmd: &NvmeCommand) -> NvmeStatus {
-        if let Some(injector) = self.fault_injector.read().as_ref() {
-            if let Some(status) = injector(cmd) {
-                self.stats.record_failure();
-                return status;
+        if self.fault_injector_installed.load(Ordering::Acquire) {
+            if let Some(injector) = self.fault_injector.read().as_ref() {
+                if let Some(status) = injector(cmd) {
+                    self.stats.record_failure();
+                    return status;
+                }
             }
         }
         // Data moves block by block between the media and GPU memory, with
@@ -184,6 +192,7 @@ impl NvmeController {
                 region,
                 stats: Arc::new(ControllerStats::new()),
                 fault_injector: RwLock::new(None),
+                fault_injector_installed: AtomicBool::new(false),
             }),
             queues: RwLock::new(Vec::new()),
         }
@@ -207,7 +216,11 @@ impl NvmeController {
 
     /// Installs (or clears) a fault injector.
     pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
+        let installed = injector.is_some();
         *self.firmware.fault_injector.write() = injector;
+        self.firmware
+            .fault_injector_installed
+            .store(installed, Ordering::Release);
     }
 
     /// Registers a queue pair with the controller. From then on

@@ -5,7 +5,6 @@
 //! output is byte-identical across runs — the property the CI determinism
 //! diff leans on.
 
-use crate::histo::LatencyHisto;
 use crate::span::SpanEvent;
 
 /// Formats virtual nanoseconds as the microsecond decimal Chrome expects,
@@ -81,8 +80,7 @@ fn counter_name(name: &str) -> String {
 /// The caller decides the metric families; this type guarantees the
 /// format: HELP strings escape `\`, `"`, and newlines; counters carry the
 /// conventional `_total` suffix (appended when missing, never doubled);
-/// label values escape the same set; histogram families emit cumulative
-/// `le` buckets with a closing `+Inf`; and [`finish`](Self::finish) ends
+/// label values escape the same set; and [`finish`](Self::finish) ends
 /// the exposition with exactly one trailing newline. Values render via
 /// `Debug`, matching the repo's JSON convention that integral floats keep
 /// their `.0`.
@@ -136,23 +134,6 @@ impl PromWriter {
             self.out
                 .push_str(&format!("{name}{} {value:?}\n", render_labels(labels)));
         }
-    }
-
-    /// A histogram family from a [`LatencyHisto`]: one `_bucket` series per
-    /// non-empty bucket (upper bounds in nanoseconds), plus `+Inf`, `_sum`
-    /// and `_count`.
-    pub fn histogram(&mut self, name: &str, help: &str, histo: &LatencyHisto) {
-        self.header(name, help, "histogram");
-        for (upper, cum) in histo.cumulative_buckets() {
-            self.out
-                .push_str(&format!("{name}_bucket{{le=\"{upper}\"}} {cum}\n"));
-        }
-        self.out.push_str(&format!(
-            "{name}_bucket{{le=\"+Inf\"}} {}\n{name}_sum {}\n{name}_count {}\n",
-            histo.count(),
-            histo.sum_ns(),
-            histo.count(),
-        ));
     }
 
     /// The accumulated exposition text, guaranteed to end with exactly one
@@ -219,16 +200,10 @@ mod tests {
         let mut w = PromWriter::new();
         w.counter("bam_cache_hits_total", "Cache hits.", 12);
         w.gauge("bam_hit_rate", "Hit rate.", 0.75);
-        let histo = LatencyHisto::from_samples([10u64, 10, 2_000]);
-        w.histogram("bam_fetch_latency_ns", "Fetch latency.", &histo);
         let text = w.finish();
         assert!(text.contains("# TYPE bam_cache_hits_total counter"));
         assert!(text.contains("bam_cache_hits_total 12\n"));
         assert!(text.contains("bam_hit_rate 0.75\n"));
-        assert!(text.contains("bam_fetch_latency_ns_bucket{le=\"10\"} 2\n"));
-        assert!(text.contains("bam_fetch_latency_ns_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("bam_fetch_latency_ns_sum 2020\n"));
-        assert!(text.contains("bam_fetch_latency_ns_count 3\n"));
     }
 
     #[test]
