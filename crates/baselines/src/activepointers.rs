@@ -48,15 +48,6 @@ impl ActivePointersModel {
     pub fn hot_bandwidth_gbps(&self, line_bytes: u64) -> f64 {
         self.gpu.hot_cache_bandwidth_gbps(line_bytes) / self.hot_path_overhead_factor
     }
-
-    /// Seconds to serve `accesses` accesses with the given hit rate.
-    pub fn access_time_s(&self, accesses: u64, line_bytes: u64, hit_rate: f64) -> f64 {
-        let hits = (accesses as f64 * hit_rate).round();
-        let misses = accesses as f64 - hits;
-        let hit_time = hits * line_bytes as f64 / (self.hot_bandwidth_gbps(line_bytes) * 1e9);
-        let miss_time = misses / self.miss_iops();
-        hit_time + miss_time
-    }
 }
 
 #[cfg(test)]
@@ -79,14 +70,5 @@ mod tests {
         let ap_hot = ap.hot_bandwidth_gbps(4096);
         let ratio = bam_hot / ap_hot;
         assert!((10.0..13.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn access_time_blends_hits_and_misses() {
-        let ap = ActivePointersModel::prototype();
-        let all_miss = ap.access_time_s(1_000_000, 4096, 0.0);
-        let all_hit = ap.access_time_s(1_000_000, 4096, 1.0);
-        let half = ap.access_time_s(1_000_000, 4096, 0.5);
-        assert!(all_hit < half && half < all_miss);
     }
 }

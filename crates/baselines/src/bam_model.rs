@@ -48,7 +48,7 @@ impl BamPerformanceModel {
 
     /// Seconds of cache-API overhead implied by the measured probe counts and
     /// hit traffic.
-    pub fn cache_api_time_s(&self, metrics: &MetricsSnapshot) -> f64 {
+    fn cache_api_time_s(&self, metrics: &MetricsSnapshot) -> f64 {
         let probe = self.gpu.cache_probe_time_s(metrics.probe_attempts);
         let hit_bytes = metrics.cache_hits * self.line_bytes;
         probe + self.gpu.hot_delivery_time_s(hit_bytes)

@@ -9,8 +9,6 @@
 use bam_pcie::{LinkSpec, TransferModel};
 use bam_timing::{CpuStackModel, SsdArrayModel};
 
-use crate::demand::AccessDemand;
-
 /// The GPUDirect Storage system.
 #[derive(Debug, Clone)]
 pub struct GdsModel {
@@ -34,7 +32,7 @@ impl GdsModel {
 
     /// Seconds to transfer `total_bytes` sequentially at `io_bytes`
     /// granularity.
-    pub fn transfer_time_s(&self, total_bytes: u64, io_bytes: u64) -> f64 {
+    fn transfer_time_s(&self, total_bytes: u64, io_bytes: u64) -> f64 {
         let transfers = total_bytes.div_ceil(io_bytes);
         // CPU issue path limits small I/Os; wire and device limit large ones.
         let issue = TransferModel::with_overhead(
@@ -57,11 +55,6 @@ impl GdsModel {
     pub fn link_utilization(&self, total_bytes: u64, io_bytes: u64) -> f64 {
         self.achieved_bandwidth_gbps(total_bytes, io_bytes)
             / self.gpu_link.effective_bandwidth_gbps()
-    }
-
-    /// Seconds for a demand read entirely through GDS at its access size.
-    pub fn read_demand_s(&self, demand: &AccessDemand) -> f64 {
-        self.transfer_time_s(demand.bytes_touched, demand.access_bytes)
     }
 }
 
@@ -98,16 +91,5 @@ mod tests {
         for pair in sweep.windows(2) {
             assert!(pair[1] >= pair[0] - 1e-9);
         }
-    }
-
-    #[test]
-    fn demand_read_uses_access_granularity() {
-        let g = gds();
-        let mut d = AccessDemand::for_dataset(8 << 30);
-        d.access_bytes = 4096;
-        let small = g.read_demand_s(&d);
-        d.access_bytes = 1 << 20;
-        let large = g.read_demand_s(&d);
-        assert!(small > large);
     }
 }

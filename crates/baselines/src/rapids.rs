@@ -34,7 +34,7 @@ impl RapidsQuery {
 
     /// Bytes the query actually needs: the filter column in full plus the
     /// selected rows of each dependent column.
-    pub fn bytes_needed(&self) -> u64 {
+    fn bytes_needed(&self) -> u64 {
         self.rows * self.value_bytes + (self.columns - 1) * self.selected_rows * self.value_bytes
     }
 

@@ -43,7 +43,7 @@ impl TargetSystem {
     }
 
     /// Seconds to load the dataset file from storage into host memory.
-    pub fn load_time_s(&self, demand: &AccessDemand) -> f64 {
+    fn load_time_s(&self, demand: &AccessDemand) -> f64 {
         // Sequential file read: large blocks, so the device bandwidth and the
         // host link are the limits, plus the CPU issue cost at 1 MiB I/Os.
         let chunk = 1 << 20;
@@ -55,7 +55,7 @@ impl TargetSystem {
 
     /// Seconds of the GPU compute phase: compute overlapped with zero-copy
     /// traffic for the bytes actually touched.
-    pub fn compute_phase_s(&self, demand: &AccessDemand) -> f64 {
+    fn compute_phase_s(&self, demand: &AccessDemand) -> f64 {
         let compute = self.gpu.compute_time_s(demand.compute_ops);
         let traffic = demand.bytes_touched as f64 / self.gpu_link.effective_bandwidth_bps();
         compute.max(traffic)

@@ -43,7 +43,7 @@ impl ProactiveTiling {
     }
 
     /// Number of tiles needed to cover the dataset.
-    pub fn num_tiles(&self, demand: &AccessDemand) -> u64 {
+    fn num_tiles(&self, demand: &AccessDemand) -> u64 {
         demand.dataset_bytes.div_ceil(self.tile_bytes).max(1)
     }
 

@@ -133,7 +133,7 @@ impl AnalyticsMeasurement {
 /// Runs query `q` functionally through BaM on a generated table of
 /// `rows` rows and returns the measurement. Panics if the BaM result
 /// disagrees with the host reference.
-pub fn measure_query(rows: usize, q: usize, seed: u64) -> AnalyticsMeasurement {
+fn measure_query(rows: usize, q: usize, seed: u64) -> AnalyticsMeasurement {
     // Use the paper's selectivity scaled so a few hundred rows are selected
     // even in small functional tables.
     let selectivity = (FULL_SELECTED as f64 / FULL_ROWS as f64).max(200.0 / rows as f64);

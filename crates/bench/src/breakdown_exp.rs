@@ -73,7 +73,7 @@ pub fn breakdown_config(spec: &SsdSpec, seed: u64) -> SimConfig {
 
 /// Runs one device's seeded breakdown workload, optionally recording every
 /// stage interval as span events (the `--trace-out` export).
-pub fn breakdown_report(spec: &SsdSpec, seed: u64, recorder: Option<&SpanRecorder>) -> SimReport {
+fn breakdown_report(spec: &SsdSpec, seed: u64, recorder: Option<&SpanRecorder>) -> SimReport {
     let config = breakdown_config(spec, seed);
     let reqs = engine::mixed_requests(&config, BREAKDOWN_REQUESTS, BREAKDOWN_WRITES);
     let workload = Workload::ClosedLoop {
@@ -86,7 +86,7 @@ pub fn breakdown_report(spec: &SsdSpec, seed: u64, recorder: Option<&SpanRecorde
 
 /// Flattens one report's stage breakdown into table rows, in pipeline order
 /// (stages with no samples are omitted).
-pub fn stage_rows(device: &str, report: &SimReport) -> Vec<BreakdownRow> {
+fn stage_rows(device: &str, report: &SimReport) -> Vec<BreakdownRow> {
     let total = report.stages.total_ns();
     report
         .stages

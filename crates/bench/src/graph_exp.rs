@@ -69,12 +69,12 @@ pub struct GraphMeasurement {
 
 impl GraphMeasurement {
     /// Scale factor from the functional instance to the original dataset.
-    pub fn scale_factor(&self) -> f64 {
+    fn scale_factor(&self) -> f64 {
         self.dataset.original_edges as f64 / self.scaled_edges.max(1) as f64
     }
 
     /// Edges the full-scale run would traverse.
-    pub fn full_edges_traversed(&self) -> u64 {
+    fn full_edges_traversed(&self) -> u64 {
         (self.edges_traversed as f64 * self.scale_factor()) as u64
     }
 
@@ -265,7 +265,7 @@ pub fn measure_graph(
 
 /// Converts a measurement into a full-scale BaM execution breakdown for an
 /// array of `num_ssds` devices of `spec`.
-pub fn bam_breakdown(
+fn bam_breakdown(
     measurement: &GraphMeasurement,
     spec: SsdSpec,
     num_ssds: usize,
@@ -284,7 +284,7 @@ pub fn bam_breakdown(
 
 /// Converts a measurement into the Target-system breakdown with `num_ssds`
 /// devices available for the initial file load.
-pub fn target_breakdown(measurement: &GraphMeasurement, num_ssds: usize) -> ExecutionBreakdown {
+fn target_breakdown(measurement: &GraphMeasurement, num_ssds: usize) -> ExecutionBreakdown {
     let storage = SsdArrayModel::prototype(SsdSpec::intel_optane_p5800x(), num_ssds);
     TargetSystem::prototype(storage).evaluate(&measurement.full_scale_demand())
 }

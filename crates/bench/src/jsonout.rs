@@ -99,7 +99,7 @@ pub fn json_array(items: impl IntoIterator<Item = String>) -> String {
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn write_bench_json(name: &str, body: &str) -> std::io::Result<PathBuf> {
+fn write_bench_json(name: &str, body: &str) -> std::io::Result<PathBuf> {
     // crates/bench/ -> crates/ -> workspace root.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()

@@ -213,7 +213,7 @@ pub const ANTAGONIST_ID: u32 = 100;
 /// (8 × 150 K/s = 1.2 M/s) but below every array's media envelope, so the
 /// damage happens in the queue pairs, exactly where the allocation policy
 /// acts.
-pub fn antagonist_mmpp() -> Mmpp2 {
+fn antagonist_mmpp() -> Mmpp2 {
     Mmpp2 {
         calm_rate_per_s: 50.0e3,
         burst_rate_per_s: 1.6e6,
@@ -327,7 +327,7 @@ pub fn tenant_matrix(seed: u64) -> Vec<TenantRow> {
 
 /// [`tenant_matrix`] with an explicit per-steady-tenant request count (the
 /// unit tests run a reduced scale; the `tenants` binary runs the full one).
-pub fn tenant_matrix_scaled(seed: u64, steady_requests: u64) -> Vec<TenantRow> {
+fn tenant_matrix_scaled(seed: u64, steady_requests: u64) -> Vec<TenantRow> {
     let mut rows = Vec::new();
     // Solo-run p99 baselines, keyed by (device, policy, tenant id).
     let mut solo_p99: HashMap<(String, &'static str, u32), f64> = HashMap::new();

@@ -52,7 +52,7 @@ pub const SLO_MEMBER_SCALES: [u32; 3] = [10_000, 100_000, 1_000_000];
 /// deferral path only moves latency around, so the knee sweep uses the
 /// reject-biased configuration (deferrals exist for transient bursts; see
 /// DESIGN.md).
-pub fn slo_admission() -> AdmissionSpec {
+fn slo_admission() -> AdmissionSpec {
     AdmissionSpec {
         burst: 8,
         refill_per_s: 1_000.0,

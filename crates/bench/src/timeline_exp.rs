@@ -44,7 +44,7 @@ pub const TIMELINE_STEADY_TENANTS: usize = 4;
 
 /// The timeline scenario's tenant list: SLO-carrying steady tenants plus
 /// the bursty antagonist (no SLO — it is the cause, not the victim).
-pub fn timeline_tenants() -> Vec<bam_sim::TenantSpec> {
+fn timeline_tenants() -> Vec<bam_sim::TenantSpec> {
     let mut tenants: Vec<bam_sim::TenantSpec> = (0..TIMELINE_STEADY_TENANTS as u32)
         .map(|i| {
             sim_exp::steady_tenant(i, sim_exp::TENANT_STEADY_REQUESTS)
@@ -56,7 +56,7 @@ pub fn timeline_tenants() -> Vec<bam_sim::TenantSpec> {
 }
 
 /// The telemetry spec every timeline run uses.
-pub fn timeline_spec() -> TelemetrySpec {
+fn timeline_spec() -> TelemetrySpec {
     TelemetrySpec::full(TIMELINE_WINDOW_NS, TIMELINE_TOP_K)
 }
 
@@ -92,7 +92,7 @@ pub fn observed_breakdown_run(seed: u64) -> (SimReport, RunTelemetry) {
 
 /// Renders the windowed series as a JSON array, one object per populated
 /// window in time order.
-pub fn windows_json(series: &WindowedSeries) -> String {
+fn windows_json(series: &WindowedSeries) -> String {
     json_array(series.iter().map(|(start_ns, w)| {
         let dwell: u64 = w.stage_dwell_ns.iter().sum();
         let wait: u64 = w.stage_wait_ns.iter().sum();
@@ -114,7 +114,7 @@ pub fn windows_json(series: &WindowedSeries) -> String {
 /// Renders the blame decomposition as a JSON object: per-stage service/wait
 /// totals for the population and the tail slice, plus the exemplar
 /// waterfalls.
-pub fn blame_json(blame: &BlameReport) -> String {
+fn blame_json(blame: &BlameReport) -> String {
     let stages = json_array(blame.overall.active_stages().map(|stage| {
         JsonObject::new()
             .str("stage", stage.label())
@@ -153,7 +153,7 @@ pub fn blame_json(blame: &BlameReport) -> String {
 /// Renders the per-tenant SLO outcomes as a JSON array (tenants without an
 /// SLO are omitted). Tenant-class rows with an armed admission controller
 /// append an `admission` object; plain tenants render exactly as before.
-pub fn slo_json(report: &MultiTenantReport) -> String {
+fn slo_json(report: &MultiTenantReport) -> String {
     json_array(report.tenants.iter().filter_map(|t| {
         t.slo.map(|s| {
             let mut obj = JsonObject::new()

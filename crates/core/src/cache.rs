@@ -32,7 +32,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bam_mem::DevAddr;
-use bam_obs::{SpanEvent, SpanSink, Stage};
 
 use crate::backing::CacheBacking;
 use crate::error::BamError;
@@ -113,8 +112,6 @@ struct PendingMiss<R> {
     line: u64,
     slot: u64,
     tag: R,
-    /// Virtual step the miss-fetch span opened at.
-    fetch_start: u64,
 }
 
 /// What one [`BamCache::acquire_each`] call has in flight.
@@ -199,10 +196,6 @@ pub struct BamCache {
     /// in [`BamCache::journalled_write`], keeping `applied_lsn` monotone in
     /// LSN order under concurrent same-line writers.
     write_locks: Vec<Mutex<()>>,
-    /// Optional span sink: when a recorder is installed, probe, miss-fetch
-    /// and journal-append stages emit [`bam_obs::SpanEvent`]s (virtual time
-    /// is the recorder's step counter; `arg` carries the line index).
-    spans: SpanSink,
 }
 
 impl std::fmt::Debug for BamCache {
@@ -258,30 +251,7 @@ impl BamCache {
             applied_lsn,
             durable_lsn: Vec::new(),
             write_locks,
-            spans: SpanSink::new(),
         }
-    }
-
-    /// The cache's span sink; install a [`bam_obs::SpanRecorder`] to trace
-    /// probe, miss-fetch and journal-append stages.
-    pub fn spans(&self) -> &SpanSink {
-        &self.spans
-    }
-
-    /// Emits one span event covering `[start_step, now]` when a recorder is
-    /// installed; a fresh span id is allocated per event and correlated with
-    /// other subsystems via `arg` (the line index).
-    fn emit_span(&self, stage: Stage, start_step: u64, line: u64) {
-        self.spans.with(|rec| {
-            rec.record(SpanEvent {
-                span: rec.next_span_id(),
-                stage,
-                start_ns: start_step,
-                end_ns: rec.tick(),
-                track: 0,
-                arg: line,
-            });
-        });
     }
 
     /// Attaches a write-ahead journal: from here on, writes acknowledged via
@@ -305,18 +275,13 @@ impl BamCache {
         self.line_bytes
     }
 
-    /// Number of cache slots.
-    pub fn num_slots(&self) -> u64 {
-        self.num_slots
-    }
-
     /// Number of backing lines.
     pub fn num_lines(&self) -> u64 {
         self.line_state.len() as u64
     }
 
     /// GPU-memory address of slot `slot`.
-    pub fn slot_addr(&self, slot: u64) -> DevAddr {
+    fn slot_addr(&self, slot: u64) -> DevAddr {
         self.slots_base + slot * self.line_bytes
     }
 
@@ -336,13 +301,11 @@ impl BamCache {
     pub fn acquire(&self, line: u64) -> Result<LineGuard<'_>, BamError> {
         self.check_line(line)?;
         self.metrics.record_probe();
-        let probe_start = self.spans.with(|rec| rec.tick()).unwrap_or(0);
         let mut spins = 0u64;
         let (slot, fetched) = loop {
             match self.probe(line) {
                 Probe::Hit(slot) => {
                     self.metrics.record_hit();
-                    self.emit_span(Stage::CacheProbe, probe_start, line);
                     break (slot, false);
                 }
                 // Another thread is fetching or evicting this line; the lock
@@ -350,15 +313,12 @@ impl BamCache {
                 Probe::Busy => spin_wait(&mut spins),
                 Probe::Claimed => {
                     self.metrics.record_miss();
-                    self.emit_span(Stage::CacheProbe, probe_start, line);
-                    let fetch_start = self.spans.with(|rec| rec.tick()).unwrap_or(0);
                     let slot = self.find_victim(line, self.victim_patience(), || Ok(()))?;
                     let mut miss = FixedVec::<_, 1>::new();
                     miss.push(PendingMiss {
                         line,
                         slot,
                         tag: (),
-                        fetch_start,
                     });
                     self.fill(&mut miss, |_, _| {})?;
                     break (slot, true);
@@ -477,13 +437,11 @@ impl BamCache {
         visit: &mut impl FnMut(R, DevAddr),
     ) -> Result<(), BamError> {
         self.check_line(line)?;
-        let probe_start = self.spans.with(|rec| rec.tick()).unwrap_or(0);
         loop {
             match self.probe(line) {
                 Probe::Hit(slot) => {
                     self.metrics.record_probe();
                     self.metrics.record_hit();
-                    self.emit_span(Stage::CacheProbe, probe_start, line);
                     visit(tag, self.slot_addr(slot));
                     self.release(line);
                     return Ok(());
@@ -502,12 +460,10 @@ impl BamCache {
                     }
                     self.metrics.record_probe();
                     self.metrics.record_hit();
-                    self.emit_span(Stage::CacheProbe, probe_start, line);
                     batch.waiters.push((tag, line));
                     return Ok(());
                 }
                 Probe::Claimed => {
-                    let fetch_start = self.spans.with(|rec| rec.tick()).unwrap_or(0);
                     // With lines claimed, look for a victim only briefly:
                     // whole sweeps, which leave the hand where it was.
                     let patience = if batch.pending.is_empty() {
@@ -528,14 +484,8 @@ impl BamCache {
                     };
                     self.metrics.record_probe();
                     self.metrics.record_miss();
-                    self.emit_span(Stage::CacheProbe, probe_start, line);
                     batch.fetched += 1;
-                    batch.pending.push(PendingMiss {
-                        line,
-                        slot,
-                        tag,
-                        fetch_start,
-                    });
+                    batch.pending.push(PendingMiss { line, slot, tag });
                     if batch.pending.len() >= self.batch_cap {
                         self.complete(batch, visit)?;
                     }
@@ -610,7 +560,6 @@ impl BamCache {
                 first_error.get_or_insert(e);
                 continue;
             }
-            self.emit_span(Stage::MissFetch, miss.fetch_start, miss.line);
             self.slot_to_line[miss.slot as usize].store(miss.line + 1, Ordering::Release);
             state.store(pack(STATE_VALID, false, 1, miss.slot), Ordering::Release);
             published(miss, self.slot_addr(miss.slot));
@@ -650,10 +599,8 @@ impl BamCache {
             return Ok(());
         };
         let _write_order = self.write_locks[line as usize % WRITE_LOCK_STRIPES].lock();
-        let append_start = self.spans.with(|rec| rec.tick()).unwrap_or(0);
         let appended = journal.append_write(line, offset, payload)?;
         self.metrics.record_journal_append(appended.bytes);
-        self.emit_span(Stage::JournalAppend, append_start, line);
         apply();
         self.applied_lsn[line as usize].fetch_max(appended.lsn, Ordering::AcqRel);
         self.line_state[line as usize].fetch_or(DIRTY_BIT, Ordering::AcqRel);
@@ -859,26 +806,6 @@ mod tests {
         let metrics = Arc::new(BamMetrics::new());
         let cache = BamCache::new(backing, metrics, 0, num_slots);
         (data, gpu, cache)
-    }
-
-    #[test]
-    fn spans_trace_probe_miss_and_hit() {
-        let (_data, _gpu, cache) = rig(8);
-        let rec = Arc::new(bam_obs::SpanRecorder::new());
-        cache.spans().install(rec.clone());
-        drop(cache.acquire(3).unwrap()); // miss: probe + fetch
-        drop(cache.acquire(3).unwrap()); // hit: probe only
-        let events = rec.events();
-        let stages: Vec<Stage> = events.iter().map(|e| e.stage).collect();
-        assert_eq!(
-            stages,
-            vec![Stage::CacheProbe, Stage::MissFetch, Stage::CacheProbe]
-        );
-        assert!(events.iter().all(|e| e.arg == 3));
-        assert!(events.iter().all(|e| e.end_ns > e.start_ns));
-        cache.spans().uninstall();
-        drop(cache.acquire(4).unwrap());
-        assert_eq!(rec.len(), 3, "uninstalled sink records nothing");
     }
 
     #[test]

@@ -16,7 +16,6 @@ use std::sync::{Arc, RwLock};
 
 use bam_mem::DevAddr;
 use bam_nvme_sim::{IoEvent, NvmeCommand, SimHook, SsdArray, BLOCK_SIZE};
-use bam_obs::{SpanEvent, SpanSink, Stage};
 
 use crate::backing::CacheBacking;
 use crate::error::BamError;
@@ -64,9 +63,6 @@ struct StagedRead<'a> {
     qp: &'a BamQueuePair,
     submission: Submission,
     device: usize,
-    lba: u64,
-    /// Virtual step the doorbell span opened at, when a recorder is installed.
-    start_step: Option<u64>,
 }
 
 /// The GPU-side I/O stack over a multi-SSD array.
@@ -84,9 +80,6 @@ pub struct IoStack {
     /// Fast-path flag mirroring `sim_hook.is_some()`: with no hook installed
     /// (the default) the submission path pays one relaxed load, no lock.
     sim_hook_installed: AtomicBool,
-    /// Optional span recorder: doorbell-stage spans (submit→completion wall
-    /// window in virtual steps) when a recorder is installed.
-    spans: SpanSink,
     /// Extra attempts for a cache-miss fetch that fails with a transient
     /// storage error (0 = fail fast).
     fetch_retries: u32,
@@ -144,16 +137,9 @@ impl IoStack {
             metrics,
             sim_hook: RwLock::new(None),
             sim_hook_installed: AtomicBool::new(false),
-            spans: SpanSink::new(),
             fetch_retries: 0,
             fetch_retry_base_us: 0,
         }
-    }
-
-    /// The stack's span sink. Installing a recorder here starts doorbell
-    /// spans; uninstalled (the default) the probe is one relaxed load.
-    pub fn spans(&self) -> &SpanSink {
-        &self.spans
     }
 
     /// Enables bounded retry with exponential backoff for cache-miss fetches
@@ -223,31 +209,11 @@ impl IoStack {
         (device, lba, self.pick_queue(device))
     }
 
-    /// Accounts one successfully completed command: the doorbell span (from
-    /// `start_step`, taken before the submit, to now; `track` is the device
-    /// index and `arg` the device-local LBA), the sim-hook submit event and
-    /// the request counter. Emitted together so trace length and request
-    /// counters agree 1:1 (failed commands appear in neither).
-    fn completed(
-        &self,
-        start_step: Option<u64>,
-        device: usize,
-        qp: &BamQueuePair,
-        write: bool,
-        lba: u64,
-    ) {
-        if let Some(start) = start_step {
-            self.spans.with(|rec| {
-                rec.record(SpanEvent {
-                    span: rec.next_span_id(),
-                    stage: Stage::Doorbell,
-                    start_ns: start,
-                    end_ns: rec.tick(),
-                    track: device as u32,
-                    arg: lba,
-                });
-            });
-        }
+    /// Accounts one successfully completed command: the sim-hook submit
+    /// event, then the request counter. Emitted together so the hook's
+    /// event stream and the request counters agree 1:1 (failed commands
+    /// appear in neither).
+    fn completed(&self, device: usize, qp: &BamQueuePair, write: bool) {
         if self.sim_hook_installed.load(Ordering::Acquire) {
             if let Some(hook) = self
                 .sim_hook
@@ -310,7 +276,6 @@ impl IoStack {
             }
             let (device, lba, qp) = self.route_read(line);
             let cmd = NvmeCommand::read(0, lba, self.blocks_per_line(), dst);
-            let start_step = self.spans.with(|rec| rec.tick());
             let submission = qp.try_stage(cmd).unwrap_or_else(|| {
                 self.await_staged(&mut staged, outcomes);
                 qp.submit(cmd)
@@ -320,8 +285,6 @@ impl IoStack {
                 qp,
                 submission,
                 device,
-                lba,
-                start_step,
             });
             if staged.is_full() {
                 self.await_staged(&mut staged, outcomes);
@@ -344,7 +307,7 @@ impl IoStack {
         }
         for read in staged.drain() {
             outcomes[read.index] = read.qp.wait(read.submission).map(|_| {
-                self.completed(read.start_step, read.device, read.qp, false, read.lba);
+                self.completed(read.device, read.qp, false);
             });
         }
     }
@@ -362,9 +325,8 @@ impl IoStack {
         let logical_lba = line * u64::from(self.blocks_per_line());
         for (device, lba) in self.array.locate_write(logical_lba) {
             let qp = self.pick_queue(device);
-            let start_step = self.spans.with(|rec| rec.tick());
             qp.submit_and_wait(NvmeCommand::write(0, lba, self.blocks_per_line(), src))?;
-            self.completed(start_step, device, qp, true, lba);
+            self.completed(device, qp, true);
         }
         Ok(())
     }

@@ -85,7 +85,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bam_mem::{ByteRegion, DevAddr};
-use bam_obs::{SpanEvent, SpanRecorder, Stage};
 
 use crate::backing::CacheBacking;
 use crate::crash::{CrashPoint, StepOutcome};
@@ -793,24 +792,6 @@ pub fn recover(
     gpu: &ByteRegion,
     scratch: DevAddr,
 ) -> Result<RecoveryReport, BamError> {
-    recover_observed(journal, backing, gpu, scratch, None)
-}
-
-/// [`recover`] with optional span observation: when `recorder` is given, one
-/// [`Stage::RecoveryReplay`] event is emitted per replayed line (timestamps
-/// are recorder steps; `arg` is the line index; `track` is the number of
-/// writes redone into the line).
-///
-/// # Errors
-///
-/// Same conditions as [`recover`].
-pub fn recover_observed(
-    journal: &[u8],
-    backing: &dyn CacheBacking,
-    gpu: &ByteRegion,
-    scratch: DevAddr,
-    recorder: Option<&SpanRecorder>,
-) -> Result<RecoveryReport, BamError> {
     let decoded = decode_records(journal)?;
     let scan = scan_records(&decoded, backing.num_lines(), backing.line_bytes())?;
 
@@ -832,7 +813,6 @@ pub fn recover_observed(
         if pending.is_empty() {
             continue;
         }
-        let start_step = recorder.map(|rec| rec.tick()).unwrap_or(0);
         let mut fetched = [Ok(())];
         backing.fetch_lines(&[(*line, scratch)], &mut fetched);
         let [fetched] = fetched;
@@ -841,16 +821,6 @@ pub fn recover_observed(
             gpu.write_bytes(scratch + offset, payload);
         }
         backing.writeback_line(*line, scratch)?;
-        if let Some(rec) = recorder {
-            rec.record(SpanEvent {
-                span: rec.next_span_id(),
-                stage: Stage::RecoveryReplay,
-                start_ns: start_step,
-                end_ns: rec.tick(),
-                track: pending.len() as u32,
-                arg: *line,
-            });
-        }
         report.replayed_writes += pending.len() as u64;
         report.replayed_lines += 1;
     }
@@ -997,18 +967,29 @@ mod tests {
 
     #[test]
     fn recover_replays_uncommitted_writes() {
-        let (data, gpu, backing) = recovery_rig();
-        let j = CacheJournal::new();
-        j.append_write(2, 4, &[0xEE; 8]).unwrap();
-        j.append_write(5, 0, &[0xDD; 64]).unwrap();
-        let report = recover(&j.snapshot(), backing.as_ref(), &gpu, 1024).unwrap();
-        assert_eq!(report.replayed_writes, 2);
-        assert_eq!(report.replayed_lines, 2);
-        let mut buf = [0u8; 64];
-        data.read_bytes(2 * 64 + 4, &mut buf[..8]);
-        assert_eq!(&buf[..8], &[0xEE; 8]);
-        data.read_bytes(5 * 64, &mut buf);
-        assert_eq!(buf, [0xDD; 64]);
+        // (line, offset, fill byte, length) per write; then the expected
+        // replayed line and write counts.
+        type Write = (u64, u64, u8, usize);
+        let cases: [(&[Write], u64, u64); 2] = [
+            (&[(2, 4, 0xEE, 8), (5, 0, 0xDD, 64)], 2, 2),
+            // Two writes into one line replay as one line.
+            (&[(2, 0, 1, 8), (2, 8, 2, 8), (9, 0, 3, 8)], 2, 3),
+        ];
+        for (writes, lines, redone) in cases {
+            let (data, gpu, backing) = recovery_rig();
+            let j = CacheJournal::new();
+            for &(line, offset, byte, len) in writes {
+                j.append_write(line, offset, &vec![byte; len]).unwrap();
+            }
+            let report = recover(&j.snapshot(), backing.as_ref(), &gpu, 1024).unwrap();
+            assert_eq!(report.replayed_lines, lines);
+            assert_eq!(report.replayed_writes, redone);
+            for &(line, offset, byte, len) in writes {
+                let mut buf = vec![0u8; len];
+                data.read_bytes(line * 64 + offset, &mut buf);
+                assert!(buf.iter().all(|&b| b == byte), "line {line} @ {offset}");
+            }
+        }
     }
 
     #[test]
@@ -1098,26 +1079,6 @@ mod tests {
             report.replayed_lines,
             plan.iter().filter(|l| l.pending_writes > 0).count() as u64
         );
-    }
-
-    #[test]
-    fn observed_recovery_emits_one_replay_span_per_line() {
-        let (_data, gpu, backing) = recovery_rig();
-        let j = CacheJournal::new();
-        j.append_write(2, 0, &[1; 8]).unwrap();
-        j.append_write(2, 8, &[2; 8]).unwrap();
-        j.append_write(9, 0, &[3; 8]).unwrap();
-        let rec = SpanRecorder::new();
-        let report =
-            recover_observed(&j.snapshot(), backing.as_ref(), &gpu, 1024, Some(&rec)).unwrap();
-        assert_eq!(report.replayed_lines, 2);
-        let events = rec.events();
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().all(|e| e.stage == Stage::RecoveryReplay));
-        assert_eq!(events[0].arg, 2);
-        assert_eq!(events[0].track, 2, "two writes redone into line 2");
-        assert_eq!(events[1].arg, 9);
-        assert!(events.iter().all(|e| e.end_ns > e.start_ns));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod system;
 pub use array::BamArray;
 pub use backing::{CacheBacking, CrashBacking, MemoryBacking};
 pub use bam_obs::{
-    chrome_trace_json, LatencyHisto, PromWriter, SpanEvent, SpanId, SpanRecorder, SpanSink, Stage,
+    chrome_trace_json, LatencyHisto, PromWriter, SpanEvent, SpanId, SpanRecorder, Stage,
 };
 pub use cache::{BamCache, LineGuard};
 pub use config::BamConfig;
@@ -65,8 +65,8 @@ pub use crash::{CrashPoint, StepOutcome};
 pub use error::BamError;
 pub use iostack::IoStack;
 pub use journal::{
-    decode_records, recover, recover_observed, replay_plan, CacheJournal, DecodedJournal,
-    JournalRecord, LineReplay, RecoveryReport,
+    decode_records, recover, replay_plan, CacheJournal, DecodedJournal, JournalRecord, LineReplay,
+    RecoveryReport,
 };
 pub use metrics::{BamMetrics, MetricsSnapshot};
 pub use queue::{BamQueuePair, Submission};

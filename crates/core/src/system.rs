@@ -17,7 +17,6 @@ use parking_lot::Mutex;
 use bam_gpu_sim::{GpuMemory, GpuSpec};
 use bam_mem::{ByteRegion, DevAddr, Pod};
 use bam_nvme_sim::{DataLayout, FaultInjector, SsdArray, StatsSnapshot};
-use bam_obs::{chrome_trace_json, SpanRecorder};
 
 use crate::array::BamArray;
 use crate::backing::{CacheBacking, CrashBacking};
@@ -399,46 +398,6 @@ impl BamSystem {
         self.inner.iostack.set_sim_hook(hook);
     }
 
-    /// Installs (or, with `None`, removes) a [`bam_obs::SpanRecorder`] on
-    /// every instrumented subsystem: cache probes, miss fetches and journal
-    /// appends, I/O-stack doorbells, and recovery replays all emit
-    /// [`bam_obs::SpanEvent`]s into it. Timestamps are the recorder's own
-    /// step counter (a virtual clock), so the cost is a few atomics per
-    /// request; with no recorder installed the probes are single-branch
-    /// no-ops.
-    pub fn set_span_recorder(&self, recorder: Option<Arc<SpanRecorder>>) {
-        match recorder {
-            Some(rec) => {
-                self.inner.iostack.spans().install(rec.clone());
-                if let Some(cache) = &self.inner.cache {
-                    cache.spans().install(rec);
-                }
-            }
-            None => {
-                self.inner.iostack.spans().uninstall();
-                if let Some(cache) = &self.inner.cache {
-                    cache.spans().uninstall();
-                }
-            }
-        }
-    }
-
-    /// The installed span recorder, if any.
-    pub fn span_recorder(&self) -> Option<Arc<SpanRecorder>> {
-        self.inner.iostack.spans().recorder()
-    }
-
-    /// Renders every recorded span as Chrome trace-event JSON (loadable in
-    /// Perfetto or `chrome://tracing`). An empty-but-valid trace when no
-    /// recorder is installed.
-    pub fn span_export(&self) -> String {
-        let events = self
-            .span_recorder()
-            .map(|rec| rec.events())
-            .unwrap_or_default();
-        chrome_trace_json(&events)
-    }
-
     /// Total NVMe commands submitted through the BaM queues.
     pub fn total_submissions(&self) -> u64 {
         self.inner.iostack.total_submissions()
@@ -503,14 +462,7 @@ impl BamSystem {
         // lost with the crashed host, and the reboot is behind us.
         let region = &self.inner.region;
         let (_slot_guard, scratch) = self.inner.lock_scratch();
-        let recorder = self.span_recorder();
-        let report = journal::recover_observed(
-            journal_bytes,
-            self.inner.iostack.as_ref(),
-            region,
-            scratch,
-            recorder.as_deref(),
-        )?;
+        let report = journal::recover(journal_bytes, self.inner.iostack.as_ref(), region, scratch)?;
         if let Some(cache) = &self.inner.cache {
             cache.reset_after_crash();
         }
@@ -695,59 +647,16 @@ mod tests {
     }
 
     #[test]
-    fn span_recorder_traces_the_functional_stack() {
-        let sys = BamSystem::new(BamConfig::test_scale()).unwrap();
-        let arr = sys.create_array::<u64>(1024).unwrap();
-        arr.preload(&(0..1024u64).collect::<Vec<_>>()).unwrap();
-        let rec = Arc::new(SpanRecorder::new());
-        sys.set_span_recorder(Some(rec.clone()));
-        // The stack and the cache share the one installed recorder.
-        let cache = sys.inner.cache.as_ref().unwrap();
-        assert!(Arc::ptr_eq(&sys.span_recorder().unwrap(), &rec));
-        assert!(Arc::ptr_eq(&cache.spans().recorder().unwrap(), &rec));
-        for i in (0..1024u64).step_by(64) {
-            arr.read(i).unwrap();
-        }
-        let events = rec.events();
-        assert!(!events.is_empty());
-        let has = |stage| events.iter().any(|e| e.stage == stage);
-        assert!(has(bam_obs::Stage::CacheProbe));
-        assert!(has(bam_obs::Stage::MissFetch));
-        assert!(has(bam_obs::Stage::Doorbell));
-        let export = sys.span_export();
-        assert!(export.contains("\"name\":\"cache_probe\""));
-        assert!(export.ends_with("]}\n"));
-        sys.set_span_recorder(None);
-        assert!(sys.span_recorder().is_none());
-        assert!(cache.spans().recorder().is_none());
-        let before = rec.len();
-        arr.read(0).unwrap();
-        assert_eq!(rec.len(), before, "uninstalled recorder sees nothing");
-        assert_eq!(
-            sys.span_export(),
-            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[]}\n",
-            "no recorder exports an empty, valid trace"
-        );
-    }
-
-    #[test]
-    fn recovery_emits_replay_spans_through_the_system() {
+    fn recovery_through_the_system_replays_each_written_line() {
         let cp = Arc::new(CrashPoint::new());
         let sys = BamSystem::with_crash_point(BamConfig::test_scale(), cp).unwrap();
         let arr = sys.create_array::<u64>(512).unwrap();
         arr.preload(&vec![0u64; 512]).unwrap();
         arr.write(3, 77).unwrap();
         arr.write(200, 88).unwrap();
-        let rec = Arc::new(SpanRecorder::new());
-        sys.set_span_recorder(Some(rec.clone()));
         let journal = sys.journal().unwrap().snapshot();
         let report = sys.recover_from_journal(&journal).unwrap();
-        let replays = rec
-            .events()
-            .iter()
-            .filter(|e| e.stage == bam_obs::Stage::RecoveryReplay)
-            .count() as u64;
-        assert_eq!(replays, report.replayed_lines);
+        assert_eq!(report.replayed_lines, 2);
         assert!(report
             .to_string()
             .contains("replayed 2 writes across 2 lines"));

@@ -32,7 +32,7 @@ impl WarpCtx {
     }
 
     /// Whether `lane` is active in this warp.
-    pub fn is_active(&self, lane: usize) -> bool {
+    fn is_active(&self, lane: usize) -> bool {
         self.active & (1 << lane) != 0
     }
 
@@ -41,11 +41,6 @@ impl WarpCtx {
         (0..WARP_SIZE)
             .filter(|&l| self.is_active(l))
             .map(|l| (l, self.thread_id(l)))
-    }
-
-    /// Number of active lanes.
-    pub fn active_lanes(&self) -> usize {
-        self.active.count_ones() as usize
     }
 }
 
@@ -184,11 +179,11 @@ mod tests {
         let active_in_last = AtomicUsize::new(0);
         exec.launch(40, |warp| {
             if warp.warp_id == 1 {
-                active_in_last.store(warp.active_lanes(), Ordering::Relaxed);
+                active_in_last.store(warp.lanes().count(), Ordering::Relaxed);
                 assert!(warp.is_active(7));
                 assert!(!warp.is_active(8));
             } else {
-                assert_eq!(warp.active_lanes(), 32);
+                assert_eq!(warp.lanes().count(), 32);
             }
         });
         assert_eq!(active_in_last.load(Ordering::Relaxed), 8);

@@ -60,11 +60,6 @@ impl GpuMemory {
     pub fn alloc(&self, size: u64, align: u64) -> Result<DevAddr, AllocError> {
         self.allocator.alloc(size, align)
     }
-
-    /// Bytes of device memory still unallocated.
-    pub fn free_bytes(&self) -> u64 {
-        self.allocator.remaining()
-    }
 }
 
 #[cfg(test)]
@@ -78,7 +73,6 @@ mod tests {
         let last = base + 999 * 4;
         mem.region().write_bytes(last, &3.5f32.to_le_bytes());
         assert_eq!(mem.region().read_pod::<f32>(last), 3.5);
-        assert!(mem.free_bytes() < 1 << 20);
     }
 
     #[test]

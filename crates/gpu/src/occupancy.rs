@@ -55,7 +55,7 @@ impl OccupancyModel {
 
     /// Whether inlining BaM forces spilling for a kernel of the given base
     /// register usage.
-    pub fn spills(&self, base_registers: u32) -> bool {
+    fn spills(&self, base_registers: u32) -> bool {
         base_registers + self.cache_probe_registers + self.io_stack_registers > self.max_registers
     }
 

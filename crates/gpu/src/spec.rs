@@ -38,11 +38,6 @@ impl GpuSpec {
         }
     }
 
-    /// Maximum concurrently resident threads on the whole GPU.
-    pub fn max_resident_threads(&self) -> u32 {
-        self.num_sms * self.max_threads_per_sm
-    }
-
     /// Maximum resident threads per SM when each thread uses
     /// `registers_per_thread` registers (the occupancy limiter discussed with
     /// Figure 13). The result is quantized to whole warps.
@@ -63,7 +58,6 @@ mod tests {
     #[test]
     fn a100_envelope() {
         let g = GpuSpec::a100_80gb();
-        assert_eq!(g.max_resident_threads(), 108 * 2048);
         assert_eq!(g.memory_bytes, 80 << 30);
         assert!(g.pcie.effective_bandwidth_gbps() > 20.0);
     }

@@ -76,9 +76,9 @@ impl BlockStore {
         self.num_blocks * self.block_size as u64
     }
 
-    /// Number of bytes of media actually resident in memory (for tests and
-    /// memory accounting).
-    pub fn resident_bytes(&self) -> u64 {
+    /// Number of bytes of media actually resident in memory.
+    #[cfg(test)]
+    fn resident_bytes(&self) -> u64 {
         self.extents.read().len() as u64 * BLOCKS_PER_EXTENT * self.block_size as u64
     }
 

@@ -97,16 +97,6 @@ impl QueuePair {
         })
     }
 
-    /// Base address of the submission ring in the shared region.
-    pub fn sq_base(&self) -> DevAddr {
-        self.sq_base
-    }
-
-    /// Base address of the completion ring in the shared region.
-    pub fn cq_base(&self) -> DevAddr {
-        self.cq_base
-    }
-
     /// The shared region the rings live in.
     pub fn region(&self) -> &Arc<ByteRegion> {
         &self.region

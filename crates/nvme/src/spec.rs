@@ -108,7 +108,7 @@ impl SsdSpec {
 
     /// DDR4 DRAM DIMM pseudo-device (Table 2 row "DRAM"); used only for the
     /// cost/performance comparison and the DRAM-only baselines.
-    pub fn dram_dimm() -> Self {
+    fn dram_dimm() -> Self {
         Self {
             name: "DDR4-3200 DIMM".into(),
             technology: SsdTechnology::Dram,
@@ -160,27 +160,11 @@ impl SsdSpec {
             iops_512 + t * (iops_4k - iops_512)
         }
     }
-
-    /// $/GB advantage relative to DRAM (Table 2 "Gain" column).
-    pub fn cost_gain_vs_dram(&self) -> f64 {
-        Self::dram_dimm().cost_per_gb / self.cost_per_gb
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table2_gain_matches_paper() {
-        // Paper: Optane 4.4x, Z-NAND 4.3x, NAND flash 21.8x.
-        let optane = SsdSpec::intel_optane_p5800x().cost_gain_vs_dram();
-        let znand = SsdSpec::samsung_pm1735().cost_gain_vs_dram();
-        let nand = SsdSpec::samsung_980pro().cost_gain_vs_dram();
-        assert!((optane - 4.38).abs() < 0.1, "{optane}");
-        assert!((znand - 4.35).abs() < 0.1, "{znand}");
-        assert!((nand - 21.8).abs() < 0.5, "{nand}");
-    }
 
     #[test]
     fn iops_interpolation_is_monotone_and_bounded() {

@@ -296,19 +296,6 @@ impl LatencyHisto {
             .get(first..)
             .map_or(0, |above| above.iter().sum())
     }
-
-    /// Iterates the non-empty buckets as `(inclusive_upper_bound_ns,
-    /// cumulative_count)` pairs, the shape Prometheus histogram series want.
-    pub fn cumulative_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let mut cum = 0u64;
-        (self.lo..).zip(&self.counts).filter_map(move |(idx, &c)| {
-            if c == 0 {
-                return None;
-            }
-            cum += c;
-            Some((bucket_lower(idx) + (bucket_width(idx) - 1), cum))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -384,7 +371,6 @@ mod tests {
         assert_eq!(h.mean_ns(), 0.0);
         assert_eq!(h.min_ns(), 0);
         assert_eq!(h.max_ns(), 0);
-        assert_eq!(h.cumulative_buckets().count(), 0);
     }
 
     #[test]
@@ -458,10 +444,6 @@ mod tests {
         let histories = same_content_different_histories(&samples);
         for h in &histories[1..] {
             assert_eq!(h, &histories[0]);
-            assert_eq!(
-                h.cumulative_buckets().collect::<Vec<_>>(),
-                histories[0].cumulative_buckets().collect::<Vec<_>>()
-            );
             for q in [0.0, 0.5, 0.99, 1.0] {
                 assert_eq!(h.value_at_quantile(q), histories[0].value_at_quantile(q));
             }
@@ -481,7 +463,6 @@ mod tests {
         cleared.clear();
         assert_eq!(cleared, LatencyHisto::new());
         assert_eq!(cleared.value_at_quantile(0.5), 0);
-        assert_eq!(cleared.cumulative_buckets().count(), 0);
     }
 
     #[test]
@@ -533,16 +514,5 @@ mod tests {
             (lo, len, ptr, cap)
         );
         assert_eq!(h, LatencyHisto::from_samples(samples));
-    }
-
-    #[test]
-    fn cumulative_buckets_end_at_total_count() {
-        let h = LatencyHisto::from_samples([1u64, 100, 10_000, 1_000_000]);
-        let buckets: Vec<_> = h.cumulative_buckets().collect();
-        assert_eq!(buckets.len(), 4);
-        assert_eq!(buckets.last().unwrap().1, 4);
-        for w in buckets.windows(2) {
-            assert!(w[0].0 < w[1].0 && w[0].1 < w[1].1);
-        }
     }
 }

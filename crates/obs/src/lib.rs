@@ -1,15 +1,15 @@
 //! Observability layer for the BaM reproduction.
 //!
-//! Three pieces, shared by the functional stack (`bam-core`) and the
-//! discrete-event simulator (`bam-sim`):
+//! The discrete-event simulator's (`bam-sim`) telemetry; `bam-core`
+//! re-exports the span and histogram types:
 //!
 //! * [`LatencyHisto`] — a log-linear HDR-style histogram with ≤ ~1.6%
 //!   relative bucket error, sized by the bucket range its samples touched,
 //!   mergeable, and cheap to record into. It replaces exact sample vectors
 //!   wherever only percentiles are needed.
 //! * [`SpanRecorder`] / [`SpanEvent`] — a bounded ring buffer of typed
-//!   per-request stage spans. Timestamps are virtual (sim nanoseconds or
-//!   functional-layer step counters), so traces are bit-identical per seed.
+//!   per-request stage spans. Timestamps are the simulator's virtual
+//!   nanoseconds, so traces are bit-identical per seed.
 //! * Exporters — Prometheus text exposition ([`PromWriter`]) and Chrome
 //!   trace-event JSON ([`chrome_trace_json`], loadable in Perfetto or
 //!   `chrome://tracing`).
@@ -36,5 +36,5 @@ pub use blame::{
 };
 pub use export::{chrome_trace_json, PromWriter};
 pub use histo::{LatencyHisto, HISTO_BUCKETS};
-pub use span::{SpanEvent, SpanId, SpanRecorder, SpanSink, Stage, StageBreakdown, STAGE_COUNT};
+pub use span::{SpanEvent, SpanId, SpanRecorder, Stage, StageBreakdown, STAGE_COUNT};
 pub use timeseries::{evaluate_slo, SloReport, SloSpec, WindowStats, WindowedSeries};

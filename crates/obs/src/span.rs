@@ -2,31 +2,21 @@
 //! and per-stage dwell-time breakdowns.
 
 use crate::histo::LatencyHisto;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Mutex;
 
 /// Identifies one request across all of its stage events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
-/// A pipeline or functional-stack stage a request dwells in.
-///
-/// The first five stages are emitted by the functional layer (timestamps are
-/// [`SpanRecorder`] step counts); the rest by the discrete-event simulator
-/// (timestamps are virtual nanoseconds). `SsdLink` and `GpuLink` together
-/// are the DMA portion of a request's life.
+/// A pipeline stage a request dwells in, as the discrete-event simulator
+/// emits them (timestamps are virtual nanoseconds). `SsdLink` and `GpuLink`
+/// together are the DMA portion of a request's life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
-    /// Cache line state probe (hit or start of a miss).
+    /// Cache line state probe (hit or start of a miss). The simulator
+    /// never emits it; it survives for the host-cost benchmark's recorder
+    /// row.
     CacheProbe,
-    /// Miss servicing: fetching a line from backing storage.
-    MissFetch,
-    /// Appending a write record to the cache journal.
-    JournalAppend,
-    /// NVMe submission-queue doorbell ring and completion wait.
-    Doorbell,
-    /// Replaying one journalled line during crash recovery.
-    RecoveryReplay,
     /// Held at the admission controller: the gap between a request's first
     /// offer and the instant a tenant-class token-bucket controller finally
     /// admitted it (service is always zero — the whole dwell is wait).
@@ -50,16 +40,12 @@ pub enum Stage {
 }
 
 /// Number of distinct stages.
-pub const STAGE_COUNT: usize = 13;
+pub const STAGE_COUNT: usize = 9;
 
 impl Stage {
     /// All stages, in pipeline order.
     pub const ALL: [Stage; STAGE_COUNT] = [
         Stage::CacheProbe,
-        Stage::MissFetch,
-        Stage::JournalAppend,
-        Stage::Doorbell,
-        Stage::RecoveryReplay,
         Stage::Admission,
         Stage::JournalFlush,
         Stage::QueuePair,
@@ -79,10 +65,6 @@ impl Stage {
     pub fn label(self) -> &'static str {
         match self {
             Stage::CacheProbe => "cache_probe",
-            Stage::MissFetch => "miss_fetch",
-            Stage::JournalAppend => "journal_append",
-            Stage::Doorbell => "doorbell",
-            Stage::RecoveryReplay => "recovery_replay",
             Stage::Admission => "admission",
             Stage::JournalFlush => "journal_flush",
             Stage::QueuePair => "queue_pair",
@@ -97,9 +79,9 @@ impl Stage {
 
 /// One closed stage interval of one request.
 ///
-/// `track` groups events into trace rows (queue-pair index in the sim,
-/// device index in the functional layer); `arg` carries a stage-specific
-/// detail (cache line, LBA, or byte count) into the exported trace.
+/// `track` groups events into trace rows (the queue-pair index); `arg`
+/// carries a stage-specific detail (such as a byte count) into the exported
+/// trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     pub span: SpanId,
@@ -120,8 +102,7 @@ struct RecorderInner {
     dropped: u64,
 }
 
-/// A bounded ring buffer of [`SpanEvent`]s plus the deterministic id and
-/// virtual-time sources the functional layer needs.
+/// A bounded ring buffer of [`SpanEvent`]s.
 ///
 /// When full, the oldest events are overwritten and counted in
 /// [`dropped`](Self::dropped) — recording never blocks or reallocates after
@@ -131,8 +112,6 @@ struct RecorderInner {
 pub struct SpanRecorder {
     inner: Mutex<RecorderInner>,
     capacity: usize,
-    steps: AtomicU64,
-    next_span: AtomicU64,
 }
 
 impl Default for SpanRecorder {
@@ -156,31 +135,7 @@ impl SpanRecorder {
                 dropped: 0,
             }),
             capacity: capacity.max(1),
-            steps: AtomicU64::new(0),
-            next_span: AtomicU64::new(0),
         }
-    }
-
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Allocates the next request span id (0, 1, 2, ...).
-    pub fn next_span_id(&self) -> SpanId {
-        SpanId(self.next_span.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Advances the virtual step clock and returns the new time. The
-    /// functional layer uses these steps as span timestamps; the sim passes
-    /// its own virtual nanoseconds instead and never calls this.
-    pub fn tick(&self) -> u64 {
-        self.steps.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Current virtual step time without advancing it.
-    pub fn now(&self) -> u64 {
-        self.steps.load(Ordering::Relaxed)
     }
 
     /// Appends an event, overwriting the oldest once at capacity.
@@ -220,63 +175,12 @@ impl SpanRecorder {
         self.inner.lock().unwrap().dropped
     }
 
-    /// Discards all retained events (span ids and step clock keep running).
+    /// Discards all retained events.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap();
         inner.events.clear();
         inner.head = 0;
         inner.dropped = 0;
-    }
-}
-
-#[derive(Default)]
-struct SinkInner {
-    recorder: RwLock<Option<Arc<SpanRecorder>>>,
-    installed: AtomicBool,
-}
-
-/// A shareable, optionally-populated handle to a [`SpanRecorder`].
-///
-/// Hot paths check one relaxed atomic before touching the lock, so an
-/// uninstalled sink costs a single predictable branch. Cloning shares the
-/// same slot — install once on a system handle and every component holding
-/// a clone starts emitting.
-#[derive(Clone, Default)]
-pub struct SpanSink {
-    inner: Arc<SinkInner>,
-}
-
-impl SpanSink {
-    /// An empty (uninstalled) sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Installs a recorder; subsequent [`with`](Self::with) calls see it.
-    pub fn install(&self, recorder: Arc<SpanRecorder>) {
-        *self.inner.recorder.write().unwrap() = Some(recorder);
-        self.inner.installed.store(true, Ordering::Release);
-    }
-
-    /// Removes the recorder, returning the sink to its no-op state.
-    pub fn uninstall(&self) {
-        self.inner.installed.store(false, Ordering::Release);
-        *self.inner.recorder.write().unwrap() = None;
-    }
-
-    /// The installed recorder, if any.
-    pub fn recorder(&self) -> Option<Arc<SpanRecorder>> {
-        self.inner.recorder.read().unwrap().clone()
-    }
-
-    /// Runs `f` against the recorder when installed; no-op otherwise (one
-    /// relaxed load).
-    pub fn with<R>(&self, f: impl FnOnce(&SpanRecorder) -> R) -> Option<R> {
-        if !self.inner.installed.load(Ordering::Relaxed) {
-            return None;
-        }
-        let guard = self.inner.recorder.read().unwrap();
-        guard.as_ref().map(|r| f(r))
     }
 }
 
@@ -381,33 +285,6 @@ mod tests {
         rec.clear();
         assert!(rec.is_empty());
         assert_eq!(rec.dropped(), 0);
-    }
-
-    #[test]
-    fn span_ids_and_steps_are_sequential() {
-        let rec = SpanRecorder::new();
-        assert_eq!(rec.next_span_id(), SpanId(0));
-        assert_eq!(rec.next_span_id(), SpanId(1));
-        assert_eq!(rec.now(), 0);
-        assert_eq!(rec.tick(), 1);
-        assert_eq!(rec.tick(), 2);
-        assert_eq!(rec.now(), 2);
-    }
-
-    #[test]
-    fn sink_is_noop_until_installed() {
-        let sink = SpanSink::new();
-        assert!(sink.recorder().is_none());
-        assert_eq!(sink.with(|_| 1), None);
-        let rec = Arc::new(SpanRecorder::new());
-        sink.install(rec.clone());
-        let shared = sink.clone();
-        assert!(Arc::ptr_eq(&shared.recorder().unwrap(), &rec));
-        assert_eq!(shared.with(|r| r.tick()), Some(1));
-        assert_eq!(rec.now(), 1);
-        sink.uninstall();
-        assert!(shared.recorder().is_none());
-        assert_eq!(shared.with(|_| 1), None);
     }
 
     #[test]

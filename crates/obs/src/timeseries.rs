@@ -145,11 +145,6 @@ impl WindowedSeries {
         self.window_ns
     }
 
-    /// True when recording is disabled (`window_ns == 0`).
-    pub fn is_disabled(&self) -> bool {
-        self.window_ns == 0
-    }
-
     /// Number of windows that saw at least one event.
     pub fn len(&self) -> usize {
         self.windows.len()
@@ -419,7 +414,6 @@ mod tests {
     #[test]
     fn zero_window_disables_recording() {
         let mut s = WindowedSeries::new(0);
-        assert!(s.is_disabled());
         s.record_arrival(100);
         s.record_completion(200, 100);
         s.record_depth(100, 4);

@@ -14,7 +14,7 @@ pub enum PcieGeneration {
 impl PcieGeneration {
     /// Raw per-lane bandwidth in GB/s after 128b/130b encoding, before
     /// protocol overhead.
-    pub fn per_lane_gbps(self) -> f64 {
+    fn per_lane_gbps(self) -> f64 {
         match self {
             PcieGeneration::Gen3 => 0.985,
             PcieGeneration::Gen4 => 1.969,
@@ -66,7 +66,7 @@ impl LinkSpec {
     }
 
     /// Raw bandwidth in GB/s (lanes × per-lane rate).
-    pub fn raw_bandwidth_gbps(&self) -> f64 {
+    fn raw_bandwidth_gbps(&self) -> f64 {
         self.generation.per_lane_gbps() * f64::from(self.lanes)
     }
 

@@ -30,7 +30,7 @@ impl SimTime {
     }
 
     /// Microseconds since the start.
-    pub fn as_us(self) -> f64 {
+    fn as_us(self) -> f64 {
         self.0 as f64 / 1e3
     }
 

@@ -44,15 +44,6 @@ impl LatencyDist {
         }
     }
 
-    /// Uniform between `lo_us` and `hi_us` microseconds.
-    pub fn uniform_us(lo_us: f64, hi_us: f64) -> Self {
-        assert!(lo_us <= hi_us, "uniform bounds out of order");
-        Self::Uniform {
-            lo_ns: (lo_us * 1e3).round().max(0.0) as u64,
-            hi_ns: (hi_us * 1e3).round().max(0.0) as u64,
-        }
-    }
-
     /// A lognormal with the given *mean* (`mean_us` microseconds) and shape
     /// `sigma`. The location parameter is derived so that
     /// `E[X] = exp(mu + sigma^2 / 2) = mean`.
@@ -345,7 +336,10 @@ mod tests {
 
     #[test]
     fn uniform_stays_in_bounds_and_centers() {
-        let d = LatencyDist::uniform_us(10.0, 20.0);
+        let d = LatencyDist::Uniform {
+            lo_ns: 10_000,
+            hi_ns: 20_000,
+        };
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..1000 {
             let v = d.sample(&mut rng);

@@ -186,11 +186,12 @@ pub struct AdmissionSpec {
 /// A class of `members` statistically identical logical tenants, merged
 /// into one engine-level stream in closed form.
 ///
-/// `member_arrival` is the process of *one* member; [`merged_arrival`]
-/// (closed-form superposition) is what the engine actually schedules and
-/// accounts, so event-loop cost is O(classes) regardless of `members`.
+/// `member_arrival` is the process of *one* member; the merged process of
+/// [`merged_spec`] (closed-form superposition) is what the engine actually
+/// schedules and accounts, so event-loop cost is O(classes) regardless of
+/// `members`.
 ///
-/// [`merged_arrival`]: TenantClass::merged_arrival
+/// [`merged_spec`]: TenantClass::merged_spec
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantClass {
     /// Stable identifier; also salts the class's RNG stream. A class and a
@@ -269,7 +270,7 @@ impl TenantClass {
     ///   closed-form.
     /// * `ClosedLoop(w)` → `ClosedLoop(Mw)` — each member keeps `w`
     ///   requests in flight.
-    pub fn merged_arrival(&self) -> ArrivalProcess {
+    fn merged_arrival(&self) -> ArrivalProcess {
         assert!(self.members > 0, "a class needs at least one member");
         let m = f64::from(self.members);
         match self.member_arrival {
@@ -305,9 +306,9 @@ impl TenantClass {
         }
     }
 
-    /// The class as one merged engine-level tenant: same id (so the arrival
-    /// RNG stream matches an explicit [`TenantSpec`] of the merged process),
-    /// with [`merged_arrival`](Self::merged_arrival) as its process.
+    /// The class as one merged engine-level tenant running the members'
+    /// superposed arrival process, under the same id (so the arrival RNG
+    /// stream matches an explicit [`TenantSpec`] of that process).
     pub fn merged_spec(&self) -> TenantSpec {
         TenantSpec {
             id: self.id,

@@ -50,16 +50,6 @@ impl ExecutionBreakdown {
         self.compute_s + self.cache_api_s + self.storage_io_s
     }
 
-    /// Fraction of the total spent in the cache API (the 2–45 % figure quoted
-    /// in §5.2).
-    pub fn cache_overhead_fraction(&self) -> f64 {
-        if self.total_s() == 0.0 {
-            0.0
-        } else {
-            self.cache_api_s / self.total_s()
-        }
-    }
-
     /// Speedup of `self` relative to `other` (>1 means `self` is faster).
     pub fn speedup_vs(&self, other: &ExecutionBreakdown) -> f64 {
         other.total_s() / self.total_s()
@@ -105,8 +95,6 @@ mod tests {
         let fast = ExecutionBreakdown::overlapped(1.0, 0.2, 0.0);
         let slow = ExecutionBreakdown::serial(1.0, 0.0, 1.4);
         assert!((fast.speedup_vs(&slow) - 2.0).abs() < 1e-12);
-        assert!(fast.cache_overhead_fraction() > 0.1);
-        assert_eq!(ExecutionBreakdown::default().cache_overhead_fraction(), 0.0);
     }
 
     #[test]

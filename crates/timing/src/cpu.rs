@@ -65,11 +65,6 @@ impl CpuStackModel {
     pub fn staging_time_s(&self, bytes: u64) -> f64 {
         bytes as f64 / (1u64 << 20) as f64 * self.staging_overhead_us_per_mib * 1e-6
     }
-
-    /// Time for a GPUfs-style CPU-mediated cache to serve `misses` misses.
-    pub fn gpufs_miss_time_s(&self, misses: u64) -> f64 {
-        misses as f64 / self.gpufs_miss_rate_per_s
-    }
 }
 
 #[cfg(test)]
@@ -93,13 +88,6 @@ mod tests {
         let issue = cpu.io_issue_time_s(reqs);
         let wire = (128u64 << 30) as f64 / 26e9;
         assert!(issue > 2.0 * wire, "issue={issue} wire={wire}");
-    }
-
-    #[test]
-    fn gpufs_matches_measured_peak() {
-        let cpu = CpuStackModel::epyc_host();
-        let t = cpu.gpufs_miss_time_s(823_000);
-        assert!((t - 1.0).abs() < 1e-6);
     }
 
     #[test]

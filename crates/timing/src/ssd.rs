@@ -52,7 +52,7 @@ impl SsdArrayModel {
     }
 
     /// Maximum in-flight requests the queues can hold.
-    pub fn max_outstanding(&self) -> u64 {
+    fn max_outstanding(&self) -> u64 {
         u64::from(self.queue_pairs) * u64::from(self.queue_depth)
     }
 
@@ -68,7 +68,7 @@ impl SsdArrayModel {
     }
 
     /// Peak write IOPS of the array for `access_bytes` accesses.
-    pub fn peak_write_iops(&self, access_bytes: u64) -> f64 {
+    fn peak_write_iops(&self, access_bytes: u64) -> f64 {
         let media = self.spec.write_iops(access_bytes) * self.num_ssds as f64;
         let ssd_links = self.ssd_link.max_iops(access_bytes) * self.num_ssds as f64;
         let gpu_link = self.gpu_link.max_iops(access_bytes);
