@@ -1,9 +1,12 @@
 //! Regenerates Figure 8: sources of performance improvement in BaM.
-use bam_bench::scale::{GRAPH_SCALE, WORKERS};
+//!
+//! The functional phase runs single-worker so the output is bit-identical
+//! per seed, as Figure 7's is.
+use bam_bench::scale::GRAPH_SCALE;
 use bam_bench::{graph_exp, print_table};
 
 fn main() {
-    let rows = graph_exp::figure8(&["K", "U", "F", "M", "Uk"], GRAPH_SCALE, 8, WORKERS);
+    let rows = graph_exp::figure8(&["K", "U", "F", "M", "Uk"], GRAPH_SCALE, 8, 1);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

@@ -157,16 +157,16 @@ impl<T: Pod> BamArray<T> {
         pieces: impl Iterator<Item = (u64, RunPiece)>,
         out: &mut [T],
     ) -> Result<(), BamError> {
-        self.inner.with_lines(pieces, |piece, view| {
+        let mut reuses = 0;
+        let read = self.inner.with_lines(pieces, |piece, view| {
             let dst = &mut out[piece.out..piece.out + piece.elems];
             for (e, value) in dst.iter_mut().enumerate() {
                 *value = view.read(piece.offset + (e * T::SIZE) as u64);
             }
-            if piece.elems > 1 {
-                self.inner.metrics.record_reuse();
-            }
-        })?;
-        Ok(())
+            reuses += u64::from(piece.elems > 1);
+        });
+        self.inner.metrics.record_reuses(reuses);
+        read.map(drop)
     }
 
     /// An output buffer of `len` elements for [`BamArray::read_pieces`].

@@ -121,6 +121,10 @@ struct Batch<R> {
     waiters: FixedVec<(R, u64), MAX_BATCH>,
     /// Lines this call has fetched (or claimed to fetch) so far.
     fetched: u64,
+    /// This call's cache hits and misses, added to [`BamMetrics`] once,
+    /// when it returns.
+    hits: u64,
+    misses: u64,
 }
 
 impl LineGuard<'_> {
@@ -300,19 +304,18 @@ impl BamCache {
     /// storage error from the fetch.
     pub fn acquire(&self, line: u64) -> Result<LineGuard<'_>, BamError> {
         self.check_line(line)?;
-        self.metrics.record_probe();
         let mut spins = 0u64;
         let (slot, fetched) = loop {
             match self.probe(line) {
                 Probe::Hit(slot) => {
-                    self.metrics.record_hit();
+                    self.metrics.record_lookups(1, 0);
                     break (slot, false);
                 }
                 // Another thread is fetching or evicting this line; the lock
                 // on the line prevents duplicate storage requests.
                 Probe::Busy => spin_wait(&mut spins),
                 Probe::Claimed => {
-                    self.metrics.record_miss();
+                    self.metrics.record_lookups(0, 1);
                     let slot = self.find_victim(line, self.victim_patience(), || Ok(()))?;
                     let mut miss = FixedVec::<_, 1>::new();
                     miss.push(PendingMiss {
@@ -416,15 +419,16 @@ impl BamCache {
             pending: FixedVec::new(),
             waiters: FixedVec::new(),
             fetched: 0,
+            hits: 0,
+            misses: 0,
         };
-        for (line, tag) in requests {
-            if let Err(e) = self.walk(line, tag, &mut batch, &mut visit) {
-                // The first error wins; what is claimed is still completed.
-                let _ = self.complete(&mut batch, &mut visit);
-                return Err(e);
-            }
-        }
-        self.complete(&mut batch, &mut visit)?;
+        let walked = requests
+            .into_iter()
+            .try_for_each(|(line, tag)| self.walk(line, tag, &mut batch, &mut visit));
+        // What is claimed is completed either way, and the first error wins.
+        let completed = self.complete(&mut batch, &mut visit);
+        self.metrics.record_lookups(batch.hits, batch.misses);
+        walked.and(completed)?;
         Ok(batch.fetched)
     }
 
@@ -440,8 +444,7 @@ impl BamCache {
         loop {
             match self.probe(line) {
                 Probe::Hit(slot) => {
-                    self.metrics.record_probe();
-                    self.metrics.record_hit();
+                    batch.hits += 1;
                     visit(tag, self.slot_addr(slot));
                     self.release(line);
                     return Ok(());
@@ -458,8 +461,7 @@ impl BamCache {
                         self.complete(batch, visit)?;
                         continue; // now a plain hit
                     }
-                    self.metrics.record_probe();
-                    self.metrics.record_hit();
+                    batch.hits += 1;
                     batch.waiters.push((tag, line));
                     return Ok(());
                 }
@@ -482,8 +484,7 @@ impl BamCache {
                             return self.acquire_one(line, tag, batch, visit);
                         }
                     };
-                    self.metrics.record_probe();
-                    self.metrics.record_miss();
+                    batch.misses += 1;
                     batch.fetched += 1;
                     batch.pending.push(PendingMiss { line, slot, tag });
                     if batch.pending.len() >= self.batch_cap {

@@ -210,9 +210,10 @@ impl IoStack {
     }
 
     /// Accounts one successfully completed command: the sim-hook submit
-    /// event, then the request counter. Emitted together so the hook's
-    /// event stream and the request counters agree 1:1 (failed commands
-    /// appear in neither).
+    /// event, then, for a write, the request counter. Reads are counted by
+    /// [`IoStack::await_staged`], once per batch. So when a call returns,
+    /// the hook's event stream and the request counters agree 1:1 (failed
+    /// commands appear in neither).
     fn completed(&self, device: usize, qp: &BamQueuePair, write: bool) {
         if self.sim_hook_installed.load(Ordering::Acquire) {
             if let Some(hook) = self
@@ -231,8 +232,6 @@ impl IoStack {
         }
         if write {
             self.metrics.record_write_request(self.line_bytes);
-        } else {
-            self.metrics.record_read_request(self.line_bytes);
         }
     }
 
@@ -294,7 +293,8 @@ impl IoStack {
     }
 
     /// Rings each queue once for everything staged on it, then waits for the
-    /// staged reads in staging order and records their outcomes.
+    /// staged reads in staging order, records their outcomes and counts the
+    /// successful ones.
     fn await_staged(
         &self,
         staged: &mut FixedVec<StagedRead<'_>, MAX_BATCH>,
@@ -305,11 +305,15 @@ impl IoStack {
         for read in staged.iter().rev() {
             read.qp.ring(&read.submission);
         }
+        let mut reads = 0;
         for read in staged.drain() {
             outcomes[read.index] = read.qp.wait(read.submission).map(|_| {
                 self.completed(read.device, read.qp, false);
+                reads += 1;
             });
         }
+        self.metrics
+            .record_read_requests(reads, reads * self.line_bytes);
     }
 
     /// Writes cache line `line` from GPU memory at `src` back to storage.

@@ -2,7 +2,13 @@
 //!
 //! Every count the experiment harnesses need — cache hits and misses, I/O
 //! requests issued, bytes moved, doorbell writes, coalescing savings — is
-//! collected here with relaxed atomics so the hot paths stay cheap.
+//! collected here with relaxed atomics. Every client shares these words, so
+//! a call that handles many lines tallies into its own state and adds each
+//! count once, when it returns: a batch's hits and misses, a run's reference
+//! reuses, a read batch's requests; a single [`crate::BamCache::acquire`]
+//! is a call of one line. `probe_attempts` is not counted at all: every
+//! probe is exactly one hit or one miss, so the snapshot derives it as their
+//! sum.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -14,7 +20,6 @@ pub struct BamMetrics {
     cache_misses: AtomicU64,
     cache_evictions: AtomicU64,
     cache_writebacks: AtomicU64,
-    probe_attempts: AtomicU64,
     coalesced_accesses: AtomicU64,
     reused_references: AtomicU64,
     // I/O stack.
@@ -41,7 +46,9 @@ pub struct MetricsSnapshot {
     pub cache_evictions: u64,
     /// Dirty lines written back to storage.
     pub cache_writebacks: u64,
-    /// Cache probes performed (group leaders only when coalescing).
+    /// Cache probes performed (group leaders only when coalescing): every
+    /// probe ends in exactly one hit or one miss, so this is always
+    /// `cache_hits + cache_misses`, derived when the snapshot is taken.
     pub probe_attempts: u64,
     /// Accesses that were satisfied by another lane's probe (coalescing win).
     pub coalesced_accesses: u64,
@@ -131,14 +138,6 @@ impl BamMetrics {
         Self::default()
     }
 
-    pub(crate) fn record_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_eviction(&self) {
         self.cache_evictions.fetch_add(1, Ordering::Relaxed);
     }
@@ -147,8 +146,11 @@ impl BamMetrics {
         self.cache_writebacks.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_probe(&self) {
-        self.probe_attempts.fetch_add(1, Ordering::Relaxed);
+    /// Adds one call's tally of cache hits and misses.
+    #[inline]
+    pub(crate) fn record_lookups(&self, hits: u64, misses: u64) {
+        add(&self.cache_hits, hits);
+        add(&self.cache_misses, misses);
     }
 
     pub(crate) fn record_coalesced(&self, lanes_saved: u64) {
@@ -156,13 +158,14 @@ impl BamMetrics {
             .fetch_add(lanes_saved, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_reuse(&self) {
-        self.reused_references.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_reuses(&self, reuses: u64) {
+        add(&self.reused_references, reuses);
     }
 
-    pub(crate) fn record_read_request(&self, bytes: u64) {
-        self.read_requests.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+    /// Adds `requests` read commands that moved `bytes` in all.
+    pub(crate) fn record_read_requests(&self, requests: u64, bytes: u64) {
+        add(&self.read_requests, requests);
+        add(&self.bytes_read, bytes);
     }
 
     pub(crate) fn record_write_request(&self, bytes: u64) {
@@ -185,12 +188,14 @@ impl BamMetrics {
 
     /// Copies the current counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let cache_hits = self.cache_hits.load(Ordering::Relaxed);
+        let cache_misses = self.cache_misses.load(Ordering::Relaxed);
         MetricsSnapshot {
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            cache_hits,
+            cache_misses,
             cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
             cache_writebacks: self.cache_writebacks.load(Ordering::Relaxed),
-            probe_attempts: self.probe_attempts.load(Ordering::Relaxed),
+            probe_attempts: cache_hits + cache_misses,
             coalesced_accesses: self.coalesced_accesses.load(Ordering::Relaxed),
             reused_references: self.reused_references.load(Ordering::Relaxed),
             read_requests: self.read_requests.load(Ordering::Relaxed),
@@ -212,7 +217,6 @@ impl BamMetrics {
             &self.cache_misses,
             &self.cache_evictions,
             &self.cache_writebacks,
-            &self.probe_attempts,
             &self.coalesced_accesses,
             &self.reused_references,
             &self.read_requests,
@@ -229,6 +233,14 @@ impl BamMetrics {
     }
 }
 
+/// Adds `n` to `counter`, skipping the RMW when there is nothing to add.
+#[inline]
+fn add(counter: &AtomicU64, n: u64) {
+    if n != 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,11 +248,8 @@ mod tests {
     #[test]
     fn hit_rate_and_amplification() {
         let m = BamMetrics::new();
-        m.record_hit();
-        m.record_hit();
-        m.record_hit();
-        m.record_miss();
-        m.record_read_request(4096);
+        m.record_lookups(3, 1);
+        m.record_read_requests(1, 4096);
         m.record_requested_bytes(1024);
         let s = m.snapshot();
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
@@ -258,9 +267,8 @@ mod tests {
     #[test]
     fn display_summarizes_cache_and_storage() {
         let m = BamMetrics::new();
-        m.record_hit();
-        m.record_miss();
-        m.record_read_request(4096);
+        m.record_lookups(1, 1);
+        m.record_read_requests(1, 4096);
         m.record_requested_bytes(2048);
         let s = m.snapshot().to_string();
         assert!(s.contains("50.0% hit rate"), "{s}");
@@ -269,9 +277,22 @@ mod tests {
     }
 
     #[test]
+    fn probe_attempts_are_hits_plus_misses() {
+        let m = BamMetrics::new();
+        m.record_lookups(1, 0);
+        m.record_lookups(0, 1);
+        m.record_lookups(3, 2);
+        m.record_lookups(0, 0);
+        let s = m.snapshot();
+        assert_eq!((s.cache_hits, s.cache_misses, s.probe_attempts), (4, 3, 7));
+        m.reset();
+        assert_eq!(m.snapshot().probe_attempts, 0);
+    }
+
+    #[test]
     fn reset_clears_everything() {
         let m = BamMetrics::new();
-        m.record_miss();
+        m.record_lookups(0, 1);
         m.record_write_request(512);
         m.record_retry();
         m.record_journal_append(48);

@@ -1,14 +1,16 @@
 //! The batched miss path (`BamCache::acquire_each` over
 //! `IoStack::read_lines`) under contention, device faults and crashes: it
 //! must complete, and leave no line BUSY, no slot claimed and no command in
-//! flight behind it — whatever happens to the commands of a batch.
+//! flight behind it — whatever happens to the commands of a batch. A batch
+//! adds its counts to `BamMetrics` once, when it returns, so they must also
+//! come out exact when it fails and when threads share the counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bam_core::{
-    recover, BamCache, BamConfig, BamError, BamMetrics, BamQueuePair, BamSystem, CacheBacking,
-    CacheJournal, CrashBacking, CrashPoint, IoStack,
+    recover, BamArray, BamCache, BamConfig, BamError, BamMetrics, BamQueuePair, BamSystem,
+    CacheBacking, CacheJournal, CrashBacking, CrashPoint, IoStack,
 };
 use bam_gpu_sim::exec::WarpCtx;
 use bam_gpu_sim::warp::{LaneMask, WARP_SIZE};
@@ -368,4 +370,218 @@ fn a_crash_at_a_dirty_victims_writeback_inside_a_batch_is_clean_and_recoverable(
         r.region.read_bytes(guard.addr(), &mut head);
         assert_eq!(head, [0xEE; 8], "acknowledged write to line {line} lost");
     }
+}
+
+#[test]
+fn a_batch_stopped_by_an_out_of_range_request_counts_the_lines_it_walked() {
+    let (batched, serial) = (rig(2, 64, 0), rig(2, 64, 0));
+    let cache = batched.cache(batched.stack.clone(), 64);
+    // Line 3 twice: a miss, then a hit waiting on the batch's own fill.
+    let walked = [3, 7, 3, 9];
+    let mut visited = 0;
+    let err = cache
+        .acquire_each(
+            walked.into_iter().chain([LINES, 11, 12]).map(|l| (l, l)),
+            |line, addr| {
+                batched.assert_line_at(line, addr);
+                visited += 1;
+            },
+        )
+        .unwrap_err();
+    assert_eq!(
+        err,
+        BamError::IndexOutOfBounds {
+            index: LINES,
+            len: LINES
+        }
+    );
+    assert_eq!(
+        visited,
+        walked.len(),
+        "the claimed lines are still completed"
+    );
+    let serial_cache = serial.cache(serial.stack.clone(), 64);
+    for line in walked {
+        drop(serial_cache.acquire(line).unwrap());
+    }
+    let m = batched.metrics.snapshot();
+    assert_eq!(
+        (
+            m.cache_hits,
+            m.cache_misses,
+            m.probe_attempts,
+            m.read_requests
+        ),
+        (1, 3, 4, 3)
+    );
+    assert_eq!(m, serial.metrics.snapshot());
+    assert_quiescent(&cache, 64);
+}
+
+/// `u64` elements per line in the system-level tests' arrays.
+const PER_LINE: u64 = LINE / 8;
+
+/// A test-scale system with no retry budget whose devices fail the first
+/// read of line `failed` (one block per line), once, whichever replica
+/// serves it; and an array of `lines` lines over it.
+fn failing_system(lines: u64, failed: u64) -> (BamSystem, BamArray<u64>) {
+    let system = BamSystem::new(BamConfig {
+        fetch_retries: 0,
+        ..BamConfig::test_scale()
+    })
+    .unwrap();
+    let arr = system.create_array::<u64>(lines * PER_LINE).unwrap();
+    arr.preload(&(0..lines * PER_LINE).collect::<Vec<_>>())
+        .unwrap();
+    let strikes = Arc::new(AtomicU64::new(1));
+    for device in 0..system.config().num_ssds {
+        let strikes = strikes.clone();
+        system.set_fault_injector(
+            device,
+            Some(Arc::new(move |cmd: &NvmeCommand| {
+                (cmd.slba == failed
+                    && strikes
+                        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |s| s.checked_sub(1))
+                        .is_ok())
+                .then_some(NvmeStatus::InternalError)
+            })),
+        );
+    }
+    (system, arr)
+}
+
+#[test]
+fn a_batch_with_a_failed_fetch_counts_what_acquiring_its_lines_one_by_one_does() {
+    const LINES: u64 = 16;
+    const FAILED: u64 = 5;
+    // Line 2 is resident first, so the run holds a hit too.
+    let (batched, arr) = failing_system(LINES, FAILED);
+    arr.read(2 * PER_LINE).unwrap();
+    let err = arr.read_run(0, LINES * PER_LINE).unwrap_err();
+    assert!(matches!(err, BamError::Storage(_)), "{err:?}");
+
+    let (serial, arr) = failing_system(LINES, FAILED);
+    arr.read(2 * PER_LINE).unwrap();
+    for line in 0..LINES {
+        let read = arr.read_run(line * PER_LINE, PER_LINE);
+        assert_eq!(read.is_err(), line == FAILED, "line {line}");
+    }
+
+    let m = batched.metrics();
+    assert_eq!(
+        (
+            m.cache_hits,
+            m.cache_misses,
+            m.probe_attempts,
+            m.read_requests,
+            m.reused_references
+        ),
+        (1, 16, 17, 15, 15)
+    );
+    assert_eq!(m, serial.metrics());
+}
+
+/// The element count of each cache-line piece of the run
+/// `[start, start + count)`, `count > 0`.
+fn piece_sizes(start: u64, count: u64) -> impl Iterator<Item = u64> {
+    let end = start + count;
+    (start / PER_LINE..=(end - 1) / PER_LINE)
+        .map(move |line| end.min((line + 1) * PER_LINE) - start.max(line * PER_LINE))
+}
+
+/// `threads` threads share one array four times the cache through
+/// `read_runs_warp`, `gather_warp` and `read`; every count the calls added
+/// must still match what the host computes from the requests.
+fn counts_stay_exact_under(threads: u64) {
+    const ELEMS: u64 = 1 << 15;
+    const ROUNDS: usize = 30;
+    let system = BamSystem::new(BamConfig::test_scale()).unwrap();
+    let arr = system.create_array::<u64>(ELEMS).unwrap();
+    arr.preload(&(0..ELEMS).collect::<Vec<_>>()).unwrap();
+    let commands = || {
+        system
+            .ssd_stats()
+            .iter()
+            .map(|s| s.total_commands())
+            .sum::<u64>()
+    };
+    let commands_before = commands();
+    let warp = WarpCtx {
+        warp_id: 0,
+        base_thread: 0,
+        active: LaneMask::MAX,
+    };
+    // Each thread returns its accesses and its runs' multi-element pieces.
+    let (accesses, reuses) = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let (arr, warp) = (&arr, &warp);
+                s.spawn(move || {
+                    let mut state = 0x9E37_79B9_7F4A_7C15 ^ t;
+                    let mut next = move || {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state
+                    };
+                    let (mut accesses, mut reuses) = (0u64, 0u64);
+                    for _ in 0..ROUNDS {
+                        // Runs of up to three lines, from anywhere in a line.
+                        let runs: [Option<(u64, u64)>; WARP_SIZE] = std::array::from_fn(|_| {
+                            let count = 1 + next() % (3 * PER_LINE);
+                            Some((next() % (ELEMS - count), count))
+                        });
+                        arr.read_runs_warp(warp, &runs, |lane, elements| {
+                            let (start, count) = runs[lane].unwrap();
+                            assert!(elements.iter().copied().eq(start..start + count));
+                        })
+                        .unwrap();
+                        for &(start, count) in runs.iter().flatten() {
+                            for elems in piece_sizes(start, count) {
+                                accesses += 1;
+                                reuses += u64::from(elems > 1);
+                            }
+                        }
+                        // Three of four lanes gather from a four-line window,
+                        // so lanes share lines and coalesce.
+                        let window = next() % (ELEMS - 4 * PER_LINE);
+                        let indices: [Option<u64>; WARP_SIZE] = std::array::from_fn(|_| {
+                            let idx = window + next() % (4 * PER_LINE);
+                            (next() % 4 != 0).then_some(idx)
+                        });
+                        let out = arr.gather_warp(warp, &indices).unwrap();
+                        assert_eq!(out, indices);
+                        accesses += indices.iter().flatten().count() as u64;
+                        let idx = next() % ELEMS;
+                        assert_eq!(arr.read(idx).unwrap(), idx);
+                        accesses += 1;
+                    }
+                    (accesses, reuses)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap())
+            .fold((0, 0), |(a, r), (wa, wr)| (a + wa, r + wr))
+    });
+    let m = system.metrics();
+    assert_eq!(m.probe_attempts, m.cache_hits + m.cache_misses);
+    assert_eq!(
+        m.cache_hits + m.cache_misses + m.coalesced_accesses,
+        accesses
+    );
+    assert_eq!(m.reused_references, reuses);
+    assert_eq!(m.read_requests, commands() - commands_before);
+    assert!(m.cache_misses > 0 && m.cache_evictions > 0 && m.coalesced_accesses > 0);
+}
+
+#[test]
+fn counts_stay_exact_with_two_threads() {
+    counts_stay_exact_under(2);
+}
+
+#[test]
+fn counts_stay_exact_with_four_threads() {
+    counts_stay_exact_under(4);
 }
