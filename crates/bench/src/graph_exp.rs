@@ -455,6 +455,8 @@ pub struct Fig10Row {
 /// Figure 10: cache-capacity sensitivity on the K dataset. The sweep runs the
 /// same functional workload with the cache sized to the same *fraction* of
 /// the dataset as each of the paper's capacities (1–64 GB against ~30 GB).
+/// The functional phase runs single-worker, so the hit rates and slowdowns
+/// are exact per seed.
 pub fn figure10(scale: f64, seed: u64) -> Vec<Fig10Row> {
     let dataset = DatasetDescriptor::table3().remove(0); // K
     let capacities_gb = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
@@ -470,7 +472,7 @@ pub fn figure10(scale: f64, seed: u64) -> Vec<Fig10Row> {
                 scale,
                 AccessConfig::Optimized,
                 seed,
-                WORKERS,
+                1,
             );
             let total = bam_breakdown(&m, SsdSpec::intel_optane_p5800x(), 4, None).total_s();
             totals.push((gb, total, m.metrics.hit_rate()));

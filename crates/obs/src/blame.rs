@@ -17,9 +17,8 @@
 //! deterministic top-k exemplar list of the slowest requests with their
 //! full span waterfalls. It holds a row only while the row can still land
 //! in the tail or among the exemplars, so its footprint follows the tail,
-//! not the run. Every output is a pure function of the row *set*:
-//! accumulators fed any partition of the rows in any order and merged in
-//! any order finish into bit-identical reports.
+//! not the run. Every output is a pure function of the row *set*: an
+//! accumulator fed the rows in any order finishes into the same report.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -125,15 +124,6 @@ impl BlameBreakdown {
         self.count[i] += 1;
         self.service[i] = self.service[i].saturating_add(service_ns);
         self.wait[i] = self.wait[i].saturating_add(wait_ns);
-    }
-
-    /// Merges another breakdown stage-by-stage.
-    pub fn merge(&mut self, other: &BlameBreakdown) {
-        for i in 0..STAGE_COUNT {
-            self.count[i] += other.count[i];
-            self.service[i] = self.service[i].saturating_add(other.service[i]);
-            self.wait[i] = self.wait[i].saturating_add(other.wait[i]);
-        }
     }
 
     /// Total service nanoseconds attributed to one stage.
@@ -293,9 +283,8 @@ pub struct BlameAccumulator {
 }
 
 impl BlameAccumulator {
-    /// An accumulator for a run that settles at most `expected` rows —
-    /// summed over every accumulator that will be [`merge`](Self::merge)d
-    /// into one report — keeping `top_k` exemplars.
+    /// An accumulator for a run that settles at most `expected` rows,
+    /// keeping `top_k` exemplars.
     pub fn new(expected: u64, top_k: usize) -> Self {
         Self {
             expected,
@@ -390,39 +379,6 @@ impl BlameAccumulator {
             self.at_or_above += 1;
             self.raise_floor();
         }
-    }
-
-    /// Folds in another accumulator of the same run (same `expected` and
-    /// `top_k`): histograms sum, retained rows unite, and the floor is
-    /// re-derived from the summed histogram — it can only be at or above
-    /// either side's, so no row either side dropped is missed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two sides were sized differently or together hold
-    /// more rows than expected.
-    pub fn merge(&mut self, other: BlameAccumulator) {
-        assert_eq!(
-            (self.expected, self.top_k),
-            (other.expected, other.top_k),
-            "cannot merge blame accumulators of different runs"
-        );
-        self.latency.merge(&other.latency);
-        assert!(
-            self.latency.count() <= self.expected,
-            "more blame rows than the {} expected",
-            self.expected
-        );
-        self.overall.merge(&other.overall);
-        for (bucket, rows) in other.tail {
-            self.tail.entry(bucket).or_default().extend(rows);
-        }
-        for row in other.slowest {
-            self.offer_exemplar(row);
-        }
-        self.floor = 0;
-        self.at_or_above = self.latency.count();
-        self.raise_floor();
     }
 
     /// Rows currently held (one that is both in the tail buckets and among
@@ -642,10 +598,6 @@ mod tests {
         assert!(!b.is_empty());
         assert_eq!(b.active_stages().collect::<Vec<_>>(), [Stage::Completion]);
         assert_eq!(b.total_ns(), 0);
-        // Merging carries the count across, not just the nanoseconds.
-        let mut merged = BlameBreakdown::new();
-        merged.merge(&b);
-        assert_eq!(merged, b);
     }
 
     #[test]
@@ -700,49 +652,18 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 2]);
     }
 
-    /// Streams `rows` through `shards` accumulators (row `i` goes to
-    /// `assign(i)`), all sized for `rows.len() + slack`, folds them in
-    /// `order`, checks every retention bound on the way, and returns the
-    /// finished report with the most rows any accumulator held at its end.
-    fn streamed(
-        rows: &[BlameRow],
-        shards: usize,
-        assign: impl Fn(usize) -> usize,
-        order: &[usize],
-        slack: u64,
-        top_k: usize,
-    ) -> (BlameReport, usize) {
-        let expected = rows.len() as u64 + slack;
-        let mut parts: Vec<Option<BlameAccumulator>> = (0..shards)
-            .map(|_| Some(BlameAccumulator::new(expected, top_k)))
-            .collect();
-        for (i, row) in rows.iter().enumerate() {
-            let part = parts[assign(i) % shards].as_mut().unwrap();
-            part.push(row.id, row.arrive_ns, &row.marks);
-            assert!(part.retained() <= part.retained_bound());
+    /// Streams `rows` through one accumulator sized for `rows.len() +
+    /// slack`, checking its retention bound after every push, and returns
+    /// the finished report — checked against the oracle — with the most rows
+    /// the accumulator held at its end.
+    fn streamed(rows: &[BlameRow], slack: u64, top_k: usize) -> (BlameReport, usize) {
+        let mut acc = BlameAccumulator::new(rows.len() as u64 + slack, top_k);
+        for row in rows {
+            acc.push(row.id, row.arrive_ns, &row.marks);
+            assert!(acc.retained() <= acc.retained_bound());
         }
-        let mut most = 0;
-        let mut merged: Option<BlameAccumulator> = None;
-        for &i in order {
-            let part = parts[i].take().unwrap();
-            most = most.max(part.retained());
-            merged = Some(match merged {
-                None => part,
-                Some(mut into) => {
-                    into.merge(part);
-                    assert!(into.retained() <= into.retained_bound());
-                    into
-                }
-            });
-        }
-        let merged = merged.unwrap();
-        most = most.max(merged.retained());
-        (merged.finish(), most)
-    }
-
-    /// [`streamed`] on one accumulator, checked against the oracle.
-    fn streamed_whole(rows: &[BlameRow], slack: u64, top_k: usize) -> (BlameReport, usize) {
-        let (report, most) = streamed(rows, 1, |_| 0, &[0], slack, top_k);
+        let most = acc.retained();
+        let report = acc.finish();
         assert_eq!(report, BlameReport::materialised(rows.to_vec(), top_k));
         (report, most)
     }
@@ -755,9 +676,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
 
-        /// Any rows, dealt over 1–8 accumulators sized for at least the row
-        /// count and merged in any order, finish into exactly the report
-        /// the materialise-sort-scan oracle builds.
+        /// Any rows, streamed through an accumulator sized for at least the
+        /// row count, finish into exactly the report the
+        /// materialise-sort-scan oracle builds.
         #[test]
         fn streaming_equals_the_materialised_oracle(
             raw in prop::collection::vec(
@@ -770,10 +691,9 @@ mod tests {
                 ),
                 0usize..400,
             ),
-            deal in prop::collection::vec(0usize..8, 1usize..64),
-            knobs in (1usize..9, 0u64..300, 0usize..12, any::<u64>()),
+            knobs in (0u64..300, 0usize..12, any::<u64>()),
         ) {
-            let (shards, slack, top_k, seed) = knobs;
+            let (slack, top_k, seed) = knobs;
             // Coarse quanta make equal latencies and shared buckets the
             // norm; the occasional row has no marks at all (a rejection).
             let quantum = [1u64, 4_096, 262_144][(seed % 3) as usize];
@@ -796,19 +716,7 @@ mod tests {
                     BlameRow { id: i as u64, arrive_ns: *arrive, marks }
                 })
                 .collect();
-            let mut order: Vec<usize> = (0..shards).collect();
-            for i in (1..shards).rev() {
-                order.swap(i, (seed.rotate_left(i as u32 * 7) as usize) % (i + 1));
-            }
-            let (report, _) = streamed(
-                &rows,
-                shards,
-                |i| deal[i % deal.len()],
-                &order,
-                slack,
-                top_k,
-            );
-            prop_assert_eq!(report, BlameReport::materialised(rows, top_k));
+            streamed(&rows, slack, top_k);
         }
     }
 
@@ -817,7 +725,7 @@ mod tests {
         // One bucket holds everything, so it is the floor bucket and every
         // row stays: O(n), inside the bound because the bound says so.
         let rows: Vec<BlameRow> = (0..250).map(|i| flat(i, 40_000)).collect();
-        let (report, most) = streamed_whole(&rows, 0, 4);
+        let (report, most) = streamed(&rows, 0, 4);
         assert_eq!(most, 250 + 4);
         assert_eq!(report.tail_requests, 0);
         assert_eq!(
@@ -833,23 +741,21 @@ mod tests {
         // midpoint, so the bucket is half tail and half not.
         let mut rows: Vec<BlameRow> = (0..150).map(|i| flat(i, 1_000)).collect();
         rows.extend((0..50).map(|i| flat(150 + i, 999_424 + i * 160)));
-        let (report, _) = streamed_whole(&rows, 0, 3);
+        let (report, _) = streamed(&rows, 0, 3);
         assert_eq!(report.p99_cut_ns, 999_424 + 4_096);
         assert_eq!(report.tail_requests, 24);
-        let (split, _) = streamed(&rows, 3, |i| i, &[2, 0, 1], 17, 3);
-        assert_eq!(split, report);
     }
 
     #[test]
     fn fewer_rows_than_exemplars() {
         let rows: Vec<BlameRow> = (0..3).map(|i| flat(i, 1_000 * (i + 1))).collect();
-        let (report, _) = streamed_whole(&rows, 0, 8);
+        let (report, _) = streamed(&rows, 0, 8);
         assert_eq!(
             report.exemplars.iter().map(|e| e.id).collect::<Vec<_>>(),
             [2, 1, 0]
         );
         // No exemplars at all is legal too.
-        let (none, _) = streamed_whole(&rows, 5, 0);
+        let (none, _) = streamed(&rows, 5, 0);
         assert!(none.exemplars.is_empty());
         assert_eq!(none.requests, 3);
     }
@@ -861,7 +767,7 @@ mod tests {
         let mut rows: Vec<BlameRow> = (0..198).map(|i| row(i, i * 5, &[])).collect();
         rows.push(flat(198, 70_000));
         rows.push(flat(199, 90_000));
-        let (report, _) = streamed_whole(&rows, 0, 4);
+        let (report, _) = streamed(&rows, 0, 4);
         assert_eq!(report.requests, 200);
         assert_eq!(report.p99_cut_ns, 0);
         assert_eq!(report.tail_requests, 2);
@@ -869,7 +775,7 @@ mod tests {
         assert_eq!(report.exemplars[2].latency_ns, 0);
         assert!(report.exemplars[2].waterfall.is_empty());
         // Nothing but rejections.
-        let (report, _) = streamed_whole(&rows[..198], 2, 4);
+        let (report, _) = streamed(&rows[..198], 2, 4);
         assert_eq!(report.requests, 198);
         assert!(report.overall.is_empty());
         assert_eq!(report.tail_requests, 0);
@@ -881,12 +787,10 @@ mod tests {
         // the budget gets.
         for n in [100u64, 200, 1_000] {
             let rows: Vec<BlameRow> = (0..n).map(|i| flat(i, 1_000 + i * 997)).collect();
-            let (report, most) = streamed_whole(&rows, 0, 2);
+            let (report, most) = streamed(&rows, 0, 2);
             assert_eq!(report.requests, n);
             assert_eq!(report.tail_requests, n / 100, "n={n}");
             assert!(most < 20, "n={n}: {most} rows retained");
-            let (split, _) = streamed(&rows, 4, |i| i * 7, &[3, 1, 0, 2], 0, 2);
-            assert_eq!(split, report);
         }
     }
 
@@ -914,7 +818,7 @@ mod tests {
         assert_eq!(acc.finish(), BlameReport::materialised(rows.clone(), 4));
         // The burst first, the quiet rows after: the same report.
         rows.rotate_left(5_000);
-        streamed_whole(&rows, 0, 4);
+        streamed(&rows, 0, 4);
     }
 
     #[test]

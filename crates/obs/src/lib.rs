@@ -13,9 +13,8 @@
 //! * Exporters — Prometheus text exposition ([`PromWriter`]) and Chrome
 //!   trace-event JSON ([`chrome_trace_json`], loadable in Perfetto or
 //!   `chrome://tracing`).
-//! * [`WindowedSeries`] — fixed virtual-time telemetry windows with a
-//!   commutative merge, plus the SLO layer on top ([`SloSpec`],
-//!   [`evaluate_slo`]).
+//! * [`WindowedSeries`] — fixed virtual-time telemetry windows, plus the
+//!   SLO layer on top ([`SloSpec`], [`evaluate_slo`]).
 //! * [`BlameReport`] — per-resource service/wait decomposition of every
 //!   request's latency, tail-slice breakdowns, and deterministic slowest-
 //!   request exemplars, built in one streaming pass by a

@@ -2,14 +2,12 @@
 //! evaluation layer on top of them.
 //!
 //! A [`WindowedSeries`] cuts virtual time into fixed windows of
-//! `window_ns` nanoseconds and accumulates order-independent statistics per
-//! window: arrival/completion counters, a completion-latency histogram,
-//! per-stage dwell and wait sums, queue-depth and occupancy samples, and
-//! admission deferrals and rejections. Every field is an integer add or max
-//! (the histogram is an element-wise counter sum), so
-//! [`WindowedSeries::merge`] is commutative and associative — per-SSD shards
-//! fold in any order and the result is bit-identical to a single-threaded
-//! recording of the same events.
+//! `window_ns` nanoseconds and accumulates per-window statistics:
+//! arrival/completion counters, a completion-latency histogram, per-stage
+//! dwell and wait sums, queue-depth and occupancy samples, and admission
+//! deferrals and rejections. Every field is an integer add or max, so a
+//! window's contents do not depend on the order its events were recorded
+//! in.
 //!
 //! [`SloSpec`] + [`evaluate_slo`] turn a series into an [`SloReport`]: how
 //! many evaluation windows broke the tenant's p99 target, how many
@@ -17,14 +15,11 @@
 //! tenant consumes its 1% tail error budget (1.0 = exactly on budget,
 //! above 1.0 the budget depletes early).
 
-use std::collections::BTreeMap;
-
 use crate::histo::LatencyHisto;
 use crate::span::{Stage, STAGE_COUNT};
 
 /// One window's worth of accumulated telemetry. Every field is either a sum
-/// or a max of `u64`s (the histogram is an element-wise counter sum), so
-/// merging two `WindowStats` is commutative and associative.
+/// or a max of `u64`s (the histogram is an element-wise counter sum).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowStats {
     /// Requests that arrived in this window.
@@ -79,26 +74,6 @@ impl Default for WindowStats {
 }
 
 impl WindowStats {
-    fn merge(&mut self, other: &WindowStats) {
-        self.arrivals += other.arrivals;
-        self.completions += other.completions;
-        self.latency.merge(&other.latency);
-        for (a, b) in self.stage_dwell_ns.iter_mut().zip(&other.stage_dwell_ns) {
-            *a += b;
-        }
-        for (a, b) in self.stage_wait_ns.iter_mut().zip(&other.stage_wait_ns) {
-            *a += b;
-        }
-        self.occupancy_sum += other.occupancy_sum;
-        self.occupancy_samples += other.occupancy_samples;
-        self.occupancy_max = self.occupancy_max.max(other.occupancy_max);
-        self.depth_sum += other.depth_sum;
-        self.depth_samples += other.depth_samples;
-        self.depth_max = self.depth_max.max(other.depth_max);
-        self.deferrals += other.deferrals;
-        self.rejections += other.rejections;
-    }
-
     /// Mean sampled in-flight depth (0.0 when no samples).
     pub fn depth_mean(&self) -> f64 {
         if self.depth_samples == 0 {
@@ -120,23 +95,44 @@ impl WindowStats {
 
 /// Fixed-window virtual-time telemetry aggregator.
 ///
-/// Windows are keyed by `timestamp / window_ns` in a sorted map, so only
-/// windows that saw an event cost memory and iteration is in time order.
+/// Windows are keyed by `timestamp / window_ns` and held in a vector sorted
+/// by key, so only windows that saw an event cost memory and iteration is
+/// in time order. A cursor remembers the window last recorded into: a
+/// timestamp inside it costs one compare, and moving on to the next window
+/// (the common case, since the engine records in time order) one more;
+/// anything else binary-searches, inserting the window if it is new.
 /// A `window_ns` of zero disables the series: every `record_*` call is a
-/// no-op and the series stays empty (the engines use this for runs without
+/// no-op and the series stays empty (the engine uses this for runs without
 /// telemetry so the record path costs one branch).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct WindowedSeries {
     window_ns: u64,
-    windows: BTreeMap<u64, WindowStats>,
+    /// Populated windows as `(timestamp / window_ns, stats)`, sorted by key.
+    windows: Vec<(u64, WindowStats)>,
+    /// Index into `windows` of the window last recorded into.
+    cursor: usize,
+    /// Start of the cursor's window in nanoseconds.
+    cursor_start_ns: u64,
 }
+
+/// Content equality: the cursor is where recording last happened, not what
+/// was recorded.
+impl PartialEq for WindowedSeries {
+    fn eq(&self, other: &Self) -> bool {
+        self.window_ns == other.window_ns && self.windows == other.windows
+    }
+}
+
+impl Eq for WindowedSeries {}
 
 impl WindowedSeries {
     /// A series cutting time into `window_ns`-sized windows (0 disables).
     pub fn new(window_ns: u64) -> Self {
         Self {
             window_ns,
-            windows: BTreeMap::new(),
+            windows: Vec::new(),
+            cursor: 0,
+            cursor_start_ns: 0,
         }
     }
 
@@ -160,7 +156,29 @@ impl WindowedSeries {
         if self.window_ns == 0 {
             return None;
         }
-        Some(self.windows.entry(at_ns / self.window_ns).or_default())
+        // An instant before the cursor's window wraps to a huge offset.
+        if self.windows.is_empty() || at_ns.wrapping_sub(self.cursor_start_ns) >= self.window_ns {
+            self.seek(at_ns);
+        }
+        Some(&mut self.windows[self.cursor].1)
+    }
+
+    /// Points the cursor at the window holding `at_ns`, inserting it empty
+    /// if no event reached it yet.
+    fn seek(&mut self, at_ns: u64) {
+        let key = at_ns / self.window_ns;
+        let next = self.cursor + 1;
+        self.cursor = match self.windows.get(next) {
+            Some(&(k, _)) if k == key => next,
+            _ => self
+                .windows
+                .binary_search_by_key(&key, |&(k, _)| k)
+                .unwrap_or_else(|at| {
+                    self.windows.insert(at, (key, WindowStats::default()));
+                    at
+                }),
+        };
+        self.cursor_start_ns = key * self.window_ns;
     }
 
     /// Records one request arrival at `at_ns`.
@@ -217,24 +235,6 @@ impl WindowedSeries {
     pub fn record_rejection(&mut self, at_ns: u64) {
         if let Some(w) = self.window(at_ns) {
             w.rejections += 1;
-        }
-    }
-
-    /// Merges another series recorded with the same `window_ns`. The merge
-    /// is commutative and associative: folding any partition of an event
-    /// stream in any order reproduces the single-recorder series exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the window sizes differ — merging incompatible series
-    /// is a logic error, not a recoverable state.
-    pub fn merge(&mut self, other: &WindowedSeries) {
-        assert_eq!(
-            self.window_ns, other.window_ns,
-            "cannot merge series with different window sizes"
-        );
-        for (idx, stats) in &other.windows {
-            self.windows.entry(*idx).or_default().merge(stats);
         }
     }
 
@@ -376,39 +376,6 @@ mod tests {
         assert_eq!(windows[0].1.occupancy_sum, 8);
         assert_eq!(windows[1].1.deferrals, 1);
         assert_eq!(windows[1].1.rejections, 1);
-    }
-
-    #[test]
-    fn merge_is_commutative_and_matches_single_recorder() {
-        let full = sample_series();
-        // Split the same events across two series.
-        let mut a = WindowedSeries::new(1_000);
-        a.record_arrival(100);
-        a.record_completion(1_900, 1_600);
-        a.record_stage(900, Stage::Media, 500, 100);
-        a.record_occupancy(150, 5);
-        a.record_rejection(1_300);
-        let mut b = WindowedSeries::new(1_000);
-        b.record_arrival(1_100);
-        b.record_completion(900, 800);
-        b.record_stage(1_900, Stage::Media, 700, 300);
-        b.record_occupancy(100, 3);
-        b.record_depth(100, 2);
-        b.record_deferral(1_200);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge must be commutative");
-        assert_eq!(ab, full, "merge must equal the single-recorder series");
-    }
-
-    #[test]
-    #[should_panic(expected = "different window sizes")]
-    fn merge_rejects_mismatched_windows() {
-        let mut a = WindowedSeries::new(1_000);
-        let b = WindowedSeries::new(2_000);
-        a.merge(&b);
     }
 
     #[test]

@@ -1,14 +1,10 @@
-//! Property tests of the telemetry invariants the parallel engine leans
-//! on: windowed-series merging must equal single-recorder concatenation
-//! for any split and any fold order, and blame decomposition must tile
-//! every request's latency exactly regardless of input order.
+//! Property tests of the telemetry invariants: a windowed series must not
+//! depend on the order its events were recorded in, and blame decomposition
+//! must tile every request's latency exactly regardless of input order.
 
 use proptest::prelude::*;
 
 use bam_obs::{BlameMark, BlameReport, BlameRow, Stage, WindowedSeries, STAGE_COUNT};
-
-const WINDOW_NS: u64 = 1_000;
-const SHARDS: usize = 4;
 
 /// One recorded telemetry event, driven by a `(kind, at, value)` sample.
 fn apply(series: &mut WindowedSeries, ev: &(u8, u64, u64)) {
@@ -27,41 +23,41 @@ fn apply(series: &mut WindowedSeries, ev: &(u8, u64, u64)) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
-    /// Splitting an event stream across shards and folding the shard
-    /// series in any order reproduces the single-recorder series exactly
-    /// — the property the sharded engine's timeline merge rests on.
+    /// Recording events in a shuffled order builds the same series as
+    /// recording them in time order — the in-order append and the
+    /// out-of-order insert land every event in the same window. At a 1 ns
+    /// window every distinct timestamp is exactly one window.
     #[test]
-    fn windowed_merge_equals_concatenation(
+    fn windowed_series_is_independent_of_record_order(
         events in prop::collection::vec(
             (any::<u8>(), 0u64..100_000, 0u64..1_000_000_000),
             0usize..200,
         ),
-        splits in prop::collection::vec(0usize..SHARDS, 1usize..200),
         order_seed in any::<u64>(),
     ) {
-        let mut reference = WindowedSeries::new(WINDOW_NS);
-        for ev in &events {
-            apply(&mut reference, ev);
+        let mut sorted = events.clone();
+        sorted.sort_by_key(|&(_, at, _)| at);
+        let mut distinct: Vec<u64> = sorted.iter().map(|&(_, at, _)| at).collect();
+        distinct.dedup();
+        let mut shuffled = events;
+        for i in (1..shuffled.len()).rev() {
+            let j = (order_seed.rotate_left(i as u32) as usize) % (i + 1);
+            shuffled.swap(i, j);
         }
-
-        // Deal the same events across shards by the sampled assignment.
-        let mut shards: Vec<WindowedSeries> =
-            (0..SHARDS).map(|_| WindowedSeries::new(WINDOW_NS)).collect();
-        for (i, ev) in events.iter().enumerate() {
-            apply(&mut shards[splits[i % splits.len()]], ev);
+        for window_ns in [1, 1_000, 1 << 40] {
+            let mut in_order = WindowedSeries::new(window_ns);
+            let mut any_order = WindowedSeries::new(window_ns);
+            for ev in &sorted {
+                apply(&mut in_order, ev);
+            }
+            for ev in &shuffled {
+                apply(&mut any_order, ev);
+            }
+            prop_assert_eq!(&any_order, &in_order, "window_ns={}", window_ns);
+            if window_ns == 1 {
+                prop_assert_eq!(any_order.len(), distinct.len());
+            }
         }
-
-        // Fold in a seed-derived permutation of the shard order.
-        let mut order: Vec<usize> = (0..SHARDS).collect();
-        for i in (1..SHARDS).rev() {
-            let j = ((order_seed >> (i * 8)) as usize) % (i + 1);
-            order.swap(i, j);
-        }
-        let mut merged = WindowedSeries::new(WINDOW_NS);
-        for &s in &order {
-            merged.merge(&shards[s]);
-        }
-        prop_assert_eq!(&merged, &reference);
     }
 
     /// Blame decomposition attributes 100% of every request's latency:

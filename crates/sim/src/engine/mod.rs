@@ -10,23 +10,19 @@
 //! Runs are deterministic: the event heap breaks ties by insertion order and
 //! all randomness comes from one seeded SplitMix64 generator.
 //!
-//! [`Run`] is the one entry point: configure it (where accounting runs, a
-//! span recorder, a [`TelemetrySpec`]) and finish with the terminal matching
-//! the input — one request stream, explicit tenants, or tenant classes.
-//! Behind it sit one driver (`run`), one timing spine (`spine`) that pulls
-//! arrivals lazily from the per-stream generators (the private `arrivals` module) and
-//! keys all per-request state by a recycled in-flight slot, so everything
-//! the engine owns per request is proportional to the requests *in flight*,
+//! [`Run`] is the one entry point: configure it (a span recorder, a
+//! [`TelemetrySpec`]) and finish with the terminal matching the input — one
+//! request stream, explicit tenants, or tenant classes. Behind it sit one
+//! driver (`run`), one timing spine (`spine`) that pulls arrivals lazily
+//! from the per-stream generators (the private `arrivals` module) and keys
+//! all per-request state by a recycled in-flight slot, so everything the
+//! engine owns per request is proportional to the requests *in flight*,
 //! never to the run length (asserted at the end of every run), the
 //! closed-form request streams (`stream`) and the per-class admission
-//! controller (`admission`). The engine itself chooses where the spine's
-//! accounting records are applied — inline in the event loop, or on per-SSD
-//! shard threads (the private `shard` and `coordinator` modules) for
-//! observed runs — and the merged results are bit-identical either way.
+//! controller (`admission`). The spine's accounting records are applied as
+//! they are emitted, on the spine's thread (the private `shard` module).
 
 pub(crate) mod admission;
-#[cfg(test)]
-mod equivalence;
 pub(crate) mod run;
 pub(crate) mod spine;
 pub(crate) mod stream;
@@ -43,7 +39,7 @@ use run::{single_class, Input};
 ///
 /// The disabled spec costs one predictable branch per accounting record;
 /// enabled telemetry perturbs nothing — the report of an observed run is
-/// bit-identical to the unobserved run's, wherever accounting runs.
+/// bit-identical to the unobserved run's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetrySpec {
     /// Windowed-series window size in virtual nanoseconds (0 = no series).
@@ -258,18 +254,14 @@ impl std::error::Error for SimError {}
 /// input. Every terminal returns the report together with the run's
 /// [`RunTelemetry`] (empty under [`TelemetrySpec::disabled`]).
 ///
-/// Tracing or observing a run perturbs nothing. Where the accounting runs is
-/// the engine's choice (observed runs shard it, everything else applies it
-/// inline) and changes no result.
+/// Tracing or observing a run perturbs nothing: the spine decides every
+/// instant, and the accounting only reads what it emits.
 ///
 /// The terminals report every bad input as a [`SimError`], before any
 /// simulation runs.
 #[derive(Clone, Copy)]
 pub struct Run<'a> {
     config: &'a SimConfig,
-    /// Forced accounting placement (tests only); `None` lets the engine
-    /// choose.
-    shards: Option<usize>,
     recorder: Option<&'a SpanRecorder>,
     telemetry: TelemetrySpec,
 }
@@ -279,19 +271,9 @@ impl<'a> Run<'a> {
     pub fn new(config: &'a SimConfig) -> Self {
         Self {
             config,
-            shards: None,
             recorder: None,
             telemetry: TelemetrySpec::disabled(),
         }
-    }
-
-    /// Forces the accounting onto `min(shards, num_ssds)` per-SSD shard
-    /// threads, or inline on the spine's own thread for `0`: the seam the
-    /// equivalence tests compare placements through.
-    #[cfg(test)]
-    pub(crate) fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
     }
 
     /// Records every request's stage intervals into `recorder` as
@@ -378,8 +360,8 @@ pub fn run_tenants(
     or_panic(Run::new(config).tenants(tenants, policy)).0
 }
 
-/// [`run_tenants`]; `workers` is ignored (the engine places its own
-/// accounting).
+/// [`run_tenants`]; `workers` is ignored (accounting runs on the spine's
+/// thread).
 ///
 /// # Panics
 ///
@@ -404,8 +386,8 @@ pub fn run_tenants_traced(
     or_panic(Run::new(config).trace(recorder).tenants(tenants, policy)).0
 }
 
-/// [`run_tenants`] with `telemetry`; `workers` is ignored (the engine places
-/// its own accounting).
+/// [`run_tenants`] with `telemetry`; `workers` is ignored (accounting runs
+/// on the spine's thread).
 pub fn run_tenants_observed(
     config: &SimConfig,
     tenants: &[TenantSpec],
@@ -420,8 +402,8 @@ pub fn run_tenants_observed(
     )
 }
 
-/// [`run_tenants`]; `workers` is ignored (the engine places its own
-/// accounting).
+/// [`run_tenants`]; `workers` is ignored (accounting runs on the spine's
+/// thread).
 pub fn run_tenants_with_workers(
     config: &SimConfig,
     tenants: &[TenantSpec],
@@ -479,7 +461,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// The report of an untraced, unobserved, inline single-stream run.
+    /// The report of an untraced, unobserved single-stream run.
     fn single(cfg: &SimConfig, workload: Workload, reqs: &[RequestDesc]) -> SimReport {
         Run::new(cfg).single(workload, reqs).expect("valid input").0
     }
@@ -690,6 +672,99 @@ pub(crate) mod tests {
             bam_obs::chrome_trace_json(&rec_a.events()),
             bam_obs::chrome_trace_json(&rec_b.events())
         );
+    }
+
+    #[test]
+    fn observation_does_not_perturb_the_report() {
+        let cfg = optane_config(4, 8, 4096, 11);
+        let reqs = uniform_reads(&cfg, 6_000);
+        let workload = Workload::ClosedLoop { in_flight: 256 };
+        let plain = single(&cfg, workload, &reqs);
+        let observed = Run::new(&cfg).telemetry(TelemetrySpec::full(50_000, 8));
+        let (observed, telemetry) = observed.single(workload, &reqs).unwrap();
+        assert_eq!(plain, observed, "telemetry must be a pure observer");
+        assert!(!telemetry.series.is_empty(), "series must have recorded");
+        assert_eq!(telemetry.blame.requests, plain.completed);
+    }
+
+    /// A traced run of one stream reports exactly what the plain run does.
+    fn assert_tracing_does_not_perturb(
+        name: &str,
+        cfg: &SimConfig,
+        workload: Workload,
+        reqs: &[RequestDesc],
+    ) {
+        let plain = single(cfg, workload, reqs);
+        assert_eq!(plain.completed, reqs.len() as u64, "{name}: sanity");
+        let recorder = SpanRecorder::with_capacity(1 << 20);
+        let (traced, _) = Run::new(cfg)
+            .trace(&recorder)
+            .single(workload, reqs)
+            .unwrap();
+        assert_eq!(plain, traced, "{name}: tracing must not perturb");
+    }
+
+    #[test]
+    fn tracing_does_not_perturb_the_harness_shapes() {
+        // The fig11 knee: a 4-SSD array starved to 2 queue pairs per device,
+        // saturated closed loop.
+        let cfg = optane_config(4, 2, 4096, 4);
+        let reqs = uniform_reads(&cfg, 12_000);
+        let saturated = Workload::ClosedLoop { in_flight: 2048 };
+        assert_tracing_does_not_perturb("fig11", &cfg, saturated, &reqs);
+
+        // The latency_cdf shape: Optane at its bandwidth-latency product,
+        // plus an open-loop point.
+        let cfg = optane_config(4, 128, 4096, 9);
+        let reqs = uniform_reads(&cfg, 12_000);
+        let closed = Workload::ClosedLoop { in_flight: 64 };
+        assert_tracing_does_not_perturb("latency_cdf/closed", &cfg, closed, &reqs);
+        let open = Workload::OpenLoop { rate_per_s: 3.0e6 };
+        assert_tracing_does_not_perturb("latency_cdf/open", &cfg, open, &reqs);
+
+        // The recovery shape: journal flush on, write-heavy mix.
+        let base = optane_config(2, 4, 4096, 23);
+        let cfg = SimConfig {
+            pipeline: base.pipeline.with_journal_flush(48),
+            ..base
+        };
+        let reqs = mixed_requests(&cfg, 8_000, 3_000);
+        let closed = Workload::ClosedLoop { in_flight: 128 };
+        assert_tracing_does_not_perturb("recovery", &cfg, closed, &reqs);
+
+        // The tenants harness shape: steady Poisson tenants, the MMPP
+        // antagonist and a closed-loop tenant, under both policies.
+        let cfg = optane_config(4, 2, 4096, 13);
+        let poisson = ArrivalProcess::Poisson {
+            rate_per_s: 100.0e3,
+        };
+        let mut tenants: Vec<TenantSpec> = (0..6)
+            .map(|id| TenantSpec::new(id, "steady", poisson, 1_500))
+            .collect();
+        let antagonist = crate::dist::Mmpp2 {
+            calm_rate_per_s: 50.0e3,
+            burst_rate_per_s: 1.6e6,
+            mean_calm_s: 4.0e-3,
+            mean_burst_s: 1.0e-3,
+        };
+        tenants.push(TenantSpec::new(
+            100,
+            "antagonist",
+            ArrivalProcess::Mmpp(antagonist),
+            5_400,
+        ));
+        let closed = ArrivalProcess::ClosedLoop { in_flight: 32 };
+        tenants.push(TenantSpec::new(200, "closed", closed, 3_000));
+        for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
+            let (plain, _) = Run::new(&cfg).tenants(&tenants, policy).unwrap();
+            let recorder = SpanRecorder::with_capacity(1 << 20);
+            let traced = Run::new(&cfg).trace(&recorder);
+            let (traced, _) = traced.tenants(&tenants, policy).unwrap();
+            assert_eq!(
+                plain, traced,
+                "tenants/{policy:?}: tracing must not perturb"
+            );
+        }
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! The one driver behind every [`Run`] terminal: validate the input, build
-//! the scenario (streams, arrival merge, admission state, SLO windows), pick
-//! the accounting's [`placement`], call [`execute`] once, and assemble the
-//! report.
+//! the scenario (streams, arrival merge, admission state, SLO windows), call
+//! [`execute`] once, and assemble the report.
 
 use bam_obs::{evaluate_slo, LatencyHisto, SpanRecorder, StageBreakdown, WindowedSeries};
 
 use super::admission::{AdmissionCtl, AdmissionState};
 use super::spine::drive_events;
 use super::stream::{block_bases, queue_pair_shares, Shape, Stream};
-use super::{RequestDesc, Run, SimConfig, SimError, TelemetrySpec, Workload};
+use super::{RequestDesc, Run, SimConfig, SimError, Workload};
 use crate::arrivals::ArrivalMerge;
 use crate::clock::SimTime;
-use crate::coordinator;
 use crate::pipeline::QueuePairPolicy;
 use crate::report::{
     build_run_telemetry, AdmissionReport, DepthTimeline, LatencySummary, MultiTenantReport,
@@ -20,8 +18,7 @@ use crate::report::{
 use crate::shard::{occupancy_stats, Accounting, ObsPlan, TenantAcc};
 use crate::tenant::{ArrivalProcess, TenantClass, TenantSpec};
 
-/// What a run hands back to the report builders, identical wherever the
-/// accounting ran.
+/// What a run hands back to the report builders.
 pub(crate) struct EngineOutput {
     pub(crate) end: SimTime,
     pub(crate) depth: DepthTimeline,
@@ -33,6 +30,10 @@ pub(crate) struct EngineOutput {
     /// Most in-flight slots ever simultaneously live (see `peak_queued`).
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) peak_slots: usize,
+    /// Blame marks the accounting's scratch held room for (see
+    /// `peak_queued`).
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) mark_scratch: usize,
     pub(crate) occupancy_mean: f64,
     pub(crate) occupancy_max: u64,
     /// Latency histogram over completed reads.
@@ -44,59 +45,27 @@ pub(crate) struct EngineOutput {
     pub(crate) tenants: Vec<TenantAcc>,
     /// Run-level windowed telemetry (empty when the plan disabled it).
     pub(crate) series: WindowedSeries,
-    /// Streamed blame over every settled request, shard accumulators
-    /// merged (`None` when the plan disabled blame).
+    /// Streamed blame over every settled request (`None` when the plan
+    /// disabled blame).
     pub(crate) blame: Option<bam_obs::BlameAccumulator>,
 }
 
-/// How many accounting shards a run gets (0 = inline on the spine's thread).
-///
-/// Observed runs (a windowed series or blame) shard onto
-/// `min(cpus, num_ssds)` threads; everything else runs inline — plain runs,
-/// traced runs (spans are recorded in emission order, which only the inline
-/// engine has) and hosts with one CPU. Measured on the benchmark's 8-tenant
-/// scenario on 2 vCPUs: telemetry off, inline accounting runs 11.2–14.0 M
-/// requests/s against two shards' 9.5–10.5 M; with full telemetry, two shards
-/// run 9.2–12.2 M against inline's 7.7–8.2 M. `cpus` is only asked for when
-/// the run would shard.
-fn placement(
-    telemetry: TelemetrySpec,
-    traced: bool,
-    num_ssds: u32,
-    cpus: impl FnOnce() -> usize,
-) -> usize {
-    let observed = telemetry.window_ns > 0 || telemetry.blame;
-    if !observed || traced {
-        return 0;
-    }
-    match cpus() {
-        0 | 1 => 0,
-        cpus => cpus.min(num_ssds as usize),
-    }
-}
-
-/// Runs the spine over `streams` with accounting applied inline on the
-/// spine's thread (`shards == 0`) or on that many accounting shards (see
-/// [`crate::coordinator`]), returning identical output either way. Only an
-/// inline run records spans.
+/// Runs the spine over `streams`, applying each accounting record on the
+/// spine's thread as it is emitted.
 pub(crate) fn execute(
     config: &SimConfig,
     streams: &mut [Stream<'_>],
     arrivals: &mut ArrivalMerge,
     admission: &mut AdmissionState,
     recorder: Option<&SpanRecorder>,
-    shards: usize,
     plan: &ObsPlan<'_>,
 ) -> EngineOutput {
-    if shards > 0 {
-        assert!(recorder.is_none(), "span tracing runs inline");
-        return coordinator::run_sharded_core(config, streams, arrivals, admission, shards, plan);
-    }
     let mut acct = Accounting::new(config.total_queue_pairs(), plan, recorder);
     let spine = drive_events(config, streams, arrivals, admission, &mut |rec| {
         acct.apply(rec)
     });
     let (occupancy_mean, occupancy_max) = occupancy_stats(&acct.meters, spine.end);
+    let mark_scratch = acct.mark_scratch();
     let blame = acct.take_blame();
     EngineOutput {
         end: spine.end,
@@ -104,6 +73,7 @@ pub(crate) fn execute(
         events: spine.events,
         peak_queued: spine.peak_queued,
         peak_slots: spine.peak_slots,
+        mark_scratch,
         occupancy_mean,
         occupancy_max,
         read_latency: acct.read_latency,
@@ -243,22 +213,12 @@ impl Run<'_> {
             requests: streams.iter().map(|s| s.count).sum(),
             tenant_slo_windows: &slo_windows,
         };
-        let shards = self.shards.unwrap_or_else(|| {
-            let cpus = || std::thread::available_parallelism().map_or(1, usize::from);
-            placement(
-                self.telemetry,
-                self.recorder.is_some(),
-                config.num_ssds,
-                cpus,
-            )
-        });
         let outcome = execute(
             config,
             &mut streams,
             &mut arrivals,
             &mut admission,
             self.recorder,
-            shards,
             &plan,
         );
         Ok(Simulated {
@@ -362,7 +322,7 @@ mod tests {
     use crate::engine::tests::optane_config;
     use crate::engine::{mixed_requests, uniform_reads, TelemetrySpec};
     use crate::tenant::AdmissionSpec;
-    use bam_obs::Stage;
+    use bam_obs::{Stage, STAGE_COUNT};
 
     fn steady(id: u32, rate_per_s: f64, requests: u64) -> TenantSpec {
         TenantSpec::new(
@@ -648,26 +608,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn only_observed_untraced_runs_on_a_multicore_host_shard() {
-        let (off, full) = (TelemetrySpec::disabled(), TelemetrySpec::full(100_000, 8));
-        let series_only = TelemetrySpec {
-            window_ns: 100_000,
-            ..off
-        };
-        let blame_only = TelemetrySpec { blame: true, ..off };
-        let no_cpus = || -> usize { panic!("an inline run needs no CPU count") };
-        assert_eq!(placement(off, false, 4, no_cpus), 0, "plain");
-        assert_eq!(placement(off, true, 4, no_cpus), 0, "traced");
-        assert_eq!(placement(full, true, 4, no_cpus), 0, "traced and observed");
-        assert_eq!(placement(full, false, 4, || 1), 0, "one CPU");
-        for spec in [full, series_only, blame_only] {
-            assert_eq!(placement(spec, false, 4, || 2), 2, "{spec:?}");
-            assert_eq!(placement(spec, false, 4, || 16), 4, "{spec:?}");
-            assert_eq!(placement(spec, false, 1, || 2), 1, "{spec:?}");
-        }
-    }
-
     /// Two overloaded classes, one behind an armed controller that both
     /// defers and rejects.
     fn controlled_classes() -> [TenantClass; 2] {
@@ -708,6 +648,14 @@ mod tests {
         );
     }
 
+    /// The blame half of the footprint bound: the mark scratch holds
+    /// [`STAGE_COUNT`] marks for every slot the run used, and nothing when
+    /// blame is off.
+    fn assert_mark_scratch(out: &EngineOutput, spec: TelemetrySpec) {
+        let per_slot = if spec.blame { STAGE_COUNT } else { 0 };
+        assert_eq!(out.mark_scratch, out.peak_slots * per_slot, "{spec:?}");
+    }
+
     #[test]
     fn footprint_is_bounded_by_in_flight_work_not_run_length() {
         // A deterministic pipeline under a sub-capacity fixed-rate stream
@@ -720,8 +668,8 @@ mod tests {
             ..cfg
         };
         let open = Workload::OpenLoop { rate_per_s: 1.0e6 };
-        for shards in [0, 2] {
-            let run = Run::new(&cfg).shards(shards);
+        for spec in [TelemetrySpec::disabled(), TelemetrySpec::full(100_000, 8)] {
+            let run = Run::new(&cfg).telemetry(spec);
             let short = probe(run, open, &uniform_reads(&cfg, 20_000));
             let long = probe(run, open, &uniform_reads(&cfg, 80_000));
             for out in [&short, &long] {
@@ -729,17 +677,21 @@ mod tests {
                 // in the depth timeline.
                 assert_eq!(out.peak_slots, out.depth.max_depth() as usize);
                 assert_heap_bound(out, &cfg);
+                assert_mark_scratch(out, spec);
             }
             assert!(short.peak_slots < 100, "sub-capacity: {}", short.peak_slots);
-            assert_eq!(short.peak_slots, long.peak_slots, "shards={shards}");
-            assert_eq!(short.peak_queued, long.peak_queued, "shards={shards}");
+            assert_eq!(short.peak_slots, long.peak_slots, "{spec:?}");
+            assert_eq!(short.peak_queued, long.peak_queued, "{spec:?}");
         }
         // A closed loop holds exactly its window.
         let closed = Workload::ClosedLoop { in_flight: 2048 };
-        let out = probe(Run::new(&cfg), closed, &uniform_reads(&cfg, 20_000));
+        let observed = TelemetrySpec::full(100_000, 8);
+        let run = Run::new(&cfg).telemetry(observed);
+        let out = probe(run, closed, &uniform_reads(&cfg, 20_000));
         assert_eq!(out.peak_slots, 2048);
         assert_eq!(out.depth.max_depth(), 2048);
         assert_heap_bound(&out, &cfg);
+        assert_mark_scratch(&out, observed);
     }
 
     #[test]
@@ -827,7 +779,7 @@ mod tests {
     #[test]
     fn recycled_slots_serve_every_request_exactly_once() {
         // 6 000 requests through a 32-request closed-loop window: each slot
-        // is reused ~190 times, wherever accounting runs.
+        // is reused ~190 times, observed or not.
         let cfg = optane_config(2, 4, 4096, 54);
         let cfg = SimConfig {
             pipeline: cfg.pipeline.with_journal_flush(48),
@@ -838,16 +790,17 @@ mod tests {
         assert!(n > 64 * u64::from(window));
         let reqs = mixed_requests(&cfg, n, 1_500);
         let closed = Workload::ClosedLoop { in_flight: window };
-        for shards in [0, 4] {
-            let out = probe(Run::new(&cfg).shards(shards), closed, &reqs);
-            assert_eq!(out.peak_slots, window as usize, "shards={shards}");
+        for spec in [TelemetrySpec::disabled(), TelemetrySpec::full(100_000, 8)] {
+            let out = probe(Run::new(&cfg).telemetry(spec), closed, &reqs);
+            assert_eq!(out.peak_slots, window as usize, "{spec:?}");
+            assert_mark_scratch(&out, spec);
             let completed = out.read_latency.count() + out.write_latency.count();
-            assert_eq!(completed, n, "shards={shards}");
+            assert_eq!(completed, n, "{spec:?}");
         }
 
-        // Traced (so inline): every request's spans tile its latency. With a
-        // controller armed, deferred admissions add `Stage::Admission` spans
-        // and rejections leave none.
+        // Traced: every request's spans tile its latency. With a controller
+        // armed, deferred admissions add `Stage::Admission` spans and
+        // rejections leave none.
         let recorder = SpanRecorder::with_capacity(1 << 20);
         let out = probe(Run::new(&cfg).trace(&recorder), closed, &reqs);
         assert_spans_tile_latencies(&recorder, &out, n);
@@ -880,32 +833,28 @@ mod tests {
     #[test]
     fn blame_retention_follows_the_tail_not_the_run() {
         // A saturated array (latencies spread over many buckets): the
-        // accumulator ends a run holding about a hundredth of it, wherever
-        // accounting ran. `Accounting::take_blame` asserts the exact bound
-        // on every shard of every observed run; this pins its scale.
+        // accumulator ends a run holding about a hundredth of it.
+        // `Accounting::take_blame` asserts the exact bound at the end of
+        // every observed run; this pins its scale.
         let cfg = optane_config(4, 2, 4096, 56);
         let classes: Vec<TenantClass> = [steady(0, 2.0e6, 30_000), steady(1, 2.0e6, 30_000)]
             .iter()
             .map(TenantClass::from)
             .collect();
-        for shards in [0, 4] {
-            let run = Run::new(&cfg)
-                .shards(shards)
-                .telemetry(TelemetrySpec::full(100_000, 8));
-            let blame = run
-                .simulate(Input::Tenants, &classes, QueuePairPolicy::Shared)
-                .unwrap()
-                .outcome
-                .blame
-                .expect("blame was asked for");
-            let retained = blame.retained();
-            assert!(retained <= blame.retained_bound(), "shards={shards}");
-            assert!(
-                (600..3_000).contains(&retained),
-                "shards={shards}: {retained} of 60000 rows retained"
-            );
-            assert_eq!(blame.finish().requests, 60_000);
-        }
+        let run = Run::new(&cfg).telemetry(TelemetrySpec::full(100_000, 8));
+        let blame = run
+            .simulate(Input::Tenants, &classes, QueuePairPolicy::Shared)
+            .unwrap()
+            .outcome
+            .blame
+            .expect("blame was asked for");
+        let retained = blame.retained();
+        assert!(retained <= blame.retained_bound());
+        assert!(
+            (600..3_000).contains(&retained),
+            "{retained} of 60000 rows retained"
+        );
+        assert_eq!(blame.finish().requests, 60_000);
     }
 
     #[test]
@@ -923,14 +872,16 @@ mod tests {
         let (report, both_telemetry) = both.classes(&classes, shared).unwrap();
         assert_eq!(report, plain);
         assert_eq!(report, traced);
+        // Only the armed class reports admission, and what it admitted is
+        // what completed.
+        let adm = report.tenants[0].admission.expect("armed class");
+        assert_eq!(report.tenants[0].completed, adm.admitted);
+        assert!(report.tenants[1].admission.is_none());
         assert!(!both_rec.is_empty());
         assert_eq!(both_rec.events(), traced_rec.events());
-        for shards in [0, 4] {
-            let observed = run.shards(shards).telemetry(spec);
-            let (observed, telemetry) = observed.classes(&classes, shared).unwrap();
-            assert_eq!(report, observed, "shards={shards}");
-            assert!(!telemetry.series.is_empty());
-            assert_eq!(both_telemetry, telemetry, "shards={shards}");
-        }
+        let (observed, telemetry) = run.telemetry(spec).classes(&classes, shared).unwrap();
+        assert_eq!(report, observed);
+        assert!(!telemetry.series.is_empty());
+        assert_eq!(both_telemetry, telemetry);
     }
 }

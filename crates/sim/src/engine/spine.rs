@@ -198,11 +198,11 @@ pub(crate) fn drive_events(
     let mut processed: u64 = 0;
 
     // Closes one stage of the request in `slot` at the current instant
-    // (dwell measured from the request's previous boundary — the shard owns
-    // that state). The third operand is the stage's pure service time: the
-    // spine scheduled the departure, so it knows it exactly, and the shard
-    // splits the dwell into service vs wait without re-deriving any timing
-    // decision.
+    // (dwell measured from the request's previous boundary — the accounting
+    // owns that state). The third operand is the stage's pure service time:
+    // the spine scheduled the departure, so it knows it exactly, and the
+    // accounting splits the dwell into service vs wait without re-deriving
+    // any timing decision.
     macro_rules! mark {
         ($slot:expr, $stage:expr, $service:expr) => {
             sink(Rec::Stage {

@@ -20,9 +20,9 @@
 //!   driver and one timing spine; the spine pulls arrivals lazily and keys
 //!   per-request state by a recycled in-flight slot, so the engine's own
 //!   memory follows the requests in flight, not the run length (asserted
-//!   at the end of every run). Observed runs apply the spine's accounting
-//!   on per-SSD shard threads, everything else inline; results are
-//!   bit-identical either way. Bad input is a typed [`engine::SimError`].
+//!   at the end of every run). The spine's accounting records are applied
+//!   as they are emitted, on the spine's thread. Bad input is a typed
+//!   [`engine::SimError`].
 //! * [`tenant`] — multi-tenant workloads: [`tenant::TenantSpec`] arrival
 //!   sources (fixed-rate, Poisson, closed-loop, and [`dist::Mmpp2`] bursts)
 //!   superposed lazily into one stream ([`tenant::Superposition`] is the
@@ -60,7 +60,6 @@
 
 mod arrivals;
 pub mod clock;
-mod coordinator;
 pub mod dist;
 pub mod engine;
 mod event;

@@ -120,9 +120,7 @@ impl DepthTimeline {
         self.points.iter().map(|&(_, d)| d).max().unwrap_or(0)
     }
 
-    /// Folds every depth-change point into `series` as a depth sample. The
-    /// timeline comes from the timing spine, which is identical for both
-    /// engines, so the folded samples are too.
+    /// Folds every depth-change point into `series` as a depth sample.
     pub(crate) fn fold_into(&self, series: &mut WindowedSeries) {
         for &(at, d) in &self.points {
             series.record_depth(at.as_ns(), d);
@@ -436,9 +434,7 @@ impl MultiTenantReport {
 
 /// Run-level telemetry of one observed run: the windowed series plus the
 /// blame decomposition described by the run's
-/// [`crate::engine::TelemetrySpec`]. Bit-identical between inline and
-/// sharded accounting at any shard count — the property
-/// `crates/sim/src/engine/equivalence.rs` asserts.
+/// [`crate::engine::TelemetrySpec`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunTelemetry {
     /// Fixed-window counters and samples over virtual time.

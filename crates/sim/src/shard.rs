@@ -1,44 +1,35 @@
-//! Per-shard accounting for the sharded engine.
+//! The accounting side of the engine: what the timing spine's record stream
+//! builds.
 //!
 //! The timing spine (`spine::drive_events`) owns every service center and
-//! the one seeded RNG — the global RNG draw order is part of the engine's
-//! determinism contract, so timing decisions stay sequential. What *can*
-//! parallelize is everything downstream of a timing decision: stage-dwell
-//! histograms, latency histograms, windowed series, blame rows and occupancy
-//! meters are all order-independent merges (integer histograms, min/max
-//! folds). The spine therefore emits a compact [`Rec`] stream,
-//! partitioned by owning device, and each shard applies its slice
-//! independently.
+//! the one seeded RNG, and decides every instant. Everything downstream of
+//! a timing decision — stage-dwell and latency histograms, windowed series,
+//! blame rows, occupancy meters, spans — is bookkeeping, so the spine emits
+//! it as a compact [`Rec`] stream in global `(time, seq)` order and one
+//! [`Accounting`] applies each record as it is emitted, on the spine's
+//! thread.
 //!
-//! Every record about a request routes to the shard of the request's queue
-//! pair, so a shard sees its own requests' records in global `(time, seq)`
-//! order — exactly the order the inline engine would have applied them.
-//! Merging shard results back (see [`merge_tenants`] and
-//! [`occupancy_stats`]) reproduces the inline accounting bit for bit.
-//!
-//! Per-request state is keyed by the spine's recycled in-flight slot, so a
-//! shard's footprint follows the in-flight population, not the run length:
-//! [`Rec::Arrive`] carries every static fact of the request
+//! Per-request state is keyed by the spine's recycled in-flight slot, so the
+//! accounting's footprint follows the in-flight population, not the run
+//! length: [`Rec::Arrive`] carries every static fact of the request
 //! ([`RequestInfo`]), and each later record names only the slot. Completed
-//! latencies stream straight into [`bam_obs::LatencyHisto`]s. Span events are
-//! the one order-dependent output, so only inline accounting records them.
+//! latencies stream straight into [`bam_obs::LatencyHisto`]s.
 
 use bam_obs::{
     BlameAccumulator, BlameMark, LatencyHisto, SpanEvent, SpanId, SpanRecorder, Stage,
-    StageBreakdown, WindowedSeries,
+    StageBreakdown, WindowedSeries, STAGE_COUNT,
 };
 
 use crate::clock::SimTime;
 use crate::engine::TelemetrySpec;
 
-/// What observability the engines collect during a run: the run-level
+/// What observability the engine collects during a run: the run-level
 /// telemetry spec plus each tenant's SLO evaluation window (0 = none).
-/// Both engines receive the same plan, so their outputs stay comparable.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ObsPlan<'a> {
     pub(crate) telemetry: TelemetrySpec,
     /// Requests the run will settle (the sum of the stream counts): what
-    /// every shard's [`BlameAccumulator`] is sized for.
+    /// the [`BlameAccumulator`] is sized for.
     pub(crate) requests: u64,
     pub(crate) tenant_slo_windows: &'a [u64],
 }
@@ -71,9 +62,8 @@ impl OccupancyMeter {
     }
 }
 
-/// Mean-over-queue-pairs and global max of a meter bank. Both engines fold
-/// meters in ascending queue-pair order, so the f64 summation order — and
-/// therefore the reported mean — is identical.
+/// Mean-over-queue-pairs and global max of a meter bank, folded in
+/// ascending queue-pair order.
 pub(crate) fn occupancy_stats(meters: &[OccupancyMeter], end: SimTime) -> (f64, u64) {
     let mean = if meters.is_empty() {
         0.0
@@ -113,8 +103,8 @@ pub(crate) enum Rec {
     },
     /// The request in `slot` closed pipeline stage `stage` at `at`.
     /// `service_ns` is the stage's pure service time — the spine knows it
-    /// exactly (it scheduled the departure) — so shards can split the dwell
-    /// into service vs wait without re-deriving timing decisions.
+    /// exactly (it scheduled the departure) — so the accounting can split
+    /// the dwell into service vs wait without re-deriving timing decisions.
     Stage {
         slot: u32,
         stage: Stage,
@@ -141,68 +131,6 @@ pub(crate) enum Rec {
     /// exhausted its deferral budget and never enters the pipeline; the slot
     /// is freed).
     Reject { slot: u32, at: SimTime },
-}
-
-impl Rec {
-    /// Virtual instant the record was emitted at.
-    pub(crate) fn at(&self) -> SimTime {
-        match *self {
-            Rec::Arrive { at, .. }
-            | Rec::Stage { at, .. }
-            | Rec::Complete { at, .. }
-            | Rec::Meter { at, .. }
-            | Rec::Defer { at, .. }
-            | Rec::Reject { at, .. } => at,
-        }
-    }
-}
-
-/// Shard topology: devices are dealt round-robin over
-/// `min(workers, num_ssds)` shards, and a queue pair belongs to its device's
-/// shard. Every record about a request routes to the shard of the request's
-/// queue pair — remembered per in-flight slot from its [`Rec::Arrive`] — so
-/// per-request state never crosses shards.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardMap {
-    pub(crate) shards: usize,
-    queue_pairs_per_ssd: u32,
-    /// The shard each in-flight slot's records route to.
-    shard_of_slot: Vec<usize>,
-}
-
-impl ShardMap {
-    pub(crate) fn new(workers: usize, num_ssds: u32, queue_pairs_per_ssd: u32) -> Self {
-        Self {
-            shards: workers.min(num_ssds as usize).max(1),
-            queue_pairs_per_ssd,
-            shard_of_slot: Vec::new(),
-        }
-    }
-
-    /// The shard owning queue pair `qp`.
-    pub(crate) fn of_qp(&self, qp: u32) -> usize {
-        ((qp / self.queue_pairs_per_ssd) as usize) % self.shards
-    }
-
-    /// The shard a record routes to.
-    pub(crate) fn route(&mut self, rec: &Rec) -> usize {
-        match *rec {
-            Rec::Arrive { slot, info, .. } => {
-                let shard = self.of_qp(info.qp);
-                let slot = slot as usize;
-                if slot >= self.shard_of_slot.len() {
-                    self.shard_of_slot.resize(slot + 1, 0);
-                }
-                self.shard_of_slot[slot] = shard;
-                shard
-            }
-            Rec::Stage { slot, .. }
-            | Rec::Complete { slot, .. }
-            | Rec::Defer { slot, .. }
-            | Rec::Reject { slot, .. } => self.shard_of_slot[slot as usize],
-            Rec::Meter { qp, .. } => self.of_qp(qp),
-        }
-    }
 }
 
 /// Accounting-side state of one tenant (the spine keeps issue state; see
@@ -245,29 +173,13 @@ impl TenantAcc {
     }
 }
 
-/// Merges per-shard tenant accounts elementwise: first arrivals min-fold,
-/// last completions max-fold, and the latency and stage histograms merge
-/// exactly (integer counters, so the result is independent of shard order).
-pub(crate) fn merge_tenants(parts: Vec<Vec<TenantAcc>>) -> Vec<TenantAcc> {
-    let mut parts = parts.into_iter();
-    let mut merged = parts.next().expect("at least one shard");
-    for part in parts {
-        for (into, from) in merged.iter_mut().zip(part) {
-            into.latency.merge(&from.latency);
-            into.first_arrival = match (into.first_arrival, from.first_arrival) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            into.last_completion = into.last_completion.max(from.last_completion);
-            into.stages.merge(&from.stages);
-            into.slo_series.merge(&from.slo_series);
-            into.offered += from.offered;
-            into.deferrals += from.deferrals;
-            into.rejected += from.rejected;
-        }
-    }
-    merged
-}
+/// The filler of a scratch mark no request has closed yet (never read: a
+/// slot's marks end at its length).
+const UNUSED_MARK: BlameMark = BlameMark {
+    stage: Stage::CacheProbe,
+    end_ns: 0,
+    service_ns: 0,
+};
 
 /// Accounting state of one in-flight slot: the request's static facts plus
 /// the two instants dwell and latency are measured from.
@@ -280,18 +192,19 @@ struct SlotAcc {
     last_mark: SimTime,
 }
 
-/// One shard's accounting state: everything the inline engine used to track
-/// per request and per tenant, applied from the record stream instead of
-/// inside the event loop.
+/// The run's accounting state: everything tracked per request and per
+/// tenant, applied from the record stream.
 ///
 /// Per-request state is indexed by the spine's in-flight slot and grown on
 /// demand, so it costs memory proportional to the peak in-flight population
 /// (slots are recycled), not the run length.
 pub(crate) struct Accounting<'a> {
     slots: Vec<SlotAcc>,
-    /// Per-slot blame scratch: the marks of the request currently in the
-    /// slot (empty when blame is disabled).
-    marks: Vec<Vec<BlameMark>>,
+    /// Blame scratch, [`STAGE_COUNT`] marks per slot: slot `s`'s request
+    /// has closed the marks `marks[s * STAGE_COUNT..][..mark_lens[s]]`.
+    /// Both stay empty when blame is disabled.
+    marks: Vec<BlameMark>,
+    mark_lens: Vec<u8>,
     pub(crate) meters: Vec<OccupancyMeter>,
     pub(crate) tenants: Vec<TenantAcc>,
     /// Latency histogram over completed reads.
@@ -299,7 +212,7 @@ pub(crate) struct Accounting<'a> {
     /// Latency histogram over completed writes. Includes the journal-flush
     /// stage when enabled — latency is measured from arrival.
     pub(crate) write_latency: LatencyHisto,
-    /// Where span events go (inline accounting of a traced run only).
+    /// Where span events go (traced runs only).
     spans: Option<&'a SpanRecorder>,
     /// Run-level windowed telemetry (disabled — window 0 — when the plan
     /// asks for none; every record is then a single branch).
@@ -320,6 +233,7 @@ impl<'a> Accounting<'a> {
         Self {
             slots: Vec::new(),
             marks: Vec::new(),
+            mark_lens: Vec::new(),
             meters: vec![OccupancyMeter::default(); total_qps as usize],
             tenants: plan
                 .tenant_slo_windows
@@ -353,11 +267,17 @@ impl<'a> Accounting<'a> {
         self.series
             .record_stage(now.as_ns(), stage, dwell, dwell - service_ns.min(dwell));
         if self.blame.is_some() {
-            self.marks[slot as usize].push(BlameMark {
+            let len = &mut self.mark_lens[slot as usize];
+            assert!(
+                usize::from(*len) < STAGE_COUNT,
+                "a request closes each of the {STAGE_COUNT} stages at most once"
+            );
+            self.marks[slot as usize * STAGE_COUNT + usize::from(*len)] = BlameMark {
                 stage,
                 end_ns: now.as_ns(),
                 service_ns,
-            });
+            };
+            *len += 1;
         }
         if let Some(rec) = self.spans {
             rec.record(SpanEvent {
@@ -375,18 +295,14 @@ impl<'a> Accounting<'a> {
     /// rejected request has no marks).
     fn settle_blame(&mut self, slot: u32) {
         if let Some(blame) = &mut self.blame {
-            let acc = &self.slots[slot as usize];
-            blame.push(
-                acc.info.req,
-                acc.arrive_at.as_ns(),
-                &self.marks[slot as usize],
-            );
+            let i = slot as usize;
+            let acc = &self.slots[i];
+            let marks = &self.marks[i * STAGE_COUNT..][..usize::from(self.mark_lens[i])];
+            blame.push(acc.info.req, acc.arrive_at.as_ns(), marks);
         }
     }
 
-    /// Applies one record. Records arrive in global `(time, seq)` order for
-    /// this shard's requests and queue pairs, so the state transitions are
-    /// the same ones the inline engine performs.
+    /// Applies one record. Records arrive in global `(time, seq)` order.
     pub(crate) fn apply(&mut self, rec: Rec) {
         match rec {
             Rec::Arrive { slot, at, info } => {
@@ -394,7 +310,8 @@ impl<'a> Accounting<'a> {
                 if i >= self.slots.len() {
                     self.slots.resize(i + 1, SlotAcc::default());
                     if self.blame.is_some() {
-                        self.marks.resize_with(i + 1, Vec::new);
+                        self.mark_lens.resize(i + 1, 0);
+                        self.marks.resize((i + 1) * STAGE_COUNT, UNUSED_MARK);
                     }
                 }
                 self.slots[i] = SlotAcc {
@@ -403,7 +320,7 @@ impl<'a> Accounting<'a> {
                     last_mark: at,
                 };
                 if self.blame.is_some() {
-                    self.marks[i].clear();
+                    self.mark_lens[i] = 0;
                 }
                 self.series.record_arrival(at.as_ns());
                 let tenant = &mut self.tenants[info.tenant as usize];
@@ -459,7 +376,13 @@ impl<'a> Accounting<'a> {
         }
     }
 
-    /// The shard's blame accumulator (`None` when blame was disabled),
+    /// Blame marks the scratch holds room for: [`STAGE_COUNT`] per slot the
+    /// run ever used, none when blame is disabled.
+    pub(crate) fn mark_scratch(&self) -> usize {
+        self.marks.len()
+    }
+
+    /// The run's blame accumulator (`None` when blame was disabled),
     /// checked against its retention bound: rows held beyond the tail would
     /// mean the report side grew with the run again.
     pub(crate) fn take_blame(&mut self) -> Option<BlameAccumulator> {
@@ -477,62 +400,6 @@ impl<'a> Accounting<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn records_follow_their_slot_to_the_arrival_s_shard() {
-        let mut map = ShardMap::new(2, 4, 2);
-        let at = SimTime::ZERO;
-        let arrive = |slot, qp| Rec::Arrive {
-            slot,
-            at,
-            info: RequestInfo {
-                qp,
-                ..RequestInfo::default()
-            },
-        };
-        assert_eq!(map.route(&arrive(5, 2)), 1);
-        assert_eq!(map.route(&Rec::Defer { slot: 5, at }), 1);
-        assert_eq!(map.route(&Rec::Reject { slot: 5, at }), 1);
-        // The slot is recycled by a request on another device's shard.
-        assert_eq!(map.route(&arrive(5, 4)), 0);
-        let complete = Rec::Complete {
-            slot: 5,
-            at,
-            service_ns: 0,
-        };
-        assert_eq!(map.route(&complete), 0);
-    }
-
-    #[test]
-    fn shard_map_deals_devices_round_robin() {
-        let map = ShardMap::new(2, 4, 2);
-        assert_eq!(map.shards, 2);
-        // Queue pairs 0-1 → device 0 → shard 0; 2-3 → device 1 → shard 1 …
-        assert_eq!(map.of_qp(0), 0);
-        assert_eq!(map.of_qp(1), 0);
-        assert_eq!(map.of_qp(2), 1);
-        assert_eq!(map.of_qp(4), 0);
-        assert_eq!(map.of_qp(7), 1);
-        // Never more shards than devices, never zero.
-        assert_eq!(ShardMap::new(8, 4, 2).shards, 4);
-        assert_eq!(ShardMap::new(0, 4, 2).shards, 1);
-    }
-
-    #[test]
-    fn merge_tenants_folds_min_max_and_merges_histograms() {
-        let mut a = TenantAcc::new(0);
-        a.latency.record(10);
-        a.first_arrival = Some(SimTime::from_ns(5));
-        a.last_completion = SimTime::from_ns(100);
-        let mut b = TenantAcc::new(0);
-        b.latency.record(20);
-        b.first_arrival = Some(SimTime::from_ns(2));
-        b.last_completion = SimTime::from_ns(50);
-        let merged = merge_tenants(vec![vec![a], vec![b]]);
-        assert_eq!(merged[0].latency, LatencyHisto::from_samples([10, 20]));
-        assert_eq!(merged[0].first_arrival, Some(SimTime::from_ns(2)));
-        assert_eq!(merged[0].last_completion, SimTime::from_ns(100));
-    }
 
     #[test]
     fn occupancy_stats_match_meter_arithmetic() {

@@ -11,9 +11,7 @@
 //!    an M-member class equals its merged tenant for every arrival shape.
 //! 2. **Admission control actually works.** Under sustained overload the
 //!    controller holds the class's p99 burn rate under budget while the
-//!    uncontrolled run blows through it. (That class runs are bit-identical
-//!    at any shard count is checked in-crate, where the shard count can be
-//!    forced.)
+//!    uncontrolled run blows through it.
 
 use bam_nvme_sim::SsdSpec;
 use bam_pcie::LinkSpec;

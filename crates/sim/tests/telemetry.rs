@@ -1,9 +1,8 @@
 //! Integration tests of the observed engine: blame must attribute 100% of
 //! every request's latency against the engine's own latency population,
 //! windowed series must reconcile with the run aggregates, and per-tenant
-//! SLO evaluation must follow the specs. (That telemetry is a pure observer,
-//! inline or sharded, is checked in-crate, where the placement can be
-//! forced.)
+//! SLO evaluation must follow the specs. (That telemetry is a pure observer
+//! is checked in-crate, beside the engine.)
 
 use bam_nvme_sim::SsdSpec;
 use bam_pcie::LinkSpec;
