@@ -215,7 +215,12 @@ impl ByteRegion {
     }
 
     /// Copies `len` bytes from `src` in the region `from` to `dst` in this
-    /// region, staged through a stack buffer: no allocation.
+    /// region, without allocating. When `src` and `dst` sit at the same
+    /// offset within their words (equal mod 8), the body moves word to word:
+    /// one relaxed `load` and one `store` per word, with a ragged head and
+    /// tail of at most 7 bytes each taking the partial-word path. Otherwise
+    /// the copy is staged 512 bytes at a time through a stack buffer. Both
+    /// paths write the same bytes and keep every byte outside the range.
     ///
     /// # Panics
     ///
@@ -228,11 +233,32 @@ impl ByteRegion {
             !std::ptr::eq(self, from) || d + len <= s || s + len <= d,
             "overlapping copy within one region: src={src:#x} dst={dst:#x} len={len}"
         );
-        let mut buf = [0u8; COPY_CHUNK];
-        for done in (0..len).step_by(COPY_CHUNK) {
-            let n = (len - done).min(COPY_CHUNK);
-            from.read_bytes(src + done as u64, &mut buf[..n]);
-            self.write_bytes(dst + done as u64, &buf[..n]);
+        if d % 8 != s % 8 {
+            let mut buf = [0u8; COPY_CHUNK];
+            for done in (0..len).step_by(COPY_CHUNK) {
+                let n = (len - done).min(COPY_CHUNK);
+                from.read_bytes(src + done as u64, &mut buf[..n]);
+                self.write_bytes(dst + done as u64, &buf[..n]);
+            }
+            return;
+        }
+        let (head, nwords) = split(d, len);
+        let mut part = [0u8; 8];
+        if head > 0 {
+            from.load_part(s / 8, s % 8, &mut part[..head]);
+            self.store_part(d / 8, d % 8, &part[..head]);
+        }
+        let (dw, sw) = ((d + head) / 8, (s + head) / 8);
+        for (to, word) in self.words[dw..dw + nwords]
+            .iter()
+            .zip(&from.words[sw..sw + nwords])
+        {
+            to.store(word.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        let tail = len - head - nwords * 8;
+        if tail > 0 {
+            from.load_part(sw + nwords, 0, &mut part[..tail]);
+            self.store_part(dw + nwords, 0, &part[..tail]);
         }
     }
 }
@@ -322,6 +348,37 @@ mod tests {
             assert_eq!(&out[1..=len], &data[..], "src={src} dst={dst}");
             assert_eq!(out[len + 1], 0xEE, "byte after dst={dst}");
             b.fill(0, 2048, 0xEE);
+        }
+    }
+
+    #[test]
+    fn copy_from_word_path_equals_the_staged_path_at_every_offset() {
+        // Every (src % 8, dst % 8, len) with len in 0..=80: equal offsets
+        // take the word path, the others the staged one. Both must write
+        // exactly what a staged read-then-write writes, and nothing around it.
+        const BASE: usize = 64;
+        let from = ByteRegion::new(256);
+        let data: Vec<u8> = (0..256).map(|i| (i * 7 + 3) as u8).collect();
+        from.write_bytes(0, &data);
+        for src_off in 0..8usize {
+            for dst_off in 0..8usize {
+                for len in 0..=80usize {
+                    let (src, dst) = (BASE + src_off, BASE + dst_off);
+                    let got = ByteRegion::new(256);
+                    got.fill(0, 256, 0xEE);
+                    got.copy_from(dst as u64, &from, src as u64, len);
+                    let want = ByteRegion::new(256);
+                    want.fill(0, 256, 0xEE);
+                    let mut staged = vec![0u8; len];
+                    from.read_bytes(src as u64, &mut staged);
+                    want.write_bytes(dst as u64, &staged);
+                    let (mut g, mut w) = (vec![0u8; 256], vec![0u8; 256]);
+                    got.read_bytes(0, &mut g);
+                    want.read_bytes(0, &mut w);
+                    assert_eq!(g, w, "src={src} dst={dst} len={len}");
+                    assert_eq!(&g[dst..dst + len], &data[src..src + len]);
+                }
+            }
         }
     }
 

@@ -19,7 +19,7 @@ use bam_mem::ByteRegion;
 use crate::block::BlockStore;
 use crate::command::{NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus};
 use crate::queue::QueuePair;
-use crate::stats::ControllerStats;
+use crate::stats::StatsSnapshot;
 
 /// A hook that lets tests and failure-injection benches force command
 /// failures. Returning `Some(status)` makes the command complete with that
@@ -30,6 +30,10 @@ pub type FaultInjector = dyn Fn(&NvmeCommand) -> Option<NvmeStatus> + Send + Syn
 /// beside the rings it describes, under the pair's device lock.
 #[derive(Debug, Default)]
 pub(crate) struct DeviceQueueState {
+    /// What the controller did on this pair. The thread servicing the pair
+    /// holds its lock, so each count is a plain add;
+    /// [`NvmeController::stats`] sums them over the pairs.
+    pub(crate) counts: StatsSnapshot,
     /// Next SQ slot the controller will consume.
     sq_head: u32,
     /// Next CQ slot the controller will fill.
@@ -40,13 +44,12 @@ pub(crate) struct DeviceQueueState {
     last_seen_tail: u32,
 }
 
-/// The part of a controller that executes commands: media, DMA region,
-/// counters and fault injector. It holds no queues, so each queue pair it
-/// serves can hold it without a reference cycle.
+/// The part of a controller that executes commands: media, DMA region and
+/// fault injector. It holds no queues, so each queue pair it serves can hold
+/// it without a reference cycle.
 pub(crate) struct Firmware {
     store: Arc<BlockStore>,
     region: Arc<ByteRegion>,
-    stats: Arc<ControllerStats>,
     fault_injector: RwLock<Option<Arc<FaultInjector>>>,
     /// Fast-path flag mirroring `fault_injector.is_some()`: with no injector
     /// installed (the default) a command pays one atomic load, not a read
@@ -64,45 +67,44 @@ impl std::fmt::Debug for Firmware {
 }
 
 impl Firmware {
-    fn execute(&self, cmd: &NvmeCommand) -> NvmeStatus {
+    fn execute(&self, cmd: &NvmeCommand, counts: &mut StatsSnapshot) -> NvmeStatus {
         if self.fault_injector_installed.load(Ordering::Acquire) {
             if let Some(injector) = self.fault_injector.read().as_ref() {
                 if let Some(status) = injector(cmd) {
-                    self.stats.record_failure();
+                    counts.failed_commands += 1;
                     return status;
                 }
             }
         }
-        // Data moves block by block between the media and GPU memory, with
-        // no staging copy of the whole transfer.
-        let bs = self.store.block_size();
+        // Data moves word to word between the media's extents and GPU
+        // memory, with no staging copy.
         let nlb = u64::from(cmd.nlb);
-        let block_addr = |i: u64| cmd.dptr + i * bs as u64;
         let outcome = match cmd.opcode {
             // DMA write into GPU memory (Figure 2, step Ⓓ).
             NvmeOpcode::Read => self
                 .store
-                .read_blocks_with(cmd.slba, nlb, |i, block| match block {
-                    Some(bytes) => self.region.write_bytes(block_addr(i), bytes),
-                    None => self.region.fill(block_addr(i), bs, 0),
-                })
-                .map(|()| self.stats.record_read(nlb)),
+                .read_into(cmd.slba, nlb, &self.region, cmd.dptr)
+                .map(|()| {
+                    counts.read_commands += 1;
+                    counts.blocks_read += nlb;
+                }),
             // DMA read from GPU memory.
             NvmeOpcode::Write => self
                 .store
-                .write_blocks_with(cmd.slba, nlb, |i, block| {
-                    self.region.read_bytes(block_addr(i), block)
-                })
-                .map(|()| self.stats.record_write(nlb)),
+                .write_from(cmd.slba, nlb, &self.region, cmd.dptr)
+                .map(|()| {
+                    counts.write_commands += 1;
+                    counts.blocks_written += nlb;
+                }),
             NvmeOpcode::Flush => {
-                self.stats.record_flush();
+                counts.flush_commands += 1;
                 Ok(())
             }
         };
         match outcome {
             Ok(()) => NvmeStatus::Success,
             Err(_) => {
-                self.stats.record_failure();
+                counts.failed_commands += 1;
                 NvmeStatus::LbaOutOfRange
             }
         }
@@ -119,7 +121,7 @@ impl Firmware {
         let tail = qp.sq_tail();
         if tail != st.last_seen_tail {
             st.last_seen_tail = tail;
-            self.stats.record_doorbell();
+            st.counts.doorbell_observations += 1;
         }
         if st.sq_head == tail {
             return 0;
@@ -138,7 +140,7 @@ impl Firmware {
                 // retry later without advancing.
                 break;
             };
-            let status = self.execute(&cmd);
+            let status = self.execute(&cmd, &mut st.counts);
             st.sq_head = (st.sq_head + 1) % entries;
             // Publish the DMA'd data before the completion entry becomes
             // visible. The paper discusses exactly this ordering hazard for
@@ -154,7 +156,7 @@ impl Firmware {
                 phase: !st.phase, // the *new* entry carries the inverted phase of the previous lap
             };
             qp.write_cq_entry(st.cq_tail, &completion);
-            self.stats.record_completion();
+            st.counts.completions_posted += 1;
             st.cq_tail += 1;
             if st.cq_tail == entries {
                 st.cq_tail = 0;
@@ -190,7 +192,6 @@ impl NvmeController {
             firmware: Arc::new(Firmware {
                 store,
                 region,
-                stats: Arc::new(ControllerStats::new()),
                 fault_injector: RwLock::new(None),
                 fault_injector_installed: AtomicBool::new(false),
             }),
@@ -209,9 +210,10 @@ impl NvmeController {
         self.firmware.region.clone()
     }
 
-    /// Shared statistics handle.
-    pub fn stats(&self) -> Arc<ControllerStats> {
-        self.firmware.stats.clone()
+    /// What the controller has done so far: the sum of the counts kept by
+    /// each registered queue pair. Takes each pair's device lock in turn.
+    pub fn stats(&self) -> StatsSnapshot {
+        self.queues.read().iter().map(|qp| qp.device_counts()).sum()
     }
 
     /// Installs (or clears) a fault injector.
@@ -319,7 +321,7 @@ mod tests {
         let dst = h.alloc.alloc(512, 512).unwrap();
         let completion = submit_sync(&h, 0, 1, NvmeCommand::read(9, u64::MAX - 10, 1, dst));
         assert_eq!(completion.status, NvmeStatus::LbaOutOfRange);
-        assert_eq!(h.ctrl.stats().snapshot().failed_commands, 1);
+        assert_eq!(h.ctrl.stats().failed_commands, 1);
     }
 
     #[test]
@@ -390,9 +392,65 @@ mod tests {
         let h = harness(8);
         let c = submit_sync(&h, 0, 1, NvmeCommand::flush(5));
         assert!(c.status.is_success());
-        let snap = h.ctrl.stats().snapshot();
+        let snap = h.ctrl.stats();
         assert_eq!(snap.flush_commands, 1);
         assert_eq!(snap.blocks_read, 0);
+    }
+
+    #[test]
+    fn stats_sum_the_counts_of_pairs_serviced_by_different_threads() {
+        const ENTRIES: u32 = 8;
+        const COMMANDS: u32 = 41;
+        let h = harness(ENTRIES);
+        let qp2 = Arc::new(
+            QueuePair::allocate(h.region.clone(), &h.alloc, QueueId(2), ENTRIES, 1024).unwrap(),
+        );
+        h.ctrl.register_queue(qp2.clone());
+        let drive = |qp: &QueuePair, dst: u64| {
+            for i in 0..COMMANDS {
+                let slot = i % ENTRIES;
+                let lba = u64::from(i);
+                let cmd = match i % 4 {
+                    0 => NvmeCommand::read(i as u16, lba, 2, dst),
+                    1 => NvmeCommand::write(i as u16, lba, 1, dst),
+                    2 => NvmeCommand::flush(i as u16),
+                    _ => NvmeCommand::read(i as u16, u64::MAX - 1, 1, dst),
+                };
+                qp.write_sq_entry(slot, &cmd);
+                qp.ring_sq_tail((slot + 1) % ENTRIES);
+                while qp.service() == 0 {
+                    std::thread::yield_now();
+                }
+                assert_eq!(qp.read_cq_entry(slot).cid, i as u16);
+                qp.ring_cq_head((slot + 1) % ENTRIES);
+            }
+        };
+        let dsts = [
+            h.alloc.alloc(1024, 512).unwrap(),
+            h.alloc.alloc(1024, 512).unwrap(),
+        ];
+        std::thread::scope(|s| {
+            s.spawn(|| drive(&h.qp, dsts[0]));
+            s.spawn(|| drive(&qp2, dsts[1]));
+        });
+        let pairs = [h.qp.device_counts(), qp2.device_counts()];
+        let snap = h.ctrl.stats();
+        assert_eq!(snap, pairs.into_iter().sum());
+        for (i, pair) in pairs.iter().enumerate() {
+            assert_eq!(
+                (pair.read_commands, pair.write_commands, pair.flush_commands),
+                (11, 10, 10),
+                "pair {i}"
+            );
+            assert_eq!(pair.failed_commands, 10, "pair {i}");
+            assert_eq!((pair.blocks_read, pair.blocks_written), (22, 10));
+            assert_eq!(pair.doorbell_observations, u64::from(COMMANDS));
+        }
+        assert_eq!(
+            snap.completions_posted,
+            snap.read_commands + snap.write_commands + snap.flush_commands + snap.failed_commands
+        );
+        assert_eq!(snap.completions_posted, 2 * u64::from(COMMANDS));
     }
 
     #[test]
@@ -401,6 +459,6 @@ mod tests {
         let dst = h.alloc.alloc(512, 512).unwrap();
         submit_sync(&h, 0, 1, NvmeCommand::read(0, 0, 1, dst));
         submit_sync(&h, 1, 2, NvmeCommand::read(1, 0, 1, dst));
-        assert_eq!(h.ctrl.stats().snapshot().doorbell_observations, 2);
+        assert_eq!(h.ctrl.stats().doorbell_observations, 2);
     }
 }

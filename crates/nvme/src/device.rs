@@ -84,7 +84,7 @@ impl SsdDevice {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> StatsSnapshot {
-        self.controller.stats().snapshot()
+        self.controller.stats()
     }
 
     /// Allocates an I/O queue pair of `entries` entries whose rings live in

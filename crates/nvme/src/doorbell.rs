@@ -7,18 +7,17 @@
 //! written value — the motivation for BaM's coalesced doorbell protocol
 //! (§2.2, §3.3).
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A single doorbell register.
 ///
 /// The "device side" ([`Doorbell::read`]) is only used by the simulated
-/// controller; the "host/GPU side" only writes. A monotonic write counter is
-/// kept so experiments can measure doorbell-write traffic (an expensive PCIe
-/// operation the BaM queues try to minimize).
+/// controller; the "host/GPU side" only writes. Ringing is one store: the
+/// SQ tail doorbell's write count, the traffic the BaM queues try to
+/// minimise, is kept by its [`QueuePair`](crate::QueuePair).
 #[derive(Debug, Default)]
 pub struct Doorbell {
     value: AtomicU32,
-    writes: AtomicU64,
 }
 
 impl Doorbell {
@@ -32,17 +31,11 @@ impl Doorbell {
         // Release so that queue-entry writes made before ringing are visible
         // to the controller that observes the new doorbell value.
         self.value.store(value, Ordering::Release);
-        self.writes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Device-side read of the current doorbell value.
     pub fn read(&self) -> u32 {
         self.value.load(Ordering::Acquire)
-    }
-
-    /// Number of MMIO writes made to this doorbell so far.
-    pub fn write_count(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
     }
 }
 
@@ -60,7 +53,6 @@ mod tests {
         assert_eq!(db.read(), 17);
         db.ring(18);
         assert_eq!(db.read(), 18);
-        assert_eq!(db.write_count(), 2);
     }
 
     #[test]
@@ -75,6 +67,5 @@ mod tests {
             h.join().unwrap();
         }
         assert!((1..=8).contains(&db.read()));
-        assert_eq!(db.write_count(), 8);
     }
 }

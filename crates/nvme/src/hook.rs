@@ -8,8 +8,9 @@
 //! through [`SimHook::on_submit`], and a hook implementation —
 //! `bam_sim::TraceRecorder` in practice — captures it. The stack is the only
 //! emitter, and no hook is installed by default. The device side of the same
-//! stream is counted by each controller's own
-//! [`ControllerStats`](crate::stats::ControllerStats).
+//! stream is counted by each controller, per queue pair, and read as a
+//! [`StatsSnapshot`](crate::stats::StatsSnapshot) through
+//! [`NvmeController::stats`](crate::NvmeController::stats).
 
 /// One observed I/O command, as reported to [`SimHook::on_submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -14,7 +14,7 @@
 //!   memory.
 //! * [`doorbell::Doorbell`] — write-only tail/head doorbell registers.
 //! * [`block::BlockStore`] — the SSD media: a sparse, thread-safe block
-//!   store.
+//!   store of lazily created extents, read without a lock.
 //! * [`controller::NvmeController`] / [`device::SsdDevice`] — the SSD
 //!   controller, run on the thread that waits on a queue pair rather than
 //!   on a thread of its own: fetches submission entries when a doorbell is
@@ -26,8 +26,9 @@
 //! * [`hook::SimHook`] — the one tap on the I/O stream: the GPU-side I/O
 //!   stack reports each command it completes through it, and `bam-sim`
 //!   captures that stream for event-driven latency simulation. The
-//!   controllers emit nothing; their device-side counts are
-//!   [`stats::ControllerStats`].
+//!   controllers emit nothing; their device-side counts are a
+//!   [`stats::StatsSnapshot`] per queue pair, summed by
+//!   [`NvmeController::stats`].
 //!
 //! The controller is *functionally* accurate (real data movement, real
 //! queue-protocol interactions); performance is modelled analytically by
@@ -56,7 +57,7 @@ pub use error::NvmeError;
 pub use hook::{IoEvent, SimHook};
 pub use queue::{QueueId, QueuePair};
 pub use spec::{SsdSpec, SsdTechnology};
-pub use stats::{ControllerStats, StatsSnapshot};
+pub use stats::StatsSnapshot;
 
 /// Logical block address on an SSD.
 pub type Lba = u64;

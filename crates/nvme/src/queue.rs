@@ -7,6 +7,7 @@
 //! [`Doorbell`] objects, and the controller side runs on whichever GPU
 //! thread waits on the pair ([`QueuePair::service`]).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -17,6 +18,7 @@ use crate::command::{NvmeCommand, NvmeCompletion, CQ_ENTRY_BYTES, SQ_ENTRY_BYTES
 use crate::controller::{DeviceQueueState, Firmware};
 use crate::doorbell::Doorbell;
 use crate::error::NvmeError;
+use crate::stats::StatsSnapshot;
 
 /// Identifier of a queue pair on one controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,6 +42,8 @@ pub struct QueuePair {
     cq_base: DevAddr,
     sq_tail_doorbell: Doorbell,
     cq_head_doorbell: Doorbell,
+    /// MMIO writes made to the SQ tail doorbell.
+    sq_doorbell_writes: AtomicU64,
     /// Firmware of the controller this pair is registered with.
     firmware: OnceLock<Arc<Firmware>>,
     /// The controller's SQ head, CQ tail and phase for this pair.
@@ -92,6 +96,7 @@ impl QueuePair {
             cq_base,
             sq_tail_doorbell: Doorbell::new(),
             cq_head_doorbell: Doorbell::new(),
+            sq_doorbell_writes: AtomicU64::new(0),
             firmware: OnceLock::new(),
             device: Mutex::new(DeviceQueueState::default()),
         })
@@ -131,6 +136,7 @@ impl QueuePair {
     /// Rings the submission-queue tail doorbell with the new tail index.
     pub fn ring_sq_tail(&self, tail: u32) {
         self.sq_tail_doorbell.ring(tail);
+        self.sq_doorbell_writes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Rings the completion-queue head doorbell with the new head index.
@@ -140,7 +146,7 @@ impl QueuePair {
 
     /// Number of MMIO writes made to the SQ tail doorbell (a cost metric).
     pub fn sq_doorbell_writes(&self) -> u64 {
-        self.sq_tail_doorbell.write_count()
+        self.sq_doorbell_writes.load(Ordering::Relaxed)
     }
 
     // ---- device (controller) side ----
@@ -153,6 +159,11 @@ impl QueuePair {
             (Some(firmware), Some(mut state)) => firmware.service_queue(self, &mut state),
             _ => 0,
         }
+    }
+
+    /// The controller's counts on this pair (waits for its device lock).
+    pub(crate) fn device_counts(&self) -> StatsSnapshot {
+        self.device.lock().counts
     }
 
     /// Hands the pair to the firmware of the controller registering it.
@@ -237,6 +248,19 @@ mod tests {
         assert_eq!(qp.sq_tail(), 9);
         assert_eq!(qp.cq_head(), 2);
         assert_eq!(qp.sq_doorbell_writes(), 2);
+    }
+
+    #[test]
+    fn concurrent_sq_rings_are_each_counted() {
+        let qp = mk_pair(16);
+        std::thread::scope(|s| {
+            for t in 1..=8u32 {
+                let qp = &qp;
+                s.spawn(move || qp.ring_sq_tail(t));
+            }
+        });
+        assert!((1..=8).contains(&qp.sq_tail()));
+        assert_eq!(qp.sq_doorbell_writes(), 8);
     }
 
     #[test]

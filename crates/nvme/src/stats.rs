@@ -3,22 +3,9 @@
 //! These counters are the ground truth the experiment harnesses use to
 //! compute I/O counts, amplification factors, and doorbell traffic.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Live counters maintained by a simulated controller.
-#[derive(Debug, Default)]
-pub struct ControllerStats {
-    read_commands: AtomicU64,
-    write_commands: AtomicU64,
-    flush_commands: AtomicU64,
-    failed_commands: AtomicU64,
-    blocks_read: AtomicU64,
-    blocks_written: AtomicU64,
-    completions_posted: AtomicU64,
-    doorbell_observations: AtomicU64,
-}
-
-/// A point-in-time copy of [`ControllerStats`].
+/// What a simulated controller has done. Each queue pair keeps one, counted
+/// with plain adds under the pair's device lock;
+/// [`NvmeController::stats`](crate::NvmeController::stats) returns their sum.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Read commands completed.
@@ -56,50 +43,18 @@ impl StatsSnapshot {
     }
 }
 
-impl ControllerStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn record_read(&self, blocks: u64) {
-        self.read_commands.fetch_add(1, Ordering::Relaxed);
-        self.blocks_read.fetch_add(blocks, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_write(&self, blocks: u64) {
-        self.write_commands.fetch_add(1, Ordering::Relaxed);
-        self.blocks_written.fetch_add(blocks, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_flush(&self) {
-        self.flush_commands.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_failure(&self) {
-        self.failed_commands.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_completion(&self) {
-        self.completions_posted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_doorbell(&self) {
-        self.doorbell_observations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Copies the current counter values.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            read_commands: self.read_commands.load(Ordering::Relaxed),
-            write_commands: self.write_commands.load(Ordering::Relaxed),
-            flush_commands: self.flush_commands.load(Ordering::Relaxed),
-            failed_commands: self.failed_commands.load(Ordering::Relaxed),
-            blocks_read: self.blocks_read.load(Ordering::Relaxed),
-            blocks_written: self.blocks_written.load(Ordering::Relaxed),
-            completions_posted: self.completions_posted.load(Ordering::Relaxed),
-            doorbell_observations: self.doorbell_observations.load(Ordering::Relaxed),
-        }
+impl std::iter::Sum for StatsSnapshot {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| Self {
+            read_commands: a.read_commands + b.read_commands,
+            write_commands: a.write_commands + b.write_commands,
+            flush_commands: a.flush_commands + b.flush_commands,
+            failed_commands: a.failed_commands + b.failed_commands,
+            blocks_read: a.blocks_read + b.blocks_read,
+            blocks_written: a.blocks_written + b.blocks_written,
+            completions_posted: a.completions_posted + b.completions_posted,
+            doorbell_observations: a.doorbell_observations + b.doorbell_observations,
+        })
     }
 }
 
@@ -109,16 +64,23 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let s = ControllerStats::new();
-        s.record_read(8);
-        s.record_read(8);
-        s.record_write(1);
-        s.record_flush();
-        s.record_completion();
-        let snap = s.snapshot();
+        let pair = |reads, blocks| StatsSnapshot {
+            read_commands: reads,
+            blocks_read: blocks,
+            ..StatsSnapshot::default()
+        };
+        let writes_and_flush = StatsSnapshot {
+            write_commands: 1,
+            blocks_written: 1,
+            flush_commands: 1,
+            completions_posted: 1,
+            ..StatsSnapshot::default()
+        };
+        let snap: StatsSnapshot = [pair(1, 8), pair(1, 8), writes_and_flush].into_iter().sum();
         assert_eq!(snap.read_commands, 2);
         assert_eq!(snap.blocks_read, 16);
         assert_eq!(snap.write_commands, 1);
+        assert_eq!(snap.completions_posted, 1);
         assert_eq!(snap.total_commands(), 4);
         assert_eq!(snap.bytes_read(512), 8192);
         assert_eq!(snap.bytes_written(512), 512);
